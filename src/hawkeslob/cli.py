@@ -23,11 +23,12 @@ import numpy as np
 
 from . import limit as limit_mod
 from .config import COMMANDS, ConfigError, RunConfig, parse_config
+from .families import time_profile_from_params
 from .harness import ExperimentPlan, moment_diagnostics, run_convergence
-from .micro import simulate_book
+from .micro import replay_book, simulate_book
 from .oracles import CIRParams, OneSidedParams, one_sided_volatility_clustering, simulate_cir
 from .rng import SeedManifest, stream_rng
-from .volterra import resolvent_report
+from .volterra import renewal_resolvent, resolvent_report
 
 
 def _json_default(obj):
@@ -67,39 +68,24 @@ def _float_csv(path: Path, header: list, rows) -> None:
 
 
 def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int, threads: int) -> dict:
-    from .micro import ACTIVE_TYPES, PASSIVE_TYPES, apply_active, apply_passive
-
-    family = cfg.scaling_family()
-    grid = cfg.data.get("grid", {})
-    horizon = float(grid.get("horizon", 1.0))
-    params = family.micro_params(level)
+    horizon = float(cfg.data.get("grid", {}).get("horizon", 1.0))
+    params = cfg.scaling_family().micro_params(level)
     run = simulate_book(params, horizon, stream_rng(seed, 0, "micro"))
 
     run.events.to_csv(out / "events.csv")
     run.price_path_csv(out / "prices.csv")
     n_side = int(round(params.half_width / params.delta_x))
     sample_times = [float(t) for t in cfg.data.get("output", {}).get("profile_times", [])]
-    sample_times = sorted(set(sample_times + [horizon]))
-
-    # rebuild the book at each requested time by folding the event record
     rows = []
-    state = params.initial_state()
-    ev = run.events
-    idx = 0
-    for t_snap in sample_times:
-        while idx < len(ev) and ev.times[idx] <= t_snap:
-            lab = int(ev.labels[idx])
-            if lab < 4:
-                apply_active(state, ACTIVE_TYPES[lab])
-            else:
-                apply_passive(state, PASSIVE_TYPES[lab - 4], float(ev.xs[idx]),
-                              float(ev.zs[idx]), params.delta_v)
-            idx += 1
+
+    def snapshot(t_snap: float, state) -> None:
         ask = state.ask_vol.window(state.ask_tick - n_side, state.ask_tick + n_side)
         bid = state.bid_vol.window(state.bid_tick - n_side, state.bid_tick + n_side)
         rows.extend(
             (t_snap, j - n_side, a, b) for j, (a, b) in enumerate(zip(ask, bid))
         )
+
+    replay_book(params, run.events, sorted(set(sample_times + [horizon])), snapshot)
     _float_csv(out / "profiles.csv", ["t", "tick_index", "ask_density", "bid_density"], rows)
     state = run.final_state
     d = run.diagnostics
@@ -230,9 +216,6 @@ def _cmd_resolvent(cfg: RunConfig, out: Path, seed: int, level: int, threads: in
         params["kappa"] = float(block["kappa"])
     rep = resolvent_report(block["family"], params, t_grid)
     _write_json(out / "report.json", rep)
-    from .volterra import renewal_resolvent
-    from .families import time_profile_from_params
-
     K = renewal_resolvent(time_profile_from_params({"family": block["family"], **params}), t_grid)
     _float_csv(out / "resolvent.csv", ["t", "K"], zip(t_grid, K))
     return {"passed": rep["residual_sup"] <= 1e-6, "residual_sup": rep["residual_sup"]}
@@ -267,7 +250,8 @@ def run(command: str, config, out_dir, seed=None, threads: int = 1, level: int =
         return 2
 
     master_seed = int(seed) if seed is not None else cfg.seed
-    manifest = SeedManifest(master_seed=master_seed, command=command)
+    manifest = SeedManifest(master_seed=master_seed, command=command,
+                            level=level if command == "simulate-micro" else None)
     try:
         summary = _DISPATCH[command](cfg, out, master_seed, level, threads)
     except ConfigError as exc:
@@ -302,18 +286,24 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int,
                        default=int(os.environ.get("HAWKESLOB_THREADS", "1")),
                        help="worker processes for replicate fan-out")
-        p.add_argument("--level", type=int, default=0, help="refinement level")
+        p.add_argument("--level", type=int, default=None,
+                       help="refinement level (default: the manifest's, else 0)")
     args = parser.parse_args(argv)
 
     seed = args.seed
     if seed is None and os.environ.get("HAWKESLOB_SEED"):
         seed = int(os.environ["HAWKESLOB_SEED"])
+    level = args.level
     if args.manifest:
-        seed = SeedManifest.read(args.manifest).master_seed
+        manifest = SeedManifest.read(args.manifest)
+        seed = manifest.master_seed
+        if level is not None and manifest.level not in (None, level):
+            parser.error(f"--level {level} disagrees with the manifest's level {manifest.level}")
+        level = level if level is not None else manifest.level
     if args.threads < 1:
         parser.error("--threads must be >= 1")
     return run(args.command, args.config, args.out, seed=seed,
-               threads=args.threads, level=args.level)
+               threads=args.threads, level=level if level is not None else 0)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ profiles.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Optional
 
@@ -342,6 +343,11 @@ def combine_amplitudes(base: TimeProfile, diff: Optional[TimeProfile], shift: fl
     """
     if diff is None or isinstance(diff, ZeroProfile):
         return base
+    if isinstance(base, TableProfile) or isinstance(diff, TableProfile):
+        raise ValueError(
+            "table kernels have no amplitude to shift; declare drift differences "
+            "with a parametric family"
+        )
     if isinstance(base, ZeroProfile):
         base = type(diff)(0.0, *([diff.kappa] if hasattr(diff, "kappa") else []))
     if type(base) is not type(diff):
@@ -354,6 +360,21 @@ def combine_amplitudes(base: TimeProfile, diff: Optional[TimeProfile], shift: fl
     if isinstance(base, ConstantProfile):
         return ConstantProfile(c)
     return type(base)(c, base.kappa)
+
+
+def sum_profiles(a: TimeProfile, b: TimeProfile) -> TimeProfile:
+    """Pointwise sum of two kernels of one family.
+
+    Tables are summed on the union of their sample times: values and
+    envelopes are piecewise linear and held constant beyond the samples, so
+    the summed table is exact.
+    """
+    if isinstance(a, TableProfile) != isinstance(b, TableProfile):
+        raise ValueError("a table kernel sums only with another table kernel")
+    if isinstance(a, TableProfile):
+        ts = np.union1d(a.ts, b.ts)
+        return TableProfile(ts, a.value(ts) + b.value(ts), a.envelope(ts) + b.envelope(ts))
+    return combine_amplitudes(a, b, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +422,11 @@ class TickSampler:
             raise ValueError("cannot sample from a profile with zero mass")
         self.delta_x = delta_x
         self.n_side = int(round(half_width / delta_x))
-        self.cum = np.cumsum(masses) / total
+        self.cum = (np.cumsum(masses) / total).tolist()
 
     def sample(self, rng: np.random.Generator) -> float:
         u = rng.random()
-        j = int(np.searchsorted(self.cum, u, side="right"))
-        j = min(j, 2 * self.n_side - 1)
+        j = min(bisect.bisect_right(self.cum, u), 2 * self.n_side - 1)
         left = (j - self.n_side) * self.delta_x
         return left + self.delta_x * rng.random()
 

@@ -10,10 +10,21 @@ and order sizes plus kernel-weighted sums over past events of every type.
 Prices are held as integer tick indices so one-tick moves and the
 non-crossing invariant are exact; volume densities are held in absolute
 tick coordinates so price moves never shift the profile arrays.
+
+The first ``simulate_book`` call on a ``MicroParams`` compiles it into a
+kernel engine cached on that instance, shared by all replicates of a level.
+Running kernel state is keyed by source type, in-profile and decay shape,
+not by (target, source) entry: one state per source and decay rate,
+advanced with one ``math.exp`` per rate; table kernels keep one windowed
+history scan per source and table.  Random draws and floating-point
+operations keep the order of the per-entry sums, so results are
+byte-identical to them; the engine stays scalar because vectorised
+``np.exp`` rounds differently from ``math.exp`` on some inputs.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -22,11 +33,15 @@ import numpy as np
 
 from . import limit as limit_mod
 from .families import (
-    DecayState,
+    ConstantProfile,
+    ExponentialProfile,
+    GammaProfile,
     SpatialProfile,
+    TableProfile,
     TimeProfile,
     ZeroProfile,
     combine_amplitudes,
+    sum_profiles,
 )
 from .hawkes import EventStream, MajorantViolationError
 from .rng import as_rng
@@ -135,10 +150,7 @@ class VolumeLedger:
         return self.values[lo_tick - self.base : hi_tick - self.base].copy()
 
     def copy(self) -> "VolumeLedger":
-        out = object.__new__(VolumeLedger)
-        out.delta_x = self.delta_x
-        out.init_density = self.init_density
-        out.base = self.base
+        out = copy.copy(self)
         out.values = self.values.copy()
         return out
 
@@ -168,10 +180,6 @@ class BookState:
     @property
     def spread_ticks(self) -> int:
         return self.ask_tick - self.bid_tick
-
-    @property
-    def spread(self) -> float:
-        return self.grid.price_of(self.spread_ticks)
 
     def copy(self) -> "BookState":
         return BookState(
@@ -305,9 +313,6 @@ class SizeMeasure:
         u = rng.random() * cdf[-1]
         return float(np.interp(u, cdf, zs))
 
-    def to_params(self) -> dict:
-        return {"family": self.family, **self.params}
-
 
 # ---------------------------------------------------------------------------
 # exogenous densities and state-rate factors
@@ -397,6 +402,11 @@ class MicroParams:
     window_pad: float = 4.0
     eps_trunc_factor: float = 1e-12
     max_events: int = 5_000_000
+    #: compiled by the first simulation and shared by every later one, so the
+    #: fields must not change after it
+    _compiled: Optional["_CompiledBook"] = dc_field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.delta_v > self.delta_x:
@@ -422,61 +432,6 @@ class MicroParams:
             VolumeLedger(self.ask_volume0, lo, hi, self.delta_x),
             VolumeLedger(self.bid_volume0, lo, hi, self.delta_x),
         )
-
-
-# ---------------------------------------------------------------------------
-# kernel accumulators
-# ---------------------------------------------------------------------------
-
-
-class KernelAccumulator:
-    """Running kernel sum over past events, O(1) for stateful profiles."""
-
-    def __init__(self, profile: TimeProfile, eps_trunc: float):
-        self.profile = profile
-        self.t = 0.0
-        if profile.has_state:
-            self.state: Optional[DecayState] = profile.new_state()
-            self.times = self.weights = None
-        else:
-            self.state = None
-            self.times: list[float] = []
-            self.weights: list[float] = []
-            self.t_mem = profile.envelope_inverse(eps_trunc)
-            self.start = 0
-
-    def advance_to(self, t: float) -> None:
-        if t < self.t:
-            return
-        if self.state is not None:
-            self.state.advance(t - self.t)
-        self.t = t
-
-    def add(self, weight: float) -> None:
-        if self.state is not None:
-            self.state.add(weight)
-        else:
-            self.times.append(self.t)
-            self.weights.append(weight)
-
-    def _lagged(self):
-        while self.start < len(self.times) and self.t - self.times[self.start] > self.t_mem:
-            self.start += 1
-        ts = np.asarray(self.times[self.start:])
-        ws = np.asarray(self.weights[self.start:])
-        return self.t - ts, ws
-
-    def value(self) -> float:
-        if self.state is not None:
-            return self.state.value()
-        lags, ws = self._lagged()
-        return float(ws @ self.profile.value(lags)) if lags.size else 0.0
-
-    def bound(self) -> float:
-        if self.state is not None:
-            return self.state.bound()
-        lags, ws = self._lagged()
-        return float(ws @ self.profile.envelope(lags)) if lags.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +474,6 @@ class MicroRun:
     candidates: int
     accepted: int
 
-    def terminal_prices(self) -> tuple[float, float]:
-        return self.final_state.p_a, self.final_state.p_b
-
     def price_path_csv(self, path) -> None:
         import csv
 
@@ -536,136 +488,255 @@ class MicroRun:
 
 
 # ---------------------------------------------------------------------------
-# the simulator
+# the compiled engine
 # ---------------------------------------------------------------------------
 
 
-class _BookEngine:
-    def __init__(self, params: MicroParams, rng: np.random.Generator):
-        self.p = params
-        self.rng = rng
-        self.state = params.initial_state()
+def _shape(profile: TimeProfile):
+    """Shape key and amplitude of one time profile.
+
+    Entries of one source whose profiles share a shape key share a running
+    state: the amplitude is applied per entry.  Profiles without a recursive
+    form are summed over their windowed history, keyed by table content.
+    """
+    if isinstance(profile, ExponentialProfile):
+        return ("exp", profile.kappa), profile.c
+    if isinstance(profile, GammaProfile):
+        return ("gamma", profile.kappa), profile.c
+    if isinstance(profile, ConstantProfile):
+        return ("const",), profile.c
+    if isinstance(profile, ZeroProfile):
+        return ("const",), 0.0
+    if isinstance(profile, TableProfile):
+        return ("scan", profile.ts.tobytes(), profile.vals.tobytes(), profile.env.tobytes()), 1.0
+    return ("scan", profile), 1.0
+
+
+class _PassiveRow:
+    """Mass terms of one passive type: the exogenous term, then one per
+    passive-target kernel entry ``(state, amplitude, mass factor, grid
+    factor)``, with the profile, sampler and checkpoint values of each."""
+
+    __slots__ = ("exo", "mass", "entries", "profiles", "samplers", "cp_shapes")
+
+    def __init__(self, exo, profile: SpatialProfile, delta_x: float, half_width: float):
+        self.exo = exo
+        self.mass = profile.mass(half_width)
+        self.entries: list = []
+        self.profiles = [profile]
+        self.samplers = [profile.sampler(delta_x, half_width) if self.mass > 0 else None]
+
+
+class _CompiledBook:
+    """One ``MicroParams`` compiled into kernel index tables and level constants.
+
+    Kernel states are numbered by (source type, in-profile, shape).  Each
+    active row lists ``(state, amplitude)`` for its active then its passive
+    sources, in the order the intensity sums run.
+    """
+
+    def __init__(self, p: MicroParams):
+        dx, dv, L = p.delta_x, p.delta_v, p.half_width
+        self.p = p
+        self.dx2 = dx**2
+        self.state0 = p.initial_state()
+        eps = p.eps_trunc_factor * max(
+            sum(exo.sup_t(self.state0) for exo in p.base_active.values()), 1.0
+        )
+        states: dict = {}
+        histories: dict = {}
+        decay: dict = {}  # kappa -> ([exponential states], [gamma states])
+        self.gammas: list = []  # (state, kappa * e)
+        self.scans: list = []  # (state, history, profile, memory)
+        by_source: dict = {}  # (label, in-profile) -> ([states], [histories])
+
+        def entry(label: int, in_prof, prof: TimeProfile):
+            key, amp = _shape(prof)
+            i = states.get((label, in_prof, key))
+            if i is None:
+                i = states[(label, in_prof, key)] = len(states)
+                stateful, hists = by_source.setdefault((label, in_prof), ([], []))
+                if key[0] == "scan":
+                    h = histories.setdefault((label, in_prof), len(histories))
+                    if h not in hists:
+                        hists.append(h)
+                    self.scans.append((i, h, prof, prof.envelope_inverse(eps)))
+                else:
+                    stateful.append(i)
+                    if key[0] != "const":
+                        exps, gams = decay.setdefault(prof.kappa, ([], []))
+                        (exps if key[0] == "exp" else gams).append(i)
+                    if key[0] == "gamma":
+                        self.gammas.append((i, prof.kappa * math.e))
+            return i, amp
+
+        self.factors = [p.state_factor[at] for at in ACTIVE_TYPES]
+        self.active_rows = []
+        for at in ACTIVE_TYPES:
+            from_act = [(s, None, p.act_from_act.get((at, src))) for s, src in enumerate(ACTIVE_TYPES)]
+            from_pas = [(4 + s, *p.act_from_pas.get((at, src), (None, None)))
+                        for s, src in enumerate(PASSIVE_TYPES)]
+            self.active_rows.append((
+                p.base_active[at],
+                [entry(*e) for e in from_act if e[2] is not None],
+                [entry(*e) for e in from_pas if e[2] is not None],
+            ))
+        self.pas_pref = dv / self.dx2
+
+        self.cp_x = np.linspace(-L, L, 65)
+        self.cp_w = np.full(self.cp_x.size, self.cp_x[1] - self.cp_x[0])
+        self.cp_w[[0, -1]] *= 0.5  # trapezoid weights
+        self.passive_rows = []
+        pref = self.dx2 / dv
+        for pt in PASSIVE_TYPES:
+            row = _PassiveRow(*p.base_passive[pt], dx, L)
+            sourced = [(s, None, *p.pas_from_act.get((pt, src), (None, None)), pref, self.dx2)
+                       for s, src in enumerate(ACTIVE_TYPES)]
+            for s, src in enumerate(PASSIVE_TYPES):
+                out_prof, in_prof, prof = p.pas_from_pas.get((pt, src), (None, None, None))
+                sourced.append((4 + s, in_prof, out_prof, prof, 1.0, dv))
+            for label, in_prof, out_prof, prof, k_mass, k_grid in sourced:
+                if prof is not None:
+                    out_mass = out_prof.mass(L)
+                    row.entries.append((*entry(label, in_prof, prof), k_mass * out_mass, k_grid))
+                    row.profiles.append(out_prof)
+                    row.samplers.append(out_prof.sampler(dx, L) if out_mass > 0 else None)
+            row.cp_shapes = [q.value(self.cp_x) for q in row.profiles]
+            self.passive_rows.append(row)
+        self.last_norms = (None, None)  # (exogenous factors, passive checkpoint norms)
+        # every bound then equals the value at the same time and book state
+        self.bound_is_value = not self.gammas and not self.scans and all(
+            type(exo) is ExoConst
+            for exo in [*p.base_active.values(), *(row.exo for row in self.passive_rows)]
+        )
+
+        self.n_states = len(states)
+        self.n_histories = len(histories)
+        self.decay = decay
+        self.excite = [[] for _ in EVENT_LABELS]
+        for (label, in_prof), (stateful, hists) in by_source.items():
+            self.excite[label].append((in_prof, stateful, hists))
+
+
+class _Engine:
+    """Book state and running kernel state of one run over a compiled book."""
+
+    def __init__(self, params: MicroParams):
+        if params._compiled is None:
+            params._compiled = _CompiledBook(params)
+        self.book = book = params._compiled
+        self.state = book.state0.copy()
         self.t = 0.0
+        self.g = [0.0] * book.n_states  # exponential sum, gamma mass, constant total
+        self.b = [0.0] * book.n_states  # gamma lag-weighted sum
+        self.hist = [([], []) for _ in range(book.n_histories)]
+        self.start = [0] * len(book.scans)
+        self.factors = [f(self.state) for f in book.factors]
 
-        base_scale = sum(exo.sup_t(self.state) for exo in params.base_active.values())
-        eps = params.eps_trunc_factor * max(base_scale, 1.0)
-        self.acc_aa = {k: KernelAccumulator(prof, eps) for k, prof in params.act_from_act.items()}
-        self.acc_ap = {k: KernelAccumulator(tp, eps) for k, (_ip, tp) in params.act_from_pas.items()}
-        self.acc_pa = {k: KernelAccumulator(tp, eps) for k, (_op, tp) in params.pas_from_act.items()}
-        self.acc_pp = {k: KernelAccumulator(tp, eps) for k, (_op, _ip, tp) in params.pas_from_pas.items()}
-
-        L, dx = params.half_width, params.delta_x
-        self._base_mass = {
-            pt: prof.mass(L) for pt, (_f, prof) in params.base_passive.items()
-        }
-        self._base_sampler = {
-            pt: prof.sampler(dx, L) if self._base_mass[pt] > 0 else None
-            for pt, (_f, prof) in params.base_passive.items()
-        }
-        self._out_mass_pa = {k: op.mass(L) for k, (op, _tp) in params.pas_from_act.items()}
-        self._out_mass_pp = {k: op.mass(L) for k, (op, _ip, _tp) in params.pas_from_pas.items()}
-        self._sampler_pa = {
-            k: op.sampler(dx, L) if self._out_mass_pa[k] > 0 else None
-            for k, (op, _tp) in params.pas_from_act.items()
-        }
-        self._sampler_pp = {
-            k: op.sampler(dx, L) if self._out_mass_pp[k] > 0 else None
-            for k, (op, _ip, _tp) in params.pas_from_pas.items()
-        }
-
-    def _advance_all(self, t: float) -> None:
-        for group in (self.acc_aa, self.acc_ap, self.acc_pa, self.acc_pp):
-            for acc in group.values():
-                acc.advance_to(t)
+    def advance(self, t: float) -> None:
+        if t < self.t:
+            return
+        dt = t - self.t
+        g, b = self.g, self.b
+        for kappa, (exps, gams) in self.book.decay.items():
+            decay = math.exp(-kappa * dt)
+            for i in exps:
+                g[i] *= decay
+            for i in gams:
+                b[i] = (b[i] + g[i] * dt) * decay
+                g[i] *= decay
         self.t = t
 
-    def active_intensity(self, at: str, t: float, bound: bool = False) -> float:
-        """The rescaled arrival intensity mu of one active type (factor excluded)."""
-        p = self.p
-        exo = p.base_active[at]
-        val = (exo.sup_t(self.state) if bound else exo(t, self.state)) / p.delta_x**2
-        for src in ACTIVE_TYPES:
-            acc = self.acc_aa.get((at, src))
-            if acc is not None:
-                val += acc.bound() if bound else acc.value()
-        pref = p.delta_v / p.delta_x**2
-        for src in PASSIVE_TYPES:
-            acc = self.acc_ap.get((at, src))
-            if acc is not None:
-                val += pref * (acc.bound() if bound else acc.value())
-        return val
+    def fire(self, label: int, distance: float, size: float) -> None:
+        """Apply an event to the book and feed it into every kernel state it
+        sources."""
+        _apply_event(self.state, label, distance, size, self.book.p.delta_v)
+        g = self.g
+        for in_prof, stateful, hists in self.book.excite[label]:
+            w = 1.0 if in_prof is None else float(in_prof.value(distance))
+            for i in stateful:
+                g[i] += w
+            for h in hists:
+                self.hist[h][0].append(self.t)
+                self.hist[h][1].append(w)
+        self.factors = [f(self.state) for f in self.book.factors]
 
-    def passive_terms(self, pt: str, t: float, bound: bool = False):
-        """Mass decomposition of one passive type over the distance window."""
-        p = self.p
-        exo, _prof = p.base_passive[pt]
-        factor = exo.sup_t(self.state) if bound else exo(t, self.state)
-        terms = [(factor * self._base_mass[pt] / p.delta_v, self._base_sampler[pt])]
-        pref = p.delta_x**2 / p.delta_v
-        for src in ACTIVE_TYPES:
-            acc = self.acc_pa.get((pt, src))
-            if acc is not None:
-                v = acc.bound() if bound else acc.value()
-                terms.append((pref * self._out_mass_pa[(pt, src)] * v, self._sampler_pa[(pt, src)]))
-        for src in PASSIVE_TYPES:
-            acc = self.acc_pp.get((pt, src))
-            if acc is not None:
-                v = acc.bound() if bound else acc.value()
-                terms.append((self._out_mass_pp[(pt, src)] * v, self._sampler_pp[(pt, src)]))
-        return terms
+    def units(self, bound: bool) -> list:
+        """Per-state kernel sums at unit amplitude: values, or bounds on
+        every future value while no event arrives."""
+        u = self.g.copy()
+        for i, ke in self.book.gammas:
+            u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
+        t = self.t
+        for j, (i, h, prof, memory) in enumerate(self.book.scans):
+            times, weights = self.hist[h]
+            start = self.start[j]
+            while start < len(times) and t - times[start] > memory:
+                start += 1
+            self.start[j] = start
+            lags = t - np.asarray(times[start:])
+            shape = prof.envelope(lags) if bound else prof.value(lags)
+            u[i] = float(np.asarray(weights[start:]) @ shape) if lags.size else 0.0
+        return u
 
-    def rates(self, t: float, bound: bool = False):
-        """Per-type event rates (active factors applied, passive mass totals)."""
-        active = np.array([
-            self.p.state_factor[at](self.state) * self.active_intensity(at, t, bound)
-            for at in ACTIVE_TYPES
-        ])
-        passive = np.array([
-            sum(m for m, _s in self.passive_terms(pt, t, bound))
-            for pt in PASSIVE_TYPES
-        ])
-        return active, passive
-
-    def passive_grid(self, pt: str, t: float, x: np.ndarray) -> np.ndarray:
-        """delta_v * passive intensity of one type on distance nodes x."""
-        p = self.p
-        exo, prof = p.base_passive[pt]
-        out = exo(t, self.state) * prof.value(x)
-        for src in ACTIVE_TYPES:
-            acc = self.acc_pa.get((pt, src))
-            if acc is not None:
-                op, _tp = p.pas_from_act[(pt, src)]
-                out = out + p.delta_x**2 * acc.value() * op.value(x)
-        for src in PASSIVE_TYPES:
-            acc = self.acc_pp.get((pt, src))
-            if acc is not None:
-                op, _ip, _tp = p.pas_from_pas[(pt, src)]
-                out = out + p.delta_v * acc.value() * op.value(x)
+    def active(self, u: list, bound: bool) -> list:
+        """Rescaled intensities mu of the active types (factors excluded)."""
+        state, t, dx2, pref = self.state, self.t, self.book.dx2, self.book.pas_pref
+        out = []
+        for exo, from_act, from_pas in self.book.active_rows:
+            val = (exo.sup_t(state) if bound else exo(t, state)) / dx2
+            for i, amp in from_act:
+                val += amp * u[i]
+            for i, amp in from_pas:
+                val += pref * (amp * u[i])
+            out.append(val)
         return out
 
-    def excite(self, event_type: str, distance: Optional[float]) -> None:
-        """Feed an accepted event into every kernel accumulator it sources."""
-        p = self.p
-        if event_type in ACTIVE_TYPES:
-            for at in ACTIVE_TYPES:
-                acc = self.acc_aa.get((at, event_type))
-                if acc is not None:
-                    acc.add(1.0)
-            for pt in PASSIVE_TYPES:
-                acc = self.acc_pa.get((pt, event_type))
-                if acc is not None:
-                    acc.add(1.0)
-        else:
-            for at in ACTIVE_TYPES:
-                acc = self.acc_ap.get((at, event_type))
-                if acc is not None:
-                    ip, _tp = p.act_from_pas[(at, event_type)]
-                    acc.add(float(ip.value(distance)))
-            for pt in PASSIVE_TYPES:
-                acc = self.acc_pp.get((pt, event_type))
-                if acc is not None:
-                    _op, ip, _tp = p.pas_from_pas[(pt, event_type)]
-                    acc.add(float(ip.value(distance)))
+    def rates(self, bound: bool):
+        """Per-type event rates, the term masses of every passive type and
+        the active intensities mu behind the active rates."""
+        u = self.units(bound)
+        state, t, dv = self.state, self.t, self.book.p.delta_v
+        mu = self.active(u, bound)
+        f = self.factors
+        act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
+        terms = []
+        for row in self.book.passive_rows:
+            m = [(row.exo.sup_t(state) if bound else row.exo(t, state)) * row.mass / dv]
+            for i, amp, k_mass, _k in row.entries:
+                m.append(k_mass * (amp * u[i]))
+            terms.append(m)
+        return act, [sum(m) for m in terms], terms, mu
+
+    def passive_grid(self, j: int, u: list, shapes: list) -> np.ndarray:
+        """delta_v * passive intensity of one type, given its base and out
+        profiles evaluated on the same distance nodes."""
+        row = self.book.passive_rows[j]
+        out = row.exo(self.t, self.state) * shapes[0]
+        for (i, amp, _k, k_grid), shape in zip(row.entries, shapes[1:]):
+            out = out + k_grid * (amp * u[i]) * shape
+        return out
+
+    def passive_norms(self, u: list):
+        """L1 and squared-L2 parts of d11/d22 of the passive field at cp_x.
+
+        With no live passive-target kernel the field depends on the
+        exogenous factors only, so its norms are reused while they repeat.
+        """
+        book = self.book
+        live = any(
+            amp * u[i] for row in book.passive_rows for i, amp, _k, _g in row.entries
+        )
+        key = None if live else [row.exo(self.t, self.state) for row in book.passive_rows]
+        if key is not None and key == book.last_norms[0]:
+            return book.last_norms[1]
+        grids = np.stack([
+            self.passive_grid(j, u, row.cp_shapes) for j, row in enumerate(book.passive_rows)
+        ])
+        norms = (np.sum(np.abs(grids) @ book.cp_w), np.sum((grids**2) @ book.cp_w))
+        if key is not None:
+            book.last_norms = (key, norms)
+        return norms
 
 
 def simulate_book(
@@ -678,57 +749,52 @@ def simulate_book(
 
     The dominating rate is rebuilt at every candidate from the frozen book
     state (state factors and exogenous densities only change at events) and
-    the kernel accumulator bounds, so acceptance is exact; a realized rate
-    above the dominating rate aborts the run as an envelope declaration bug.
+    the kernel bounds, so acceptance is exact; a realized rate above the
+    dominating rate aborts the run as an envelope declaration bug.
     """
     p = params
     rng = as_rng(rng_seed, "micro")
-    eng = _BookEngine(p, rng)
+    eng = _Engine(p)
+    book, state = eng.book, eng.state
+    dx, dv, dx2 = p.delta_x, p.delta_v, book.dx2
 
-    times = [0.0]
-    ask_path = [eng.state.ask_tick]
-    bid_path = [eng.state.bid_tick]
-    ev_times: list[float] = []
-    ev_labels: list[int] = []
-    ev_xs: list[float] = []
-    ev_zs: list[float] = []
+    ask_path = [state.ask_tick]
+    bid_path = [state.bid_tick]
+    accepted: list[tuple] = []  # (time, label, distance, size)
     load = [1.0]
-    beta = [_beta_now(eng, 0.0)]
+    rates = eng.rates(bound=False)
+    mu = rates[3]
+    beta = [(dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]))]
 
     cps = np.linspace(0.0, horizon, n_checkpoints)
-    cp_x = np.linspace(-p.half_width, p.half_width, 65)
+    cp_times = cps.tolist()
     cp_next = 0
     cp_d11: list[float] = []
     cp_d22: list[float] = []
-    cp_act: list[np.ndarray] = []
+    cp_act: list[list] = []
 
     def record_checkpoints(upto: float) -> None:
         nonlocal cp_next
-        while cp_next < cps.size and cps[cp_next] <= upto + 1e-15:
-            tc = cps[cp_next]
-            eng._advance_all(tc)
-            act = np.array([
-                p.delta_x**2 * eng.active_intensity(at, tc) for at in ACTIVE_TYPES
-            ])
-            grids = np.stack([eng.passive_grid(pt, tc, cp_x) for pt in PASSIVE_TYPES])
-            w = np.full(cp_x.size, cp_x[1] - cp_x[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            d11 = float(np.sum(np.abs(act)) + np.sum(np.abs(grids) @ w))
-            l2 = (grids**2) @ w
-            d22 = math.sqrt(float(np.sum(act**2) + np.sum(l2)))
-            cp_d11.append(d11)
-            cp_d22.append(d22)
+        while cp_next < len(cp_times) and cp_times[cp_next] <= upto + 1e-15:
+            eng.advance(cp_times[cp_next])
+            u = eng.units(False)
+            a0, a1, a2, a3 = act = [dx2 * m for m in eng.active(u, False)]
+            l1, l2 = eng.passive_norms(u)
+            cp_d11.append(float(abs(a0) + abs(a1) + abs(a2) + abs(a3) + l1))
+            cp_d22.append(math.sqrt(float(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + l2)))
             cp_act.append(act)
             cp_next += 1
 
     t = 0.0
     candidates = 0
     while True:
-        if len(ev_times) >= p.max_events:
+        if len(accepted) >= p.max_events:
             raise RuntimeError("event budget exceeded; check kernel stability")
-        act_b, pas_b = eng.rates(t, bound=True)
-        majorant = float(act_b.sum() + pas_b.sum())
+        # the last realised rates were taken at this time and book state
+        act_b, pas_b, *_ = rates if book.bound_is_value else eng.rates(bound=True)
+        # left to right, as numpy sums four-element arrays
+        majorant = (act_b[0] + act_b[1] + act_b[2] + act_b[3]) + (
+            pas_b[0] + pas_b[1] + pas_b[2] + pas_b[3])
         if majorant <= 0.0:
             break
         t_next = t + rng.exponential(1.0 / majorant)
@@ -736,10 +802,11 @@ def simulate_book(
             break
         candidates += 1
         record_checkpoints(t_next)
-        eng._advance_all(t_next)
+        eng.advance(t_next)
         t = t_next
-        act_r, pas_r = eng.rates(t)
-        total = float(act_r.sum() + pas_r.sum())
+        rates = act_r, pas_r, terms, _mu = eng.rates(bound=False)
+        total = (act_r[0] + act_r[1] + act_r[2] + act_r[3]) + (
+            pas_r[0] + pas_r[1] + pas_r[2] + pas_r[3])
         if total > majorant * (1.0 + 1e-9):
             raise MajorantViolationError(
                 f"book rate {total} exceeded majorant {majorant} at t={t}"
@@ -749,85 +816,57 @@ def simulate_book(
 
         u = rng.random() * total
         cum = 0.0
-        chosen = None
-        for i, at in enumerate(ACTIVE_TYPES):
-            cum += act_r[i]
+        label = 7
+        for i, rate in enumerate(act_r + pas_r):
+            cum += rate
             if u <= cum:
-                chosen = ("active", at)
+                label = i
                 break
-        if chosen is None:
-            for i, pt in enumerate(PASSIVE_TYPES):
-                cum += pas_r[i]
-                if u <= cum:
-                    chosen = ("passive", pt)
-                    break
-        if chosen is None:
-            chosen = ("passive", PASSIVE_TYPES[-1])
 
-        kind, etype = chosen
-        if kind == "active":
-            apply_active(eng.state, etype)
+        if label < 4:
             distance, size = math.nan, math.nan
-            load.append(load[-1] + p.delta_x**2)
+            load.append(load[-1] + dx2)
         else:
-            terms = eng.passive_terms(etype, t)
-            masses = np.array([m for m, _s in terms])
-            pick = rng.random() * masses.sum()
-            idx = int(np.searchsorted(np.cumsum(masses), pick, side="left"))
-            idx = min(idx, len(terms) - 1)
-            sampler = terms[idx][1]
-            distance = sampler.sample(rng)
-            size = p.sizes[etype].sample(rng)
-            apply_passive(eng.state, etype, distance, size, p.delta_v)
-            load.append(load[-1] + p.delta_v)
+            masses = terms[label - 4]
+            pick = rng.random()
+            idx = 0
+            if len(masses) > 1:
+                masses = np.array(masses)
+                pick *= masses.sum()
+                idx = min(int(np.searchsorted(np.cumsum(masses), pick, side="left")),
+                          len(masses) - 1)
+            distance = book.passive_rows[label - 4].samplers[idx].sample(rng)
+            size = p.sizes[PASSIVE_TYPES[label - 4]].sample(rng)
+            load.append(load[-1] + dv)
 
-        eng.excite(etype, None if math.isnan(distance) else distance)
-        ev_times.append(t)
-        ev_labels.append(
-            ACTIVE_TYPES.index(etype) if kind == "active"
-            else 4 + PASSIVE_TYPES.index(etype)
-        )
-        ev_xs.append(distance)
-        ev_zs.append(size)
-        times.append(t)
-        ask_path.append(eng.state.ask_tick)
-        bid_path.append(eng.state.bid_tick)
-        beta.append(_beta_now(eng, t))
+        eng.fire(label, distance, size)
+        accepted.append((t, label, distance, size))
+        ask_path.append(state.ask_tick)
+        bid_path.append(state.bid_tick)
+        rates = eng.rates(bound=False)
+        mu = rates[3]
+        beta.append((dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3])))
 
     record_checkpoints(horizon)
 
-    events = EventStream(
-        np.asarray(ev_times), np.asarray(ev_labels, dtype=np.int64),
-        np.asarray(ev_xs), np.asarray(ev_zs), horizon, EVENT_LABELS,
-    )
+    ev_times, labels, xs, zs = np.ascontiguousarray(np.reshape(accepted, (-1, 4)).T)
+    times = np.concatenate([[0.0], ev_times])
     diag = MicroDiagnostics(
-        event_times=np.asarray(times),
-        load=np.asarray(load),
-        beta=np.asarray(beta),
-        checkpoint_times=cps,
-        d11=np.asarray(cp_d11),
-        d22=np.asarray(cp_d22),
+        event_times=times, load=np.asarray(load), beta=np.asarray(beta),
+        checkpoint_times=cps, d11=np.asarray(cp_d11), d22=np.asarray(cp_d22),
         active_scalars=np.asarray(cp_act) if cp_act else np.zeros((0, 4)),
     )
     return MicroRun(
         horizon=horizon,
-        events=events,
-        event_times=np.asarray(times),
+        events=EventStream(ev_times, labels, xs, zs, horizon, EVENT_LABELS),
+        event_times=times,
         ask_ticks=np.asarray(ask_path, dtype=np.int64),
         bid_ticks=np.asarray(bid_path, dtype=np.int64),
-        final_state=eng.state,
+        final_state=state,
         diagnostics=diag,
         candidates=candidates,
-        accepted=len(ev_times),
+        accepted=len(accepted),
     )
-
-
-def _beta_now(eng: _BookEngine, t: float) -> np.ndarray:
-    dx = eng.p.delta_x
-    return np.array([
-        dx * (eng.active_intensity("a_mo", t) - eng.active_intensity("a_sp", t)),
-        dx * (eng.active_intensity("b_mo", t) - eng.active_intensity("b_sp", t)),
-    ])
 
 
 def active_intensity(params: MicroParams, history: EventStream, t: float, active_type: str) -> float:
@@ -836,55 +875,60 @@ def active_intensity(params: MicroParams, history: EventStream, t: float, active
     The state factor is not applied; the event rate used by the simulator is
     ``state_factor(S(t-)) * active_intensity(...)``.
     """
-    if history.times.size and history.times[-1] >= t:
-        raise ValueError("history must lie strictly before t")
     eng = _replayed_engine(params, history, t)
-    return eng.active_intensity(active_type, t)
+    return eng.active(eng.units(False), False)[ACTIVE_TYPES.index(active_type)]
 
 
 def passive_intensity(params: MicroParams, history: EventStream, t: float,
                       passive_type: str, distance: float) -> float:
     """Passive intensity density at one distance given an explicit history."""
+    eng = _replayed_engine(params, history, t)
+    j = PASSIVE_TYPES.index(passive_type)
+    x = np.asarray([distance])
+    shapes = [q.value(x) for q in eng.book.passive_rows[j].profiles]
+    return float(eng.passive_grid(j, eng.units(False), shapes)[0]) / params.delta_v
+
+
+def _replayed_engine(params: MicroParams, history: EventStream, t: float) -> _Engine:
     if history.times.size and history.times[-1] >= t:
         raise ValueError("history must lie strictly before t")
-    eng = _replayed_engine(params, history, t)
-    return float(eng.passive_grid(passive_type, t, np.asarray([distance]))[0]) / params.delta_v
-
-
-def _replayed_engine(params: MicroParams, history: EventStream, t: float) -> _BookEngine:
-    eng = _BookEngine(params, as_rng(0, "micro"))
+    eng = _Engine(params)
     for ts, lab, x, z in zip(history.times, history.labels, history.xs, history.zs):
-        eng._advance_all(float(ts))
-        lab = int(lab)
-        if lab < 4:
-            etype = ACTIVE_TYPES[lab]
-            apply_active(eng.state, etype)
-            eng.excite(etype, None)
-        else:
-            etype = PASSIVE_TYPES[lab - 4]
-            apply_passive(eng.state, etype, float(x), float(z), params.delta_v)
-            eng.excite(etype, float(x))
-    eng._advance_all(t)
+        eng.advance(float(ts))
+        eng.fire(int(lab), float(x), float(z))
+    eng.advance(t)
     return eng
 
 
-def replay_book(params: MicroParams, events: EventStream):
+def _apply_event(state: BookState, label: int, distance: float, size: float,
+                 delta_v: float) -> None:
+    if label < 4:
+        apply_active(state, ACTIVE_TYPES[label])
+    else:
+        apply_passive(state, PASSIVE_TYPES[label - 4], distance, size, delta_v)
+
+
+def replay_book(params: MicroParams, events: EventStream,
+                snapshot_times: Sequence[float] = (), snapshot=None):
     """Fold the recorded events through the pure update functions.
 
     Returns (ask tick path, bid tick path, final state); the paths must
-    reproduce the simulator's recorded paths bit-exactly.
+    reproduce the simulator's recorded paths bit-exactly.  For each of the
+    ascending ``snapshot_times``, ``snapshot(t, state)`` sees the live book
+    once every event at or before ``t`` has been applied.
     """
     state = params.initial_state()
     asks = [state.ask_tick]
     bids = [state.bid_tick]
-    for lab, x, z in zip(events.labels, events.xs, events.zs):
-        lab = int(lab)
-        if lab < 4:
-            apply_active(state, ACTIVE_TYPES[lab])
-        else:
-            apply_passive(state, PASSIVE_TYPES[lab - 4], float(x), float(z), params.delta_v)
+    pending = list(snapshot_times)[::-1]
+    for t, lab, x, z in zip(events.times, events.labels, events.xs, events.zs):
+        while pending and t > pending[-1]:
+            snapshot(pending.pop(), state)
+        _apply_event(state, int(lab), float(x), float(z), params.delta_v)
         asks.append(state.ask_tick)
         bids.append(state.bid_tick)
+    while pending:
+        snapshot(pending.pop(), state)
     return np.asarray(asks, dtype=np.int64), np.asarray(bids, dtype=np.int64), state
 
 
@@ -925,9 +969,6 @@ class ActiveRateFamily:
         if self.family == "spread_linear":
             return limit_mod.ConstantRate(self.scale)
         return limit_mod.ConstantRate(0.0)
-
-    def to_params(self) -> dict:
-        return {"family": self.family, "scale": self.scale}
 
 
 @dataclass
@@ -1046,51 +1087,23 @@ class ScalingFamily:
         """The declared limit system of this refinement sequence."""
         grid = limit_mod.SpatialGrid(self.half_width, n_x)
 
-        def sum_kinds(table, side_tgt, src_side, paired: bool):
-            """Total impact kernel: source market and spread kinds summed."""
-            mo = table.get((side_tgt, f"{src_side}_mo"))
-            sp = table.get((side_tgt, f"{src_side}_sp"))
-            items = [e for e in (mo, sp) if e is not None]
-            if not items:
-                return None
-            if paired:
-                in_prof = items[0][0]
-                if any(e[0] is not in_prof for e in items):
-                    raise ValueError("summed kernels must share the in profile")
-                total = items[0][1]
-                for e in items[1:]:
-                    total = combine_amplitudes(total, e[1], 1.0)
-                return (in_prof, total)
-            total = items[0]
-            for e in items[1:]:
-                total = combine_amplitudes(total, e, 1.0)
-            return total
-
-        act_from_act = {}
-        drift_from_act = {}
-        pas_from_act = {}
-        for tgt in "ab":
-            for src in "ab":
-                tot = sum_kinds(self.act_from_act, tgt, src, paired=False)
-                if tot is not None:
-                    act_from_act[(tgt, src)] = tot
-                tot = sum_kinds(self.drift_from_act, tgt, src, paired=False)
-                if tot is not None:
-                    drift_from_act[(tgt, src)] = tot
-        for pt in PASSIVE_TYPES:
-            for src in "ab":
-                mo = self.pas_from_act.get((pt, f"{src}_mo"))
-                sp = self.pas_from_act.get((pt, f"{src}_sp"))
-                items = [e for e in (mo, sp) if e is not None]
-                if not items:
-                    continue
-                outp = items[0][0]
-                if any(e[0] is not outp for e in items):
-                    raise ValueError("summed kernels must share the out profile")
-                total = items[0][1]
-                for e in items[1:]:
-                    total = combine_amplitudes(total, e[1], 1.0)
-                pas_from_act[(pt, src)] = (outp, total)
+        def summed(table: dict, targets) -> dict:
+            """Total impact kernels: source market and spread kinds summed."""
+            out = {}
+            for tgt in targets:
+                for src in "ab":
+                    mo, sp = table.get((tgt, f"{src}_mo")), table.get((tgt, f"{src}_sp"))
+                    if mo is None or sp is None:
+                        total = mo if sp is None else sp
+                    elif isinstance(mo, TimeProfile):
+                        total = sum_profiles(mo, sp)
+                    elif mo[0] is not sp[0]:
+                        raise ValueError("summed kernels must share the out profile")
+                    else:
+                        total = (mo[0], sum_profiles(mo[1], sp[1]))
+                    if total is not None:
+                        out[(tgt, src)] = total
+            return out
 
         return limit_mod.LimitParams(
             grid=grid,
@@ -1106,18 +1119,13 @@ class ScalingFamily:
             },
             place_gain={s: self.sizes[f"{s}_lo"].place_gain for s in "ab"},
             cancel_gain={s: self.sizes[f"{s}_cx"].cancel_gain for s in "ab"},
-            act_from_act=act_from_act,
+            act_from_act=summed(self.act_from_act, "ab"),
             act_from_pas=dict(self.act_from_pas),
-            pas_from_act=pas_from_act,
+            pas_from_act=summed(self.pas_from_act, PASSIVE_TYPES),
             pas_from_pas=dict(self.pas_from_pas),
-            drift_from_act=drift_from_act,
+            drift_from_act=summed(self.drift_from_act, "ab"),
             drift_from_pas=dict(self.drift_from_pas),
         )
-
-
-def rescaled_sequence(base: ScalingFamily, k: int) -> MicroParams:
-    """The level-k book model of a refinement sequence (level 0 is the base)."""
-    return base.micro_params(k)
 
 
 # ---------------------------------------------------------------------------

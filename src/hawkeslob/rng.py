@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -57,21 +58,21 @@ class SeedManifest:
     command: str = ""
     version: str = ARTIFACT_VERSION
     streams: list[dict] = field(default_factory=list)
+    level: Optional[int] = None  # refinement level of a micro run
 
     def register(self, role: str, replicates: int) -> None:
         self.streams.append({"role": role, "replicates": int(replicates)})
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "master_seed": self.master_seed,
-                "command": self.command,
-                "version": self.version,
-                "streams": self.streams,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        payload = {
+            "master_seed": self.master_seed,
+            "command": self.command,
+            "version": self.version,
+            "streams": self.streams,
+        }
+        if self.level is not None:
+            payload["level"] = self.level
+        return json.dumps(payload, indent=2, sort_keys=True)
 
     def write(self, path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -82,4 +83,5 @@ class SeedManifest:
         man = cls(master_seed=int(raw["master_seed"]), command=raw.get("command", ""))
         man.version = raw.get("version", ARTIFACT_VERSION)
         man.streams = list(raw.get("streams", []))
+        man.level = raw.get("level")
         return man

@@ -75,6 +75,31 @@ def test_manifest_replays_previous_run(micro_config, tmp_path):
     assert _dirs_byte_identical(out1, out2)
 
 
+def test_manifest_restores_the_level(micro_config, tmp_path):
+    out1 = tmp_path / "o1"
+    assert run("simulate-micro", micro_config, out1, seed=99, level=2) == 0
+    assert SeedManifest.read(out1 / "manifest.json").level == 2
+    out2 = tmp_path / "o2"
+    code = main([
+        "simulate-micro", "--config", str(micro_config), "--out", str(out2),
+        "--manifest", str(out1 / "manifest.json"),
+    ])
+    assert code == 0
+    assert _dirs_byte_identical(out1, out2)
+    assert json.loads((out2 / "summary.json").read_text())["level"] == 2
+
+
+def test_manifest_level_mismatch_exits_2(micro_config, tmp_path):
+    out1 = tmp_path / "o1"
+    assert run("simulate-micro", micro_config, out1, level=1) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "simulate-micro", "--config", str(micro_config), "--out", str(tmp_path / "o2"),
+            "--manifest", str(out1 / "manifest.json"), "--level", "0",
+        ])
+    assert exc.value.code == 2
+
+
 def test_solve_limit_artifacts(tmp_path):
     cfg = _limit_config(tmp_path)
     out = tmp_path / "out"

@@ -15,6 +15,7 @@ from hawkeslob.families import (
     ZeroProfile,
     combine_amplitudes,
     spatial_profile_from_params,
+    sum_profiles,
     time_profile_from_params,
 )
 
@@ -106,6 +107,22 @@ def test_combine_amplitudes():
     with pytest.raises(ValueError, match="negative"):
         combine_amplitudes(base, diff, -10.0)
     assert combine_amplitudes(base, None, 1.0) is base
+
+
+def test_sum_profiles_of_tables_is_the_pointwise_sum():
+    a = TableProfile([0.0, 1.0, 3.0], [1.0, 0.5, 0.0], [1.0, 0.6, 0.0])
+    b = TableProfile([0.0, 0.5, 2.0, 2.5], [0.4, 0.3, 0.1, 0.0], [0.4, 0.3, 0.1, 0.0])
+    total = sum_profiles(a, b)
+    assert np.array_equal(total.ts, [0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
+    lags = np.linspace(0.0, 4.0, 801)
+    assert np.allclose(total.value(lags), a.value(lags) + b.value(lags), rtol=1e-14, atol=1e-15)
+    assert np.allclose(total.envelope(lags), a.envelope(lags) + b.envelope(lags),
+                       rtol=1e-14, atol=1e-15)
+    assert sum_profiles(ExponentialProfile(0.2, 1.0), ExponentialProfile(0.3, 1.0)).c == 0.5
+    with pytest.raises(ValueError, match="table kernel sums only"):
+        sum_profiles(a, ExponentialProfile(0.2, 1.0))
+    with pytest.raises(ValueError, match="table kernels"):
+        combine_amplitudes(a, b, 0.5)
 
 
 def test_gaussian_profile_mass_and_sampler():

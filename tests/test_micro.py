@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hawkeslob.families import ExponentialProfile, GaussianProfile
-from hawkeslob.hawkes import EventStream
+from hawkeslob.families import (
+    ConstantProfile,
+    ExponentialProfile,
+    GammaProfile,
+    GaussianProfile,
+    TableProfile,
+    UniformProfile,
+)
+from hawkeslob.hawkes import EventStream, MajorantViolationError
+from hawkeslob import micro
 from hawkeslob.micro import (
     ACTIVE_TYPES,
     EVENT_LABELS,
@@ -26,7 +34,6 @@ from hawkeslob.micro import (
     check_scaling_conditions,
     passive_intensity,
     replay_book,
-    rescaled_sequence,
     simulate_book,
 )
 from hawkeslob.rng import stream_rng
@@ -329,12 +336,12 @@ class TestSimulateBook:
 
 class TestRescaledSequence:
     def test_level_zero_is_base(self, family):
-        p0 = rescaled_sequence(family, 0)
+        p0 = family.micro_params(0)
         assert p0.delta_x == family.delta_x
         assert p0.delta_v == family.delta_v
 
     def test_level_one_halves_tick_quarters_size(self, family):
-        p1 = rescaled_sequence(family, 1)
+        p1 = family.micro_params(1)
         assert p1.delta_x == pytest.approx(family.delta_x / 2)
         assert p1.delta_v == pytest.approx(family.delta_v / 4)
         assert p1.delta_v <= p1.delta_x
@@ -393,3 +400,165 @@ def test_ledger_norms_and_inner():
     assert led.lp_norm(2) == pytest.approx(1.0)
     got = led.inner(lambda x: x)
     assert got == pytest.approx(0.5, rel=1e-9)  # int_0^1 x dx
+
+
+def tapered_table(c, kappa, t_end=4.0, n=41):
+    """An exponential shape tapered linearly to zero at t_end, as a table."""
+    ts = np.linspace(0.0, t_end, n)
+    vals = c * np.exp(-kappa * ts) * (1.0 - ts / t_end)
+    vals[-1] = 0.0
+    return TableProfile(ts, vals, vals)
+
+
+def every_kind_family():
+    """Exponential, gamma, constant and table kernels in all four tables."""
+    g, g2 = GaussianProfile(1.0), GaussianProfile(0.8, 0.3, 1.2)
+    return make_family(
+        act_from_act={
+            ("a", "a_mo"): ExponentialProfile(0.2, 1.0), ("a", "b_mo"): GammaProfile(0.5, 2.0),
+            ("b", "a_sp"): ConstantProfile(0.02), ("b", "b_mo"): tapered_table(0.2, 1.5),
+            ("b", "b_sp"): ExponentialProfile(0.1, 3.0),
+        },
+        drift_from_act={("a", "a_mo"): ExponentialProfile(0.1, 1.0)},
+        base_drift={"a": 0.2, "b": -0.1},
+        act_from_pas={
+            ("a", "a_lo"): (g, ExponentialProfile(0.3, 1.0)),
+            ("b", "b_cx"): (g2, GammaProfile(0.4, 2.0)),
+            ("b", "a_lo"): (g, tapered_table(0.1, 1.0)),
+        },
+        pas_from_act={
+            ("a_lo", "a_mo"): (g, ExponentialProfile(0.3, 1.0)),
+            ("b_cx", "b_sp"): (g2, GammaProfile(0.4, 2.0)),
+            ("a_cx", "b_mo"): (UniformProfile(0.2), tapered_table(0.2, 1.0)),
+        },
+        pas_from_pas={
+            ("b_lo", "a_lo"): (g, g2, ExponentialProfile(0.2, 2.0)),
+            ("a_lo", "b_cx"): (g2, g, ConstantProfile(0.01)),
+            ("a_cx", "a_cx"): (g, g, tapered_table(0.2, 2.0)),
+        },
+        sizes={
+            "a_lo": SizeMeasure("exponential", rate=6.0),
+            "a_cx": SizeMeasure("lognormal", m=-1.0, s=0.5, z_max=3.0),
+            "b_lo": SizeMeasure("dirac", z=LN2),
+            "b_cx": SizeMeasure("exponential", rate=8.0),
+        },
+    )
+
+
+def full_sum_rates(params, events, k, state):
+    """Active rates and passive mass totals just before event k, summed
+    directly over every earlier event."""
+    t = events.times[k]
+    lags, labels, xs = t - events.times[:k], events.labels[:k], events.xs[:k]
+    dx2, dv, L = params.delta_x**2, params.delta_v, params.half_width
+
+    def kernel_sum(src, prof, in_prof=None):
+        hit = labels == (ACTIVE_TYPES + PASSIVE_TYPES).index(src)
+        weights = np.ones(hit.sum()) if in_prof is None else in_prof.value(xs[hit])
+        return float(np.sum(weights * prof.value(lags[hit])))
+
+    active = []
+    for at in ACTIVE_TYPES:
+        mu = params.base_active[at](t, state) / dx2
+        for (tgt, src), prof in params.act_from_act.items():
+            mu += kernel_sum(src, prof) if tgt == at else 0.0
+        for (tgt, src), (in_prof, prof) in params.act_from_pas.items():
+            mu += dv / dx2 * kernel_sum(src, prof, in_prof) if tgt == at else 0.0
+        active.append(params.state_factor[at](state) * mu)
+    passive = []
+    for pt in PASSIVE_TYPES:
+        exo, prof = params.base_passive[pt]
+        total = exo(t, state) * prof.mass(L) / dv
+        for (tgt, src), (out_prof, tprof) in params.pas_from_act.items():
+            total += dx2 / dv * out_prof.mass(L) * kernel_sum(src, tprof) if tgt == pt else 0.0
+        for (tgt, src), (out_prof, in_prof, tprof) in params.pas_from_pas.items():
+            total += out_prof.mass(L) * kernel_sum(src, tprof, in_prof) if tgt == pt else 0.0
+        passive.append(total)
+    return active, passive
+
+
+class TestCompiledEngine:
+    def test_realised_rates_match_full_sums(self):
+        params = every_kind_family().micro_params(1)
+        run = simulate_book(params, 1.0, stream_rng(21, 0, "micro"))
+        ev = run.events
+        assert len(ev) > 100 and set(ev.labels.tolist()) == set(range(8))
+        eng = micro._Engine(params)
+        state = params.initial_state()
+        for k in range(len(ev)):
+            eng.advance(float(ev.times[k]))
+            act, pas, _terms, _mu = eng.rates(bound=False)
+            ref_act, ref_pas = full_sum_rates(params, ev, k, state)
+            assert act == pytest.approx(ref_act, rel=1e-12, abs=1e-12)
+            assert pas == pytest.approx(ref_pas, rel=1e-12, abs=1e-12)
+            lab, x, z = int(ev.labels[k]), float(ev.xs[k]), float(ev.zs[k])
+            eng.fire(lab, x, z)
+            if lab < 4:
+                apply_active(state, ACTIVE_TYPES[lab])
+            else:
+                apply_passive(state, PASSIVE_TYPES[lab - 4], x, z, params.delta_v)
+
+    @pytest.mark.parametrize("make", [make_family, every_kind_family])
+    def test_compiled_cache_carries_no_run_state(self, make):
+        fam = make()
+        shared = fam.micro_params(1)
+        assert shared._compiled is None  # micro_params compiles nothing
+        runs = [simulate_book(shared, 0.5, stream_rng(4, r, "micro")) for r in (0, 1)]
+        assert shared._compiled is not None
+        for r, run in zip((0, 1), runs):
+            fresh = simulate_book(fam.micro_params(1), 0.5, stream_rng(4, r, "micro"))
+            for name in ("times", "labels", "xs", "zs"):
+                assert np.array_equal(getattr(run.events, name), getattr(fresh.events, name),
+                                      equal_nan=True)
+            assert np.array_equal(run.ask_ticks, fresh.ask_ticks)
+            assert np.array_equal(run.final_state.bid_vol.values, fresh.final_state.bid_vol.values)
+            for name in ("load", "beta", "d11", "d22", "active_scalars"):
+                assert np.array_equal(getattr(run.diagnostics, name),
+                                      getattr(fresh.diagnostics, name))
+
+    @pytest.mark.parametrize("kernel", [GammaProfile(0.5, 2.0), tapered_table(0.3, 1.0)])
+    def test_gamma_and_table_envelopes_dominate(self, kernel):
+        fam = make_family(
+            act_from_act={(tgt, src): kernel for tgt in "ab" for src in ACTIVE_TYPES},
+            pas_from_act={("a_lo", "a_mo"): (GaussianProfile(1.0), kernel)},
+            pas_from_pas={("b_cx", "b_lo"): (GaussianProfile(1.0), GaussianProfile(1.0), kernel)},
+        )
+        for k in (0, 1, 2):
+            params = fam.micro_params(k)
+            for r in range(4):
+                try:
+                    run = simulate_book(params, 0.5, stream_rng(31 + k, r, "micro"))
+                except MajorantViolationError as exc:  # pragma: no cover - the failure report
+                    pytest.fail(f"level {k} replicate {r}: {exc}")
+                assert run.accepted <= run.candidates
+
+    def test_replay_snapshots_see_the_book_at_each_time(self, family):
+        params = family.micro_params(1)
+        run = simulate_book(params, 0.5, stream_rng(12, 0, "micro"))
+        seen = []
+        times = [-1.0, 0.0, 0.1, 0.25, 0.5, 2.0]
+        replay_book(params, run.events, times,
+                    lambda t, st: seen.append((t, st.ask_tick, st.bid_tick)))
+        assert [s[0] for s in seen] == times
+        for t, ask, bid in seen:
+            n = int(np.searchsorted(run.events.times, t, side="right"))
+            assert (ask, bid) == (run.ask_ticks[n], run.bid_ticks[n])
+
+
+class TestTableLimit:
+    def test_market_and_spread_tables_sum_in_the_limit(self):
+        mo, sp = tapered_table(0.2, 1.0), tapered_table(0.1, 2.0, t_end=3.0, n=17)
+        fam = make_family(act_from_act={("a", "a_mo"): mo, ("a", "a_sp"): sp})
+        total = fam.limit_params().act_from_act[("a", "a")]
+        lags = np.linspace(0.0, 5.0, 501)
+        assert np.allclose(total.value(lags), mo.value(lags) + sp.value(lags), rtol=1e-12, atol=1e-15)
+        assert np.allclose(total.envelope(lags), mo.envelope(lags) + sp.envelope(lags),
+                           rtol=1e-12, atol=1e-15)
+
+    def test_table_drift_difference_is_rejected(self):
+        fam = make_family(
+            act_from_act={("a", "a_mo"): tapered_table(0.2, 1.0)},
+            drift_from_act={("a", "a_mo"): tapered_table(0.1, 1.0)},
+        )
+        with pytest.raises(ValueError, match="table kernels"):
+            fam.micro_params(0)
