@@ -296,6 +296,9 @@ def main(argv=None) -> int:
     level = args.level
     if args.manifest:
         manifest = SeedManifest.read(args.manifest)
+        if args.seed is not None and args.seed != manifest.master_seed:
+            parser.error(f"--seed {args.seed} disagrees with the manifest's "
+                         f"master seed {manifest.master_seed}")
         seed = manifest.master_seed
         if level is not None and manifest.level not in (None, level):
             parser.error(f"--level {level} disagrees with the manifest's level {manifest.level}")

@@ -39,11 +39,6 @@ class TimeProfile:
     def sup(self) -> float:
         return float(self.envelope(0.0))
 
-    def l1_mass(self, horizon: float) -> float:
-        """Integral of the profile over [0, horizon]."""
-        ts = np.linspace(0.0, horizon, 4097)
-        return float(np.trapezoid(self.value(ts), ts))
-
     def envelope_inverse(self, eps: float, t_max: float = 1e9) -> float:
         """Smallest lag beyond which the envelope stays below eps.
 
@@ -95,9 +90,6 @@ class ZeroProfile(TimeProfile):
     def envelope(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
-    def l1_mass(self, horizon):
-        return 0.0
-
     def new_state(self):
         return _ZeroState()
 
@@ -137,9 +129,6 @@ class ConstantProfile(TimeProfile):
 
     def envelope(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.c)
-
-    def l1_mass(self, horizon):
-        return self.c * horizon
 
     def new_state(self):
         return _ConstantState(self.c)
@@ -185,9 +174,6 @@ class ExponentialProfile(TimeProfile):
 
     def envelope(self, t):
         return self.value(t)
-
-    def l1_mass(self, horizon):
-        return self.c / self.kappa * (1.0 - math.exp(-self.kappa * horizon))
 
     def envelope_inverse(self, eps, t_max=1e9):
         if eps <= 0 or self.c == 0.0:
@@ -242,10 +228,6 @@ class GammaProfile(TimeProfile):
         t = np.asarray(t, dtype=float)
         peak = self.c / (self.kappa * math.e)
         return np.where(t <= 1.0 / self.kappa, peak, self.value(t))
-
-    def l1_mass(self, horizon):
-        k = self.kappa
-        return self.c / k**2 * (1.0 - math.exp(-k * horizon) * (1.0 + k * horizon))
 
     def new_state(self):
         return _GammaState(self.c, self.kappa)
@@ -451,9 +433,6 @@ class GaussianProfile(SpatialProfile):
 
     def mass(self, half_width):
         return float(self._cdf(half_width) - self._cdf(-half_width))
-
-    def total_mass(self) -> float:
-        return self.amplitude * self.width * math.sqrt(math.pi)
 
     def sup(self):
         return self.amplitude

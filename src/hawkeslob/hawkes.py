@@ -173,42 +173,6 @@ class MatrixKernel(HawkesKernel):
         return lag
 
 
-class SeparableMarkKernel(HawkesKernel):
-    """phi(dt, u, v) = amp[u_l, v_l] * g(u_x) * w(v_x) * h(dt) on spatial marks."""
-
-    def __init__(self, time: TimeProfile, amp, out_fn=None, in_fn=None,
-                 out_sup: float = 1.0, in_sup: float = 1.0, out_mass: float = None):
-        self.time = time
-        self.amp = np.asarray(amp, dtype=float)
-        self.out_fn = out_fn or (lambda x: 1.0)
-        self.in_fn = in_fn or (lambda x: 1.0)
-        self.out_sup = float(out_sup)
-        self.in_sup = float(in_sup)
-        self.out_mass = out_mass
-
-    def eval_one(self, dt, u, v):
-        a = self.amp[u[0], v[0]]
-        return float(a * self.out_fn(u[1]) * self.in_fn(v[1]) * self.time.value(dt))
-
-    def eval_events(self, dts, v_labels, v_xs, u):
-        amps = self.amp[u[0], v_labels]
-        ins = np.asarray([self.in_fn(x) for x in v_xs])
-        return amps * self.out_fn(u[1]) * ins * self.time.value(dts)
-
-    def envelope(self, dt):
-        return self.amp.max() * self.out_sup * self.in_sup * self.time.envelope(dt)
-
-    def spatial_mass_bound(self, space):
-        if self.out_mass is None:
-            raise ValueError("separable mark kernel needs a declared out mass")
-        col = np.asarray(space.weights) @ self.amp
-        return float(col.max()) * self.out_mass * self.in_sup * self.time.sup()
-
-    def truncation_lag(self, eps):
-        scale = max(self.amp.max() * self.out_sup * self.in_sup, 1e-300)
-        return self.time.envelope_inverse(eps / scale)
-
-
 @dataclass
 class HawkesSpec:
     """A Hawkes random measure: mark space, exogenous density and kernel.

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .families import SpatialProfile, TimeProfile
 from .rng import as_rng, stream_rng
@@ -412,12 +413,50 @@ class LimitEngine:
 
         self.v_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
         self.eta_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
-        self._f_vals = {f.name: np.asarray(f.fn(self.x_v), dtype=float) for f in self.track}
+        # quadrature-weighted test-function values, one dot per tracked functional
+        self._fw = {f.name: np.asarray(f.fn(self.x_v), dtype=float) * self._wv
+                    for f in self.track}
         self.lam_checkpoint_times = sorted(lam_checkpoint_times)
         self.lam_checkpoints: list = []
 
+        self._keep = {0, self.n_steps} | {
+            int(round(tc / self.dt)) for tc in self.lam_checkpoint_times
+        }
+        self._build_gather_windows()
+
         self.m = 0
         self._init_time_zero()
+
+    def _build_gather_windows(self) -> None:
+        """Padded sliding windows over every distinct profile vector.
+
+        Window row ``idx0 + pad`` of the left (right) array holds
+        ``vec[idx0 + j]`` (``vec[idx0 + j + 1]``) for the ``n_cols`` volume
+        columns ``j``, and zero where ``idx0 + j`` falls outside
+        ``[0, n - 2]``; a pad of ``n_cols + 1`` on each side makes every
+        clipped row entirely zero.
+        """
+        n_cols = self.x_v.size
+        self._pad = n_cols + 1
+        self._windows: list[tuple[np.ndarray, np.ndarray]] = []
+        index: dict = {}
+
+        def window_of(vec: np.ndarray) -> int:
+            key = vec.tobytes()
+            if key not in index:
+                index[key] = len(self._windows)
+                n = vec.size
+                left = np.zeros(n - 1 + 2 * self._pad)
+                right = np.zeros_like(left)
+                left[self._pad:self._pad + n - 1] = vec[:-1]
+                right[self._pad:self._pad + n - 1] = vec[1:]
+                self._windows.append((sliding_window_view(left, n_cols),
+                                      sliding_window_view(right, n_cols)))
+            return index[key]
+
+        self._hat_win = {pt: window_of(v) for pt, v in self._hat_vals.items()}
+        self._out_win = [None if v is None else window_of(v) for v in self._entry_out]
+        self._last_row = self._windows[0][0].shape[0] - 1
 
     # -- assembly helpers ---------------------------------------------------
 
@@ -544,15 +583,9 @@ class LimitEngine:
 
         self.m = m + 1
         self._maybe_checkpoint(self.m)
-        if len(self._conv_hist) > 2 and self.m - 2 not in self._keep_steps():
+        if len(self._conv_hist) > 2 and self.m - 2 not in self._keep:
             self._conv_hist.pop(self.m - 2, None)
             self._hat_hist.pop(self.m - 2, None)
-
-    def _keep_steps(self) -> set:
-        keep = {0, self.n_steps}
-        for tc in self.lam_checkpoint_times:
-            keep.add(int(round(tc / self.dt)))
-        return keep
 
     def drift_diffusion(self, m: int):
         """Price drift and diffusion coefficients at step m.
@@ -580,16 +613,20 @@ class LimitEngine:
         """Placement and cancellation intensities at x_v relative to best.
 
         The intensity grids are sums of fixed profile vectors with per-path
-        coefficients, so each profile vector is interpolated once at the
-        per-path shifts and blended; for the bid side the relative
-        coordinate runs backwards, handled by reversing columns.
+        coefficients, so each profile vector is interpolated at the per-path
+        shifts and blended.  On a volume grid with the distance grid's
+        spacing the shift is one start index and fraction per path: the
+        gather reads one row per path of the padded sliding windows built
+        at construction, and vectors with equal content (equal base
+        profiles, say) share one window and one gather per call.  For the
+        bid side the relative coordinate runs backwards, handled by
+        reversing columns.  Other volume grids fall back to row-wise
+        interpolation of the assembled grids.
         """
         conv = self._conv_hist[m]
         hat_fac = self._hat_hist[m]
         pa, pb = self.P_a[m], self.P_b[m]
         lo = float(self.xg[0])
-        n = self.xg.size
-        n_cols = self.x_v.size
 
         if not self._uniform_interp:
             lam = self.lam_grids(m)
@@ -607,30 +644,33 @@ class LimitEngine:
         pos0 = (starts - lo) / self.h_v
         idx0 = np.floor(pos0).astype(np.int64)
         frac = (pos0 - idx0)[:, None]
-        cols = idx0[:, None] + np.arange(n_cols)[None, :]
-        valid = (cols >= 0) & (cols < n - 1)
-        cols_c = np.clip(cols, 0, n - 2)
+        one_minus = 1.0 - frac
+        rows = np.clip(idx0 + self._pad, 0, self._last_row)
         cache: dict = {}
 
-        def gathered(key, vec):
-            if key not in cache:
-                g = vec[cols_c] * (1.0 - frac) + vec[cols_c + 1] * frac
-                g[~valid] = 0.0
-                cache[key] = g
-            return cache[key]
+        def gathered(w):
+            # left[rows] * (1 - frac) + right[rows] * frac, in place
+            if w not in cache:
+                left, right = self._windows[w]
+                g = left[rows]
+                g *= one_minus
+                r = right[rows]
+                r *= frac
+                g += r
+                cache[w] = g
+            return cache[w]
 
         out = []
         for kind in ("lo", "cx"):
             pt = f"{side}_{kind}"
-            acc = hat_fac[pt][:, None] * gathered(("hat", pt), self._hat_vals[pt])
+            acc = hat_fac[pt][:, None] * gathered(self._hat_win[pt])
             for k in self._lam_entries[pt]:
-                acc = acc + conv[k][:, None] * gathered(("out", k), self._entry_out[k])
+                acc = acc + conv[k][:, None] * gathered(self._out_win[k])
             out.append(acc[:, ::-1] if side == "b" else acc)
         return out
 
     def _advance_volumes(self, m: int) -> None:
         dt = self.dt
-        wv = self._wv
         for s_idx, side in enumerate(SIDES):
             lam_lo, lam_cx = self._lam_at_volume_nodes(m, side)
             V = self.V_a if side == "a" else self.V_b
@@ -639,16 +679,16 @@ class LimitEngine:
                 + self.p.cancel_gain[side] * lam_cx * V
             )
             for f in self.track:
-                fv = self._f_vals[f.name]
-                self.v_f[f.name][m, s_idx] = V @ (fv * wv)
-                self.eta_f[f.name][m, s_idx] = eta @ (fv * wv)
+                fw = self._fw[f.name]
+                self.v_f[f.name][m, s_idx] = V @ fw
+                self.eta_f[f.name][m, s_idx] = eta @ fw
             V += dt * eta
         if self.track and m + 1 == self.n_steps:
             # record the terminal functional values as well
             for f in self.track:
-                fv = self._f_vals[f.name]
-                self.v_f[f.name][m + 1, 0] = self.V_a @ (fv * wv)
-                self.v_f[f.name][m + 1, 1] = self.V_b @ (fv * wv)
+                fw = self._fw[f.name]
+                self.v_f[f.name][m + 1, 0] = self.V_a @ fw
+                self.v_f[f.name][m + 1, 1] = self.V_b @ fw
 
     def _maybe_checkpoint(self, m: int) -> None:
         t = self.t[m]
@@ -748,11 +788,6 @@ def solve_paths(
             f"clamped diffusion radicand on {eng.clamp_count} of {total_steps} steps"
         )
     return eng.finish(seed)
-
-
-def solve_path(params, init, horizon, dt, seed=None, **kw) -> LimitRun:
-    """Single-path convenience wrapper around :func:`solve_paths`."""
-    return solve_paths(params, init, horizon, dt, seed=seed, **kw)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_criterion_05_closed_form_book():
 
 def test_criterion_06_closed_form_intensity():
     params, init, (sigma2, kappa, _p0) = one_sided_mu_config()
-    run = L.solve_path(params, init, 1.0, 1e-3, seed=20)
+    run = L.solve_paths(params, init, 1.0, 1e-3, seed=20)
     mu = run.mu[:, 0, 0]
     ref = closed_form_mu_exponential(run.p_a[:, 0], 1e-3, sigma2, kappa)
     rel = float(np.max(np.abs(mu - ref) / np.abs(ref)))

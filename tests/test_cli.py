@@ -100,6 +100,26 @@ def test_manifest_level_mismatch_exits_2(micro_config, tmp_path):
     assert exc.value.code == 2
 
 
+def test_manifest_seed_mismatch_exits_2(micro_config, tmp_path):
+    out1 = tmp_path / "o1"
+    assert run("simulate-micro", micro_config, out1, seed=1234) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "simulate-micro", "--config", str(micro_config), "--out", str(tmp_path / "o2"),
+            "--manifest", str(out1 / "manifest.json"), "--seed", "5",
+        ])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o2").exists()
+    # a matching seed is accepted and replays the run
+    out3 = tmp_path / "o3"
+    code = main([
+        "simulate-micro", "--config", str(micro_config), "--out", str(out3),
+        "--manifest", str(out1 / "manifest.json"), "--seed", "1234",
+    ])
+    assert code == 0
+    assert _dirs_byte_identical(out1, out3)
+
+
 def test_solve_limit_artifacts(tmp_path):
     cfg = _limit_config(tmp_path)
     out = tmp_path / "out"

@@ -116,7 +116,7 @@ def test_volume_ode_contracts_to_fixed_point():
 
 def test_one_sided_intensity_matches_closed_form():
     params, init, (sigma2, kappa, _p0) = one_sided_mu_config()
-    run = L.solve_path(params, init, 1.0, 1e-3, seed=20)
+    run = L.solve_paths(params, init, 1.0, 1e-3, seed=20)
     mu = run.mu[:, 0, 0]
     ref = closed_form_mu_exponential(run.p_a[:, 0], 1e-3, sigma2, kappa)
     assert np.max(np.abs(mu - ref) / np.abs(ref)) <= 1e-3
@@ -163,7 +163,7 @@ def test_intensity_self_consistency():
     assert L.intensity_consistency(run, 0) < 1e-12
     # noisy run: limited only by float accumulation, not the convention
     params2, init2, _ = one_sided_mu_config()
-    run2 = L.solve_path(params2, init2, 1.0, 1e-3, seed=21)
+    run2 = L.solve_paths(params2, init2, 1.0, 1e-3, seed=21)
     assert L.intensity_consistency(run2, 0) < 1e-9
 
 
@@ -289,6 +289,76 @@ def test_all_kernel_blocks_consistent_with_reference_solver():
     assert L.intensity_consistency(run, 0) < 1e-10
     assert L.intensity_consistency(run, 2) < 1e-10
     assert np.all(np.isfinite(run.v_a)) and np.all(run.mu >= 0)
+
+
+def test_windowed_gather_matches_row_interpolation():
+    # the uniform-grid gather against row-wise interpolation of the
+    # assembled grids, with shifts running off the distance grid both ways
+    grid = SpatialGrid(2.0, 41)
+    gauss, uni = GaussianProfile(0.6), UniformProfile(0.3)
+
+    def fac(t, pa, pb):
+        return 0.3 + 0.1 * np.abs(np.asarray(pa, dtype=float))
+
+    base = {"a_lo": (fac, GaussianProfile(1.0)), "a_cx": (fac, GaussianProfile(0.5)),
+            "b_lo": (fac, GaussianProfile(1.0)), "b_cx": (fac, GaussianProfile(1.0))}
+    params = L.LimitParams(
+        grid=grid,
+        rho={s: L.SpreadPlusRate(0.5) for s in "ab"},
+        rate_slope={s: L.ConstantRate(0.5) for s in "ab"},
+        base_rate={s: L.ConstantExo(0.3) for s in "ab"},
+        base_drift={s: L.ConstantExo(0.0) for s in "ab"},
+        base_passive=base,
+        place_gain={"a": 1.0, "b": 1.0},
+        cancel_gain={"a": -0.5, "b": -0.5},
+        act_from_act={("a", "a"): ExponentialProfile(0.2, 1.0)},
+        pas_from_act={("a_lo", "a"): (gauss, ExponentialProfile(0.3, 1.0)),
+                      ("a_cx", "b"): (gauss, GammaProfile(0.4, 1.5)),
+                      ("b_lo", "a"): (GaussianProfile(1.0), ExponentialProfile(0.2, 2.0)),
+                      ("b_cx", "b"): (uni, ConstantProfile(0.1))},
+    )
+    v0 = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    init = L.make_initial_state(params, 0.2, -0.2, v0, v0, n_paths=6)
+    # paths 1-3 run off the grid; paths 4-5 sit on the grid lattice
+    init.p_a = np.array([0.23, 9.03, -9.07, 0.213, 0.2, 1.9])
+    init.p_b = np.array([-0.17, -3.04, 9.02, -9.01, -0.2, -1.7])
+    eng = L.LimitEngine(params, init, 0.05, 1e-2)
+    assert eng._uniform_interp
+
+    # equal vectors share one window (and so one gather per call): the
+    # three unit gaussians, base or kernel out-profile alike
+    unit = eng._hat_win["a_lo"]
+    assert eng._hat_win["b_lo"] == eng._hat_win["b_cx"] == unit
+    k_b_lo = next(k for k, e in enumerate(eng.entries) if e.target == "b_lo")
+    assert eng._out_win[k_b_lo] == unit
+    assert eng._hat_win["a_cx"] != unit
+    assert len(eng._windows) == 4  # unit, half-amplitude, 0.6 gaussian, uniform
+
+    rng = np.random.default_rng(5)
+    lo, h = float(eng.xg[0]), params.grid.h
+    for _ in range(4):
+        m = eng.m
+        lam = eng.lam_grids(m)
+        pa, pb = eng.P_a[m], eng.P_b[m]
+        for side in "ab":
+            rel = (eng.x_v[None, :] - pa[:, None] if side == "a"
+                   else pb[:, None] - eng.x_v[None, :])
+            # a node landing on a truncation edge up to rounding may read the
+            # edge value in one scheme and zero in the other
+            edge = np.isclose(np.abs(rel), grid.half_width, rtol=0.0, atol=1e-9)
+            if m == 0:
+                assert edge[4:].any() and not edge[:4].any()
+            fast = eng._lam_at_volume_nodes(m, side)
+            for kind, got in zip(("lo", "cx"), fast):
+                g = lam[L.PASSIVE_TYPES.index(f"{side}_{kind}")].T
+                ref = L._interp_rows(g, lo, h, rel)
+                assert np.max(np.abs(ref)) > 0.0
+                err = np.where(edge, 0.0, np.abs(got - ref))
+                assert np.max(err) <= 1e-12 * np.max(np.abs(ref))
+                # the off-grid paths read zero intensity
+                assert np.all(got[1 if side == "a" else 3] == 0.0)
+                assert np.all(got[2] == 0.0)
+        eng.step(rng.standard_normal((2, eng.R)))
 
 
 def test_solve_paths_deterministic_given_seed(family):
