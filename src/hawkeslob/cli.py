@@ -67,7 +67,8 @@ def _float_csv(path: Path, header: list, rows) -> None:
             writer.writerow(out)
 
 
-def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int, threads: int) -> dict:
+def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+                        manifest: SeedManifest) -> dict:
     horizon = float(cfg.data.get("grid", {}).get("horizon", 1.0))
     params = cfg.scaling_family().micro_params(level)
     run = simulate_book(params, horizon, stream_rng(seed, 0, "micro"))
@@ -101,7 +102,8 @@ def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int, thread
     }
 
 
-def _cmd_solve_limit(cfg: RunConfig, out: Path, seed: int, level: int, threads: int) -> dict:
+def _cmd_solve_limit(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+                     manifest: SeedManifest) -> dict:
     family = cfg.scaling_family()
     grid = cfg.data.get("grid", {})
     horizon = float(grid.get("horizon", 1.0))
@@ -137,7 +139,8 @@ def _cmd_solve_limit(cfg: RunConfig, out: Path, seed: int, level: int, threads: 
     }
 
 
-def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int) -> dict:
+def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+                  manifest: SeedManifest) -> dict:
     family = cfg.scaling_family()
     exp = cfg.data.get("experiment", {})
     grid = cfg.data.get("grid", {})
@@ -150,6 +153,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int
         test_fns=cfg.test_fns(),
     )
     report, levels, _run = run_convergence(plan, family, seed, n_workers=threads)
+    manifest.streams = list(report.manifest.streams)
     moments = moment_diagnostics(levels)
     _write_json(out / "report.json", {
         "convergence": report.to_dict(),
@@ -163,7 +167,8 @@ def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int
     return {"passed": report.passed, "moment_blow_up": moments.blow_up}
 
 
-def _cmd_oracle_check(cfg: RunConfig, out: Path, seed: int, level: int, threads: int) -> dict:
+def _cmd_oracle_check(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+                      manifest: SeedManifest) -> dict:
     block = cfg.data["oracle"]
     if block["check"] == "cir":
         params = CIRParams(
@@ -206,7 +211,8 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path, seed: int, level: int, threads:
     return payload
 
 
-def _cmd_resolvent(cfg: RunConfig, out: Path, seed: int, level: int, threads: int) -> dict:
+def _cmd_resolvent(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+                   manifest: SeedManifest) -> dict:
     block = cfg.data["resolvent"]
     dt = float(block.get("dt", 1e-3))
     horizon = float(block.get("horizon", 1.0))
@@ -253,7 +259,7 @@ def run(command: str, config, out_dir, seed=None, threads: int = 1, level: int =
     manifest = SeedManifest(master_seed=master_seed, command=command,
                             level=level if command == "simulate-micro" else None)
     try:
-        summary = _DISPATCH[command](cfg, out, master_seed, level, threads)
+        summary = _DISPATCH[command](cfg, out, master_seed, level, threads, manifest)
     except ConfigError as exc:
         _write_json(out / "error.json", {
             "error": "configuration invalid",
@@ -263,7 +269,9 @@ def run(command: str, config, out_dir, seed=None, threads: int = 1, level: int =
     except Exception as exc:  # runtime failure: report and signal
         _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
         return 1
-    manifest.register(command, 1)
+    if not manifest.streams:
+        # commands that do not list their streams record one placeholder
+        manifest.register(command, 1)
     manifest.write(out / "manifest.json")
     _write_json(out / "summary.json", summary)
     return 0

@@ -195,7 +195,6 @@ def run_convergence(
         lp, init, plan.horizon, plan.limit_dt, seed=seed, track=plan.test_fns
     )
     manifest.register("limit", 1)
-    manifest.register("noise", 1)
 
     lim_pa = limit_run.p_a[-1]
     lim_inner = {f.name: limit_run.v_inner(f.fn, "a") for f in plan.test_fns}
@@ -217,6 +216,7 @@ def run_convergence(
     manifest.register("micro", plan.replicates)
 
     boot_rng = stream_rng(seed, 0, "harness")
+    manifest.register("harness", 1)
     stats: list[StatisticRow] = []
 
     mean_err, mean_se = [], []

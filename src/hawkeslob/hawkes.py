@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .families import ExponentialProfile, TimeProfile, ZeroProfile
+from .families import TimeProfile, ZeroProfile
 from .rng import as_rng
 
 
@@ -27,10 +27,6 @@ class MajorantViolationError(RuntimeError):
     This signals an invalid envelope declaration, not a sampling fluke, so
     the run is aborted rather than patched up.
     """
-
-
-class UnsupportedKernelError(ValueError):
-    """A specialized simulator was asked for a kernel shape it cannot handle."""
 
 
 # ---------------------------------------------------------------------------
@@ -494,86 +490,3 @@ def make_multivariate(d: int, mu, phi) -> HawkesSpec:
         raise ValueError(f"kernel matrix must be {d} x {d}")
     space = MarkSpace(labels=tuple(str(i) for i in range(d)))
     return HawkesSpec(space, Exogenous.constant(mu_arr), MatrixKernel(phi))
-
-
-class ExponentialMarkovSimulator:
-    """O(1)-per-event simulator for separable exponential kernels.
-
-    The running excitation of each component decays at the shared rate
-    between events and jumps by ``amp[i, j] * beta`` when component j fires,
-    so the pair (intensity, counts) is Markov and no history scan is needed.
-    """
-
-    def __init__(self, spec: HawkesSpec):
-        if spec.mark_space.spatial:
-            raise UnsupportedKernelError(
-                "the Markov fast path supports label-only mark spaces"
-            )
-        kernel = spec.kernel
-        if not isinstance(kernel, MatrixKernel):
-            raise UnsupportedKernelError("expected a label-pair kernel matrix")
-        beta = None
-        d = spec.mark_space.n_labels
-        amp = np.zeros((d, d))
-        for i in range(d):
-            for j in range(d):
-                p = kernel.profiles[i][j]
-                if isinstance(p, ZeroProfile):
-                    continue
-                if not isinstance(p, ExponentialProfile):
-                    raise UnsupportedKernelError("all kernel entries must be exponential")
-                if beta is None:
-                    beta = p.kappa
-                elif not math.isclose(beta, p.kappa):
-                    raise UnsupportedKernelError("kernel entries must share a decay rate")
-                # profile value at lag 0 is the jump size amp * beta
-                amp[i, j] = p.c / p.kappa
-        self.spec = spec
-        self.beta = beta if beta is not None else 1.0
-        self.amp = amp
-        self.d = d
-
-    def simulate(self, horizon: float, rng_seed) -> EventStream:
-        rng = as_rng(rng_seed, "hawkes")
-        space = self.spec.mark_space
-        weights = np.asarray(space.weights, dtype=float)
-        exo = self.spec.exogenous
-        g = np.zeros(self.d)  # excitation per component, jump-normalized
-
-        times: list[float] = []
-        labels: list[int] = []
-        t = 0.0
-        while True:
-            lam_sup = np.array([exo.sup + self.beta * g[i] for i in range(self.d)])
-            majorant = float(lam_sup.max())
-            if majorant <= 0:
-                break
-            rate = majorant * float(weights.sum())
-            dt = rng.exponential(1.0 / rate)
-            t_new = t + dt
-            if t_new > horizon:
-                break
-            g *= math.exp(-self.beta * dt)
-            t = t_new
-            label_cdf = np.cumsum(weights) / weights.sum()
-            label = int(np.searchsorted(label_cdf, rng.random(), side="right"))
-            label = min(label, self.d - 1)
-            z = rng.random() * majorant
-            lam = exo(t, label, None) + self.beta * g[label]
-            if lam > majorant * (1.0 + 1e-9):
-                raise MajorantViolationError("exponential state exceeded its majorant")
-            if z <= lam:
-                times.append(t)
-                labels.append(label)
-                g += self.amp[:, label]
-
-        n = len(times)
-        return EventStream(
-            np.asarray(times), np.asarray(labels, dtype=np.int64),
-            np.full(n, math.nan), np.full(n, math.nan), horizon, space.labels,
-        )
-
-
-def make_exponential_markov(spec: HawkesSpec) -> ExponentialMarkovSimulator:
-    """Specialized simulator state for kernels amp(u,v) * beta * exp(-beta t)."""
-    return ExponentialMarkovSimulator(spec)

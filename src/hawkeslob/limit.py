@@ -423,6 +423,11 @@ class LimitEngine:
             int(round(tc / self.dt)) for tc in self.lam_checkpoint_times
         }
         self._build_gather_windows()
+        # work buffers of the volume update, viewed as (R, band width) per step
+        size = self.R * self.x_v.size
+        self._gathers = [np.empty(size) for _ in self._windows]
+        self._scratch, self._lo, self._cx = np.empty(size), np.empty(size), np.empty(size)
+        self._eta = np.zeros((self.R, self.x_v.size))
 
         self.m = 0
         self._init_time_zero()
@@ -612,16 +617,28 @@ class LimitEngine:
     def _lam_at_volume_nodes(self, m: int, side: str):
         """Placement and cancellation intensities at x_v relative to best.
 
+        Returns ``(lam_lo, lam_cx, cols)``: the two intensities on the
+        volume columns ``cols`` (a slice, in ``V`` column order), which hold
+        every nonzero value; outside them both intensities are zero.
+
         The intensity grids are sums of fixed profile vectors with per-path
         coefficients, so each profile vector is interpolated at the per-path
         shifts and blended.  On a volume grid with the distance grid's
-        spacing the shift is one start index and fraction per path: the
-        gather reads one row per path of the padded sliding windows built
-        at construction, and vectors with equal content (equal base
-        profiles, say) share one window and one gather per call.  For the
-        bid side the relative coordinate runs backwards, handled by
-        reversing columns.  Other volume grids fall back to row-wise
-        interpolation of the assembled grids.
+        spacing the shift is one start index ``idx0`` and fraction per path,
+        and the gather reads one row per path of the padded sliding windows
+        built at construction; vectors with equal content (equal base
+        profiles, say) share one window and one gather per call.  Column
+        ``j`` reaches the profile on some path only when ``idx0 + j`` lies
+        in ``[0, n - 2]`` for that path, so the gather covers just the band
+        ``[max(0, -max idx0), min(n_cols, n - 1 - min idx0))``, which may be
+        empty.  For the bid side the relative coordinate runs backwards:
+        the band maps to the mirrored ``V`` columns and the gathered rows
+        are read reversed.
+
+        The returned arrays are views of work buffers built once per
+        engine, valid until the next call.  Other volume grids fall back to
+        row-wise interpolation of the assembled grids, returned as fresh
+        full-width arrays with ``cols = slice(None)``.
         """
         conv = self._conv_hist[m]
         hat_fac = self._hat_hist[m]
@@ -638,7 +655,7 @@ class LimitEngine:
                 else:
                     rel = pb[:, None] - self.x_v[None, :]
                 out.append(_interp_rows(g, lo, self.p.grid.h, rel))
-            return out
+            return out[0], out[1], slice(None)
 
         starts = (self.x_v[0] - pa) if side == "a" else (pb - self.x_v[-1])
         pos0 = (starts - lo) / self.h_v
@@ -646,43 +663,70 @@ class LimitEngine:
         frac = (pos0 - idx0)[:, None]
         one_minus = 1.0 - frac
         rows = np.clip(idx0 + self._pad, 0, self._last_row)
-        cache: dict = {}
+        n_cols = self.x_v.size
+        j0 = max(0, -int(idx0.max()))
+        j1 = max(j0, min(n_cols, self.xg.size - 1 - int(idx0.min())))
+        shape, size = (self.R, j1 - j0), self.R * (j1 - j0)
+        scratch = self._scratch[:size].reshape(shape)
+        done: set = set()
 
         def gathered(w):
-            # left[rows] * (1 - frac) + right[rows] * frac, in place
-            if w not in cache:
+            # left[rows] * (1 - frac) + right[rows] * frac over the band, in
+            # place; rows are in range, and mode="clip" lets take write to out
+            # without an intermediate copy
+            g = self._gathers[w][:size].reshape(shape)
+            if w not in done:
                 left, right = self._windows[w]
-                g = left[rows]
+                np.take(left[:, j0:j1], rows, axis=0, out=g, mode="clip")
                 g *= one_minus
-                r = right[rows]
+                r = np.take(right[:, j0:j1], rows, axis=0, out=scratch, mode="clip")
                 r *= frac
                 g += r
-                cache[w] = g
-            return cache[w]
+                done.add(w)
+            return g[:, ::-1] if side == "b" else g
 
         out = []
-        for kind in ("lo", "cx"):
+        for kind, buf in (("lo", self._lo), ("cx", self._cx)):
             pt = f"{side}_{kind}"
-            acc = hat_fac[pt][:, None] * gathered(self._hat_win[pt])
+            acc = buf[:size].reshape(shape)
+            np.multiply(hat_fac[pt][:, None], gathered(self._hat_win[pt]), out=acc)
             for k in self._lam_entries[pt]:
-                acc = acc + conv[k][:, None] * gathered(self._out_win[k])
-            out.append(acc[:, ::-1] if side == "b" else acc)
-        return out
+                np.multiply(conv[k][:, None], gathered(self._out_win[k]), out=scratch)
+                acc += scratch
+            out.append(acc)
+        cols = slice(j0, j1) if side == "a" else slice(n_cols - j1, n_cols - j0)
+        return out[0], out[1], cols
 
     def _advance_volumes(self, m: int) -> None:
+        """Explicit Euler step of both volume densities, in place.
+
+        ``eta = place_gain * lam_lo + cancel_gain * lam_cx * V`` is built in
+        the intensity buffers over the column band they return, and only
+        that band of ``V`` moves: outside it ``eta`` is zero.  Tracked
+        functionals read ``V`` before the update and ``eta`` from a
+        full-width buffer that is zero outside the band.
+        """
         dt = self.dt
+        eta = self._eta
         for s_idx, side in enumerate(SIDES):
-            lam_lo, lam_cx = self._lam_at_volume_nodes(m, side)
+            lam_lo, lam_cx, cols = self._lam_at_volume_nodes(m, side)
             V = self.V_a if side == "a" else self.V_b
-            eta = (
-                self.p.place_gain[side] * lam_lo
-                + self.p.cancel_gain[side] * lam_cx * V
-            )
+            band = V[:, cols]
+            lam_lo *= self.p.place_gain[side]
+            lam_cx *= self.p.cancel_gain[side]
+            lam_cx *= band
+            lam_lo += lam_cx
+            if self.track:
+                c0, c1, _ = cols.indices(V.shape[1])
+                eta[:, :c0] = 0.0
+                eta[:, c0:c1] = lam_lo
+                eta[:, c1:] = 0.0
             for f in self.track:
                 fw = self._fw[f.name]
                 self.v_f[f.name][m, s_idx] = V @ fw
                 self.eta_f[f.name][m, s_idx] = eta @ fw
-            V += dt * eta
+            lam_lo *= dt
+            band += lam_lo
         if self.track and m + 1 == self.n_steps:
             # record the terminal functional values as well
             for f in self.track:

@@ -207,3 +207,23 @@ def test_converge_cli_parallel_matches_serial(tmp_path):
     assert run("converge", cfg, out1, threads=1) == 0
     assert run("converge", cfg, out2, threads=2) == 0
     assert (out1 / "tables.csv").read_text() == (out2 / "tables.csv").read_text()
+
+
+def test_converge_manifest_lists_the_streams_it_drew(tmp_path):
+    doc = yaml.safe_load(MINIMAL_MICRO)
+    doc["model"] = "converge"
+    doc["grid"] = {"horizon": 0.05, "dt": 0.005, "n_x": 31}
+    doc["experiment"] = {"levels": [0, 1, 2], "replicates": 100, "limit_paths": 100}
+    cfg = tmp_path / "conv.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert run("converge", cfg, out, seed=9) == 0
+    man = SeedManifest.read(out / "manifest.json")
+    assert man.command == "converge" and man.master_seed == 9
+    # one limit stream, one micro stream per replicate (shared across
+    # levels) and the bootstrap stream
+    assert man.streams == [
+        {"role": "limit", "replicates": 1},
+        {"role": "micro", "replicates": 100},
+        {"role": "harness", "replicates": 1},
+    ]

@@ -15,6 +15,7 @@ from hawkeslob.families import (
 from hawkeslob.oracles import closed_form_book, closed_form_mu_exponential
 from hawkeslob.volterra import SpatialGrid
 
+from conftest import make_family
 from oracle_configs import (
     canonical_spread_config,
     one_sided_book_config,
@@ -291,9 +292,10 @@ def test_all_kernel_blocks_consistent_with_reference_solver():
     assert np.all(np.isfinite(run.v_a)) and np.all(run.mu >= 0)
 
 
-def test_windowed_gather_matches_row_interpolation():
-    # the uniform-grid gather against row-wise interpolation of the
-    # assembled grids, with shifts running off the distance grid both ways
+def _pas_from_act_inputs(paths=slice(None)):
+    """Parameters and initial state with pas_from_act kernels, distinct and
+    repeated base profiles and start prices that run off the distance grid
+    both ways."""
     grid = SpatialGrid(2.0, 41)
     gauss, uni = GaussianProfile(0.6), UniformProfile(0.3)
 
@@ -318,10 +320,19 @@ def test_windowed_gather_matches_row_interpolation():
                       ("b_cx", "b"): (uni, ConstantProfile(0.1))},
     )
     v0 = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
-    init = L.make_initial_state(params, 0.2, -0.2, v0, v0, n_paths=6)
     # paths 1-3 run off the grid; paths 4-5 sit on the grid lattice
-    init.p_a = np.array([0.23, 9.03, -9.07, 0.213, 0.2, 1.9])
-    init.p_b = np.array([-0.17, -3.04, 9.02, -9.01, -0.2, -1.7])
+    p_a = np.array([0.23, 9.03, -9.07, 0.213, 0.2, 1.9])[paths]
+    p_b = np.array([-0.17, -3.04, 9.02, -9.01, -0.2, -1.7])[paths]
+    init = L.make_initial_state(params, 0.2, -0.2, v0, v0, n_paths=p_a.size)
+    init.p_a, init.p_b = p_a, p_b
+    return params, init
+
+
+def test_windowed_gather_matches_row_interpolation():
+    # the uniform-grid gather against row-wise interpolation of the
+    # assembled grids, with shifts running off the distance grid both ways
+    params, init = _pas_from_act_inputs()
+    grid = params.grid
     eng = L.LimitEngine(params, init, 0.05, 1e-2)
     assert eng._uniform_interp
 
@@ -335,7 +346,7 @@ def test_windowed_gather_matches_row_interpolation():
     assert len(eng._windows) == 4  # unit, half-amplitude, 0.6 gaussian, uniform
 
     rng = np.random.default_rng(5)
-    lo, h = float(eng.xg[0]), params.grid.h
+    lo, h = float(eng.xg[0]), grid.h
     for _ in range(4):
         m = eng.m
         lam = eng.lam_grids(m)
@@ -348,17 +359,114 @@ def test_windowed_gather_matches_row_interpolation():
             edge = np.isclose(np.abs(rel), grid.half_width, rtol=0.0, atol=1e-9)
             if m == 0:
                 assert edge[4:].any() and not edge[:4].any()
-            fast = eng._lam_at_volume_nodes(m, side)
-            for kind, got in zip(("lo", "cx"), fast):
+            lam_lo, lam_cx, cols = eng._lam_at_volume_nodes(m, side)
+            outside = np.ones(eng.x_v.size, dtype=bool)
+            outside[cols] = False
+            for kind, got in zip(("lo", "cx"), (lam_lo, lam_cx)):
                 g = lam[L.PASSIVE_TYPES.index(f"{side}_{kind}")].T
                 ref = L._interp_rows(g, lo, h, rel)
                 assert np.max(np.abs(ref)) > 0.0
-                err = np.where(edge, 0.0, np.abs(got - ref))
+                # the band holds every nonzero reference value
+                assert np.all(np.where(edge, 0.0, ref)[:, outside] == 0.0)
+                err = np.where(edge[:, cols], 0.0, np.abs(got - ref[:, cols]))
                 assert np.max(err) <= 1e-12 * np.max(np.abs(ref))
                 # the off-grid paths read zero intensity
                 assert np.all(got[1 if side == "a" else 3] == 0.0)
                 assert np.all(got[2] == 0.0)
         eng.step(rng.standard_normal((2, eng.R)))
+
+
+class _FullWidthEngine(L.LimitEngine):
+    """Reference volume update: every column, with fresh arrays per step."""
+
+    def _lam_at_volume_nodes(self, m, side):
+        conv, hat_fac = self._conv_hist[m], self._hat_hist[m]
+        pa, pb = self.P_a[m], self.P_b[m]
+        starts = (self.x_v[0] - pa) if side == "a" else (pb - self.x_v[-1])
+        pos0 = (starts - float(self.xg[0])) / self.h_v
+        idx0 = np.floor(pos0).astype(np.int64)
+        frac = (pos0 - idx0)[:, None]
+        rows = np.clip(idx0 + self._pad, 0, self._last_row)
+
+        def gathered(w):
+            left, right = self._windows[w]
+            return left[rows] * (1.0 - frac) + right[rows] * frac
+
+        out = []
+        for kind in ("lo", "cx"):
+            pt = f"{side}_{kind}"
+            acc = hat_fac[pt][:, None] * gathered(self._hat_win[pt])
+            for k in self._lam_entries[pt]:
+                acc = acc + conv[k][:, None] * gathered(self._out_win[k])
+            out.append(acc[:, ::-1] if side == "b" else acc)
+        return out[0], out[1], slice(None)
+
+    def _advance_volumes(self, m):
+        for s_idx, side in enumerate(L.SIDES):
+            lam_lo, lam_cx, _ = self._lam_at_volume_nodes(m, side)
+            V = self.V_a if side == "a" else self.V_b
+            eta = self.p.place_gain[side] * lam_lo + self.p.cancel_gain[side] * lam_cx * V
+            for f in self.track:
+                fw = self._fw[f.name]
+                self.v_f[f.name][m, s_idx] = V @ fw
+                self.eta_f[f.name][m, s_idx] = eta @ fw
+            V += self.dt * eta
+        if self.track and m + 1 == self.n_steps:
+            for f in self.track:
+                fw = self._fw[f.name]
+                self.v_f[f.name][m + 1, 0] = self.V_a @ fw
+                self.v_f[f.name][m + 1, 1] = self.V_b @ fw
+
+
+def _family_inputs(spread: bool):
+    family = make_family()
+    params = family.limit_params(n_x=61)
+    init = L.make_initial_state(params, family.ask_price0, family.bid_price0,
+                                family.ask_volume0, family.bid_volume0, n_paths=40)
+    if spread:
+        # start prices spread over the volume grid: the band covers every column
+        init.p_a = np.linspace(-2.2, 3.0, 40)
+        init.p_b = init.p_a - np.linspace(0.05, 0.3, 40)
+    return params, init
+
+
+@pytest.mark.parametrize("case", ["family", "pas_from_act", "off_grid", "spread"])
+def test_banded_volume_update_matches_full_width(case):
+    # the in-place banded update against the full-width expressions it
+    # replaced: identical float operations, so identical arrays
+    if case in ("family", "spread"):
+        params, init = _family_inputs(case == "spread")
+    else:
+        # off_grid keeps one path, whose ask shift leaves the distance grid
+        params, init = _pas_from_act_inputs(slice(1, 2) if case == "off_grid" else slice(None))
+    track = [L.SpatialTestFn("g", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2)))]
+    fast = L.LimitEngine(params, init, 0.05, 1e-2, track=track)
+    ref = _FullWidthEngine(params, init, 0.05, 1e-2, track=track)
+    assert fast._uniform_interp
+
+    n_cols = init.v_x.size
+    widths = {"a": set(), "b": set()}
+    rng = np.random.default_rng(17)
+    for m in range(fast.n_steps):
+        for side in "ab":
+            _lo, _cx, cols = fast._lam_at_volume_nodes(m, side)
+            widths[side].add(len(range(n_cols)[cols]))
+        noise = rng.standard_normal((2, fast.R))
+        fast.step(noise)
+        ref.step(noise)
+    if case == "off_grid":
+        assert widths["a"] == {0} and max(widths["b"]) > 0
+    elif case == "family":
+        assert 0 < min(widths["a"] | widths["b"]) <= max(widths["a"] | widths["b"]) < n_cols
+    else:
+        # spread prices, or off-grid paths on both sides of the grid
+        assert n_cols in widths["a"] and n_cols in widths["b"]
+
+    got, want = fast.finish(), ref.finish()
+    for name in ("v_a", "v_b", "p_a", "p_b", "mu"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("v_f", "eta_f"):
+        assert np.array_equal(getattr(got, name)["g"], getattr(want, name)["g"]), name
 
 
 def test_solve_paths_deterministic_given_seed(family):
