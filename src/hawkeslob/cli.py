@@ -72,6 +72,7 @@ def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int, thread
     horizon = float(cfg.data.get("grid", {}).get("horizon", 1.0))
     params = cfg.scaling_family().micro_params(level)
     run = simulate_book(params, horizon, stream_rng(seed, 0, "micro"))
+    manifest.register("micro", 1)
 
     run.events.to_csv(out / "events.csv")
     run.price_path_csv(out / "prices.csv")
@@ -117,6 +118,7 @@ def _cmd_solve_limit(cfg: RunConfig, out: Path, seed: int, level: int, threads: 
     )
     run = limit_mod.solve_paths(lp, init, horizon, dt, seed=seed,
                                 lam_checkpoint_times=[horizon])
+    manifest.register("limit", 1)
     sel = slice(None, None, max(cadence, 1))
     _float_csv(
         out / "prices.csv", ["t", "p_a", "p_b"],
@@ -170,6 +172,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int
 def _cmd_oracle_check(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
                       manifest: SeedManifest) -> dict:
     block = cfg.data["oracle"]
+    manifest.register("oracle", 1)
     if block["check"] == "cir":
         params = CIRParams(
             x0=float(block["x0"]), a=float(block.get("a", 1.0)),
@@ -269,9 +272,6 @@ def run(command: str, config, out_dir, seed=None, threads: int = 1, level: int =
     except Exception as exc:  # runtime failure: report and signal
         _write_json(out / "error.json", {"error": type(exc).__name__, "message": str(exc)})
         return 1
-    if not manifest.streams:
-        # commands that do not list their streams record one placeholder
-        manifest.register(command, 1)
     manifest.write(out / "manifest.json")
     _write_json(out / "summary.json", summary)
     return 0

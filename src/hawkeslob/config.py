@@ -171,11 +171,14 @@ def build_scaling_family(block: dict) -> ScalingFamily:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a YAML run configuration.
 
-    YAML syntax errors surface with the parser's line marks; semantic
-    errors carry the key path of the offending entry.
+    The document loads through libyaml's scanner when PyYAML was built with
+    it (``CSafeLoader``: same resolver and constructors, so the same data),
+    else through PyYAML's pure-Python ``SafeLoader``.  YAML syntax errors
+    surface with the parser's line marks; semantic errors carry the key
+    path of the offending entry.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError([("<document>", f"YAML syntax error: {exc}")]) from exc
     if not isinstance(raw, dict):

@@ -124,20 +124,29 @@ class MatrixKernel(HawkesKernel):
     """Per-label-pair time profiles: phi(dt, u, v) = profiles[u][v](dt)."""
 
     def __init__(self, profiles: Sequence[Sequence[Optional[TimeProfile]]]):
-        self.profiles = [
-            [p if p is not None else ZeroProfile() for p in row] for row in profiles
-        ]
+        zero = ZeroProfile()
+        self.profiles = [[p if p is not None else zero for p in row] for row in profiles]
         d = len(self.profiles)
         if any(len(row) != d for row in self.profiles):
             raise ValueError("kernel profile matrix must be square")
         self.d = d
+        # each profile object once, in first-seen order: the envelope and the
+        # truncation lag are maxima over entries, so repeats add nothing
+        self.distinct = list({id(p): p for row in self.profiles for p in row}.values())
+        # the one profile of each target row whose entries are all one object
+        self.row_shared = [row[0] if all(p is row[0] for p in row) else None
+                           for row in self.profiles]
 
     def eval_one(self, dt, u, v):
         return float(self.profiles[u[0]][v[0]].value(dt))
 
     def eval_events(self, dts, v_labels, v_xs, u):
-        out = np.zeros_like(dts)
+        shared = self.row_shared[u[0]]
+        if shared is not None:
+            # profiles act element by element: one call gives the per-label fill
+            return shared.value(dts)
         row = self.profiles[u[0]]
+        out = np.zeros_like(dts)
         for j in range(self.d):
             sel = v_labels == j
             if np.any(sel):
@@ -147,9 +156,8 @@ class MatrixKernel(HawkesKernel):
     def envelope(self, dt):
         dt = np.asarray(dt, dtype=float)
         env = np.zeros_like(dt)
-        for row in self.profiles:
-            for p in row:
-                env = np.maximum(env, p.envelope(dt))
+        for p in self.distinct:
+            env = np.maximum(env, p.envelope(dt))
         return env
 
     def spatial_mass_bound(self, space):
@@ -163,9 +171,8 @@ class MatrixKernel(HawkesKernel):
 
     def truncation_lag(self, eps):
         lag = 0.0
-        for row in self.profiles:
-            for p in row:
-                lag = max(lag, p.envelope_inverse(eps))
+        for p in self.distinct:
+            lag = max(lag, p.envelope_inverse(eps))
         return lag
 
 

@@ -51,6 +51,8 @@ PASSIVE_TYPES = ("a_lo", "a_cx", "b_lo", "b_cx")
 EVENT_LABELS = ("A1", "A2", "A3", "A4", "P1", "P2", "P3", "P4")
 #: tick move per active type, applied to (ask, bid)
 _PRICE_MOVES = {"a_mo": (1, 0), "a_sp": (-1, 0), "b_mo": (0, -1), "b_sp": (0, 1)}
+#: initial length of the event-history arrays of table-kernel scans
+_HISTORY_CAPACITY = 64
 
 
 class NonCrossingError(RuntimeError):
@@ -548,6 +550,7 @@ class _CompiledBook:
         decay: dict = {}  # kappa -> ([exponential states], [gamma states])
         self.gammas: list = []  # (state, kappa * e)
         self.scans: list = []  # (state, history, profile, memory)
+        memories: dict = {}  # table shape key -> truncation lag
         by_source: dict = {}  # (label, in-profile) -> ([states], [histories])
 
         def entry(label: int, in_prof, prof: TimeProfile):
@@ -560,7 +563,9 @@ class _CompiledBook:
                     h = histories.setdefault((label, in_prof), len(histories))
                     if h not in hists:
                         hists.append(h)
-                    self.scans.append((i, h, prof, prof.envelope_inverse(eps)))
+                    if key not in memories:
+                        memories[key] = prof.envelope_inverse(eps)
+                    self.scans.append((i, h, prof, memories[key]))
                 else:
                     stateful.append(i)
                     if key[0] != "const":
@@ -618,6 +623,27 @@ class _CompiledBook:
             self.excite[label].append((in_prof, stateful, hists))
 
 
+class _History:
+    """Times and weights of one source's events, held in arrays that double
+    in size when full, so a scan slices them without copying."""
+
+    __slots__ = ("times", "weights", "n")
+
+    def __init__(self):
+        self.times = np.zeros(_HISTORY_CAPACITY)
+        self.weights = np.zeros(_HISTORY_CAPACITY)
+        self.n = 0
+
+    def append(self, t: float, w: float) -> None:
+        n = self.n
+        if n == self.times.size:
+            self.times = np.concatenate([self.times, np.zeros(n)])
+            self.weights = np.concatenate([self.weights, np.zeros(n)])
+        self.times[n] = t
+        self.weights[n] = w
+        self.n = n + 1
+
+
 class _Engine:
     """Book state and running kernel state of one run over a compiled book."""
 
@@ -629,7 +655,7 @@ class _Engine:
         self.t = 0.0
         self.g = [0.0] * book.n_states  # exponential sum, gamma mass, constant total
         self.b = [0.0] * book.n_states  # gamma lag-weighted sum
-        self.hist = [([], []) for _ in range(book.n_histories)]
+        self.hist = [_History() for _ in range(book.n_histories)]
         self.start = [0] * len(book.scans)
         self.factors = [f(self.state) for f in book.factors]
 
@@ -657,8 +683,7 @@ class _Engine:
             for i in stateful:
                 g[i] += w
             for h in hists:
-                self.hist[h][0].append(self.t)
-                self.hist[h][1].append(w)
+                self.hist[h].append(self.t, w)
         self.factors = [f(self.state) for f in self.book.factors]
 
     def units(self, bound: bool) -> list:
@@ -669,14 +694,14 @@ class _Engine:
             u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
         t = self.t
         for j, (i, h, prof, memory) in enumerate(self.book.scans):
-            times, weights = self.hist[h]
-            start = self.start[j]
-            while start < len(times) and t - times[start] > memory:
+            hist = self.hist[h]
+            times, n, start = hist.times, hist.n, self.start[j]
+            while start < n and t - times[start] > memory:
                 start += 1
             self.start[j] = start
-            lags = t - np.asarray(times[start:])
+            lags = t - times[start:n]
             shape = prof.envelope(lags) if bound else prof.value(lags)
-            u[i] = float(np.asarray(weights[start:]) @ shape) if lags.size else 0.0
+            u[i] = float(hist.weights[start:n] @ shape) if lags.size else 0.0
         return u
 
     def active(self, u: list, bound: bool) -> list:

@@ -11,11 +11,15 @@ from hawkeslob.rng import SeedManifest
 from test_config import MINIMAL_MICRO
 
 
-@pytest.fixture
-def micro_config(tmp_path):
+def _micro_config(tmp_path):
     path = tmp_path / "micro.yaml"
     path.write_text(MINIMAL_MICRO)
     return path
+
+
+@pytest.fixture
+def micro_config(tmp_path):
+    return _micro_config(tmp_path)
 
 
 def _limit_config(tmp_path, n_paths=2):
@@ -227,3 +231,35 @@ def test_converge_manifest_lists_the_streams_it_drew(tmp_path):
         {"role": "micro", "replicates": 100},
         {"role": "harness", "replicates": 1},
     ]
+
+
+def _oracle_config(tmp_path):
+    path = tmp_path / "cir.yaml"
+    path.write_text(
+        "schema_version: 1\nmodel: oracle\nseed: 5\n"
+        "oracle: {check: cir, x0: 0.5, a: 1.0, b: 0.0, c: 1.0, horizon: 0.1, dt: 0.005, paths: 50}\n"
+    )
+    return path
+
+
+def _resolvent_config(tmp_path):
+    path = tmp_path / "res.yaml"
+    path.write_text(
+        "schema_version: 1\nmodel: resolvent\nseed: 1\n"
+        "resolvent: {family: exponential, c: 0.5, kappa: 1.0, horizon: 0.1, dt: 0.01}\n"
+    )
+    return path
+
+
+@pytest.mark.parametrize("command, make_config, streams", [
+    ("simulate-micro", _micro_config, [{"role": "micro", "replicates": 1}]),
+    ("solve-limit", _limit_config, [{"role": "limit", "replicates": 1}]),
+    ("oracle-check", _oracle_config, [{"role": "oracle", "replicates": 1}]),
+    ("resolvent", _resolvent_config, []),  # deterministic: draws nothing
+])
+def test_manifest_lists_the_streams_it_drew(tmp_path, command, make_config, streams):
+    out = tmp_path / "out"
+    assert run(command, make_config(tmp_path), out, seed=3) == 0
+    man = SeedManifest.read(out / "manifest.json")
+    assert man.command == command and man.master_seed == 3
+    assert man.streams == streams

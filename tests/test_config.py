@@ -1,5 +1,6 @@
 import textwrap
 
+import numpy as np
 import pytest
 import yaml
 
@@ -112,7 +113,54 @@ def test_error_paths_accumulate():
 def test_yaml_syntax_error_reported_with_location():
     with pytest.raises(ConfigError) as exc:
         parse_config("model: [unclosed")
-    assert "YAML syntax error" in exc.value.errors[0][1]
+    message = exc.value.errors[0][1]
+    assert "YAML syntax error" in message
+    assert "line 1, column 8" in message  # where the unclosed sequence opens
+
+
+def _table_kernel_config() -> str:
+    """MINIMAL_MICRO with a 41-sample table kernel on every active pair."""
+    ts = np.linspace(0.0, 4.0, 41)
+    vals = 0.2 * np.exp(-ts) * (1.0 - ts / 4.0)
+    vals[-1] = 0.0
+    table = {"family": "table", "ts": ts.tolist(), "values": vals.tolist(),
+             "envelope": vals.tolist()}
+    doc = yaml.safe_load(MINIMAL_MICRO)
+    doc["scaling"]["kernels"]["act_from_act"] = [
+        {"target": tgt, "source": src, "time": table}
+        for tgt in "ab" for src in ("a_mo", "a_sp", "b_mo", "b_sp")
+    ]
+    return yaml.safe_dump(doc)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_loads_through_libyaml_when_present(monkeypatch):
+    used = []
+
+    class Recording(yaml.CSafeLoader):
+        def __init__(self, stream):
+            used.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(yaml, "CSafeLoader", Recording)
+    parse_config(MINIMAL_MICRO)
+    assert used == [MINIMAL_MICRO]
+
+
+@pytest.mark.parametrize("make_text", [lambda: MINIMAL_MICRO, _table_kernel_config])
+def test_libyaml_and_pure_python_loaders_agree(monkeypatch, make_text):
+    text = make_text()
+    fast = parse_config(text)
+    assert fast.data == yaml.load(text, Loader=yaml.SafeLoader)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)  # PyYAML without libyaml
+    slow = parse_config(text)
+    assert fast == slow
+    assert fast.serialize() == slow.serialize()
+
+
+def test_pure_python_loader_reports_location(monkeypatch):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    test_yaml_syntax_error_reported_with_location()
 
 
 def test_schema_version_enforced():

@@ -19,6 +19,8 @@ from hawkeslob.hawkes import (
 )
 from hawkeslob.rng import stream_rng
 
+from test_micro import tapered_table
+
 
 def scalar_spec(mu=1.0, c=0.5, kappa=1.0):
     space = MarkSpace(labels=("e",))
@@ -155,6 +157,63 @@ class TestThinning:
         spec = scalar_spec(mu=mu0, c=amp, kappa=200.0)
         counts = [len(simulate_thinning(spec, horizon, stream_rng(62, r))) for r in range(n_rep)]
         assert stats.ks_2samp(counts, poisson_counts).pvalue > 0.01
+
+
+class TestKernelDeduplication:
+    """``MatrixKernel`` visits each distinct profile object once; its results
+    must equal the per-pair loops over the full matrix."""
+
+    @staticmethod
+    def mixed_matrix():
+        shared = tapered_table(0.1, 1.0)
+        return [
+            [shared, tapered_table(0.1, 1.0), ExponentialProfile(0.1, 2.0), None],
+            [shared, shared, None, tapered_table(0.05, 0.5)],
+            [shared, shared, shared, shared],
+            [None, None, None, None],
+        ]
+
+    def test_matches_per_pair_loops(self):
+        matrix = self.mixed_matrix()
+        kern = MatrixKernel(matrix)
+        # shared table, its equal-content copy, exponential, zero, second table
+        assert len(kern.distinct) == 5
+        rng = np.random.default_rng(3)
+        dts = np.sort(rng.uniform(0.0, 6.0, 200))  # runs past the table end
+        labels = rng.integers(0, 4, dts.size)
+
+        env = np.zeros_like(dts)
+        for row in matrix:
+            for p in row:
+                if p is not None:
+                    env = np.maximum(env, p.envelope(dts))
+        assert np.array_equal(kern.envelope(dts), env)
+
+        for u, row in enumerate(matrix):
+            ref = np.zeros_like(dts)
+            for j, p in enumerate(row):
+                sel = labels == j
+                if p is not None and np.any(sel):
+                    ref[sel] = p.value(dts[sel])
+            assert np.array_equal(kern.eval_events(dts, labels, None, (u, None)), ref)
+
+        for eps in (1e-12, 1e-3):
+            lag = max(p.envelope_inverse(eps) if p is not None else 0.0
+                      for row in matrix for p in row)
+            assert kern.truncation_lag(eps) == lag
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_shared_and_copied_tables_give_identical_streams(self, seed):
+        shared = tapered_table(0.15, 1.0)
+        one = make_multivariate(4, 1.0, [[shared] * 4 for _ in range(4)])
+        many = make_multivariate(
+            4, 1.0, [[tapered_table(0.15, 1.0) for _ in range(4)] for _ in range(4)])
+        assert len(one.kernel.distinct) == 1 and len(many.kernel.distinct) == 16
+        a = simulate_thinning(one, 30.0, seed)
+        b = simulate_thinning(many, 30.0, seed)
+        assert len(a) > 50
+        for name in ("times", "labels", "xs", "zs"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
 class TestCompensatedIntegral:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -543,6 +544,71 @@ class TestCompiledEngine:
         for t, ask, bid in seen:
             n = int(np.searchsorted(run.events.times, t, side="right"))
             assert (ask, bid) == (run.ask_ticks[n], run.bid_ticks[n])
+
+
+class ListHistoryEngine(micro._Engine):
+    """The engine with table histories kept in Python lists and copied into
+    arrays at every scan: the reference for the array-backed histories."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.hist = [([], []) for _ in range(self.book.n_histories)]
+
+    def fire(self, label, distance, size):
+        micro._apply_event(self.state, label, distance, size, self.book.p.delta_v)
+        g = self.g
+        for in_prof, stateful, hists in self.book.excite[label]:
+            w = 1.0 if in_prof is None else float(in_prof.value(distance))
+            for i in stateful:
+                g[i] += w
+            for h in hists:
+                self.hist[h][0].append(self.t)
+                self.hist[h][1].append(w)
+        self.factors = [f(self.state) for f in self.book.factors]
+
+    def units(self, bound):
+        u = self.g.copy()
+        for i, ke in self.book.gammas:
+            u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
+        t = self.t
+        for j, (i, h, prof, memory) in enumerate(self.book.scans):
+            times, weights = self.hist[h]
+            start = self.start[j]
+            while start < len(times) and t - times[start] > memory:
+                start += 1
+            self.start[j] = start
+            lags = t - np.asarray(times[start:])
+            shape = prof.envelope(lags) if bound else prof.value(lags)
+            u[i] = float(np.asarray(weights[start:]) @ shape) if lags.size else 0.0
+        return u
+
+
+class TestArrayHistory:
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_matches_list_history(self, monkeypatch, seed):
+        g = GaussianProfile(1.0)
+        fam = make_family(
+            act_from_act={(tgt, src): tapered_table(0.2, 1.0)
+                          for tgt in "ab" for src in ACTIVE_TYPES},
+            pas_from_pas={("b_cx", "b_lo"): (g, GaussianProfile(0.8, 0.3, 1.2),
+                                             tapered_table(0.3, 1.0))},
+        )
+        # a small first capacity makes every scanned history double several times
+        monkeypatch.setattr(micro, "_HISTORY_CAPACITY", 4)
+        run = simulate_book(fam.micro_params(2), 0.5, stream_rng(seed, 0, "micro"))
+        counts = np.bincount(run.events.labels.astype(int), minlength=8)
+        assert min(counts[[0, 1, 2, 3, EVENT_LABELS.index("P3")]]) > 4 * 2
+        monkeypatch.setattr(micro, "_Engine", ListHistoryEngine)
+        ref = simulate_book(fam.micro_params(2), 0.5, stream_rng(seed, 0, "micro"))
+        for name in ("times", "labels", "xs", "zs"):
+            assert np.array_equal(getattr(run.events, name), getattr(ref.events, name),
+                                  equal_nan=True)
+        assert np.array_equal(run.ask_ticks, ref.ask_ticks)
+        assert np.array_equal(run.bid_ticks, ref.bid_ticks)
+        assert (run.candidates, run.accepted) == (ref.candidates, ref.accepted)
+        for f in dataclasses.fields(micro.MicroDiagnostics):
+            assert np.array_equal(getattr(run.diagnostics, f.name),
+                                  getattr(ref.diagnostics, f.name)), f.name
 
 
 class TestTableLimit:
