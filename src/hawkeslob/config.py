@@ -15,7 +15,6 @@ import yaml
 
 from . import limit as limit_mod
 from .families import (
-    GaussianProfile,
     spatial_profile_from_params,
     time_profile_from_params,
 )

@@ -5,7 +5,8 @@ event; spatial profiles describe where passive order flow lands relative to
 the best price.  Each family carries the bounds the thinning simulator
 needs: a non-increasing envelope dominating all future values for time
 profiles, and finite masses plus an exact tick-level sampler for spatial
-profiles.
+profiles.  ``KernelBank`` keeps the running kernel sums over past events
+that both event simulators, ``hawkes`` and ``micro``, drive.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ from scipy.special import erf
 
 class TimeProfile:
     """Scalar lag kernel h(t) on t >= 0."""
-
-    #: set by families that support O(1) decay-state accumulation
-    has_state = False
 
     def value(self, t):
         raise NotImplementedError
@@ -56,42 +54,16 @@ class TimeProfile:
                 hi = mid
         return hi
 
-    def new_state(self) -> "DecayState":
-        raise NotImplementedError(f"{type(self).__name__} has no O(1) state")
-
     def params(self) -> dict:
         raise NotImplementedError
 
 
-class DecayState:
-    """Running sum  S(t) = sum_e w_e h(t - s_e)  updated in O(1) per event."""
-
-    def advance(self, dt: float) -> None:
-        raise NotImplementedError
-
-    def add(self, weight: float) -> None:
-        """Register an event happening now with the given mark weight."""
-        raise NotImplementedError
-
-    def value(self) -> float:
-        raise NotImplementedError
-
-    def bound(self) -> float:
-        """Upper bound on value() at any future time with no new events."""
-        raise NotImplementedError
-
-
 class ZeroProfile(TimeProfile):
-    has_state = True
-
     def value(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def envelope(self, t):
         return np.zeros_like(np.asarray(t, dtype=float))
-
-    def new_state(self):
-        return _ZeroState()
 
     def params(self):
         return {"family": "zero"}
@@ -100,24 +72,8 @@ class ZeroProfile(TimeProfile):
         return "ZeroProfile()"
 
 
-class _ZeroState(DecayState):
-    def advance(self, dt):
-        pass
-
-    def add(self, weight):
-        pass
-
-    def value(self):
-        return 0.0
-
-    def bound(self):
-        return 0.0
-
-
 class ConstantProfile(TimeProfile):
     """h(t) = c.  Bounded spatial mass per lag, infinite L1 in time."""
-
-    has_state = True
 
     def __init__(self, c: float):
         if c < 0:
@@ -130,9 +86,6 @@ class ConstantProfile(TimeProfile):
     def envelope(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.c)
 
-    def new_state(self):
-        return _ConstantState(self.c)
-
     def params(self):
         return {"family": "constant", "c": self.c}
 
@@ -140,28 +93,8 @@ class ConstantProfile(TimeProfile):
         return f"ConstantProfile(c={self.c})"
 
 
-class _ConstantState(DecayState):
-    def __init__(self, c):
-        self.c = c
-        self.total = 0.0
-
-    def advance(self, dt):
-        pass
-
-    def add(self, weight):
-        self.total += weight
-
-    def value(self):
-        return self.c * self.total
-
-    def bound(self):
-        return self.c * self.total
-
-
 class ExponentialProfile(TimeProfile):
     """h(t) = c * exp(-kappa * t)."""
-
-    has_state = True
 
     def __init__(self, c: float, kappa: float):
         if c < 0 or kappa <= 0:
@@ -180,9 +113,6 @@ class ExponentialProfile(TimeProfile):
             return 0.0 if self.c == 0.0 else math.inf
         return max(0.0, math.log(self.c / eps) / self.kappa)
 
-    def new_state(self):
-        return _ExponentialState(self.c, self.kappa)
-
     def params(self):
         return {"family": "exponential", "c": self.c, "kappa": self.kappa}
 
@@ -190,29 +120,8 @@ class ExponentialProfile(TimeProfile):
         return f"ExponentialProfile(c={self.c}, kappa={self.kappa})"
 
 
-class _ExponentialState(DecayState):
-    def __init__(self, c, kappa):
-        self.c = c
-        self.kappa = kappa
-        self.g = 0.0
-
-    def advance(self, dt):
-        self.g *= math.exp(-self.kappa * dt)
-
-    def add(self, weight):
-        self.g += weight
-
-    def value(self):
-        return self.c * self.g
-
-    def bound(self):
-        return self.c * self.g
-
-
 class GammaProfile(TimeProfile):
     """h(t) = c * t * exp(-kappa * t); rises to c/(kappa e) at t = 1/kappa."""
-
-    has_state = True
 
     def __init__(self, c: float, kappa: float):
         if c < 0 or kappa <= 0:
@@ -229,9 +138,6 @@ class GammaProfile(TimeProfile):
         peak = self.c / (self.kappa * math.e)
         return np.where(t <= 1.0 / self.kappa, peak, self.value(t))
 
-    def new_state(self):
-        return _GammaState(self.c, self.kappa)
-
     def params(self):
         return {"family": "gamma", "c": self.c, "kappa": self.kappa}
 
@@ -239,34 +145,8 @@ class GammaProfile(TimeProfile):
         return f"GammaProfile(c={self.c}, kappa={self.kappa})"
 
 
-class _GammaState(DecayState):
-    # a = sum w e^{-k dt}, b = sum w (t - s) e^{-k (t-s)}
-    def __init__(self, c, kappa):
-        self.c = c
-        self.kappa = kappa
-        self.a = 0.0
-        self.b = 0.0
-
-    def advance(self, dt):
-        decay = math.exp(-self.kappa * dt)
-        self.b = (self.b + self.a * dt) * decay
-        self.a *= decay
-
-    def add(self, weight):
-        self.a += weight
-
-    def value(self):
-        return self.c * self.b
-
-    def bound(self):
-        # b(t+d) = (b + a d) e^{-k d} <= b + a/(k e)
-        return self.c * (self.b + self.a / (self.kappa * math.e))
-
-
 class TableProfile(TimeProfile):
     """Piecewise-linear profile from sampled values; envelope is mandatory."""
-
-    has_state = False
 
     def __init__(self, ts, values, envelope_values):
         self.ts = np.asarray(ts, dtype=float)
@@ -507,3 +387,169 @@ def spatial_profile_from_params(params: dict) -> SpatialProfile:
     if fam not in _SPATIAL_FAMILIES:
         raise ValueError(f"unknown spatial profile family {fam!r}")
     return _SPATIAL_FAMILIES[fam](params)
+
+
+# ---------------------------------------------------------------------------
+# running kernel sums
+# ---------------------------------------------------------------------------
+
+#: initial length of the event-history arrays of scanned kernels
+_HISTORY_CAPACITY = 64
+
+#: families whose kernel sums follow an exact recursion, matched by exact
+#: type: a subclass may override ``value`` and is scanned through it
+RECURSIVE_FAMILIES = (ZeroProfile, ConstantProfile, ExponentialProfile, GammaProfile)
+
+
+def _shape(profile: TimeProfile):
+    """Shape key and amplitude of one time profile.
+
+    Entries of one source whose profiles share a shape key share a running
+    state: the amplitude is applied per entry.  Profiles without a recursive
+    form are summed over their windowed history, keyed by table content.
+    """
+    kind = type(profile)
+    if kind is ExponentialProfile:
+        return ("exp", profile.kappa), profile.c
+    if kind is GammaProfile:
+        return ("gamma", profile.kappa), profile.c
+    if kind is ConstantProfile:
+        return ("const",), profile.c
+    if kind is ZeroProfile:
+        return ("const",), 0.0
+    if kind is TableProfile:
+        return ("scan", profile.ts.tobytes(), profile.vals.tobytes(), profile.env.tobytes()), 1.0
+    return ("scan", profile), 1.0
+
+
+class EventHistory:
+    """Columns of past events, held in arrays that double in size when full,
+    so a scan slices them without copying."""
+
+    __slots__ = ("cols", "n")
+
+    def __init__(self, *dtypes):
+        self.cols = [np.zeros(_HISTORY_CAPACITY, dtype=d) for d in dtypes]
+        self.n = 0
+
+    def append(self, *values) -> None:
+        n = self.n
+        if n == self.cols[0].size:
+            self.cols = [np.concatenate([c, np.zeros(n, dtype=c.dtype)]) for c in self.cols]
+        for c, v in zip(self.cols, values):
+            c[n] = v
+        self.n = n + 1
+
+
+class KernelBank:
+    """Kernel entries compiled into shared running sums over past events,
+    S(t) = sum_e w_e h(t - s_e), for the thinning and book simulators.
+
+    Running state is keyed by source, in-profile and decay shape, not by
+    (target, source) entry: one state per source and decay rate, advanced
+    with one ``math.exp`` per rate, with the entry's amplitude applied to the
+    unit-amplitude sum.  Table kernels keep one windowed history scan per
+    source and table, dropping events older than the lag where the envelope
+    falls below ``eps``.  Floating-point operations keep the order of the
+    per-entry sums, so results are byte-identical to them; the state stays
+    scalar because vectorised ``np.exp`` rounds differently from
+    ``math.exp`` on some inputs.
+
+    ``entry`` registers one kernel entry; ``KernelSums`` holds the state of
+    one run over the bank.
+    """
+
+    def __init__(self, eps: float):
+        self.eps = eps
+        self.states: dict = {}  # (source, in-profile, shape key) -> state
+        self.histories: dict = {}  # (source, in-profile) -> history
+        self.decay: dict = {}  # kappa -> ([exponential states], [gamma states])
+        self.gammas: list = []  # (state, kappa * e)
+        self.scans: list = []  # (state, history, profile, memory)
+        self.excite: dict = {}  # source -> in-profile -> ([states], [histories])
+        self._memories: dict = {}  # table shape key -> truncation lag
+
+    def entry(self, source: int, in_prof, prof: TimeProfile) -> tuple[int, float]:
+        """State and amplitude of kernel ``prof`` on the events of ``source``,
+        weighted by ``in_prof`` at their distance when one is given."""
+        key, amp = _shape(prof)
+        i = self.states.get((source, in_prof, key))
+        if i is not None:
+            return i, amp
+        i = self.states[(source, in_prof, key)] = len(self.states)
+        stateful, hists = self.excite.setdefault(source, {}).setdefault(in_prof, ([], []))
+        if key[0] == "scan":
+            h = self.histories.setdefault((source, in_prof), len(self.histories))
+            if h not in hists:
+                hists.append(h)
+            if key not in self._memories:
+                self._memories[key] = prof.envelope_inverse(self.eps)
+            self.scans.append((i, h, prof, self._memories[key]))
+        else:
+            stateful.append(i)
+            if key[0] != "const":
+                exps, gams = self.decay.setdefault(prof.kappa, ([], []))
+                (exps if key[0] == "exp" else gams).append(i)
+            if key[0] == "gamma":
+                self.gammas.append((i, prof.kappa * math.e))
+        return i, amp
+
+
+class KernelSums:
+    """The running sums of one run over a ``KernelBank``, at time ``t``."""
+
+    __slots__ = ("bank", "t", "g", "b", "hist", "start")
+
+    def __init__(self, bank: KernelBank):
+        self.bank = bank
+        self.t = 0.0
+        self.g = [0.0] * len(bank.states)  # exponential sum, gamma mass, constant total
+        self.b = [0.0] * len(bank.states)  # gamma lag-weighted sum
+        self.hist = [EventHistory(float, float) for _ in bank.histories]  # times, weights
+        self.start = [0] * len(bank.scans)  # first event inside each scan's window
+
+    def advance(self, t: float, dt: float) -> None:
+        """Decay every state to time ``t``, ``dt`` after the current time.
+
+        The caller passes ``dt`` because ``(s + dt) - s`` differs from ``dt``
+        in the last bit for most floats: thinning decays by the gap it drew.
+        """
+        g, b = self.g, self.b
+        for kappa, (exps, gams) in self.bank.decay.items():
+            decay = math.exp(-kappa * dt)
+            for i in exps:
+                g[i] *= decay
+            for i in gams:
+                b[i] = (b[i] + g[i] * dt) * decay
+                g[i] *= decay
+        self.t = t
+
+    def fire(self, source: int, distance: float = math.nan) -> None:
+        """Feed an event of ``source`` at distance ``distance``, happening now,
+        into every state it sources."""
+        g = self.g
+        for in_prof, (stateful, hists) in self.bank.excite.get(source, {}).items():
+            w = 1.0 if in_prof is None else float(in_prof.value(distance))
+            for i in stateful:
+                g[i] += w
+            for h in hists:
+                self.hist[h].append(self.t, w)
+
+    def units(self, bound: bool) -> list:
+        """Per-state kernel sums at unit amplitude: values, or bounds on
+        every future value while no event arrives."""
+        u = self.g.copy()
+        for i, ke in self.bank.gammas:
+            # b(t + d) = (b + g d) e^{-k d} <= b + g / (k e)
+            u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
+        t = self.t
+        for j, (i, h, prof, memory) in enumerate(self.bank.scans):
+            hist = self.hist[h]
+            (times, weights), n, start = hist.cols, hist.n, self.start[j]
+            while start < n and t - times[start] > memory:
+                start += 1
+            self.start[j] = start
+            lags = t - times[start:n]
+            shape = prof.envelope(lags) if bound else prof.value(lags)
+            u[i] = float(weights[start:n] @ shape) if lags.size else 0.0
+        return u

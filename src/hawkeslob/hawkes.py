@@ -5,7 +5,9 @@ distance interval.  The intensity of the point measure is an exogenous
 density plus a kernel-weighted sum over its own past points; simulation
 accepts candidates of a dominating Poisson sheet below the running
 intensity, with the dominating rate rebuilt from user-declared kernel
-envelopes at every candidate.
+envelopes at every candidate.  Kernels of the recursive families keep their
+running sums in a ``families.KernelBank``; others are summed over the
+windowed event history.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .families import TimeProfile, ZeroProfile
+from .families import (
+    RECURSIVE_FAMILIES,
+    EventHistory,
+    KernelBank,
+    KernelSums,
+    TimeProfile,
+    ZeroProfile,
+)
 from .rng import as_rng
 
 
@@ -101,9 +110,6 @@ class Exogenous:
 class HawkesKernel:
     """Excitation kernel phi(dt, u, v) of a past event at mark v on mark u."""
 
-    def eval_one(self, dt: float, u, v) -> float:
-        raise NotImplementedError
-
     def eval_events(self, dts: np.ndarray, v_labels: np.ndarray, v_xs, u) -> np.ndarray:
         """Vectorized over past events for a fixed target mark u."""
         raise NotImplementedError
@@ -136,9 +142,6 @@ class MatrixKernel(HawkesKernel):
         # the one profile of each target row whose entries are all one object
         self.row_shared = [row[0] if all(p is row[0] for p in row) else None
                            for row in self.profiles]
-
-    def eval_one(self, dt, u, v):
-        return float(self.profiles[u[0]][v[0]].value(dt))
 
     def eval_events(self, dts, v_labels, v_xs, u):
         shared = self.row_shared[u[0]]
@@ -288,37 +291,6 @@ def intensity_at(spec: HawkesSpec, history: EventStream, t: float, u) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _MatrixKernelState:
-    """O(1) running excitation per label pair for stateful profile families."""
-
-    def __init__(self, kernel: MatrixKernel):
-        self.states = [[p.new_state() for p in row] for row in kernel.profiles]
-        self.d = kernel.d
-
-    @staticmethod
-    def supports(kernel: HawkesKernel) -> bool:
-        # exact class only: subclasses may override eval or envelope, and
-        # those declarations must keep flowing through the generic path
-        return type(kernel) is MatrixKernel and all(
-            p.has_state for row in kernel.profiles for p in row
-        )
-
-    def advance(self, dt: float) -> None:
-        for row in self.states:
-            for s in row:
-                s.advance(dt)
-
-    def add(self, label: int) -> None:
-        for row in self.states:
-            row[label].add(1.0)
-
-    def bound(self) -> float:
-        return max(sum(s.bound() for s in row) for row in self.states)
-
-    def value(self, label: int) -> float:
-        return sum(s.value() for s in self.states[label])
-
-
 def simulate_thinning(
     spec: HawkesSpec,
     horizon: float,
@@ -333,17 +305,27 @@ def simulate_thinning(
     left endpoint of every segment; each candidate carries a uniform height
     and survives when the height falls below the realized intensity.
 
-    Label-pair kernels from the stateful profile families use running
-    excitation sums; other kernels scan the event history, dropping
-    contributions older than the lag where the envelope falls below
-    ``eps_trunc`` (default 1e-12 * c0).
+    A ``MatrixKernel`` whose profiles all belong to the recursive families,
+    both matched by exact type, keeps its sums in a ``families.KernelBank``,
+    one running state per source label and decay shape; other kernels scan
+    the event history, dropping contributions older than the lag where the
+    envelope falls below ``eps_trunc`` (default 1e-12 * c0).
     """
     rng = as_rng(rng_seed, "hawkes")
     space = spec.mark_space
+    kernel = spec.kernel
     if eps_trunc is None:
         eps_trunc = 1e-12 * max(spec.c0, 1.0)
-    fast = _MatrixKernelState(spec.kernel) if _MatrixKernelState.supports(spec.kernel) else None
-    t_mem = spec.kernel.truncation_lag(eps_trunc) if fast is None else math.inf
+    sums = None
+    # exact class only: subclasses may override eval or envelope, and those
+    # declarations must keep flowing through the generic path
+    if type(kernel) is MatrixKernel and all(
+        type(p) in RECURSIVE_FAMILIES for row in kernel.profiles for p in row
+    ):
+        bank = KernelBank(eps_trunc)
+        rows = [[bank.entry(v, None, p) for v, p in enumerate(row)] for row in kernel.profiles]
+        sums = KernelSums(bank)
+    t_mem = kernel.truncation_lag(eps_trunc) if sums is None else math.inf
 
     weights = np.asarray(space.weights, dtype=float)
     label_cdf = (np.cumsum(weights) / weights.sum()).tolist()
@@ -351,20 +333,19 @@ def simulate_thinning(
     exo_sup = spec.exogenous.sup
     half_width = space.spatial_half_width
 
-    times: list[float] = []
-    labels: list[int] = []
-    xs: list[float] = []
-
+    hist = EventHistory(float, np.int64, float)  # times, labels, distances
     t = 0.0
     start = 0  # first event still inside the truncation window
     while True:
-        if len(times) >= max_events:
+        n = hist.n
+        if n >= max_events:
             raise RuntimeError("event budget exceeded; check kernel stability")
-        if fast is not None:
-            majorant = exo_sup + fast.bound()
-        elif start < len(times):
-            env = spec.kernel.envelope(t - np.asarray(times[start:]))
-            majorant = exo_sup + float(np.sum(env))
+        times, labels, xs = hist.cols
+        if sums is not None:
+            u = sums.units(True)
+            majorant = exo_sup + max(sum(amp * u[i] for i, amp in row) for row in rows)
+        elif start < n:
+            majorant = exo_sup + float(np.sum(kernel.envelope(t - times[start:n])))
         else:
             majorant = exo_sup
         if majorant <= 0.0:
@@ -373,10 +354,10 @@ def simulate_thinning(
         if t + dt > horizon:
             break
         t = t + dt
-        if fast is not None:
-            fast.advance(dt)
+        if sums is not None:
+            sums.advance(t, dt)
         else:
-            while start < len(times) and t - times[start] > t_mem:
+            while start < n and t - times[start] > t_mem:
                 start += 1
         u01 = rng.random()
         label = 0
@@ -387,28 +368,25 @@ def simulate_thinning(
             x = float(rng.uniform(-half_width, half_width))
         z = rng.random() * majorant
         lam = spec.exogenous(t, label, x)
-        if fast is not None:
-            lam += fast.value(label)
-        elif start < len(times):
-            dts = t - np.asarray(times[start:])
-            lam += float(np.sum(spec.kernel.eval_events(
-                dts, np.asarray(labels[start:]), xs[start:], (label, x))))
+        if sums is not None:
+            u = sums.units(False)
+            lam += sum(amp * u[i] for i, amp in rows[label])
+        elif start < n:
+            lam += float(np.sum(kernel.eval_events(
+                t - times[start:n], labels[start:n], xs[start:n], (label, x))))
         if lam > majorant * (1.0 + 1e-9):
             raise MajorantViolationError(
                 f"intensity {lam} exceeded majorant {majorant} at t={t}; "
                 "the declared kernel envelope is invalid"
             )
         if z <= lam:
-            times.append(t)
-            labels.append(label)
-            xs.append(x if x is not None else math.nan)
-            if fast is not None:
-                fast.add(label)
+            hist.append(t, label, x if x is not None else math.nan)
+            if sums is not None:
+                sums.fire(label)
 
-    return EventStream(
-        np.asarray(times), np.asarray(labels, dtype=np.int64), np.asarray(xs),
-        np.full(len(times), math.nan), horizon, space.labels,
-    )
+    n = hist.n
+    times, labels, xs = (col[:n].copy() for col in hist.cols)
+    return EventStream(times, labels, xs, np.full(n, math.nan), horizon, space.labels)
 
 
 # ---------------------------------------------------------------------------

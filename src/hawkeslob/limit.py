@@ -27,7 +27,6 @@ from .rng import as_rng, stream_rng
 from .volterra import (
     BlockKernelOp,
     ExogenousField,
-    FieldLayout,
     NumericalFailureError,
     SpatialGrid,
     grid_to_grid,
@@ -189,9 +188,6 @@ class LimitRun:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
-    def terminal_state(self) -> LimitState:
-        return LimitState(self.p_a[-1], self.p_b[-1], self.v_x, self.v_a, self.v_b)
-
     def v_inner(self, fn: Callable, side: str = "a") -> np.ndarray:
         """Terminal volume inner products <V_I(T), f> per path."""
         w = _trapz_weights(self.v_x)
@@ -248,6 +244,9 @@ class _TrapezoidConv:
     For the exponential, constant and gamma profile families the sum obeys
     an exact one-step recursion, so the per-step cost is O(paths) instead
     of O(steps * paths); other profiles fall back to the full dot product.
+    It is not a ``families.KernelBank``: it is a trapezoid quadrature over
+    a path ensemble on a time grid, with a half-weighted first node, not a
+    sum over events.
     """
 
     def __init__(self, profile: TimeProfile, dt: float, n_paths: int):
@@ -401,7 +400,6 @@ class LimitEngine:
         M, R = self.n_steps, self.R
         self.q = np.zeros((M + 1, 2, R))
         self.ell = np.zeros((M + 1, len(self.inprods), R))
-        self.conv = np.zeros((len(self.entries), R))  # current-time values
         self.mu = np.zeros((M + 1, 2, R))
         self.beta_arr = np.zeros((M + 1, 2, R))
         self.P_a = np.zeros((M + 1, R))

@@ -11,15 +11,10 @@ Prices are held as integer tick indices so one-tick moves and the
 non-crossing invariant are exact; volume densities are held in absolute
 tick coordinates so price moves never shift the profile arrays.
 
-The first ``simulate_book`` call on a ``MicroParams`` compiles it into a
-kernel engine cached on that instance, shared by all replicates of a level.
-Running kernel state is keyed by source type, in-profile and decay shape,
-not by (target, source) entry: one state per source and decay rate,
-advanced with one ``math.exp`` per rate; table kernels keep one windowed
-history scan per source and table.  Random draws and floating-point
-operations keep the order of the per-entry sums, so results are
-byte-identical to them; the engine stays scalar because vectorised
-``np.exp`` rounds differently from ``math.exp`` on some inputs.
+The first ``simulate_book`` call on a ``MicroParams`` compiles it into
+index tables cached on that instance, shared by all replicates of a level.
+Its kernel entries go into a ``families.KernelBank``, which keeps the
+running kernel sums, the same bank ``hawkes.simulate_thinning`` drives.
 """
 
 from __future__ import annotations
@@ -33,11 +28,9 @@ import numpy as np
 
 from . import limit as limit_mod
 from .families import (
-    ConstantProfile,
-    ExponentialProfile,
-    GammaProfile,
+    KernelBank,
+    KernelSums,
     SpatialProfile,
-    TableProfile,
     TimeProfile,
     ZeroProfile,
     combine_amplitudes,
@@ -51,8 +44,6 @@ PASSIVE_TYPES = ("a_lo", "a_cx", "b_lo", "b_cx")
 EVENT_LABELS = ("A1", "A2", "A3", "A4", "P1", "P2", "P3", "P4")
 #: tick move per active type, applied to (ask, bid)
 _PRICE_MOVES = {"a_mo": (1, 0), "a_sp": (-1, 0), "b_mo": (0, -1), "b_sp": (0, 1)}
-#: initial length of the event-history arrays of table-kernel scans
-_HISTORY_CAPACITY = 64
 
 
 class NonCrossingError(RuntimeError):
@@ -494,26 +485,6 @@ class MicroRun:
 # ---------------------------------------------------------------------------
 
 
-def _shape(profile: TimeProfile):
-    """Shape key and amplitude of one time profile.
-
-    Entries of one source whose profiles share a shape key share a running
-    state: the amplitude is applied per entry.  Profiles without a recursive
-    form are summed over their windowed history, keyed by table content.
-    """
-    if isinstance(profile, ExponentialProfile):
-        return ("exp", profile.kappa), profile.c
-    if isinstance(profile, GammaProfile):
-        return ("gamma", profile.kappa), profile.c
-    if isinstance(profile, ConstantProfile):
-        return ("const",), profile.c
-    if isinstance(profile, ZeroProfile):
-        return ("const",), 0.0
-    if isinstance(profile, TableProfile):
-        return ("scan", profile.ts.tobytes(), profile.vals.tobytes(), profile.env.tobytes()), 1.0
-    return ("scan", profile), 1.0
-
-
 class _PassiveRow:
     """Mass terms of one passive type: the exogenous term, then one per
     passive-target kernel entry ``(state, amplitude, mass factor, grid
@@ -532,9 +503,9 @@ class _PassiveRow:
 class _CompiledBook:
     """One ``MicroParams`` compiled into kernel index tables and level constants.
 
-    Kernel states are numbered by (source type, in-profile, shape).  Each
-    active row lists ``(state, amplitude)`` for its active then its passive
-    sources, in the order the intensity sums run.
+    Its kernel entries are registered in one ``KernelBank``, and each
+    active row lists their ``(state, amplitude)`` for its active then its
+    passive sources, in the order the intensity sums run.
     """
 
     def __init__(self, p: MicroParams):
@@ -545,35 +516,8 @@ class _CompiledBook:
         eps = p.eps_trunc_factor * max(
             sum(exo.sup_t(self.state0) for exo in p.base_active.values()), 1.0
         )
-        states: dict = {}
-        histories: dict = {}
-        decay: dict = {}  # kappa -> ([exponential states], [gamma states])
-        self.gammas: list = []  # (state, kappa * e)
-        self.scans: list = []  # (state, history, profile, memory)
-        memories: dict = {}  # table shape key -> truncation lag
-        by_source: dict = {}  # (label, in-profile) -> ([states], [histories])
-
-        def entry(label: int, in_prof, prof: TimeProfile):
-            key, amp = _shape(prof)
-            i = states.get((label, in_prof, key))
-            if i is None:
-                i = states[(label, in_prof, key)] = len(states)
-                stateful, hists = by_source.setdefault((label, in_prof), ([], []))
-                if key[0] == "scan":
-                    h = histories.setdefault((label, in_prof), len(histories))
-                    if h not in hists:
-                        hists.append(h)
-                    if key not in memories:
-                        memories[key] = prof.envelope_inverse(eps)
-                    self.scans.append((i, h, prof, memories[key]))
-                else:
-                    stateful.append(i)
-                    if key[0] != "const":
-                        exps, gams = decay.setdefault(prof.kappa, ([], []))
-                        (exps if key[0] == "exp" else gams).append(i)
-                    if key[0] == "gamma":
-                        self.gammas.append((i, prof.kappa * math.e))
-            return i, amp
+        self.bank = bank = KernelBank(eps)
+        entry = bank.entry
 
         self.factors = [p.state_factor[at] for at in ACTIVE_TYPES]
         self.active_rows = []
@@ -610,38 +554,10 @@ class _CompiledBook:
             self.passive_rows.append(row)
         self.last_norms = (None, None)  # (exogenous factors, passive checkpoint norms)
         # every bound then equals the value at the same time and book state
-        self.bound_is_value = not self.gammas and not self.scans and all(
+        self.bound_is_value = not bank.gammas and not bank.scans and all(
             type(exo) is ExoConst
             for exo in [*p.base_active.values(), *(row.exo for row in self.passive_rows)]
         )
-
-        self.n_states = len(states)
-        self.n_histories = len(histories)
-        self.decay = decay
-        self.excite = [[] for _ in EVENT_LABELS]
-        for (label, in_prof), (stateful, hists) in by_source.items():
-            self.excite[label].append((in_prof, stateful, hists))
-
-
-class _History:
-    """Times and weights of one source's events, held in arrays that double
-    in size when full, so a scan slices them without copying."""
-
-    __slots__ = ("times", "weights", "n")
-
-    def __init__(self):
-        self.times = np.zeros(_HISTORY_CAPACITY)
-        self.weights = np.zeros(_HISTORY_CAPACITY)
-        self.n = 0
-
-    def append(self, t: float, w: float) -> None:
-        n = self.n
-        if n == self.times.size:
-            self.times = np.concatenate([self.times, np.zeros(n)])
-            self.weights = np.concatenate([self.weights, np.zeros(n)])
-        self.times[n] = t
-        self.weights[n] = w
-        self.n = n + 1
 
 
 class _Engine:
@@ -652,61 +568,24 @@ class _Engine:
             params._compiled = _CompiledBook(params)
         self.book = book = params._compiled
         self.state = book.state0.copy()
-        self.t = 0.0
-        self.g = [0.0] * book.n_states  # exponential sum, gamma mass, constant total
-        self.b = [0.0] * book.n_states  # gamma lag-weighted sum
-        self.hist = [_History() for _ in range(book.n_histories)]
-        self.start = [0] * len(book.scans)
+        self.sums = KernelSums(book.bank)
         self.factors = [f(self.state) for f in book.factors]
 
     def advance(self, t: float) -> None:
-        if t < self.t:
-            return
-        dt = t - self.t
-        g, b = self.g, self.b
-        for kappa, (exps, gams) in self.book.decay.items():
-            decay = math.exp(-kappa * dt)
-            for i in exps:
-                g[i] *= decay
-            for i in gams:
-                b[i] = (b[i] + g[i] * dt) * decay
-                g[i] *= decay
-        self.t = t
+        sums = self.sums
+        if t >= sums.t:
+            sums.advance(t, t - sums.t)
 
     def fire(self, label: int, distance: float, size: float) -> None:
         """Apply an event to the book and feed it into every kernel state it
         sources."""
         _apply_event(self.state, label, distance, size, self.book.p.delta_v)
-        g = self.g
-        for in_prof, stateful, hists in self.book.excite[label]:
-            w = 1.0 if in_prof is None else float(in_prof.value(distance))
-            for i in stateful:
-                g[i] += w
-            for h in hists:
-                self.hist[h].append(self.t, w)
+        self.sums.fire(label, distance)
         self.factors = [f(self.state) for f in self.book.factors]
-
-    def units(self, bound: bool) -> list:
-        """Per-state kernel sums at unit amplitude: values, or bounds on
-        every future value while no event arrives."""
-        u = self.g.copy()
-        for i, ke in self.book.gammas:
-            u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
-        t = self.t
-        for j, (i, h, prof, memory) in enumerate(self.book.scans):
-            hist = self.hist[h]
-            times, n, start = hist.times, hist.n, self.start[j]
-            while start < n and t - times[start] > memory:
-                start += 1
-            self.start[j] = start
-            lags = t - times[start:n]
-            shape = prof.envelope(lags) if bound else prof.value(lags)
-            u[i] = float(hist.weights[start:n] @ shape) if lags.size else 0.0
-        return u
 
     def active(self, u: list, bound: bool) -> list:
         """Rescaled intensities mu of the active types (factors excluded)."""
-        state, t, dx2, pref = self.state, self.t, self.book.dx2, self.book.pas_pref
+        state, t, dx2, pref = self.state, self.sums.t, self.book.dx2, self.book.pas_pref
         out = []
         for exo, from_act, from_pas in self.book.active_rows:
             val = (exo.sup_t(state) if bound else exo(t, state)) / dx2
@@ -720,8 +599,8 @@ class _Engine:
     def rates(self, bound: bool):
         """Per-type event rates, the term masses of every passive type and
         the active intensities mu behind the active rates."""
-        u = self.units(bound)
-        state, t, dv = self.state, self.t, self.book.p.delta_v
+        u = self.sums.units(bound)
+        state, t, dv = self.state, self.sums.t, self.book.p.delta_v
         mu = self.active(u, bound)
         f = self.factors
         act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
@@ -737,7 +616,7 @@ class _Engine:
         """delta_v * passive intensity of one type, given its base and out
         profiles evaluated on the same distance nodes."""
         row = self.book.passive_rows[j]
-        out = row.exo(self.t, self.state) * shapes[0]
+        out = row.exo(self.sums.t, self.state) * shapes[0]
         for (i, amp, _k, k_grid), shape in zip(row.entries, shapes[1:]):
             out = out + k_grid * (amp * u[i]) * shape
         return out
@@ -752,7 +631,7 @@ class _Engine:
         live = any(
             amp * u[i] for row in book.passive_rows for i, amp, _k, _g in row.entries
         )
-        key = None if live else [row.exo(self.t, self.state) for row in book.passive_rows]
+        key = None if live else [row.exo(self.sums.t, self.state) for row in book.passive_rows]
         if key is not None and key == book.last_norms[0]:
             return book.last_norms[1]
         grids = np.stack([
@@ -802,7 +681,7 @@ def simulate_book(
         nonlocal cp_next
         while cp_next < len(cp_times) and cp_times[cp_next] <= upto + 1e-15:
             eng.advance(cp_times[cp_next])
-            u = eng.units(False)
+            u = eng.sums.units(False)
             a0, a1, a2, a3 = act = [dx2 * m for m in eng.active(u, False)]
             l1, l2 = eng.passive_norms(u)
             cp_d11.append(float(abs(a0) + abs(a1) + abs(a2) + abs(a3) + l1))
@@ -901,7 +780,7 @@ def active_intensity(params: MicroParams, history: EventStream, t: float, active
     ``state_factor(S(t-)) * active_intensity(...)``.
     """
     eng = _replayed_engine(params, history, t)
-    return eng.active(eng.units(False), False)[ACTIVE_TYPES.index(active_type)]
+    return eng.active(eng.sums.units(False), False)[ACTIVE_TYPES.index(active_type)]
 
 
 def passive_intensity(params: MicroParams, history: EventStream, t: float,
@@ -911,7 +790,7 @@ def passive_intensity(params: MicroParams, history: EventStream, t: float,
     j = PASSIVE_TYPES.index(passive_type)
     x = np.asarray([distance])
     shapes = [q.value(x) for q in eng.book.passive_rows[j].profiles]
-    return float(eng.passive_grid(j, eng.units(False), shapes)[0]) / params.delta_v
+    return float(eng.passive_grid(j, eng.sums.units(False), shapes)[0]) / params.delta_v
 
 
 def _replayed_engine(params: MicroParams, history: EventStream, t: float) -> _Engine:

@@ -261,14 +261,6 @@ class BlockKernelOp:
         else:
             out.grids[e.target_idx] += coeff * self._out_vals[k]
 
-    def apply(self, t: float, s: float, state, field: IntensityField) -> IntensityField:
-        """Pointwise operator application T(t, s, S)[field]."""
-        out = IntensityField.zeros(self.layout)
-        for k, e in enumerate(self.entries):
-            coeff = float(e.time.value(t - s)) * self.source_value(k, field, state)
-            self.add_scaled(out, k, coeff)
-        return out
-
 
 class ExogenousField:
     """The driving field: scalar terms plus profile-shaped grid terms.

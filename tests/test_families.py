@@ -10,6 +10,9 @@ from hawkeslob.families import (
     ExponentialProfile,
     GammaProfile,
     GaussianProfile,
+    KernelBank,
+    KernelSums,
+    SpatialProfile,
     TableProfile,
     UniformProfile,
     ZeroProfile,
@@ -35,6 +38,27 @@ def test_envelope_dominates_and_non_increasing(profile):
     assert np.all(np.diff(env) <= 1e-12)
 
 
+class DistanceWeight(SpatialProfile):
+    """In-profile weighing each event by its distance coordinate."""
+
+    def value(self, x):
+        return np.asarray(x, dtype=float)
+
+
+def tapered_table():
+    ts = np.linspace(0.0, 2.0, 21)
+    vals = 0.7 * np.exp(-ts) * (1.0 - ts / 2.0)
+    return TableProfile(ts, vals, vals)
+
+
+def one_entry_bank(prof):
+    # eps 0: a scan drops only events whose lag is past the table's end,
+    # where it is exactly zero
+    bank = KernelBank(0.0)
+    state, amp = bank.entry(0, DistanceWeight(), prof)
+    return KernelSums(bank), state, amp
+
+
 @given(
     st.lists(st.floats(0.001, 0.5), min_size=1, max_size=30),
     st.lists(st.floats(0.0, 2.0), min_size=1, max_size=30),
@@ -43,28 +67,39 @@ def test_envelope_dominates_and_non_increasing(profile):
 def test_decay_state_matches_direct_sum(gaps, weights):
     n = min(len(gaps), len(weights))
     gaps, weights = gaps[:n], weights[:n]
-    for prof in (ConstantProfile(0.8), ExponentialProfile(0.6, 1.1), GammaProfile(0.5, 0.9)):
-        state = prof.new_state()
+    for prof in (ConstantProfile(0.8), ExponentialProfile(0.6, 1.1), GammaProfile(0.5, 0.9),
+                 tapered_table()):
+        sums, state, amp = one_entry_bank(prof)
         times = np.cumsum(gaps)
-        for g, w in zip(gaps, weights):
-            state.advance(g)
-            state.add(w)
+        for t, g, w in zip(times, gaps, weights):
+            sums.advance(t, g)
+            sums.fire(0, w)
         t = times[-1]
         direct = float(np.sum(np.asarray(weights) * prof.value(t - times)))
-        assert state.value() == pytest.approx(direct, rel=1e-10, abs=1e-12)
-        assert state.bound() + 1e-12 >= state.value()
+        value = amp * sums.units(False)[state]
+        assert value == pytest.approx(direct, rel=1e-10, abs=1e-12)
+        assert amp * sums.units(True)[state] + 1e-12 >= value
 
 
 def test_gamma_state_bound_holds_into_the_future():
-    prof = GammaProfile(1.0, 2.0)
-    state = prof.new_state()
-    state.add(1.0)
-    bound = state.bound()
-    for dt in np.linspace(0.01, 3.0, 50):
-        s2 = prof.new_state()
-        s2.add(1.0)
-        s2.advance(dt)
-        assert s2.value() <= bound + 1e-12
+    for prof in (GammaProfile(1.0, 2.0), tapered_table()):
+        sums, state, amp = one_entry_bank(prof)
+        sums.fire(0, 1.0)
+        bound = amp * sums.units(True)[state]
+        for dt in np.linspace(0.01, 3.0, 50):
+            sums.advance(float(dt), float(dt) - sums.t)
+            assert amp * sums.units(False)[state] <= bound + 1e-12
+
+
+def test_bank_shares_one_state_per_source_and_decay_rate():
+    bank = KernelBank(1e-12)
+    a = bank.entry(0, None, ExponentialProfile(0.3, 1.1))
+    assert bank.entry(0, None, ExponentialProfile(0.6, 1.1)) == (a[0], 0.6)
+    assert bank.entry(1, None, ExponentialProfile(0.3, 1.1))[0] != a[0]
+    assert bank.entry(0, None, ExponentialProfile(0.3, 2.0))[0] != a[0]
+    assert bank.entry(0, None, ConstantProfile(0.2))[0] == bank.entry(0, None, ZeroProfile())[0]
+    assert bank.entry(0, None, tapered_table())[0] == bank.entry(0, None, tapered_table())[0]
+    assert len(bank.states) == 5 and len(bank.histories) == 1
 
 
 def test_envelope_inverse():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hawkeslob.families import ExponentialProfile
+from hawkeslob import families
+from hawkeslob.families import ExponentialProfile, GammaProfile
 from hawkeslob.hawkes import (
     EventStream,
     Exogenous,
@@ -129,7 +130,7 @@ class TestThinning:
         # the running-sum fast path against the history scan it replaces for
         # stateful kernels: same law, two-sample KS on counts at 1%
         class ScannedExponential(ExponentialProfile):
-            has_state = False
+            """Not the exact exponential class, so thinning scans it."""
 
         beta = 2.0
         spec = scalar_spec(mu=1.0, c=0.5 * beta, kappa=beta)
@@ -204,16 +205,32 @@ class TestKernelDeduplication:
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_shared_and_copied_tables_give_identical_streams(self, seed):
-        shared = tapered_table(0.15, 1.0)
-        one = make_multivariate(4, 1.0, [[shared] * 4 for _ in range(4)])
-        many = make_multivariate(
-            4, 1.0, [[tapered_table(0.15, 1.0) for _ in range(4)] for _ in range(4)])
-        assert len(one.kernel.distinct) == 1 and len(many.kernel.distinct) == 16
-        a = simulate_thinning(one, 30.0, seed)
-        b = simulate_thinning(many, 30.0, seed)
-        assert len(a) > 50
+        # table kernels take the history scan; copies of an exponential or
+        # gamma profile share one running state per source and decay rate
+        for make in (lambda: tapered_table(0.15, 1.0), lambda: ExponentialProfile(0.15, 2.0),
+                     lambda: GammaProfile(0.5, 2.0)):
+            shared = make()
+            one = make_multivariate(4, 1.0, [[shared] * 4 for _ in range(4)])
+            many = make_multivariate(4, 1.0, [[make() for _ in range(4)] for _ in range(4)])
+            assert len(one.kernel.distinct) == 1 and len(many.kernel.distinct) == 16
+            a = simulate_thinning(one, 30.0, seed)
+            b = simulate_thinning(many, 30.0, seed)
+            assert len(a) > 50
+            for name in ("times", "labels", "xs", "zs"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_history_growth_keeps_the_stream(self, monkeypatch, seed):
+        # the source label picks the table, so every history column is read
+        row = [tapered_table(0.15, 1.0), tapered_table(0.1, 2.0)] * 2
+        spec = make_multivariate(4, 1.0, [row] * 4)
+        monkeypatch.setattr(families, "_HISTORY_CAPACITY", 1 << 12)
+        ref = simulate_thinning(spec, 30.0, seed)
+        assert 4 * 2**3 < len(ref) < 1 << 12  # the small capacity doubles at least 3 times
+        monkeypatch.setattr(families, "_HISTORY_CAPACITY", 4)
+        got = simulate_thinning(spec, 30.0, seed)
         for name in ("times", "labels", "xs", "zs"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestCompensatedIntegral:

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from hawkeslob import families
 from hawkeslob.families import (
     ConstantProfile,
     ExponentialProfile,
     GammaProfile,
     GaussianProfile,
+    KernelSums,
     TableProfile,
     UniformProfile,
 )
@@ -546,32 +548,31 @@ class TestCompiledEngine:
             assert (ask, bid) == (run.ask_ticks[n], run.bid_ticks[n])
 
 
-class ListHistoryEngine(micro._Engine):
-    """The engine with table histories kept in Python lists and copied into
-    arrays at every scan: the reference for the array-backed histories."""
+class ListHistorySums(KernelSums):
+    """Running kernel sums with table histories kept in Python lists and
+    copied into arrays at every scan: the reference for the array-backed
+    histories."""
 
-    def __init__(self, params):
-        super().__init__(params)
-        self.hist = [([], []) for _ in range(self.book.n_histories)]
+    def __init__(self, bank):
+        super().__init__(bank)
+        self.hist = [([], []) for _ in bank.histories]
 
-    def fire(self, label, distance, size):
-        micro._apply_event(self.state, label, distance, size, self.book.p.delta_v)
+    def fire(self, source, distance=math.nan):
         g = self.g
-        for in_prof, stateful, hists in self.book.excite[label]:
+        for in_prof, (stateful, hists) in self.bank.excite.get(source, {}).items():
             w = 1.0 if in_prof is None else float(in_prof.value(distance))
             for i in stateful:
                 g[i] += w
             for h in hists:
                 self.hist[h][0].append(self.t)
                 self.hist[h][1].append(w)
-        self.factors = [f(self.state) for f in self.book.factors]
 
     def units(self, bound):
         u = self.g.copy()
-        for i, ke in self.book.gammas:
+        for i, ke in self.bank.gammas:
             u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
         t = self.t
-        for j, (i, h, prof, memory) in enumerate(self.book.scans):
+        for j, (i, h, prof, memory) in enumerate(self.bank.scans):
             times, weights = self.hist[h]
             start = self.start[j]
             while start < len(times) and t - times[start] > memory:
@@ -594,11 +595,11 @@ class TestArrayHistory:
                                              tapered_table(0.3, 1.0))},
         )
         # a small first capacity makes every scanned history double several times
-        monkeypatch.setattr(micro, "_HISTORY_CAPACITY", 4)
+        monkeypatch.setattr(families, "_HISTORY_CAPACITY", 4)
         run = simulate_book(fam.micro_params(2), 0.5, stream_rng(seed, 0, "micro"))
         counts = np.bincount(run.events.labels.astype(int), minlength=8)
         assert min(counts[[0, 1, 2, 3, EVENT_LABELS.index("P3")]]) > 4 * 2
-        monkeypatch.setattr(micro, "_Engine", ListHistoryEngine)
+        monkeypatch.setattr(micro, "KernelSums", ListHistorySums)
         ref = simulate_book(fam.micro_params(2), 0.5, stream_rng(seed, 0, "micro"))
         for name in ("times", "labels", "xs", "zs"):
             assert np.array_equal(getattr(run.events, name), getattr(ref.events, name),
