@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
@@ -33,31 +34,53 @@ def wasserstein1(samples_a, samples_b) -> float:
     order statistics; in general it integrates the gap between the two
     empirical quantile functions.
     """
-    a = np.sort(np.asarray(samples_a, dtype=float))
-    b = np.sort(np.asarray(samples_b, dtype=float))
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("need nonempty samples")
-    if a.size == b.size:
-        return float(np.mean(np.abs(a - b)))
-    # integrate |F_a^{-1} - F_b^{-1}| over the merged quantile partition
-    qs = np.union1d(np.arange(1, a.size) / a.size, np.arange(1, b.size) / b.size)
+    return float(_w1_rows(a[None], b[None])[0])
+
+
+def _w1_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W1 between matching rows of two stacks of samples.
+
+    Each row is summed on its own: a stacked ``axis=1`` sum adds in another
+    order than a one-row ``np.sum`` for some sample sizes.
+    """
+    a, b = np.sort(a, axis=1), np.sort(b, axis=1)
+    if a.shape[1] == b.shape[1]:
+        return np.array([row.mean() for row in np.abs(a - b)])
+    # integrate |F_a^{-1} - F_b^{-1}| over the merged quantile partition,
+    # which depends on the two sample sizes only
+    na, nb = a.shape[1], b.shape[1]
+    qs = np.union1d(np.arange(1, na) / na, np.arange(1, nb) / nb)
     qs = np.concatenate([[0.0], qs, [1.0]])
     mids = 0.5 * (qs[1:] + qs[:-1])
     widths = np.diff(qs)
-    ia = np.minimum((mids * a.size).astype(int), a.size - 1)
-    ib = np.minimum((mids * b.size).astype(int), b.size - 1)
-    return float(np.sum(widths * np.abs(a[ia] - b[ib])))
+    ia = np.minimum((mids * na).astype(int), na - 1)
+    ib = np.minimum((mids * nb).astype(int), nb - 1)
+    return np.array([row.sum() for row in widths * np.abs(a[:, ia] - b[:, ib])])
 
 
-def _bootstrap_se(stat: Callable, samples_a, samples_b, n_boot: int, rng) -> float:
-    vals = np.empty(n_boot)
+def _var_gap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a.var(axis=1, ddof=1) - b.var(axis=1, ddof=1))
+
+
+def _bootstrap_se(stat_rows: Callable, samples_a, samples_b, n_boot: int, rng) -> float:
+    """Bootstrap standard error of a two-sample statistic.
+
+    The resample indices are drawn as one draw at a time would draw them,
+    ``a`` then ``b``, into ``(n_boot, n)`` stacks; ``stat_rows`` evaluates
+    the statistic on every pair of resampled rows at once.
+    """
     a = np.asarray(samples_a)
     b = np.asarray(samples_b)
+    ia = np.empty((n_boot, a.size), dtype=np.int64)
+    ib = np.empty((n_boot, b.size), dtype=np.int64)
     for i in range(n_boot):
-        ra = a[rng.integers(0, a.size, a.size)]
-        rb = b[rng.integers(0, b.size, b.size)]
-        vals[i] = stat(ra, rb)
-    return float(vals.std(ddof=1))
+        ia[i] = rng.integers(0, a.size, a.size)
+        ib[i] = rng.integers(0, b.size, b.size)
+    return float(stat_rows(a[ia], b[ib]).std(ddof=1))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +106,10 @@ class ExperimentPlan:
             raise ValueError("need at least 100 replicates per level")
         if len(self.levels) < 3:
             raise ValueError("need at least three refinement levels")
+        if self.n_boot < 2:
+            raise ValueError("need at least two bootstrap draws for a standard error")
+        if self.se_slack < 0:
+            raise ValueError("the standard-error slack must be >= 0")
 
 
 @dataclass
@@ -182,9 +209,7 @@ def run_convergence(
     samples, and the volume functionals; the report passes when every error
     sequence is nonincreasing across levels up to the standard-error slack.
     """
-    import time as _time
-
-    t_start = _time.time()
+    t_start = time.perf_counter()
     manifest = SeedManifest(master_seed=seed, command="converge")
     lp = limit_params if limit_params is not None else family.limit_params()
     init = limit_mod.make_initial_state(
@@ -228,12 +253,9 @@ def run_convergence(
         mean_err.append(abs(s.mean() - lim_pa.mean()))
         mean_se.append(math.hypot(s.std(ddof=1) / math.sqrt(s.size), lim_mean_se))
         var_err.append(abs(s.var(ddof=1) - lim_pa.var(ddof=1)))
-        var_se.append(
-            _bootstrap_se(lambda a, b: abs(a.var(ddof=1) - b.var(ddof=1)),
-                          s, lim_pa, plan.n_boot, boot_rng)
-        )
+        var_se.append(_bootstrap_se(_var_gap_rows, s, lim_pa, plan.n_boot, boot_rng))
         w1_val.append(wasserstein1(s, lim_pa))
-        w1_se.append(_bootstrap_se(wasserstein1, s, lim_pa, plan.n_boot, boot_rng))
+        w1_se.append(_bootstrap_se(_w1_rows, s, lim_pa, plan.n_boot, boot_rng))
     stats.append(StatisticRow("terminal_mean_error", mean_err, mean_se,
                               _monotone_within(mean_err, mean_se, plan.se_slack)))
     stats.append(StatisticRow("terminal_var_error", var_err, var_se,
@@ -259,7 +281,7 @@ def run_convergence(
         } for lv in levels],
         statistics=stats,
         passed=all(s.passed for s in stats),
-        runtime_s=_time.time() - t_start,
+        runtime_s=time.perf_counter() - t_start,
         manifest=manifest,
     )
     return report, levels, limit_run

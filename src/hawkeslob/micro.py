@@ -129,9 +129,6 @@ class VolumeLedger:
         self._ensure(tick)
         self.values[tick - self.base] *= factor
 
-    def lp_norm(self, p: float) -> float:
-        return float(np.sum(self.values**p) * self.delta_x) ** (1.0 / p)
-
     def inner(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """Inner product with f by the tick midpoint rule."""
         mids = self._mids(self.base, self.base + self.values.size)
@@ -488,13 +485,17 @@ class MicroRun:
 class _PassiveRow:
     """Mass terms of one passive type: the exogenous term, then one per
     passive-target kernel entry ``(state, amplitude, mass factor, grid
-    factor)``, with the profile, sampler and checkpoint values of each."""
+    factor)``, with the profile, sampler and checkpoint values of each.
+    ``term`` is the level constant ``exo * mass / delta_v`` of a constant
+    exogenous density, None for any other."""
 
-    __slots__ = ("exo", "mass", "entries", "profiles", "samplers", "cp_shapes")
+    __slots__ = ("exo", "mass", "term", "entries", "profiles", "samplers", "cp_shapes")
 
-    def __init__(self, exo, profile: SpatialProfile, delta_x: float, half_width: float):
+    def __init__(self, exo, profile: SpatialProfile, delta_x: float, delta_v: float,
+                 half_width: float):
         self.exo = exo
         self.mass = profile.mass(half_width)
+        self.term = exo.value * self.mass / delta_v if type(exo) is ExoConst else None
         self.entries: list = []
         self.profiles = [profile]
         self.samplers = [profile.sampler(delta_x, half_width) if self.mass > 0 else None]
@@ -503,9 +504,13 @@ class _PassiveRow:
 class _CompiledBook:
     """One ``MicroParams`` compiled into kernel index tables and level constants.
 
-    Its kernel entries are registered in one ``KernelBank``, and each
-    active row lists their ``(state, amplitude)`` for its active then its
-    passive sources, in the order the intensity sums run.
+    Its kernel entries are registered in one ``KernelBank``.  Each active
+    row holds its exogenous density, the level constant ``exo / dx^2`` when
+    that density is an ``ExoConst`` (None otherwise), and the ``(state,
+    amplitude)`` of its active then its passive sources, in the order the
+    intensity sums run.  A run stores the kernel sums and the varying
+    exogenous densities at each checkpoint; ``diagnostics`` turns them into
+    d11, d22 and the active scalars once, after the run.
     """
 
     def __init__(self, p: MicroParams):
@@ -522,11 +527,13 @@ class _CompiledBook:
         self.factors = [p.state_factor[at] for at in ACTIVE_TYPES]
         self.active_rows = []
         for at in ACTIVE_TYPES:
+            exo = p.base_active[at]
             from_act = [(s, None, p.act_from_act.get((at, src))) for s, src in enumerate(ACTIVE_TYPES)]
             from_pas = [(4 + s, *p.act_from_pas.get((at, src), (None, None)))
                         for s, src in enumerate(PASSIVE_TYPES)]
             self.active_rows.append((
-                p.base_active[at],
+                exo,
+                exo.value / self.dx2 if type(exo) is ExoConst else None,
                 [entry(*e) for e in from_act if e[2] is not None],
                 [entry(*e) for e in from_pas if e[2] is not None],
             ))
@@ -538,7 +545,8 @@ class _CompiledBook:
         self.passive_rows = []
         pref = self.dx2 / dv
         for pt in PASSIVE_TYPES:
-            row = _PassiveRow(*p.base_passive[pt], dx, L)
+            exo, profile = p.base_passive[pt]
+            row = _PassiveRow(exo, profile, dx, dv, L)
             sourced = [(s, None, *p.pas_from_act.get((pt, src), (None, None)), pref, self.dx2)
                        for s, src in enumerate(ACTIVE_TYPES)]
             for s, src in enumerate(PASSIVE_TYPES):
@@ -552,12 +560,73 @@ class _CompiledBook:
                     row.samplers.append(out_prof.sampler(dx, L) if out_mass > 0 else None)
             row.cp_shapes = [q.value(self.cp_x) for q in row.profiles]
             self.passive_rows.append(row)
-        self.last_norms = (None, None)  # (exogenous factors, passive checkpoint norms)
-        # every bound then equals the value at the same time and book state
-        self.bound_is_value = not bank.gammas and not bank.scans and all(
-            type(exo) is ExoConst
-            for exo in [*p.base_active.values(), *(row.exo for row in self.passive_rows)]
+
+        #: the exogenous densities of the active then the passive types, and
+        #: the indices of those that are not level constants
+        self.exos = [row[0] for row in self.active_rows] + [row.exo for row in self.passive_rows]
+        self.varying = [k for k, exo in enumerate(self.exos) if type(exo) is not ExoConst]
+        self.exo_consts = np.array(
+            [math.nan if k in self.varying else exo.value for k, exo in enumerate(self.exos)]
         )
+        # with no live passive-target kernel the passive field is the
+        # exogenous one, so its checkpoint norms are a level constant (NaN
+        # when a passive density varies; every checkpoint then recomputes)
+        self.cp_norms = self.passive_norms(self.exo_consts[4:].tolist(), [0.0] * len(bank.states))
+        # every bound then equals the value at the same time and book state
+        self.bound_is_value = not bank.gammas and not bank.scans and not self.varying
+
+    def passive_grid(self, j: int, exo: float, u: list, shapes: list) -> np.ndarray:
+        """delta_v * passive intensity of one type, given its exogenous
+        density and its base and out profiles evaluated on the same
+        distance nodes."""
+        out = exo * shapes[0]
+        for (i, amp, _k, k_grid), shape in zip(self.passive_rows[j].entries, shapes[1:]):
+            out = out + k_grid * (amp * u[i]) * shape
+        return out
+
+    def passive_norms(self, exo: list, u: list):
+        """L1 and squared-L2 parts of d11/d22 of the passive field at cp_x,
+        given the exogenous densities of the passive types."""
+        grids = np.stack([
+            self.passive_grid(j, exo[j], u, row.cp_shapes) for j, row in enumerate(self.passive_rows)
+        ])
+        return np.sum(np.abs(grids) @ self.cp_w), np.sum((grids**2) @ self.cp_w)
+
+    def diagnostics(self, n: int, units: list, exo: list):
+        """d11, d22 and the active scalars dx^2 mu at ``n`` checkpoints.
+
+        ``units`` holds the per-state kernel sums and ``exo`` the varying
+        exogenous densities, checkpoint after checkpoint.  The columns
+        repeat, element for element, the float operations of
+        ``_Engine.active`` and of one checkpoint's norms, so the values
+        equal a per-checkpoint evaluation bit for bit.
+        """
+        u_rows = np.array(units, dtype=float).reshape(n, len(self.bank.states)).T
+        e_rows = np.empty((len(self.exos), n))
+        e_rows[:] = self.exo_consts[:, None]
+        e_rows[self.varying] = np.array(exo, dtype=float).reshape(n, len(self.varying)).T
+        dx2, pref = self.dx2, self.pas_pref
+        act = []
+        for r, (_exo, _term, from_act, from_pas) in enumerate(self.active_rows):
+            val = e_rows[r] / dx2
+            for i, amp in from_act:
+                val = val + amp * u_rows[i]
+            for i, amp in from_pas:
+                val = val + pref * (amp * u_rows[i])
+            act.append(dx2 * val)
+        # checkpoints off the level constant: a live passive-target kernel
+        # sum, or a varying passive density
+        general = np.full(n, any(k >= 4 for k in self.varying))
+        for row in self.passive_rows:
+            for i, amp, _k, _g in row.entries:
+                general |= amp * u_rows[i] != 0.0
+        l1, l2 = np.full(n, self.cp_norms[0]), np.full(n, self.cp_norms[1])
+        for c in np.flatnonzero(general):
+            l1[c], l2[c] = self.passive_norms(e_rows[4:, c].tolist(), u_rows[:, c].tolist())
+        a0, a1, a2, a3 = act
+        d11 = np.abs(a0) + np.abs(a1) + np.abs(a2) + np.abs(a3) + l1
+        d22 = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + l2)
+        return d11, d22, np.array(act).T.copy()
 
 
 class _Engine:
@@ -587,8 +656,9 @@ class _Engine:
         """Rescaled intensities mu of the active types (factors excluded)."""
         state, t, dx2, pref = self.state, self.sums.t, self.book.dx2, self.book.pas_pref
         out = []
-        for exo, from_act, from_pas in self.book.active_rows:
-            val = (exo.sup_t(state) if bound else exo(t, state)) / dx2
+        for exo, term, from_act, from_pas in self.book.active_rows:
+            val = term if term is not None else (
+                exo.sup_t(state) if bound else exo(t, state)) / dx2
             for i, amp in from_act:
                 val += amp * u[i]
             for i, amp in from_pas:
@@ -606,41 +676,12 @@ class _Engine:
         act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
         terms = []
         for row in self.book.passive_rows:
-            m = [(row.exo.sup_t(state) if bound else row.exo(t, state)) * row.mass / dv]
+            m = [row.term if row.term is not None else (
+                row.exo.sup_t(state) if bound else row.exo(t, state)) * row.mass / dv]
             for i, amp, k_mass, _k in row.entries:
                 m.append(k_mass * (amp * u[i]))
             terms.append(m)
         return act, [sum(m) for m in terms], terms, mu
-
-    def passive_grid(self, j: int, u: list, shapes: list) -> np.ndarray:
-        """delta_v * passive intensity of one type, given its base and out
-        profiles evaluated on the same distance nodes."""
-        row = self.book.passive_rows[j]
-        out = row.exo(self.sums.t, self.state) * shapes[0]
-        for (i, amp, _k, k_grid), shape in zip(row.entries, shapes[1:]):
-            out = out + k_grid * (amp * u[i]) * shape
-        return out
-
-    def passive_norms(self, u: list):
-        """L1 and squared-L2 parts of d11/d22 of the passive field at cp_x.
-
-        With no live passive-target kernel the field depends on the
-        exogenous factors only, so its norms are reused while they repeat.
-        """
-        book = self.book
-        live = any(
-            amp * u[i] for row in book.passive_rows for i, amp, _k, _g in row.entries
-        )
-        key = None if live else [row.exo(self.sums.t, self.state) for row in book.passive_rows]
-        if key is not None and key == book.last_norms[0]:
-            return book.last_norms[1]
-        grids = np.stack([
-            self.passive_grid(j, u, row.cp_shapes) for j, row in enumerate(book.passive_rows)
-        ])
-        norms = (np.sum(np.abs(grids) @ book.cp_w), np.sum((grids**2) @ book.cp_w))
-        if key is not None:
-            book.last_norms = (key, norms)
-        return norms
 
 
 def simulate_book(
@@ -655,6 +696,14 @@ def simulate_book(
     state (state factors and exogenous densities only change at events) and
     the kernel bounds, so acceptance is exact; a realized rate above the
     dominating rate aborts the run as an envelope declaration bug.
+
+    At each of the ``n_checkpoints`` equally spaced checkpoints the run
+    decays its kernel state to the checkpoint time and stores the kernel
+    sums there; d11, d22 and the active scalars are computed from them once,
+    after the run (``_CompiledBook.diagnostics``).  That decay step splits
+    the exponential decay chain, so the event stream depends on
+    ``n_checkpoints`` in the last bit: event times can move by an ulp
+    between two checkpoint counts.
     """
     p = params
     rng = as_rng(rng_seed, "micro")
@@ -673,20 +722,16 @@ def simulate_book(
     cps = np.linspace(0.0, horizon, n_checkpoints)
     cp_times = cps.tolist()
     cp_next = 0
-    cp_d11: list[float] = []
-    cp_d22: list[float] = []
-    cp_act: list[list] = []
+    cp_units: list[float] = []  # per-state kernel sums, checkpoint after checkpoint
+    cp_exo: list[float] = []  # the varying exogenous densities there
+    exos, varying = book.exos, book.varying
 
     def record_checkpoints(upto: float) -> None:
         nonlocal cp_next
         while cp_next < len(cp_times) and cp_times[cp_next] <= upto + 1e-15:
             eng.advance(cp_times[cp_next])
-            u = eng.sums.units(False)
-            a0, a1, a2, a3 = act = [dx2 * m for m in eng.active(u, False)]
-            l1, l2 = eng.passive_norms(u)
-            cp_d11.append(float(abs(a0) + abs(a1) + abs(a2) + abs(a3) + l1))
-            cp_d22.append(math.sqrt(float(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + l2)))
-            cp_act.append(act)
+            cp_units.extend(eng.sums.units(False))
+            cp_exo.extend([exos[k](eng.sums.t, state) for k in varying])
             cp_next += 1
 
     t = 0.0
@@ -755,10 +800,10 @@ def simulate_book(
 
     ev_times, labels, xs, zs = np.ascontiguousarray(np.reshape(accepted, (-1, 4)).T)
     times = np.concatenate([[0.0], ev_times])
+    d11, d22, act = book.diagnostics(cp_next, cp_units, cp_exo)
     diag = MicroDiagnostics(
         event_times=times, load=np.asarray(load), beta=np.asarray(beta),
-        checkpoint_times=cps, d11=np.asarray(cp_d11), d22=np.asarray(cp_d22),
-        active_scalars=np.asarray(cp_act) if cp_act else np.zeros((0, 4)),
+        checkpoint_times=cps, d11=d11, d22=d22, active_scalars=act,
     )
     return MicroRun(
         horizon=horizon,
@@ -788,9 +833,11 @@ def passive_intensity(params: MicroParams, history: EventStream, t: float,
     """Passive intensity density at one distance given an explicit history."""
     eng = _replayed_engine(params, history, t)
     j = PASSIVE_TYPES.index(passive_type)
+    row = eng.book.passive_rows[j]
     x = np.asarray([distance])
-    shapes = [q.value(x) for q in eng.book.passive_rows[j].profiles]
-    return float(eng.passive_grid(j, eng.sums.units(False), shapes)[0]) / params.delta_v
+    shapes = [q.value(x) for q in row.profiles]
+    exo = row.exo(eng.sums.t, eng.state)
+    return float(eng.book.passive_grid(j, exo, eng.sums.units(False), shapes)[0]) / params.delta_v
 
 
 def _replayed_engine(params: MicroParams, history: EventStream, t: float) -> _Engine:

@@ -15,6 +15,9 @@ from hawkeslob.harness import (
     run_convergence,
     squared_ask_price,
     wasserstein1,
+    _bootstrap_se,
+    _var_gap_rows,
+    _w1_rows,
 )
 from hawkeslob.micro import PASSIVE_TYPES
 
@@ -64,6 +67,42 @@ class TestWasserstein:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             wasserstein1([], [1.0])
+
+
+def reference_w1(a, b):
+    """The one-pair transport distance, summed as one array."""
+    a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+    if a.size == b.size:
+        return float(np.mean(np.abs(a - b)))
+    qs = np.union1d(np.arange(1, a.size) / a.size, np.arange(1, b.size) / b.size)
+    qs = np.concatenate([[0.0], qs, [1.0]])
+    mids = 0.5 * (qs[1:] + qs[:-1])
+    ia = np.minimum((mids * a.size).astype(int), a.size - 1)
+    ib = np.minimum((mids * b.size).astype(int), b.size - 1)
+    return float(np.sum(np.diff(qs) * np.abs(a[ia] - b[ib])))
+
+
+def loop_bootstrap_se(stat, a, b, n_boot, rng):
+    """Bootstrap standard error drawn and evaluated one draw at a time."""
+    vals = np.empty(n_boot)
+    for i in range(n_boot):
+        ra = a[rng.integers(0, a.size, a.size)]
+        rb = b[rng.integers(0, b.size, b.size)]
+        vals[i] = stat(ra, rb)
+    return float(vals.std(ddof=1))
+
+
+class TestStackedBootstrap:
+    @pytest.mark.parametrize("na, nb", [(100, 100), (100, 200), (400, 2000), (37, 50)])
+    def test_matches_per_draw_loop(self, na, nb):
+        rng = np.random.default_rng(na * nb)
+        a, b = rng.normal(0.3, 0.1, na), rng.normal(0.31, 0.12, nb)
+        assert wasserstein1(a, b) == reference_w1(a, b)
+        cases = [(_var_gap_rows, lambda x, y: abs(x.var(ddof=1) - y.var(ddof=1))),
+                 (_w1_rows, reference_w1)]
+        for rows, stat in cases:
+            got = _bootstrap_se(rows, a, b, 200, np.random.default_rng(5))
+            assert got == loop_bootstrap_se(stat, a, b, 200, np.random.default_rng(5))
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +202,15 @@ class TestConvergenceHarness:
             ExperimentPlan(levels=(0, 1, 2), replicates=50)
         with pytest.raises(ValueError, match="levels"):
             ExperimentPlan(levels=(0, 1), replicates=200)
+
+    @pytest.mark.parametrize("n_boot", [0, 1])
+    def test_plan_needs_two_bootstrap_draws(self, n_boot):
+        with pytest.raises(ValueError, match="bootstrap"):
+            ExperimentPlan(levels=(0, 1, 2), replicates=200, n_boot=n_boot)
+
+    def test_plan_rejects_negative_slack(self):
+        with pytest.raises(ValueError, match="slack"):
+            ExperimentPlan(levels=(0, 1, 2), replicates=200, se_slack=-0.5)
 
 
 class TestMomentDiagnostics:
