@@ -24,6 +24,7 @@ from .micro import (
     ActiveRateFamily,
     ScalingFamily,
     SizeMeasure,
+    TickGrid,
 )
 
 SCHEMA_VERSION = 1
@@ -196,7 +197,7 @@ def parse_config(text: str) -> RunConfig:
         seed = 0
 
     if model in ("micro", "limit", "converge"):
-        _validate_scaling(raw.get("scaling"), chk)
+        _validate_scaling(raw.get("scaling"), chk, on_ticks=model != "limit")
         _validate_grid(raw.get("grid", {}), chk)
     if model == "converge":
         _validate_experiment(raw.get("experiment", {}), chk)
@@ -217,7 +218,9 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
-def _validate_scaling(block, chk: _Checker) -> None:
+def _validate_scaling(block, chk: _Checker, on_ticks: bool) -> None:
+    """Check the scaling block; ``on_ticks`` asks for start prices on the
+    level-0 tick grid, which every finer level contains."""
     if not isinstance(block, dict):
         chk.fail("scaling", "missing scaling block")
         return
@@ -233,8 +236,17 @@ def _validate_scaling(block, chk: _Checker) -> None:
 
     book = chk.require(block, "book", "scaling", dict)
     if book is not None:
-        chk.number(book, "ask_price", "scaling.book")
-        chk.number(book, "bid_price", "scaling.book")
+        ask = chk.number(book, "ask_price", "scaling.book")
+        bid = chk.number(book, "bid_price", "scaling.book")
+        if ask is not None and bid is not None and ask < bid:
+            chk.fail("scaling.book.ask_price", "must not be below bid_price: the "
+                     "book would start crossed")
+        for key, price in (("ask_price", ask), ("bid_price", bid)):
+            if on_ticks and price is not None and dx is not None and dx > 0:
+                try:
+                    TickGrid(dx).to_tick_exact(price)
+                except ValueError as exc:
+                    chk.fail(f"scaling.book.{key}", str(exc))
         for key in ("ask_volume", "bid_volume"):
             prof = chk.require(book, key, "scaling.book", dict)
             if prof is not None:

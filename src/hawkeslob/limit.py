@@ -141,8 +141,8 @@ class LimitState:
 
     p_a: np.ndarray
     p_b: np.ndarray
-    v_x: np.ndarray  # absolute volume grid nodes
-    v_a: np.ndarray  # (R, n_xv)
+    v_x: np.ndarray  # absolute volume grid nodes, spaced like the distance grid
+    v_a: np.ndarray  # (R, volume nodes)
     v_b: np.ndarray
 
     @property
@@ -171,7 +171,7 @@ class LimitRun:
     mu: np.ndarray  # (M+1, 2, R)
     beta: np.ndarray  # (M+1, 2, R)
     v_x: np.ndarray
-    v_a: np.ndarray  # terminal (R, n_xv)
+    v_a: np.ndarray  # terminal (R, volume nodes)
     v_b: np.ndarray
     params: LimitParams
     seed: Optional[int]
@@ -200,25 +200,6 @@ def _trapz_weights(x: np.ndarray) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
-
-
-def _interp_rows(values: np.ndarray, grid_lo: float, h: float, targets: np.ndarray) -> np.ndarray:
-    """Row-wise linear interpolation of (R, n) values at (R, m) positions.
-
-    Positions outside the grid give zero: intensity mass beyond the
-    truncation interval is dropped by construction.
-    """
-    n = values.shape[1]
-    pos = (targets - grid_lo) / h
-    idx = np.floor(pos).astype(np.int64)
-    frac = pos - idx
-    inside = (idx >= 0) & (idx < n - 1)
-    idx_c = np.clip(idx, 0, n - 2)
-    left = np.take_along_axis(values, idx_c, axis=1)
-    right = np.take_along_axis(values, idx_c + 1, axis=1)
-    out = left * (1.0 - frac) + right * frac
-    out[~inside] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +310,19 @@ class LimitEngine:
         self.xg = g.x
         self.wg = g.quad_weights
         self.x_v = init.v_x
-        self.h_v = float(init.v_x[1] - init.v_x[0])
+        # the volume-node gather shifts whole rows of the distance grid, so
+        # the volume grid must share its spacing, up to the rounding of its
+        # node values
+        if self.x_v.size < 2 or not np.allclose(
+            np.diff(self.x_v), g.h, rtol=1e-12,
+            atol=4 * np.finfo(float).eps * np.abs(self.x_v).max(),
+        ):
+            raise ValueError(
+                f"the volume grid needs at least 2 nodes spaced {g.h} apart, "
+                "like the distance grid; build it with make_initial_state"
+            )
+        self.h_v = float(self.x_v[1] - self.x_v[0])
         self._wv = _trapz_weights(self.x_v)
-        # the shifted-gather fast path needs the volume grid to share the
-        # distance grid spacing; otherwise fall back to generic interpolation
-        self._uniform_interp = math.isclose(self.h_v, g.h, rel_tol=1e-12)
 
         # scalar source histories: q_<side> = rho_side * mu_side, and one
         # in-product series per (passive source, in-profile) pair
@@ -417,9 +406,6 @@ class LimitEngine:
         self.lam_checkpoint_times = sorted(lam_checkpoint_times)
         self.lam_checkpoints: list = []
 
-        self._keep = {0, self.n_steps} | {
-            int(round(tc / self.dt)) for tc in self.lam_checkpoint_times
-        }
         self._build_gather_windows()
         # work buffers of the volume update, viewed as (R, band width) per step
         size = self.R * self.x_v.size
@@ -476,18 +462,13 @@ class LimitEngine:
             out[r] = acc
         return out
 
-    def lam_grids(self, m: int, conv: Optional[np.ndarray] = None,
-                  hat_fac: Optional[dict] = None) -> np.ndarray:
-        """Passive intensities on the distance grid at step m, (4, n_x, R)."""
-        if conv is None:
-            conv = self._conv_hist[m]
-        if hat_fac is None:
-            hat_fac = self._hat_hist[m]
+    def lam_grids(self) -> np.ndarray:
+        """Passive intensities on the distance grid at the current step, (4, n_x, R)."""
         out = np.zeros((4, self.xg.size, self.R))
         for i, pt in enumerate(PASSIVE_TYPES):
-            acc = hat_fac[pt][None, :] * self._hat_vals[pt][:, None]
+            acc = self._hat_fac[pt][None, :] * self._hat_vals[pt][:, None]
             for k in self._lam_entries[pt]:
-                acc = acc + self._entry_out[k][:, None] * conv[k][None, :]
+                acc = acc + self._entry_out[k][:, None] * self._conv[k][None, :]
             out[i] = acc
         return out
 
@@ -502,8 +483,9 @@ class LimitEngine:
             self.beta_arr[0, s_idx] = self.p.base_drift[side](0.0, pa, pb)
             self.q[0, s_idx] = self.p.rho[side](pa, pb) * self.mu[0, s_idx]
         self.ell[0] = self._ell_from(conv, hat_fac)
-        self._conv_hist = {0: conv}
-        self._hat_hist = {0: hat_fac}
+        # convolution values and hat factors of the current step, read by the
+        # volume update and the checkpoints of that step only
+        self._conv, self._hat_fac = conv, hat_fac
         self._maybe_checkpoint(0)
 
     def _src_hist(self, e: _Entry, m: int) -> np.ndarray:
@@ -581,14 +563,10 @@ class LimitEngine:
         self.q[m + 1] = rho_new * mu_now
         hat_new = self._hat_factors(t_new, pa_new, pb_new)
         self.ell[m + 1] = self._ell_from(conv, hat_new)
-        self._conv_hist[m + 1] = conv
-        self._hat_hist[m + 1] = hat_new
+        self._conv, self._hat_fac = conv, hat_new
 
         self.m = m + 1
         self._maybe_checkpoint(self.m)
-        if len(self._conv_hist) > 2 and self.m - 2 not in self._keep:
-            self._conv_hist.pop(self.m - 2, None)
-            self._hat_hist.pop(self.m - 2, None)
 
     def drift_diffusion(self, m: int):
         """Price drift and diffusion coefficients at step m.
@@ -615,17 +593,20 @@ class LimitEngine:
     def _lam_at_volume_nodes(self, m: int, side: str):
         """Placement and cancellation intensities at x_v relative to best.
 
+        ``m`` is the current step: the prices are read at ``m``, the
+        convolution values and hat factors are the current ones.
+
         Returns ``(lam_lo, lam_cx, cols)``: the two intensities on the
         volume columns ``cols`` (a slice, in ``V`` column order), which hold
         every nonzero value; outside them both intensities are zero.
 
         The intensity grids are sums of fixed profile vectors with per-path
         coefficients, so each profile vector is interpolated at the per-path
-        shifts and blended.  On a volume grid with the distance grid's
-        spacing the shift is one start index ``idx0`` and fraction per path,
-        and the gather reads one row per path of the padded sliding windows
-        built at construction; vectors with equal content (equal base
-        profiles, say) share one window and one gather per call.  Column
+        shifts and blended.  The volume grid has the distance grid's
+        spacing, so the shift is one start index ``idx0`` and fraction per
+        path, and the gather reads one row per path of the padded sliding
+        windows built at construction; vectors with equal content (equal
+        base profiles, say) share one window and one gather per call.  Column
         ``j`` reaches the profile on some path only when ``idx0 + j`` lies
         in ``[0, n - 2]`` for that path, so the gather covers just the band
         ``[max(0, -max idx0), min(n_cols, n - 1 - min idx0))``, which may be
@@ -634,27 +615,11 @@ class LimitEngine:
         are read reversed.
 
         The returned arrays are views of work buffers built once per
-        engine, valid until the next call.  Other volume grids fall back to
-        row-wise interpolation of the assembled grids, returned as fresh
-        full-width arrays with ``cols = slice(None)``.
+        engine, valid until the next call.
         """
-        conv = self._conv_hist[m]
-        hat_fac = self._hat_hist[m]
+        conv, hat_fac = self._conv, self._hat_fac
         pa, pb = self.P_a[m], self.P_b[m]
         lo = float(self.xg[0])
-
-        if not self._uniform_interp:
-            lam = self.lam_grids(m)
-            out = []
-            for kind in ("lo", "cx"):
-                g = lam[PASSIVE_TYPES.index(f"{side}_{kind}")].T
-                if side == "a":
-                    rel = self.x_v[None, :] - pa[:, None]
-                else:
-                    rel = pb[:, None] - self.x_v[None, :]
-                out.append(_interp_rows(g, lo, self.p.grid.h, rel))
-            return out[0], out[1], slice(None)
-
         starts = (self.x_v[0] - pa) if side == "a" else (pb - self.x_v[-1])
         pos0 = (starts - lo) / self.h_v
         idx0 = np.floor(pos0).astype(np.int64)
@@ -738,7 +703,7 @@ class LimitEngine:
             if abs(t - tc) < 0.5 * self.dt and all(
                 abs(t0 - tc) > 0.5 * self.dt for t0, _ in self.lam_checkpoints
             ):
-                self.lam_checkpoints.append((t, self.lam_grids(m)))
+                self.lam_checkpoints.append((t, self.lam_grids()))
 
     def finish(self, seed=None) -> LimitRun:
         return LimitRun(
@@ -772,13 +737,22 @@ def make_initial_state(
     v0_b: Callable,
     n_paths: int = 1,
     v_pad: float = 2.0,
-    n_xv: Optional[int] = None,
 ) -> LimitState:
-    """Ensemble initial state with an absolute volume grid around the prices."""
+    """Ensemble initial state with an absolute volume grid around the prices.
+
+    The volume grid spans ``[lo, hi]``, the prices padded by the distance
+    grid's half-width and ``v_pad``, with the distance grid's spacing ``h``.
+    When ``hi - lo`` is not a whole number of steps, ``hi`` moves outward to
+    the next node ``lo + h * ceil((hi - lo) / h)``.
+    """
     g = params.grid
     lo = min(p_a0, p_b0) - g.half_width - v_pad
     hi = max(p_a0, p_b0) + g.half_width + v_pad
-    n = n_xv or int(round((hi - lo) / g.h)) + 1
+    steps = round((hi - lo) / g.h)
+    if not math.isclose(hi - lo, steps * g.h, rel_tol=1e-12):
+        steps = math.ceil((hi - lo) / g.h)
+        hi = lo + g.h * steps
+    n = steps + 1
     x_v = np.linspace(lo, hi, n)
     va = np.broadcast_to(np.asarray(v0_a(x_v), dtype=float), (n_paths, n)).copy()
     vb = np.broadcast_to(np.asarray(v0_b(x_v), dtype=float), (n_paths, n)).copy()
@@ -816,8 +790,17 @@ def solve_paths(
     track: Sequence[SpatialTestFn] = (),
     lam_checkpoint_times: Sequence[float] = (),
 ) -> LimitRun:
-    """Solve an ensemble, deterministic given the seed (or explicit noise)."""
+    """Solve an ensemble, deterministic given the seed (or explicit noise).
+
+    Explicit ``noise`` holds the standard normal increments, shaped
+    ``(n_steps, 2, n_paths)``.
+    """
     eng = LimitEngine(params, init, horizon, dt, track, lam_checkpoint_times)
+    if noise is not None and np.shape(noise) != (eng.n_steps, 2, eng.R):
+        raise ValueError(
+            f"noise must be shaped (n_steps, 2, n_paths) = {(eng.n_steps, 2, eng.R)}, "
+            f"got {np.shape(noise)}"
+        )
     rng = None
     if noise is None:
         rng = as_rng(seed if seed is not None else 0, "limit")

@@ -145,6 +145,20 @@ def test_invalid_config_exits_2_with_report(tmp_path):
     assert any("delta_v" in d["path"] for d in report["details"])
 
 
+@pytest.mark.parametrize("command,model", [("simulate-micro", "micro"),
+                                           ("solve-limit", "limit")])
+def test_crossed_start_book_exits_2(tmp_path, command, model):
+    doc = yaml.safe_load(MINIMAL_MICRO)
+    doc["model"] = model
+    doc["scaling"]["book"]["ask_price"] = 0.0
+    cfg = tmp_path / "crossed.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert run(command, cfg, out) == 2
+    report = json.loads((out / "error.json").read_text())
+    assert [d["path"] for d in report["details"]] == ["scaling.book.ask_price"]
+
+
 def test_unknown_command_exits_2(tmp_path, micro_config):
     assert run("simulate-everything", micro_config, tmp_path / "o") == 2
 

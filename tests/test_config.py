@@ -202,3 +202,27 @@ def test_experiment_block_validation():
     with pytest.raises(ConfigError) as exc:
         parse_config(yaml.safe_dump(doc))
     assert any("levels" in p for p, _ in exc.value.errors)
+
+
+@pytest.mark.parametrize("model", ["micro", "limit", "converge"])
+def test_crossed_start_book_rejected(model):
+    doc = yaml.safe_load(_mutate("scaling.book.ask_price", 0.0))
+    doc["model"] = model
+    with pytest.raises(ConfigError) as exc:
+        parse_config(yaml.safe_dump(doc))
+    assert [p for p, _ in exc.value.errors] == ["scaling.book.ask_price"]
+    assert "crossed" in exc.value.errors[0][1]
+
+
+def test_start_prices_must_sit_on_the_level_0_ticks_for_micro_models():
+    # level k refines delta_x by 2^-k, so level 0's ticks lie on every level
+    doc = yaml.safe_load(_mutate("scaling.book.ask_price", 0.33))
+    for model in ("micro", "converge"):
+        doc["model"] = model
+        with pytest.raises(ConfigError) as exc:
+            parse_config(yaml.safe_dump(doc))
+        assert [p for p, _ in exc.value.errors] == ["scaling.book.ask_price"]
+        assert "not on the 0.1 grid" in exc.value.errors[0][1]
+    # the limit has no tick grid
+    doc["model"] = "limit"
+    assert parse_config(yaml.safe_dump(doc)).scaling_family().ask_price0 == 0.33

@@ -328,13 +328,31 @@ def _pas_from_act_inputs(paths=slice(None)):
     return params, init
 
 
+def _interp_rows(values, grid_lo, h, targets):
+    """Row-wise linear interpolation of (R, n) values at (R, m) positions.
+
+    Positions outside the grid give zero: intensity mass beyond the
+    truncation interval is dropped by construction.
+    """
+    n = values.shape[1]
+    pos = (targets - grid_lo) / h
+    idx = np.floor(pos).astype(np.int64)
+    frac = pos - idx
+    inside = (idx >= 0) & (idx < n - 1)
+    idx_c = np.clip(idx, 0, n - 2)
+    left = np.take_along_axis(values, idx_c, axis=1)
+    right = np.take_along_axis(values, idx_c + 1, axis=1)
+    out = left * (1.0 - frac) + right * frac
+    out[~inside] = 0.0
+    return out
+
+
 def test_windowed_gather_matches_row_interpolation():
-    # the uniform-grid gather against row-wise interpolation of the
+    # the volume-node gather against row-wise interpolation of the
     # assembled grids, with shifts running off the distance grid both ways
     params, init = _pas_from_act_inputs()
     grid = params.grid
     eng = L.LimitEngine(params, init, 0.05, 1e-2)
-    assert eng._uniform_interp
 
     # equal vectors share one window (and so one gather per call): the
     # three unit gaussians, base or kernel out-profile alike
@@ -349,7 +367,7 @@ def test_windowed_gather_matches_row_interpolation():
     lo, h = float(eng.xg[0]), grid.h
     for _ in range(4):
         m = eng.m
-        lam = eng.lam_grids(m)
+        lam = eng.lam_grids()
         pa, pb = eng.P_a[m], eng.P_b[m]
         for side in "ab":
             rel = (eng.x_v[None, :] - pa[:, None] if side == "a"
@@ -364,7 +382,7 @@ def test_windowed_gather_matches_row_interpolation():
             outside[cols] = False
             for kind, got in zip(("lo", "cx"), (lam_lo, lam_cx)):
                 g = lam[L.PASSIVE_TYPES.index(f"{side}_{kind}")].T
-                ref = L._interp_rows(g, lo, h, rel)
+                ref = _interp_rows(g, lo, h, rel)
                 assert np.max(np.abs(ref)) > 0.0
                 # the band holds every nonzero reference value
                 assert np.all(np.where(edge, 0.0, ref)[:, outside] == 0.0)
@@ -380,7 +398,7 @@ class _FullWidthEngine(L.LimitEngine):
     """Reference volume update: every column, with fresh arrays per step."""
 
     def _lam_at_volume_nodes(self, m, side):
-        conv, hat_fac = self._conv_hist[m], self._hat_hist[m]
+        conv, hat_fac = self._conv, self._hat_fac
         pa, pb = self.P_a[m], self.P_b[m]
         starts = (self.x_v[0] - pa) if side == "a" else (pb - self.x_v[-1])
         pos0 = (starts - float(self.xg[0])) / self.h_v
@@ -418,31 +436,34 @@ class _FullWidthEngine(L.LimitEngine):
                 self.v_f[f.name][m + 1, 1] = self.V_b @ fw
 
 
-def _family_inputs(spread: bool):
+def _family_inputs(case: str):
     family = make_family()
     params = family.limit_params(n_x=61)
-    init = L.make_initial_state(params, family.ask_price0, family.bid_price0,
+    # an ask of 0.33 leaves the distance grid's lattice: the volume grid
+    # extends outward to the distance spacing
+    ask = 0.33 if case == "off_lattice" else family.ask_price0
+    init = L.make_initial_state(params, ask, family.bid_price0,
                                 family.ask_volume0, family.bid_volume0, n_paths=40)
-    if spread:
+    if case == "spread":
         # start prices spread over the volume grid: the band covers every column
         init.p_a = np.linspace(-2.2, 3.0, 40)
         init.p_b = init.p_a - np.linspace(0.05, 0.3, 40)
     return params, init
 
 
-@pytest.mark.parametrize("case", ["family", "pas_from_act", "off_grid", "spread"])
+@pytest.mark.parametrize("case", ["family", "pas_from_act", "off_grid", "spread",
+                                  "off_lattice"])
 def test_banded_volume_update_matches_full_width(case):
     # the in-place banded update against the full-width expressions it
     # replaced: identical float operations, so identical arrays
-    if case in ("family", "spread"):
-        params, init = _family_inputs(case == "spread")
+    if case in ("family", "spread", "off_lattice"):
+        params, init = _family_inputs(case)
     else:
         # off_grid keeps one path, whose ask shift leaves the distance grid
         params, init = _pas_from_act_inputs(slice(1, 2) if case == "off_grid" else slice(None))
     track = [L.SpatialTestFn("g", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2)))]
     fast = L.LimitEngine(params, init, 0.05, 1e-2, track=track)
     ref = _FullWidthEngine(params, init, 0.05, 1e-2, track=track)
-    assert fast._uniform_interp
 
     n_cols = init.v_x.size
     widths = {"a": set(), "b": set()}
@@ -456,7 +477,7 @@ def test_banded_volume_update_matches_full_width(case):
         ref.step(noise)
     if case == "off_grid":
         assert widths["a"] == {0} and max(widths["b"]) > 0
-    elif case == "family":
+    elif case in ("family", "off_lattice"):
         assert 0 < min(widths["a"] | widths["b"]) <= max(widths["a"] | widths["b"]) < n_cols
     else:
         # spread prices, or off-grid paths on both sides of the grid
@@ -496,3 +517,47 @@ def test_horizon_must_align_with_step():
     init = L.make_initial_state(params, 1.0, -1.0, flat, flat)
     with pytest.raises(ValueError, match="multiple"):
         L.LimitEngine(params, init, 1.0, 0.3)
+
+
+def test_volume_grid_takes_the_distance_spacing(family):
+    lp = family.limit_params(n_x=113)
+    h = lp.grid.h
+    rest = (family.bid_price0, family.ask_volume0, family.bid_volume0)
+    lo = family.bid_price0 - lp.grid.half_width - 2.0
+    # a span that is a whole number of steps keeps its linspace bit for bit
+    on = L.make_initial_state(lp, family.ask_price0, *rest)
+    hi = family.ask_price0 + lp.grid.half_width + 2.0
+    assert np.array_equal(on.v_x, np.linspace(lo, hi, 197))
+    # any other span extends outward to the next node at the distance spacing
+    off = L.make_initial_state(lp, 0.33, *rest)
+    hi = 0.33 + lp.grid.half_width + 2.0
+    assert off.v_x[0] == lo and off.v_x[-2] < hi <= off.v_x[-1]
+    assert np.allclose(np.diff(off.v_x), h, rtol=1e-12, atol=0.0)
+    # far from the origin the node values round at their own scale
+    far = L.make_initial_state(lp, 1000.33, 1000.1, *rest[1:])
+    L.LimitEngine(lp, far, 0.01, 1e-3)
+
+
+def test_engine_rejects_volume_grids_off_the_distance_spacing():
+    params = frozen_prices_params()
+    flat = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    init = L.make_initial_state(params, 1.0, -1.0, flat, flat)
+    x = init.v_x
+    for bad_x in (x[:1], np.linspace(x[0], x[-1], x.size + 1), np.delete(x, 3)):
+        bad = L.LimitState(init.p_a, init.p_b, bad_x, flat(bad_x)[None, :],
+                           flat(bad_x)[None, :])
+        with pytest.raises(ValueError, match="volume grid"):
+            L.LimitEngine(params, bad, 0.5, 1e-2)
+
+
+def test_solve_paths_rejects_misshaped_noise(family):
+    lp = family.limit_params(n_x=61)
+    init = L.make_initial_state(lp, family.ask_price0, family.bid_price0,
+                                family.ask_volume0, family.bid_volume0, n_paths=5)
+    # one path's increments would broadcast to all five paths; a short
+    # array would run out partway through the run
+    for noise in (L.make_noise(3, 10, 1), L.make_noise(3, 4, 5)):
+        with pytest.raises(ValueError, match=r"noise must be shaped"):
+            L.solve_paths(lp, init, 0.02, 2e-3, noise=noise)
+    run = L.solve_paths(lp, init, 0.02, 2e-3, noise=L.make_noise(3, 10, 5))
+    assert not np.array_equal(run.p_a[:, 0], run.p_a[:, 1])
