@@ -67,10 +67,13 @@ class _Checker:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             self.fail(f"{path}.{key}", "expected a number")
             return default
+        # a failed value is not returned, so later checks do not run on it
         if positive and val <= 0:
             self.fail(f"{path}.{key}", "must be positive")
+            return None
         if minimum is not None and val < minimum:
             self.fail(f"{path}.{key}", f"must be >= {minimum}")
+            return None
         return float(val)
 
 
@@ -242,7 +245,7 @@ def _validate_scaling(block, chk: _Checker, on_ticks: bool) -> None:
             chk.fail("scaling.book.ask_price", "must not be below bid_price: the "
                      "book would start crossed")
         for key, price in (("ask_price", ask), ("bid_price", bid)):
-            if on_ticks and price is not None and dx is not None and dx > 0:
+            if on_ticks and price is not None and dx is not None:
                 try:
                     TickGrid(dx).to_tick_exact(price)
                 except ValueError as exc:

@@ -122,7 +122,6 @@ class LimitParams:
     pas_from_pas: dict = dc_field(default_factory=dict)  # (pt, pt) -> (out, in, time)
     drift_from_act: dict = dc_field(default_factory=dict)  # (side, side) -> time
     drift_from_pas: dict = dc_field(default_factory=dict)  # (side, pt) -> (in, time)
-    lipschitz_bound: Optional[float] = None
 
     def __post_init__(self):
         for side in SIDES:
@@ -144,10 +143,6 @@ class LimitState:
     v_x: np.ndarray  # absolute volume grid nodes, spaced like the distance grid
     v_a: np.ndarray  # (R, volume nodes)
     v_b: np.ndarray
-
-    @property
-    def spread(self) -> np.ndarray:
-        return self.p_a - self.p_b
 
 
 @dataclass
@@ -395,8 +390,8 @@ class LimitEngine:
         self.P_b = np.zeros((M + 1, R))
         self.P_a[0] = init.p_a
         self.P_b[0] = init.p_b
-        self.V_a = init.v_a.astype(float).copy()
-        self.V_b = init.v_b.astype(float).copy()
+        self.V_a = np.array(init.v_a, dtype=float)
+        self.V_b = np.array(init.v_b, dtype=float)
 
         self.v_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
         self.eta_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
@@ -409,43 +404,59 @@ class LimitEngine:
         self._build_gather_windows()
         # work buffers of the volume update, viewed as (R, band width) per step
         size = self.R * self.x_v.size
-        self._gathers = [np.empty(size) for _ in self._windows]
-        self._scratch, self._lo, self._cx = np.empty(size), np.empty(size), np.empty(size)
-        self._eta = np.zeros((self.R, self.x_v.size))
+        self._gather, self._scratch = np.empty(size), np.empty(size)
+        self._place, self._cancel = np.empty(size), np.empty(size)
 
         self.m = 0
         self._init_time_zero()
 
     def _build_gather_windows(self) -> None:
-        """Padded sliding windows over every distinct profile vector.
+        """Padded sliding windows over every distinct profile vector, and
+        each side's terms grouped by the window they read.
 
-        Window row ``idx0 + pad`` of the left (right) array holds
-        ``vec[idx0 + j]`` (``vec[idx0 + j + 1]``) for the ``n_cols`` volume
-        columns ``j``, and zero where ``idx0 + j`` falls outside
-        ``[0, n - 2]``; a pad of ``n_cols + 1`` on each side makes every
-        clipped row entirely zero.
+        Segment ``k`` of a vector ``vec`` is interpolated at fraction ``f`` as
+        ``base[k] + f * diff[k]``, ``base = vec[:-1]``, ``diff = np.diff(vec)``.
+        Both are padded with ``n_cols + 1`` zeros on each side and viewed as
+        width-``n_cols`` sliding windows: row ``k + pad`` starts at segment
+        ``k``, and the first and last rows, where rows past the padding are
+        clipped to, are zero.  The bid side's windows hold both reversed, so
+        its row ``n - 2 - k + pad`` walks down from segment ``k`` in that
+        side's ``V`` column order.
+
+        ``_side_terms[side]`` lists ``(window, (place rows, cancel rows))``,
+        rows of the coefficient stack: the entries' convolution values, then
+        the hat factors in ``PASSIVE_TYPES`` order.
         """
         n_cols = self.x_v.size
         self._pad = n_cols + 1
-        self._windows: list[tuple[np.ndarray, np.ndarray]] = []
+        self._windows: list[dict] = []
         index: dict = {}
+
+        def padded(arr: np.ndarray) -> np.ndarray:
+            buf = np.zeros(arr.size + 2 * self._pad)
+            buf[self._pad:-self._pad] = arr
+            return sliding_window_view(buf, n_cols)
 
         def window_of(vec: np.ndarray) -> int:
             key = vec.tobytes()
             if key not in index:
                 index[key] = len(self._windows)
-                n = vec.size
-                left = np.zeros(n - 1 + 2 * self._pad)
-                right = np.zeros_like(left)
-                left[self._pad:self._pad + n - 1] = vec[:-1]
-                right[self._pad:self._pad + n - 1] = vec[1:]
-                self._windows.append((sliding_window_view(left, n_cols),
-                                      sliding_window_view(right, n_cols)))
+                base, diff = vec[:-1], np.diff(vec)
+                self._windows.append({"a": (padded(base), padded(diff)),
+                                      "b": (padded(base[::-1]), padded(diff[::-1]))})
             return index[key]
 
-        self._hat_win = {pt: window_of(v) for pt, v in self._hat_vals.items()}
-        self._out_win = [None if v is None else window_of(v) for v in self._entry_out]
-        self._last_row = self._windows[0][0].shape[0] - 1
+        self._side_terms: dict = {}
+        for side in SIDES:
+            groups: dict = {}
+            for i, kind in enumerate(("lo", "cx")):
+                pt = f"{side}_{kind}"
+                terms = [(self._hat_vals[pt], len(self.entries) + PASSIVE_TYPES.index(pt))]
+                terms += [(self._entry_out[k], k) for k in self._lam_entries[pt]]
+                for vec, row in terms:
+                    groups.setdefault(window_of(vec), ([], []))[i].append(row)
+            self._side_terms[side] = list(groups.items())
+        self._last_row = self._windows[0]["a"][0].shape[0] - 1
 
     # -- assembly helpers ---------------------------------------------------
 
@@ -591,105 +602,87 @@ class LimitEngine:
         return drift_a, drift_b, diff_a, diff_b
 
     def _lam_at_volume_nodes(self, m: int, side: str):
-        """Placement and cancellation intensities at x_v relative to best.
+        """Gain-weighted placement and cancellation intensities at x_v
+        relative to the best price, at step ``m`` with the current
+        convolution values and hat factors.
 
-        ``m`` is the current step: the prices are read at ``m``, the
-        convolution values and hat factors are the current ones.
+        Returns ``(place, cancel, cols)``: ``place_gain * lam_lo`` and
+        ``cancel_gain * lam_cx`` on the volume columns ``cols`` (a slice, in
+        ``V`` column order), which hold every nonzero value.
 
-        Returns ``(lam_lo, lam_cx, cols)``: the two intensities on the
-        volume columns ``cols`` (a slice, in ``V`` column order), which hold
-        every nonzero value; outside them both intensities are zero.
-
-        The intensity grids are sums of fixed profile vectors with per-path
-        coefficients, so each profile vector is interpolated at the per-path
-        shifts and blended.  The volume grid has the distance grid's
-        spacing, so the shift is one start index ``idx0`` and fraction per
-        path, and the gather reads one row per path of the padded sliding
-        windows built at construction; vectors with equal content (equal
-        base profiles, say) share one window and one gather per call.  Column
-        ``j`` reaches the profile on some path only when ``idx0 + j`` lies
-        in ``[0, n - 2]`` for that path, so the gather covers just the band
-        ``[max(0, -max idx0), min(n_cols, n - 1 - min idx0))``, which may be
-        empty.  For the bid side the relative coordinate runs backwards:
-        the band maps to the mirrored ``V`` columns and the gathered rows
-        are read reversed.
-
-        The returned arrays are views of work buffers built once per
-        engine, valid until the next call.
+        The intensities are sums of fixed profile vectors with per-path
+        coefficients.  The volume grid has the distance grid's spacing, so a
+        path's shift is one start index ``idx0`` and fraction, and
+        interpolating a vector reads one window row per path.  The
+        coefficients of the terms sharing a window are summed per path, gain
+        included, so each distinct vector is gathered once.  Column ``j`` of
+        the relative coordinate reaches the profile only when ``idx0 + j``
+        lies in ``[0, n - 2]``, so the gather covers just the band
+        ``[max(0, -max idx0), min(n_cols, n - 1 - min idx0))``, possibly
+        empty; on the bid side the band maps to the mirrored ``V`` columns.
+        The returned arrays are views of work buffers, valid until the next
+        call.
         """
-        conv, hat_fac = self._conv, self._hat_fac
+        coefs = np.concatenate([self._conv, [self._hat_fac[pt] for pt in PASSIVE_TYPES]])
         pa, pb = self.P_a[m], self.P_b[m]
-        lo = float(self.xg[0])
         starts = (self.x_v[0] - pa) if side == "a" else (pb - self.x_v[-1])
-        pos0 = (starts - lo) / self.h_v
+        pos0 = (starts - float(self.xg[0])) / self.h_v
         idx0 = np.floor(pos0).astype(np.int64)
         frac = (pos0 - idx0)[:, None]
-        one_minus = 1.0 - frac
-        rows = np.clip(idx0 + self._pad, 0, self._last_row)
-        n_cols = self.x_v.size
+        n, n_cols = self.xg.size, self.x_v.size
         j0 = max(0, -int(idx0.max()))
-        j1 = max(j0, min(n_cols, self.xg.size - 1 - int(idx0.min())))
-        shape, size = (self.R, j1 - j0), self.R * (j1 - j0)
-        scratch = self._scratch[:size].reshape(shape)
-        done: set = set()
-
-        def gathered(w):
-            # left[rows] * (1 - frac) + right[rows] * frac over the band, in
-            # place; rows are in range, and mode="clip" lets take write to out
-            # without an intermediate copy
-            g = self._gathers[w][:size].reshape(shape)
-            if w not in done:
-                left, right = self._windows[w]
-                np.take(left[:, j0:j1], rows, axis=0, out=g, mode="clip")
-                g *= one_minus
-                r = np.take(right[:, j0:j1], rows, axis=0, out=scratch, mode="clip")
-                r *= frac
-                g += r
-                done.add(w)
-            return g[:, ::-1] if side == "b" else g
-
-        out = []
-        for kind, buf in (("lo", self._lo), ("cx", self._cx)):
-            pt = f"{side}_{kind}"
-            acc = buf[:size].reshape(shape)
-            np.multiply(hat_fac[pt][:, None], gathered(self._hat_win[pt]), out=acc)
-            for k in self._lam_entries[pt]:
-                np.multiply(conv[k][:, None], gathered(self._out_win[k]), out=scratch)
-                acc += scratch
-            out.append(acc)
-        cols = slice(j0, j1) if side == "a" else slice(n_cols - j1, n_cols - j0)
+        j1 = max(j0, min(n_cols, n - 1 - int(idx0.min())))
+        if side == "a":
+            rows, cols = idx0 + (j0 + self._pad), slice(j0, j1)
+        else:
+            rows, cols = (n - 1 - j1 + self._pad) - idx0, slice(n_cols - j1, n_cols - j0)
+        # rows are in range, and mode="clip" lets take write to out without
+        # an intermediate copy
+        np.clip(rows, 0, self._last_row, out=rows)
+        width = j1 - j0
+        shape, size = (self.R, width), self.R * width
+        g, scratch, *out = (
+            buf[:size].reshape(shape)
+            for buf in (self._gather, self._scratch, self._place, self._cancel)
+        )
+        gains = (self.p.place_gain[side], self.p.cancel_gain[side])
+        filled = [False, False]
+        for w, row_sets in self._side_terms[side]:
+            base, diff = self._windows[w][side]
+            np.take(base[:, :width], rows, axis=0, out=g, mode="clip")
+            np.take(diff[:, :width], rows, axis=0, out=scratch, mode="clip")
+            scratch *= frac
+            g += scratch
+            for i, coef_rows in enumerate(row_sets):
+                if not coef_rows:
+                    continue
+                coef = gains[i] * coefs[coef_rows].sum(axis=0)
+                np.multiply(g, coef[:, None], out=scratch if filled[i] else out[i])
+                if filled[i]:
+                    out[i] += scratch
+                filled[i] = True
         return out[0], out[1], cols
 
     def _advance_volumes(self, m: int) -> None:
         """Explicit Euler step of both volume densities, in place.
 
-        ``eta = place_gain * lam_lo + cancel_gain * lam_cx * V`` is built in
-        the intensity buffers over the column band they return, and only
-        that band of ``V`` moves: outside it ``eta`` is zero.  Tracked
-        functionals read ``V`` before the update and ``eta`` from a
-        full-width buffer that is zero outside the band.
+        ``eta = place + cancel * V`` is built in the place buffer over the
+        column band of the gain-weighted intensities, and only that band of
+        ``V`` moves: outside it ``eta`` is zero.  Tracked functionals read
+        ``V`` before the update and ``eta`` over the band.
         """
-        dt = self.dt
-        eta = self._eta
         for s_idx, side in enumerate(SIDES):
-            lam_lo, lam_cx, cols = self._lam_at_volume_nodes(m, side)
+            eta, cancel, cols = self._lam_at_volume_nodes(m, side)
             V = self.V_a if side == "a" else self.V_b
             band = V[:, cols]
-            lam_lo *= self.p.place_gain[side]
-            lam_cx *= self.p.cancel_gain[side]
-            lam_cx *= band
-            lam_lo += lam_cx
-            if self.track:
-                c0, c1, _ = cols.indices(V.shape[1])
-                eta[:, :c0] = 0.0
-                eta[:, c0:c1] = lam_lo
-                eta[:, c1:] = 0.0
+            cancel *= band
+            eta += cancel
             for f in self.track:
                 fw = self._fw[f.name]
                 self.v_f[f.name][m, s_idx] = V @ fw
-                self.eta_f[f.name][m, s_idx] = eta @ fw
-            lam_lo *= dt
-            band += lam_lo
+                self.eta_f[f.name][m, s_idx] = eta @ fw[cols]
+            eta *= self.dt
+            band += eta
         if self.track and m + 1 == self.n_steps:
             # record the terminal functional values as well
             for f in self.track:

@@ -74,6 +74,14 @@ def test_order_size_above_tick_rejected_with_explanation():
     assert any("volumes negative" in m for _, m in exc.value.errors)
 
 
+def test_failed_number_is_not_checked_again():
+    # a nonpositive tick size fails once; the order-size and tick-grid
+    # checks that read it do not run on the failed value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_mutate("scaling.delta_x", -1.0))
+    assert exc.value.errors == [("scaling.delta_x", "must be positive")]
+
+
 def test_custom_kernel_without_envelope_rejected():
     doc = yaml.safe_load(MINIMAL_MICRO)
     doc["scaling"]["kernels"]["act_from_act"][0]["time"] = {
