@@ -21,6 +21,9 @@ from . import limit as limit_mod
 from .micro import ScalingFamily, simulate_book
 from .rng import SeedManifest, stream_rng
 
+#: standard errors within which a compensated mean passes as zero
+MARTINGALE_SE_MULT = 3.0
+
 
 # ---------------------------------------------------------------------------
 # 1-d transport distance
@@ -395,14 +398,14 @@ def martingale_residual(
     run: limit_mod.LimitRun,
     spec: GeneratorTestSpec,
     checkpoints: Sequence[float],
-    se_mult: float = 3.0,
 ) -> MartingaleReport:
     """Empirical mean of the compensated observable at the checkpoints.
 
     Subtracts the time integral of the path-dependent generator (drift and
     squared-diffusion price terms plus the volume drift functionals,
     evaluated from the stored intensity paths) from the observable; a mean
-    within ``se_mult`` standard errors of zero at every checkpoint passes.
+    within ``MARTINGALE_SE_MULT`` standard errors of zero at every
+    checkpoint passes.
     """
     p = run.params
     t = run.t
@@ -453,6 +456,6 @@ def martingale_residual(
         cps.append(t[m])
         means.append(mean)
         ses.append(se)
-        if abs(mean) > se_mult * se:
+        if abs(mean) > MARTINGALE_SE_MULT * se:
             passed = False
     return MartingaleReport(spec.name, cps, means, ses, passed)

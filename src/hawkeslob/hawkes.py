@@ -29,6 +29,15 @@ from .families import (
 )
 from .rng import as_rng
 
+#: history truncation level of ``simulate_thinning``, relative to max(c0, 1)
+EPS_TRUNC_FACTOR = 1e-12
+#: accepted events after which ``simulate_thinning`` gives up as unstable
+MAX_EVENTS = 10_000_000
+#: compensator quadrature of ``compensated_integral``: trapezoid panels per
+#: inter-event segment, and nodes across a spatial mark space's interval
+N_SUB = 8
+N_SPATIAL = 33
+
 
 class MajorantViolationError(RuntimeError):
     """The realized intensity exceeded the declared dominating rate.
@@ -295,8 +304,6 @@ def simulate_thinning(
     spec: HawkesSpec,
     horizon: float,
     rng_seed,
-    eps_trunc: Optional[float] = None,
-    max_events: int = 10_000_000,
 ) -> EventStream:
     """Simulate the measure on [0, horizon] by Ogata-style thinning.
 
@@ -309,13 +316,12 @@ def simulate_thinning(
     both matched by exact type, keeps its sums in a ``families.KernelBank``,
     one running state per source label and decay shape; other kernels scan
     the event history, dropping contributions older than the lag where the
-    envelope falls below ``eps_trunc`` (default 1e-12 * c0).
+    envelope falls below ``EPS_TRUNC_FACTOR * max(c0, 1)``.
     """
     rng = as_rng(rng_seed, "hawkes")
     space = spec.mark_space
     kernel = spec.kernel
-    if eps_trunc is None:
-        eps_trunc = 1e-12 * max(spec.c0, 1.0)
+    eps_trunc = EPS_TRUNC_FACTOR * max(spec.c0, 1.0)
     sums = None
     # exact class only: subclasses may override eval or envelope, and those
     # declarations must keep flowing through the generic path
@@ -338,7 +344,7 @@ def simulate_thinning(
     start = 0  # first event still inside the truncation window
     while True:
         n = hist.n
-        if n >= max_events:
+        if n >= MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
         times, labels, xs = hist.cols
         if sums is not None:
@@ -398,15 +404,13 @@ def compensated_integral(
     spec: HawkesSpec,
     stream: EventStream,
     f: Callable,
-    n_sub: int = 8,
-    n_spatial: int = 33,
 ) -> float:
     """int f dN minus int f(s,u) lambda(s,u) ds m(du) over [0, horizon].
 
     ``f(t, label_index, x)`` must be bounded.  The compensator integral uses
-    a composite trapezoid with ``n_sub`` nodes per inter-event segment (the
+    a composite trapezoid with ``N_SUB`` panels per inter-event segment (the
     intensity is smooth between events) and, for spatial mark spaces, a
-    trapezoid with ``n_spatial`` nodes across the distance interval.
+    trapezoid with ``N_SPATIAL`` nodes across the distance interval.
     """
     space = spec.mark_space
     horizon = stream.horizon
@@ -417,8 +421,8 @@ def compensated_integral(
 
     if space.spatial:
         L = space.spatial_half_width
-        xg = np.linspace(-L, L, n_spatial)
-        wx = np.full(n_spatial, 2 * L / (n_spatial - 1))
+        xg = np.linspace(-L, L, N_SPATIAL)
+        wx = np.full(N_SPATIAL, 2 * L / (N_SPATIAL - 1))
         wx[0] *= 0.5
         wx[-1] *= 0.5
     else:
@@ -446,7 +450,7 @@ def compensated_integral(
         a, b = knots[k], knots[k + 1]
         if b <= a:
             continue
-        ss = np.linspace(a, b, n_sub + 1)
+        ss = np.linspace(a, b, N_SUB + 1)
         # keep evaluation inside the open segment so the history is the strict past
         ss[0] = a + 1e-12 * max(1.0, b - a)
         vals = np.array([mass_at(s, k) for s in ss])

@@ -22,7 +22,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .families import SpatialProfile, TimeProfile
+from .families import (
+    ConstantProfile,
+    ExponentialProfile,
+    GammaProfile,
+    SpatialProfile,
+    TimeProfile,
+    ZeroProfile,
+)
 from .rng import as_rng, stream_rng
 from .volterra import (
     BlockKernelOp,
@@ -38,6 +45,9 @@ from .volterra import (
 
 SIDES = ("a", "b")
 PASSIVE_TYPES = ("a_lo", "a_cx", "b_lo", "b_cx")
+#: share of path-steps whose diffusion radicand may be clamped before a
+#: solve fails with ``NumericalFailureError``
+CLAMP_BUDGET = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -217,31 +227,31 @@ class _Entry:
 class _TrapezoidConv:
     """Running trapezoid history sum H_m = dt * sum_j w_j h(t_m - t_j) q_j.
 
-    For the exponential, constant and gamma profile families the sum obeys
-    an exact one-step recursion, so the per-step cost is O(paths) instead
-    of O(steps * paths); other profiles fall back to the full dot product.
+    For the exact exponential, constant, zero and gamma profile families the
+    sum obeys an exact one-step recursion, so the per-step cost is O(paths)
+    instead of O(steps * paths); other profiles, subclasses included, fall
+    back to the full dot product through their ``value``.
     It is not a ``families.KernelBank``: it is a trapezoid quadrature over
     a path ensemble on a time grid, with a half-weighted first node, not a
     sum over events.
     """
 
     def __init__(self, profile: TimeProfile, dt: float, n_paths: int):
-        from .families import ConstantProfile, ExponentialProfile, GammaProfile
-
         self.profile = profile
         self.dt = dt
         self._first = True
-        if isinstance(profile, ConstantProfile):
+        kind = type(profile)
+        if kind in (ConstantProfile, ZeroProfile):
             self.mode = "exp"
             self.decay = 1.0
-            self.c = profile.c
+            self.c = profile.c if kind is ConstantProfile else 0.0
             self.h = np.zeros(n_paths)
-        elif isinstance(profile, ExponentialProfile):
+        elif kind is ExponentialProfile:
             self.mode = "exp"
             self.decay = math.exp(-profile.kappa * dt)
             self.c = profile.c
             self.h = np.zeros(n_paths)
-        elif isinstance(profile, GammaProfile):
+        elif kind is GammaProfile:
             self.mode = "gamma"
             self.decay = math.exp(-profile.kappa * dt)
             self.c = profile.c
@@ -288,7 +298,6 @@ class LimitEngine:
         dt: float,
         track: Sequence[SpatialTestFn] = (),
         lam_checkpoint_times: Sequence[float] = (),
-        clamp_budget: float = 1e-3,
     ):
         self.p = params
         self.n_steps = int(round(horizon / dt))
@@ -298,7 +307,6 @@ class LimitEngine:
         self.t = np.linspace(0.0, horizon, self.n_steps + 1)
         self.R = init.p_a.size
         self.track = list(track)
-        self.clamp_budget = clamp_budget
         self.clamp_count = 0
 
         g = params.grid
@@ -801,7 +809,7 @@ def solve_paths(
         dz = noise[m] if noise is not None else rng.standard_normal((2, eng.R))
         eng.step(dz)
     total_steps = eng.n_steps * eng.R
-    if total_steps and eng.clamp_count > eng.clamp_budget * total_steps:
+    if total_steps and eng.clamp_count > CLAMP_BUDGET * total_steps:
         raise NumericalFailureError(
             f"clamped diffusion radicand on {eng.clamp_count} of {total_steps} steps"
         )

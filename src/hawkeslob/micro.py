@@ -42,6 +42,14 @@ from .rng import as_rng
 ACTIVE_TYPES = ("a_mo", "a_sp", "b_mo", "b_sp")
 PASSIVE_TYPES = ("a_lo", "a_cx", "b_lo", "b_cx")
 EVENT_LABELS = ("A1", "A2", "A3", "A4", "P1", "P2", "P3", "P4")
+#: price distance the initial volume ledgers reach beyond the distance
+#: interval, on each side of the start prices
+WINDOW_PAD = 4.0
+#: history truncation level of the kernel bank, relative to the active
+#: exogenous mass (at least 1)
+EPS_TRUNC_FACTOR = 1e-12
+#: accepted events after which ``simulate_book`` gives up as unstable
+MAX_EVENTS = 5_000_000
 #: tick move per active type, applied to (ask, bid)
 _PRICE_MOVES = {"a_mo": (1, 0), "a_sp": (-1, 0), "b_mo": (0, -1), "b_sp": (0, 1)}
 
@@ -389,9 +397,6 @@ class MicroParams:
     act_from_pas: dict = dc_field(default_factory=dict)  # (at, ps) -> (in_prof, time)
     pas_from_act: dict = dc_field(default_factory=dict)  # (pt, as) -> (out_prof, time)
     pas_from_pas: dict = dc_field(default_factory=dict)  # (pt, ps) -> (out, in, time)
-    window_pad: float = 4.0
-    eps_trunc_factor: float = 1e-12
-    max_events: int = 5_000_000
     #: compiled by the first simulation and shared by every later one, so the
     #: fields must not change after it
     _compiled: Optional["_CompiledBook"] = dc_field(
@@ -415,8 +420,8 @@ class MicroParams:
         grid = TickGrid(self.delta_x)
         ask = grid.to_tick_exact(self.ask_price0)
         bid = grid.to_tick_exact(self.bid_price0)
-        lo = min(bid, ask) - int(math.ceil((self.half_width + self.window_pad) / self.delta_x))
-        hi = max(bid, ask) + int(math.ceil((self.half_width + self.window_pad) / self.delta_x))
+        pad = int(math.ceil((self.half_width + WINDOW_PAD) / self.delta_x))
+        lo, hi = min(bid, ask) - pad, max(bid, ask) + pad
         return BookState(
             grid, ask, bid,
             VolumeLedger(self.ask_volume0, lo, hi, self.delta_x),
@@ -518,7 +523,7 @@ class _CompiledBook:
         self.p = p
         self.dx2 = dx**2
         self.state0 = p.initial_state()
-        eps = p.eps_trunc_factor * max(
+        eps = EPS_TRUNC_FACTOR * max(
             sum(exo.sup_t(self.state0) for exo in p.base_active.values()), 1.0
         )
         self.bank = bank = KernelBank(eps)
@@ -737,7 +742,7 @@ def simulate_book(
     t = 0.0
     candidates = 0
     while True:
-        if len(accepted) >= p.max_events:
+        if len(accepted) >= MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
         # the last realised rates were taken at this time and book state
         act_b, pas_b, *_ = rates if book.bound_is_value else eng.rates(bound=True)
@@ -954,7 +959,6 @@ class ScalingFamily:
     drift_from_pas: dict = dc_field(default_factory=dict)
     pas_from_act: dict = dc_field(default_factory=dict)  # (ptype, atype) -> (out, time)
     pas_from_pas: dict = dc_field(default_factory=dict)
-    window_pad: float = 4.0
 
     def level_scales(self, k: int) -> tuple[float, float]:
         if k < 0:
@@ -1031,7 +1035,6 @@ class ScalingFamily:
             act_from_pas=act_from_pas,
             pas_from_act=dict(self.pas_from_act),
             pas_from_pas=dict(self.pas_from_pas),
-            window_pad=self.window_pad,
         )
 
     def limit_params(self, n_x: int = 113) -> "limit_mod.LimitParams":
@@ -1065,7 +1068,7 @@ class ScalingFamily:
                 s: limit_mod.ConstantExo(self.base_drift.get(s, 0.0)) for s in "ab"
             },
             base_passive={
-                pt: ((lambda fac: (lambda t, pa, pb: np.full_like(np.asarray(pa, dtype=float), fac)))(fac), prof)
+                pt: (limit_mod.ConstantExo(fac), prof)
                 for pt, (fac, prof) in self.base_passive.items()
             },
             place_gain={s: self.sizes[f"{s}_lo"].place_gain for s in "ab"},

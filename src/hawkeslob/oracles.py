@@ -15,7 +15,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .rng import as_rng
-from .volterra import renewal_resolvent
+from .volterra import _trapezoid_conv, renewal_resolvent
+
+#: relative slack of the spread-reduction check a >= c
+SPREAD_REL_SLACK = 1e-9
+#: Euler step of the one-sided clustering simulation
+CLUSTERING_DT = 0.005
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +139,7 @@ class SpreadReduction:
         return bool(np.all(self.defined))
 
 
-def spread_reduction(run, path: int = 0, rel_slack: float = 1e-9) -> SpreadReduction:
+def spread_reduction(run, path: int = 0) -> SpreadReduction:
     """Rewrite a realized spread path in square-root-diffusion form.
 
     Emits coefficients (a, b, c) such that the spread's drift is
@@ -162,7 +167,7 @@ def spread_reduction(run, path: int = 0, rel_slack: float = 1e-9) -> SpreadReduc
         a += rate_slope * mu
         c += np.where(defined, rho_hat * mu, np.nan)
         b += -np.where(defined, rho_hat * beta, np.nan)
-    ok = defined & (a >= c * (1.0 - rel_slack))
+    ok = defined & (a >= c * (1.0 - SPREAD_REL_SLACK))
     frac = float(ok.sum()) / max(int(defined.sum()), 1)
     return SpreadReduction(run.t, a, b, c, defined, frac)
 
@@ -212,13 +217,7 @@ def closed_form_book(
     n = p2.size
     t_grid = dt * np.arange(n)
     K = renewal_resolvent(kernel, t_grid)
-    conv = np.zeros(n)
-    for m in range(1, n):
-        w = np.ones(m + 1)
-        w[0] = 0.5
-        w[-1] = 0.5
-        conv[m] = dt * float((K[: m + 1] * w) @ p2[m::-1])
-    u = p2 + conv
+    u = p2 + _trapezoid_conv(K, p2, dt)
     W = np.concatenate([[0.0], np.cumsum(0.5 * (u[1:] + u[:-1]) * dt)])
     g = np.exp(-x * x) if shape is None else np.asarray(shape(x), dtype=float)
     return 1.0 + (v0 - 1.0)[None, :] * np.exp(-g[None, :] * W[:, None])
@@ -278,7 +277,6 @@ def one_sided_volatility_clustering(
     lag: float,
     replicates: int,
     seed,
-    dt: float = 0.005,
 ) -> ClusteringReport:
     """Lagged covariance of squared log-price increments, with its SE.
 
@@ -293,6 +291,7 @@ def one_sided_volatility_clustering(
     at the configured barrier and the hits are reported.
     """
     rng = as_rng(seed, "oracle")
+    dt = CLUSTERING_DT
     horizon = t0 + lag + eps
     n_steps = int(round(horizon / dt))
     idx = [int(round(s / dt)) for s in (t0, t0 + eps, t0 + lag, t0 + lag + eps)]

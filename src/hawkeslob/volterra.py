@@ -1,11 +1,19 @@
 """Solvers for the coupled linear Volterra-Fredholm intensity system.
 
 The unknown is a field of scalar slots (active intensities) and grid slots
-(passive intensity functions on a truncated distance interval).  The field
-satisfies a linear integral equation with memory in time and coupling
-across space; this module provides a forward trapezoid solver, the Neumann
-series of Picard terms, and the scalar renewal-equation resolvent used by
-the closed-form references.
+(passive intensity functions on a truncated distance interval).  One time
+slice of the field is one flat vector: the scalar slots, then the ``n_x``
+nodes of each grid slot.  The block kernel operator is compiled once into
+two matrices over that vector, ``In`` (how each kernel entry reads its
+source slot) and ``Out`` (how it spreads into its target slot), and every
+solve tabulates the entries' time profiles once on the lags of its uniform
+time grid.
+
+This module provides a forward trapezoid solver, the Neumann series of
+Picard terms, and the scalar renewal-equation resolvent used by the
+closed-form references.  The quadratures are the product trapezoid rules of
+Linz (1985), *Analytical and Numerical Methods for Volterra Equations*,
+ch. 7.
 """
 
 from __future__ import annotations
@@ -26,6 +34,12 @@ from .families import (
 )
 
 log = logging.getLogger(__name__)
+
+#: a solve clamps every negative value to zero, and warns when one lies
+#: deeper than this multiple of the largest driving-field norm (at least 1)
+CLAMP_TOL_FACTOR = 1e-10
+#: sweeps of the fixed point that resolves the implicit diagonal term
+FP_MAX_ITER = 8
 
 
 class NumericalFailureError(ArithmeticError):
@@ -86,6 +100,22 @@ class FieldLayout:
     def n_grid(self) -> int:
         return len(self.grid_names)
 
+    @property
+    def n_x(self) -> int:
+        return self.grid.n_x if self.grid else 0
+
+    @property
+    def size(self) -> int:
+        """Length of the flat vector that holds one time slice."""
+        return self.n_scalar + self.n_grid * self.n_x
+
+    def slot(self, kind: str, idx: int) -> slice:
+        """Where a ``"scalar"`` or ``"grid"`` slot sits in the flat vector."""
+        if kind == "scalar":
+            return slice(idx, idx + 1)
+        start = self.n_scalar + idx * self.n_x
+        return slice(start, start + self.n_x)
+
     def scalar_index(self, name: str) -> int:
         return self.scalar_names.index(name)
 
@@ -98,62 +128,41 @@ def limit_layout(grid: SpatialGrid) -> FieldLayout:
     return FieldLayout(("mu_a", "mu_b"), ("a_lo", "a_cx", "b_lo", "b_cx"), grid)
 
 
-#: layout of the rescaled pre-limit field: four active, four passive slots
-def prelimit_layout(grid: SpatialGrid) -> FieldLayout:
-    return FieldLayout(
-        ("a_mo", "a_sp", "b_mo", "b_sp"), ("a_lo", "a_cx", "b_lo", "b_cx"), grid
-    )
+def _norms(layout: FieldLayout, rows: np.ndarray, p: int = 1, q: int = 1) -> np.ndarray:
+    """l^p norm over the slots of flat slices: |scalar|, and L^q of each grid."""
+    rows = np.abs(rows)
+    total = np.sum(rows[..., : layout.n_scalar] ** p, axis=-1)
+    if layout.n_grid:
+        grids = rows[..., layout.n_scalar :].reshape(*rows.shape[:-1], layout.n_grid, layout.n_x)
+        lq = (grids ** q) @ layout.grid.quad_weights
+        total = total + np.sum(lq ** (p / q), axis=-1)
+    return total ** (1.0 / p)
 
 
-@dataclass
 class IntensityField:
-    """One time slice of the intensity field."""
+    """One time slice of the intensity field, viewing a flat vector.
 
-    layout: FieldLayout
-    scalars: np.ndarray
-    grids: np.ndarray  # (n_grid, n_x)
+    ``data`` holds the scalar slots, then each grid slot's nodes;
+    ``scalars`` and ``grids`` (n_grid, n_x) are views into it, so writing
+    through them writes the vector.
+    """
+
+    def __init__(self, layout: FieldLayout, data: np.ndarray):
+        self.layout = layout
+        self.data = data
+        self.scalars = data[: layout.n_scalar]
+        self.grids = data[layout.n_scalar :].reshape(layout.n_grid, layout.n_x)
 
     @classmethod
     def zeros(cls, layout: FieldLayout) -> "IntensityField":
-        nx = layout.grid.n_x if layout.grid else 0
-        return cls(layout, np.zeros(layout.n_scalar), np.zeros((layout.n_grid, nx)))
-
-    def copy(self) -> "IntensityField":
-        return IntensityField(self.layout, self.scalars.copy(), self.grids.copy())
+        return cls(layout, np.zeros(layout.size))
 
     def norm(self, p: int = 1, q: int = 1) -> float:
-        total = float(np.sum(np.abs(self.scalars) ** p))
-        if self.layout.n_grid:
-            w = self.layout.grid.quad_weights
-            lq = (np.abs(self.grids) ** q) @ w
-            total += float(np.sum(lq ** (p / q)))
-        return total ** (1.0 / p)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.scalars)) and np.all(np.isfinite(self.grids)))
+        return float(_norms(self.layout, self.data, p, q))
 
 
-def merge_prelimit(field: IntensityField, tol: float = 1e-6) -> IntensityField:
-    """Collapse a pre-limit 8-slot field onto the 6-slot limit layout.
-
-    Asserts that the market-order and spread-placement slots of each side
-    agree within ``tol`` relative tolerance before identifying them.
-    """
-    lay = field.layout
-    if lay.scalar_names != ("a_mo", "a_sp", "b_mo", "b_sp"):
-        raise ValueError("expected the pre-limit slot layout")
-    out_lay = limit_layout(lay.grid)
-    mu = np.empty(2)
-    for i, side in enumerate("ab"):
-        mo = field.scalars[lay.scalar_index(f"{side}_mo")]
-        sp = field.scalars[lay.scalar_index(f"{side}_sp")]
-        scale = max(abs(mo), abs(sp), 1e-30)
-        if abs(mo - sp) > tol * scale:
-            raise ValueError(
-                f"side {side}: market and spread slots differ by more than {tol} relative"
-            )
-        mu[i] = 0.5 * (mo + sp)
-    return IntensityField(out_lay, mu, field.grids.copy())
+def _views(layout: FieldLayout, rows: np.ndarray) -> list[IntensityField]:
+    return [IntensityField(layout, row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -200,36 +209,37 @@ def grid_to_grid(ti, si, time, out_profile, in_profile):
 
 
 class BlockKernelOp:
-    """The block kernel operator acting on intensity fields.
+    """The block kernel operator, compiled over the flat field vector.
 
-    Entries are resolved against a layout by slot name through the
-    convenience constructors; ``c0`` optionally declares the row-mass bound
-    that the assembled operator is checked against.
+    Row k of ``In`` reads entry k's source: a unit at a scalar slot, or the
+    in profile times the grid quadrature weights across a grid slot.  Row k
+    of ``Out`` spreads entry k into its target: a unit at a scalar slot, or
+    the out profile across a grid slot.  The sources of a slice ``f`` are
+    ``rates * (In @ f)``, and entry coefficients ``coef`` act on the field
+    as ``coef @ Out``.
     """
 
-    def __init__(self, layout: FieldLayout, entries: Sequence[OpEntry], c0: Optional[float] = None):
+    def __init__(self, layout: FieldLayout, entries: Sequence[OpEntry]):
         self.layout = layout
         self.entries = list(entries)
-        grid = layout.grid
-        self._in_w = []
-        self._out_vals = []
-        for e in self.entries:
-            if e.source_kind == "grid":
-                if e.in_profile is None:
-                    raise ValueError("grid sources need an in profile")
-                self._in_w.append(e.in_profile.value(grid.x) * grid.quad_weights)
+        x = layout.grid.x if layout.grid else None
+        self.In = np.zeros((len(self.entries), layout.size))
+        self.Out = np.zeros((len(self.entries), layout.size))
+        for k, e in enumerate(self.entries):
+            src = layout.slot(e.source_kind, e.source_idx)
+            if e.source_kind == "scalar":
+                self.In[k, src] = 1.0
+            elif e.in_profile is None:
+                raise ValueError("grid sources need an in profile")
             else:
-                self._in_w.append(None)
-            if e.target_kind == "grid":
-                if e.out_profile is None:
-                    raise ValueError("grid targets need an out profile")
-                self._out_vals.append(e.out_profile.value(grid.x))
+                self.In[k, src] = e.in_profile.value(x) * layout.grid.quad_weights
+            tgt = layout.slot(e.target_kind, e.target_idx)
+            if e.target_kind == "scalar":
+                self.Out[k, tgt] = 1.0
+            elif e.out_profile is None:
+                raise ValueError("grid targets need an out profile")
             else:
-                self._out_vals.append(None)
-        if c0 is not None and self.max_row_mass() > c0 * (1 + 1e-9):
-            raise ValueError(
-                f"operator row mass {self.max_row_mass():.6g} exceeds the declared bound {c0}"
-            )
+                self.Out[k, tgt] = e.out_profile.value(x)
 
     def max_row_mass(self) -> float:
         """Crude uniform bound on the row sums of the kernel blocks."""
@@ -244,22 +254,21 @@ class BlockKernelOp:
             rows[key] = rows.get(key, 0.0) + amp
         return max(rows.values(), default=0.0)
 
-    def source_value(self, k: int, field: IntensityField, state) -> float:
-        """Contract one entry's source slot of a field, with its rate factor."""
-        e = self.entries[k]
-        if e.source_kind == "scalar":
-            v = float(field.scalars[e.source_idx])
+    def rates(self, states: Sequence) -> np.ndarray:
+        """(entries, states): each entry's rate factor at each state, 1 without one."""
+        out = np.ones((len(self.entries), len(states)))
+        for k, e in enumerate(self.entries):
             if e.rate is not None:
-                v *= float(e.rate(state))
-            return v
-        return float(self._in_w[k] @ field.grids[e.source_idx])
+                out[k] = [e.rate(s) for s in states]
+        return out
 
-    def add_scaled(self, out: IntensityField, k: int, coeff: float) -> None:
-        e = self.entries[k]
-        if e.target_kind == "scalar":
-            out.scalars[e.target_idx] += coeff
-        else:
-            out.grids[e.target_idx] += coeff * self._out_vals[k]
+    def lag_table(self, n: int, dt: float) -> np.ndarray:
+        """(entries, n): ``H[k, l] = h_k(l dt)``, each time profile on the grid lags."""
+        lags = dt * np.arange(n)
+        H = np.empty((len(self.entries), n))
+        for k, e in enumerate(self.entries):
+            H[k] = e.time.value(lags)
+        return H
 
 
 class ExogenousField:
@@ -273,11 +282,13 @@ class ExogenousField:
     def __init__(self, layout: FieldLayout, scalar_fns, grid_terms):
         self.layout = layout
         self.scalar_fns = list(scalar_fns)
-        self.grid_terms = [list(terms) for terms in grid_terms]
         if len(self.scalar_fns) != layout.n_scalar:
             raise ValueError("one scalar function per scalar slot")
-        if len(self.grid_terms) != layout.n_grid:
+        if len(grid_terms) != layout.n_grid:
             raise ValueError("one term list per grid slot")
+        x = layout.grid.x if layout.grid else None
+        # the profiles tabulated on the grid nodes once
+        self._grid_terms = [[(fn, prof.value(x)) for fn, prof in terms] for terms in grid_terms]
 
     @classmethod
     def constant(cls, layout: FieldLayout, scalars, grid_profiles=()) -> "ExogenousField":
@@ -294,11 +305,28 @@ class ExogenousField:
         out = IntensityField.zeros(self.layout)
         for i, fn in enumerate(self.scalar_fns):
             out.scalars[i] = fn(t, state)
-        x = self.layout.grid.x if self.layout.grid else None
-        for g, terms in enumerate(self.grid_terms):
-            for factor_fn, prof in terms:
-                out.grids[g] += float(factor_fn(t, state)) * prof.value(x)
+        for g, terms in enumerate(self._grid_terms):
+            for factor_fn, vals in terms:
+                out.grids[g] += float(factor_fn(t, state)) * vals
         return out
+
+
+def _uniform_grid(t_grid) -> tuple[np.ndarray, float]:
+    """The time grid as floats and its step (0 for a single node)."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    dt = t_grid[1] - t_grid[0] if t_grid.size > 1 else 0.0
+    if t_grid.size > 1 and not np.allclose(np.diff(t_grid), dt):
+        raise ValueError("need a uniform time grid")
+    return t_grid, dt
+
+
+def _trapezoid_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid rule for int_0^{t_m} a(t_m - s) b(s) ds at every node t_m.
+
+    The full discrete convolution minus half of its two end terms.
+    """
+    n = a.size
+    return dt * (np.convolve(a, b)[:n] - 0.5 * (a[0] * b + a * b[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,42 +336,26 @@ class ExogenousField:
 
 @dataclass
 class VolterraSolution:
+    """The field on the time grid; row m of ``values`` is the slice at ``t[m]``."""
+
     t: np.ndarray
-    fields: list[IntensityField]
-    clamp_count: int = 0
-    clamp_max: float = 0.0
+    layout: FieldLayout
+    values: np.ndarray  # (steps, layout.size)
+    clamp_count: int
+
+    @property
+    def fields(self) -> list[IntensityField]:
+        return _views(self.layout, self.values)
 
     def scalars(self) -> np.ndarray:
-        return np.stack([f.scalars for f in self.fields])
+        return self.values[:, : self.layout.n_scalar]
 
     def grids(self) -> np.ndarray:
-        return np.stack([f.grids for f in self.fields])
+        lay = self.layout
+        return self.values[:, lay.n_scalar :].reshape(len(self.values), lay.n_grid, lay.n_x)
 
     def norms(self, p: int = 1, q: int = 1) -> np.ndarray:
-        return np.array([f.norm(p, q) for f in self.fields])
-
-    def to_csv(self, path) -> None:
-        lay = self.fields[0].layout
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "slot", "node_x", "value"])
-            for t, f in zip(self.t, self.fields):
-                for i, name in enumerate(lay.scalar_names):
-                    writer.writerow([repr(float(t)), name, "", repr(float(f.scalars[i]))])
-                if lay.grid:
-                    for g, name in enumerate(lay.grid_names):
-                        for x, v in zip(lay.grid.x, f.grids[g]):
-                            writer.writerow(
-                                [repr(float(t)), name, repr(float(x)), repr(float(v))]
-                            )
-
-
-def _state_at(state_path, idx: int):
-    if state_path is None:
-        return None
-    return state_path[idx]
+        return _norms(self.layout, self.values, p, q)
 
 
 def solve_forward(
@@ -352,8 +364,6 @@ def solve_forward(
     state_path,
     t_grid: np.ndarray,
     exo_at: str = "node",
-    clamp_tol_factor: float = 1e-10,
-    fp_max_iter: int = 8,
 ) -> VolterraSolution:
     """March the field forward with trapezoid quadrature in time and space.
 
@@ -368,80 +378,60 @@ def solve_forward(
     """
     if exo_at not in ("node", "prev"):
         raise ValueError("exo_at must be 'node' or 'prev'")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, dt = _uniform_grid(t_grid)
     m_steps = t_grid.size
-    dt = t_grid[1] - t_grid[0] if m_steps > 1 else 0.0
-    if m_steps > 1 and not np.allclose(np.diff(t_grid), dt):
-        raise ValueError("need a uniform time grid")
+    states = [None] * m_steps if state_path is None else state_path
+    rates = op.rates(states)
+    H = op.lag_table(m_steps, dt)
+    half_diag = 0.5 * dt * H[:, 0]
+    w = np.ones(m_steps)
+    w[0] = 0.5
 
-    n_entries = len(op.entries)
-    src_hist = np.zeros((n_entries, m_steps))
-    fields: list[IntensityField] = []
+    values = np.empty((m_steps, op.layout.size))
+    # history sources always take the state realized at their own node;
+    # only the driving term and the implicit diagonal follow exo_at
+    src = np.zeros((len(op.entries), m_steps))
     exo_sup = 0.0
     clamp_count = 0
-    clamp_max = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(m_steps):
+            idx_exo = m if exo_at == "node" else max(m - 1, 0)
+            rhs = exo.field(t_grid[m], states[idx_exo]).data
+            exo_sup = max(exo_sup, float(_norms(op.layout, rhs)))
 
-    for m in range(m_steps):
-        idx_exo = m if exo_at == "node" else max(m - 1, 0)
-        state_exo = _state_at(state_path, idx_exo)
-        rhs = exo.field(t_grid[m], state_exo)
-        exo_sup = max(exo_sup, rhs.norm(1, 1))
-
-        if m > 0:
-            lags = t_grid[m] - t_grid[:m]
-            w = np.ones(m)
-            w[0] = 0.5
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(n_entries):
-                    prof_vals = op.entries[k].time.value(lags)
-                    coeff = dt * float(prof_vals @ (w * src_hist[k, :m]))
-                    op.add_scaled(rhs, k, coeff)
-
-            # fixed point for the implicit dt/2 diagonal term
-            cur = rhs.copy()
-            with np.errstate(invalid="ignore", over="ignore"):
-                for _ in range(fp_max_iter):
-                    nxt = rhs.copy()
-                    for k, e in enumerate(op.entries):
-                        coeff = 0.5 * dt * float(e.time.value(0.0)) * op.source_value(
-                            k, cur, state_exo
-                        )
-                        op.add_scaled(nxt, k, coeff)
-                    delta = max(
-                        float(np.max(np.abs(nxt.scalars - cur.scalars), initial=0.0)),
-                        float(np.max(np.abs(nxt.grids - cur.grids), initial=0.0)),
-                    )
+            if m > 0:
+                hist = dt * ((H[:, m:0:-1] * src[:, :m]) @ w[:m])
+                rhs = rhs + hist @ op.Out
+                # fixed point for the implicit dt/2 diagonal term
+                diag = half_diag * rates[:, idx_exo]
+                cur = rhs
+                for _ in range(FP_MAX_ITER):
+                    nxt = rhs + (diag * (op.In @ cur)) @ op.Out
+                    delta = float(np.max(np.abs(nxt - cur), initial=0.0))
                     cur = nxt
                     if not math.isfinite(delta):
                         break
-                    if delta <= 1e-14 * (1.0 + cur.norm(1, 1)):
+                    if delta <= 1e-14 * (1.0 + _norms(op.layout, cur)):
                         break
-            rhs = cur
+                rhs = cur
 
-        if not rhs.is_finite():
-            raise NumericalFailureError(f"non-finite field at step {m}")
+            if not np.all(np.isfinite(rhs)):
+                raise NumericalFailureError(f"non-finite field at step {m}")
 
-        # nonnegative inputs keep the scheme nonnegative; clamp and log if
-        # floating-point artifacts produce tiny negative values anyway
-        tol = clamp_tol_factor * max(exo_sup, 1.0)
-        for arr in (rhs.scalars, rhs.grids):
-            neg = arr < 0.0
+            # nonnegative inputs keep the scheme nonnegative; clamp and log if
+            # floating-point artifacts produce tiny negative values anyway
+            neg = rhs < 0.0
             if np.any(neg):
-                worst = float(-arr[neg].min())
-                clamp_max = max(clamp_max, worst)
+                worst = float(-rhs[neg].min())
                 clamp_count += int(neg.sum())
-                if worst > tol:
+                if worst > CLAMP_TOL_FACTOR * max(exo_sup, 1.0):
                     log.warning("clamped negative value %.3e at step %d", worst, m)
-                arr[neg] = 0.0
+                rhs[neg] = 0.0
 
-        fields.append(rhs)
-        # history sources always take the state realized at their own node;
-        # only the driving term and the implicit diagonal follow exo_at
-        state_node = _state_at(state_path, m)
-        for k in range(n_entries):
-            src_hist[k, m] = op.source_value(k, rhs, state_node)
+            values[m] = rhs
+            src[:, m] = rates[:, m] * (op.In @ rhs)
 
-    return VolterraSolution(t_grid, fields, clamp_count, clamp_max)
+    return VolterraSolution(t_grid, op.layout, values, clamp_count)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +450,19 @@ class NeumannResult:
     """
 
     t: np.ndarray
-    base: list[IntensityField]
-    terms: list[list[IntensityField]]
+    layout: FieldLayout
+    base_values: np.ndarray  # (steps, layout.size)
+    term_values: np.ndarray  # (depth, steps, layout.size)
     term_norms: np.ndarray
     converged: bool
+
+    @property
+    def base(self) -> list[IntensityField]:
+        return _views(self.layout, self.base_values)
+
+    @property
+    def terms(self) -> list[list[IntensityField]]:
+        return [_views(self.layout, term) for term in self.term_values]
 
     def ratios(self) -> np.ndarray:
         tn = self.term_norms
@@ -471,13 +470,11 @@ class NeumannResult:
             return np.where(tn[:-1] > 0, tn[1:] / tn[:-1], 0.0)
 
     def solution(self, depth: Optional[int] = None) -> list[IntensityField]:
-        depth = len(self.terms) if depth is None else depth
-        out = [f.copy() for f in self.base]
-        for term in self.terms[:depth]:
-            for m, f in enumerate(term):
-                out[m].scalars += f.scalars
-                out[m].grids += f.grids
-        return out
+        depth = len(self.term_values) if depth is None else depth
+        out = self.base_values.copy()
+        for term in self.term_values[:depth]:
+            out += term
+        return _views(self.layout, out)
 
 
 def neumann_resolvent(
@@ -491,48 +488,30 @@ def neumann_resolvent(
     """Compute the first ``depth`` Picard terms applied to the driving field."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, dt = _uniform_grid(t_grid)
     m_steps = t_grid.size
-    dt = t_grid[1] - t_grid[0] if m_steps > 1 else 0.0
+    states = [None] * m_steps if state_path is None else state_path
 
-    base = [
-        exo.field(t_grid[m], _state_at(state_path, m if exo_at == "node" else max(m - 1, 0)))
+    base = np.stack([
+        exo.field(t_grid[m], states[m if exo_at == "node" else max(m - 1, 0)]).data
         for m in range(m_steps)
-    ]
-    n_entries = len(op.entries)
+    ])
+    rates = op.rates(states)
+    H = op.lag_table(m_steps, dt)
 
-    def src_of(path: list[IntensityField]) -> np.ndarray:
-        out = np.zeros((n_entries, m_steps))
-        for m in range(m_steps):
-            st = _state_at(state_path, m)
-            for k in range(n_entries):
-                out[k, m] = op.source_value(k, path[m], st)
-        return out
-
+    terms = np.empty((depth, m_steps, op.layout.size))
     prev = base
-    terms: list[list[IntensityField]] = []
-    norms = []
-    for _ in range(depth):
-        src = src_of(prev)
-        term = [IntensityField.zeros(op.layout) for _ in range(m_steps)]
-        for m in range(1, m_steps):
-            lags = t_grid[m] - t_grid[: m + 1]
-            w = np.ones(m + 1)
-            w[0] = 0.5
-            w[-1] = 0.5
-            for k in range(n_entries):
-                prof_vals = op.entries[k].time.value(lags)
-                coeff = dt * float(prof_vals @ (w * src[k, : m + 1]))
-                op.add_scaled(term[m], k, coeff)
-        terms.append(term)
-        norms.append(max(f.norm(1, 1) for f in term))
-        prev = term
+    for n in range(depth):
+        src = rates * (op.In @ prev.T)
+        coef = np.array([_trapezoid_conv(h, s, dt) for h, s in zip(H, src)])
+        terms[n] = coef.reshape(len(op.entries), m_steps).T @ op.Out
+        prev = terms[n]
 
-    term_norms = np.asarray(norms)
+    term_norms = _norms(op.layout, terms).max(axis=1)
     converged = bool(term_norms[-1] <= term_norms[0]) or term_norms[-1] == 0.0
     if not converged:
         log.warning("Neumann term norms did not decay by depth %d", depth)
-    return NeumannResult(t_grid, base, terms, term_norms, converged)
+    return NeumannResult(t_grid, op.layout, base, terms, term_norms, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +527,8 @@ def renewal_resolvent(profile, t_grid: np.ndarray) -> np.ndarray:
     implicit-diagonal division.
     """
     phi_fn = profile.value if hasattr(profile, "value") else profile
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid, dt = _uniform_grid(t_grid)
     m_steps = t_grid.size
-    dt = t_grid[1] - t_grid[0] if m_steps > 1 else 0.0
     phi = np.asarray(phi_fn(t_grid), dtype=float)
 
     K = np.zeros(m_steps)
@@ -568,22 +546,13 @@ def renewal_resolvent(profile, t_grid: np.ndarray) -> np.ndarray:
 def renewal_residual(profile, t_grid: np.ndarray, K: np.ndarray) -> float:
     """Sup norm of K - phi - K * phi under the same trapezoid convolution."""
     phi_fn = profile.value if hasattr(profile, "value") else profile
-    t_grid = np.asarray(t_grid, dtype=float)
-    m_steps = t_grid.size
-    dt = t_grid[1] - t_grid[0] if m_steps > 1 else 0.0
+    t_grid, dt = _uniform_grid(t_grid)
     phi = np.asarray(phi_fn(t_grid), dtype=float)
-    res = abs(K[0] - phi[0])
-    for m in range(1, m_steps):
-        w = np.ones(m + 1)
-        w[0] = 0.5
-        w[-1] = 0.5
-        conv = dt * float((K[: m + 1] * w) @ phi[m::-1])
-        res = max(res, abs(K[m] - phi[m] - conv))
-    return res
+    return float(np.max(np.abs(K - phi - _trapezoid_conv(K, phi, dt))))
 
 
 def resolvent_report(family: str, params: dict, t_grid: np.ndarray) -> dict:
-    """Numeric resolvent, its residual, and closed-form comparisons.
+    """Numeric resolvent ``K``, its residual, and closed-form comparisons.
 
     The direct forms solve the renewal equation as written.  The alternate
     forms use a doubled kernel normalization (for the gamma family also a
@@ -618,6 +587,7 @@ def resolvent_report(family: str, params: dict, t_grid: np.ndarray) -> dict:
     return {
         "family": family,
         "params": dict(params),
+        "K": K,
         "residual_sup": renewal_residual(prof, t, K),
         "direct_form_sup_diff": float(np.max(np.abs(K - direct))),
         "alternate_form": alt_desc,

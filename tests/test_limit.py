@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hawkeslob.families import (
     GammaProfile,
     GaussianProfile,
     UniformProfile,
+    ZeroProfile,
     ZeroSpatialProfile,
 )
 from hawkeslob.oracles import closed_form_book, closed_form_mu_exponential
@@ -290,6 +292,49 @@ def test_all_kernel_blocks_consistent_with_reference_solver():
     assert L.intensity_consistency(run, 0) < 1e-10
     assert L.intensity_consistency(run, 2) < 1e-10
     assert np.all(np.isfinite(run.v_a)) and np.all(run.mu >= 0)
+
+
+class _HalvedExponential(ExponentialProfile):
+    """Declares an amplitude but evaluates at half of it."""
+
+    def value(self, t):
+        return 0.5 * super().value(t)
+
+
+def _family_run(family, params, n_paths=4):
+    init = L.make_initial_state(params, family.ask_price0, family.bid_price0,
+                                family.ask_volume0, family.bid_volume0, n_paths=n_paths)
+    return L.solve_paths(params, init, 0.5, 2e-3, seed=29)
+
+
+def test_profile_subclass_is_convolved_through_its_value(family):
+    # the recursions match profile families by exact type: a subclass that
+    # overrides value is convolved through it, like the reference re-solve
+    params = dataclasses.replace(
+        family.limit_params(n_x=61),
+        act_from_act={(tgt, src): _HalvedExponential(0.8, 1.0) for tgt in "ab" for src in "ab"},
+    )
+    run = _family_run(family, params)
+    assert L.intensity_consistency(run, 0) < 1e-10
+    assert L.intensity_consistency(run, 3) < 1e-10
+
+
+def test_zero_kernel_entry_keeps_the_recursive_stepper(family):
+    params = family.limit_params(n_x=61)
+    with_zero = dataclasses.replace(
+        params,
+        drift_from_act={("a", "b"): ZeroProfile()},
+        pas_from_act={("a_lo", "a"): (GaussianProfile(1.0), ZeroProfile())},
+    )
+    init = L.make_initial_state(with_zero, family.ask_price0, family.bid_price0,
+                                family.ask_volume0, family.bid_volume0, n_paths=4)
+    assert not L.LimitEngine(with_zero, init, 0.5, 2e-3)._any_generic
+    got, want = _family_run(family, with_zero), _family_run(family, params)
+    for f in dataclasses.fields(L.LimitRun):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+    assert got.clamp_count == want.clamp_count
 
 
 def _pas_from_act_inputs(paths=slice(None)):

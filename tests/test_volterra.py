@@ -17,12 +17,10 @@ from hawkeslob.volterra import (
     IntensityField,
     NumericalFailureError,
     SpatialGrid,
+    _trapezoid_conv,
     grid_to_grid,
     grid_to_scalar,
-    limit_layout,
-    merge_prelimit,
     neumann_resolvent,
-    prelimit_layout,
     renewal_resolvent,
     renewal_residual,
     resolvent_report,
@@ -218,17 +216,18 @@ class TestRenewalResolvent:
         assert "alternate_form" in rep
 
 
-def test_merge_prelimit_identification():
-    grid = SpatialGrid(1.0, 5)
-    lay = prelimit_layout(grid)
-    f = IntensityField.zeros(lay)
-    f.scalars[:] = [1.0, 1.0 + 1e-8, 2.0, 2.0 - 1e-8]
-    merged = merge_prelimit(f, tol=1e-6)
-    assert merged.layout == limit_layout(grid)
-    assert merged.scalars[0] == pytest.approx(1.0, abs=1e-8)
-    f.scalars[1] = 1.5
-    with pytest.raises(ValueError, match="differ"):
-        merge_prelimit(f, tol=1e-6)
+def test_trapezoid_conv_matches_the_weighted_sum():
+    # the convolution form against the product trapezoid rule it replaced:
+    # dt * sum_j w_j a(t_m - t_j) b(t_j), with half weights at j = 0 and m
+    rng = np.random.default_rng(3)
+    n, dt = 57, 0.01
+    a, b = rng.random(n), rng.random(n)
+    ref = np.zeros(n)
+    for m in range(1, n):
+        w = np.ones(m + 1)
+        w[0] = w[-1] = 0.5
+        ref[m] = dt * float((a[m::-1] * w) @ b[: m + 1])
+    np.testing.assert_allclose(_trapezoid_conv(a, b, dt), ref, rtol=1e-12, atol=0.0)
 
 
 def test_field_norms():
@@ -240,15 +239,3 @@ def test_field_norms():
     assert f.norm(1, 1) == pytest.approx(2.0 + 2.0)
     assert f.norm(2, 2) == pytest.approx(math.sqrt(4.0 + 2.0))
 
-
-def test_intensity_csv(tmp_path):
-    grid = SpatialGrid(1.0, 3)
-    lay = FieldLayout(("mu",), ("lam",), grid)
-    op = BlockKernelOp(lay, [])
-    exo = ExogenousField.constant(lay, [1.0], [UniformProfile(2.0)])
-    sol = solve_forward(op, exo, None, np.linspace(0, 0.1, 3))
-    path = tmp_path / "field.csv"
-    sol.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,slot,node_x,value"
-    assert any("lam" in line for line in text[1:])
