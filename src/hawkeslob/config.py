@@ -9,6 +9,7 @@ carrying every violation found, each tagged with its key path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import yaml
@@ -68,6 +69,9 @@ class _Checker:
             self.fail(f"{path}.{key}", "expected a number")
             return default
         # a failed value is not returned, so later checks do not run on it
+        if not math.isfinite(val):
+            self.fail(f"{path}.{key}", "must be finite")
+            return None
         if positive and val <= 0:
             self.fail(f"{path}.{key}", "must be positive")
             return None

@@ -297,8 +297,8 @@ class GaussianProfile(SpatialProfile):
     """g(x) = amplitude * exp(-((x - center) / width)^2)."""
 
     def __init__(self, amplitude: float, center: float = 0.0, width: float = 1.0):
-        if amplitude < 0 or width <= 0:
-            raise ValueError("need amplitude >= 0 and width > 0")
+        if not (0 <= amplitude < math.inf and 0 < width < math.inf and math.isfinite(center)):
+            raise ValueError("need finite amplitude >= 0, width > 0 and center")
         self.amplitude = float(amplitude)
         self.center = float(center)
         self.width = float(width)
@@ -333,8 +333,8 @@ class UniformProfile(SpatialProfile):
     """g(x) = amplitude on the whole truncated interval."""
 
     def __init__(self, amplitude: float):
-        if amplitude < 0:
-            raise ValueError("need amplitude >= 0")
+        if not 0 <= amplitude < math.inf:
+            raise ValueError("need finite amplitude >= 0")
         self.amplitude = float(amplitude)
 
     def value(self, x):

@@ -48,6 +48,10 @@ PASSIVE_TYPES = ("a_lo", "a_cx", "b_lo", "b_cx")
 #: share of path-steps whose diffusion radicand may be clamped before a
 #: solve fails with ``NumericalFailureError``
 CLAMP_BUDGET = 1e-3
+#: bytes of one path block of the volume step's work buffers: at 197 volume
+#: columns a block is 256 paths, whose band and buffers stay in a core's L2
+#: cache between passes
+VOLUME_BLOCK_BYTES = 256 * 197 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +292,15 @@ class LimitEngine:
     left limit (the state one step back), matching the event-time
     convention of the microscopic model; coefficients of the price and
     volume updates are taken at the step start.
+
+    A step has three phases: the intensities (trapezoid history sums plus
+    three fixed-point sweeps of the implicit diagonal node), the prices by
+    Euler-Maruyama, and the volumes by one fused explicit Euler step
+    (``_advance_volumes``) that gathers each distinct profile window once
+    per side and path block.  Each side's rate factor is evaluated once per
+    state and serves the diffusion coefficients of that step and the
+    intensities of the next.  ``V_a`` and ``V_b`` are ``(R, volume nodes)``
+    arrays, updated in place over the column band the intensities reach.
     """
 
     def __init__(
@@ -387,6 +400,8 @@ class LimitEngine:
                     self._ip_out[r, k] = float(in_w @ out_vals)
 
         self._convs = [_TrapezoidConv(e.time, dt, self.R) for e in self.entries]
+        # the implicit trapezoid node's weight per entry: 0.5 dt h(0)
+        self._diag = [0.5 * dt * float(e.time.value(0.0)) for e in self.entries]
         self._any_generic = any(c.mode == "generic" for c in self._convs)
 
         M, R = self.n_steps, self.R
@@ -410,10 +425,10 @@ class LimitEngine:
         self.lam_checkpoints: list = []
 
         self._build_gather_windows()
-        # work buffers of the volume update, viewed as (R, band width) per step
-        size = self.R * self.x_v.size
-        self._gather, self._scratch = np.empty(size), np.empty(size)
-        self._place, self._cancel = np.empty(size), np.empty(size)
+        # the volume update's three work buffers, viewed as (block rows, band
+        # width) per block
+        self._block = max(1, min(self.R, VOLUME_BLOCK_BYTES // (8 * self.x_v.size)))
+        self._work = [np.empty(self._block * self.x_v.size) for _ in range(3)]
 
         self.m = 0
         self._init_time_zero()
@@ -497,10 +512,13 @@ class LimitEngine:
         pa, pb = self.P_a[0], self.P_b[0]
         hat_fac = self._hat_factors(0.0, pa, pb)
         conv = np.zeros((len(self.entries), self.R))
+        # each side's rate factor at the current state, read by the next
+        # step's intensities and by drift_diffusion
+        self._rho = np.stack([self.p.rho[s](pa, pb) for s in SIDES])
         for s_idx, side in enumerate(SIDES):
             self.mu[0, s_idx] = self.p.base_rate[side](0.0, pa, pb)
             self.beta_arr[0, s_idx] = self.p.base_drift[side](0.0, pa, pb)
-            self.q[0, s_idx] = self.p.rho[side](pa, pb) * self.mu[0, s_idx]
+            self.q[0, s_idx] = self._rho[s_idx] * self.mu[0, s_idx]
         self.ell[0] = self._ell_from(conv, hat_fac)
         # convolution values and hat factors of the current step, read by the
         # volume update and the checkpoints of that step only
@@ -539,16 +557,14 @@ class LimitEngine:
 
         hat_fac = self._hat_factors(t_new, pa_prev, pb_prev)
         base_rate = np.stack([self.p.base_rate[s](t_new, pa_prev, pb_prev) for s in SIDES])
-        rho_prev = np.stack([self.p.rho[s](pa_prev, pb_prev) for s in SIDES])
+        rho_prev = self._rho
         q_now = self.q[m].copy()
         ell_now = self.ell[m].copy()
         conv = hist.copy()
         mu_now = self.mu[m].copy()
         for _ in range(3):
             for k, e in enumerate(self.entries):
-                conv[k] = hist[k] + 0.5 * dt * float(e.time.value(0.0)) * self._src_now(
-                    e, q_now, ell_now
-                )
+                conv[k] = hist[k] + self._diag[k] * self._src_now(e, q_now, ell_now)
             mu_now = base_rate.copy()
             for s_idx, side in enumerate(SIDES):
                 for k in self._mu_entries[side]:
@@ -567,7 +583,7 @@ class LimitEngine:
         self.beta_arr[m + 1] = beta_now
 
         # 2. prices by Euler-Maruyama, coefficients at the step start
-        drift_a, drift_b, diff_a, diff_b = self.drift_diffusion(m)
+        drift_a, drift_b, diff_a, diff_b = self.drift_diffusion()
         self.P_a[m + 1] = pa_prev + drift_a * dt + diff_a * math.sqrt(dt) * noise[0]
         self.P_b[m + 1] = pb_prev - drift_b * dt + diff_b * math.sqrt(dt) * noise[1]
         if not (np.all(np.isfinite(self.P_a[m + 1])) and np.all(np.isfinite(self.P_b[m + 1]))):
@@ -578,8 +594,8 @@ class LimitEngine:
 
         # finalize source histories at t_{m+1} with the realized state
         pa_new, pb_new = self.P_a[m + 1], self.P_b[m + 1]
-        rho_new = np.stack([self.p.rho[s](pa_new, pb_new) for s in SIDES])
-        self.q[m + 1] = rho_new * mu_now
+        self._rho = np.stack([self.p.rho[s](pa_new, pb_new) for s in SIDES])
+        self.q[m + 1] = self._rho * mu_now
         hat_new = self._hat_factors(t_new, pa_new, pb_new)
         self.ell[m + 1] = self._ell_from(conv, hat_new)
         self._conv, self._hat_fac = conv, hat_new
@@ -587,17 +603,18 @@ class LimitEngine:
         self.m = m + 1
         self._maybe_checkpoint(self.m)
 
-    def drift_diffusion(self, m: int):
-        """Price drift and diffusion coefficients at step m.
+    def drift_diffusion(self):
+        """Price drift and diffusion coefficients at the current step.
 
         drift_side = rho * beta + rate_slope * mu; diffusion = sqrt(2 rho mu),
         with a clamped radicand counted against the failure budget.  The ask
         drift enters with plus sign, the bid drift with minus.
         """
+        m = self.m
         pa, pb = self.P_a[m], self.P_b[m]
         out = []
         for s_idx, side in enumerate(SIDES):
-            rho = self.p.rho[side](pa, pb)
+            rho = self._rho[s_idx]
             rate_slope = self.p.rate_slope[side](pa, pb)
             drift = rho * self.beta_arr[m, s_idx] + rate_slope * self.mu[m, s_idx]
             rad = 2.0 * rho * self.mu[m, s_idx]
@@ -609,29 +626,20 @@ class LimitEngine:
         (drift_a, diff_a), (drift_b, diff_b) = out
         return drift_a, drift_b, diff_a, diff_b
 
-    def _lam_at_volume_nodes(self, m: int, side: str):
-        """Gain-weighted placement and cancellation intensities at x_v
-        relative to the best price, at step ``m`` with the current
-        convolution values and hat factors.
+    def _volume_band(self, m: int, side: str):
+        """Window rows, fractions and volume columns of one side's gather at
+        step ``m``.
 
-        Returns ``(place, cancel, cols)``: ``place_gain * lam_lo`` and
-        ``cancel_gain * lam_cx`` on the volume columns ``cols`` (a slice, in
-        ``V`` column order), which hold every nonzero value.
-
-        The intensities are sums of fixed profile vectors with per-path
-        coefficients.  The volume grid has the distance grid's spacing, so a
-        path's shift is one start index ``idx0`` and fraction, and
-        interpolating a vector reads one window row per path.  The
-        coefficients of the terms sharing a window are summed per path, gain
-        included, so each distinct vector is gathered once.  Column ``j`` of
-        the relative coordinate reaches the profile only when ``idx0 + j``
-        lies in ``[0, n - 2]``, so the gather covers just the band
+        The volume grid has the distance grid's spacing, so a path's shift
+        is one start index ``idx0`` and fraction, and interpolating a profile
+        vector reads one window row per path.  Column ``j`` of the relative
+        coordinate reaches the profile only when ``idx0 + j`` lies in
+        ``[0, n - 2]``, so the gather covers just the band
         ``[max(0, -max idx0), min(n_cols, n - 1 - min idx0))``, possibly
         empty; on the bid side the band maps to the mirrored ``V`` columns.
-        The returned arrays are views of work buffers, valid until the next
-        call.
+        Returns ``(rows, frac, cols)``: ``rows`` (R,), ``frac`` (R, 1) and the
+        band as a slice of ``V`` columns.
         """
-        coefs = np.concatenate([self._conv, [self._hat_fac[pt] for pt in PASSIVE_TYPES]])
         pa, pb = self.P_a[m], self.P_b[m]
         starts = (self.x_v[0] - pa) if side == "a" else (pb - self.x_v[-1])
         pos0 = (starts - float(self.xg[0])) / self.h_v
@@ -647,50 +655,67 @@ class LimitEngine:
         # rows are in range, and mode="clip" lets take write to out without
         # an intermediate copy
         np.clip(rows, 0, self._last_row, out=rows)
-        width = j1 - j0
-        shape, size = (self.R, width), self.R * width
-        g, scratch, *out = (
-            buf[:size].reshape(shape)
-            for buf in (self._gather, self._scratch, self._place, self._cancel)
-        )
-        gains = (self.p.place_gain[side], self.p.cancel_gain[side])
-        filled = [False, False]
-        for w, row_sets in self._side_terms[side]:
-            base, diff = self._windows[w][side]
-            np.take(base[:, :width], rows, axis=0, out=g, mode="clip")
-            np.take(diff[:, :width], rows, axis=0, out=scratch, mode="clip")
-            scratch *= frac
-            g += scratch
-            for i, coef_rows in enumerate(row_sets):
-                if not coef_rows:
-                    continue
-                coef = gains[i] * coefs[coef_rows].sum(axis=0)
-                np.multiply(g, coef[:, None], out=scratch if filled[i] else out[i])
-                if filled[i]:
-                    out[i] += scratch
-                filled[i] = True
-        return out[0], out[1], cols
+        return rows, frac, cols
+
+    def _gather_window(self, w: int, side: str, rows: np.ndarray, frac: np.ndarray,
+                       out: np.ndarray, scratch: np.ndarray) -> None:
+        """Window ``w`` interpolated at the given rows and fractions, over
+        the first ``out.shape[1]`` band columns, into ``out``."""
+        base, diff = self._windows[w][side]
+        width = out.shape[1]
+        np.take(base[:, :width], rows, axis=0, out=out, mode="clip")
+        np.take(diff[:, :width], rows, axis=0, out=scratch, mode="clip")
+        scratch *= frac
+        out += scratch
 
     def _advance_volumes(self, m: int) -> None:
         """Explicit Euler step of both volume densities, in place.
 
-        ``eta = place + cancel * V`` is built in the place buffer over the
-        column band of the gain-weighted intensities, and only that band of
-        ``V`` moves: outside it ``eta`` is zero.  Tracked functionals read
-        ``V`` before the update and ``eta`` over the band.
+        The increment is ``dt * (place_gain * lam_lo + cancel_gain * lam_cx
+        * V)``.  Both intensities are sums of fixed profile vectors with
+        per-path coefficients, so the terms sharing a window fold into two
+        per-path coefficients, ``a = dt * place_gain * sum c_lo`` and ``b =
+        dt * cancel_gain * sum c_cx``, and each gathered window ``g`` adds
+        ``g * (a + b * V)``.  Only the column band of ``_volume_band`` moves:
+        outside it the intensities are zero.  Paths are taken in blocks of
+        ``_block`` rows, so a block's band and the three work buffers stay
+        in cache between passes.  Tracked functionals read ``V`` before the
+        update and the increment over the band, divided by ``dt``.
         """
+        coefs = np.concatenate([self._conv, [self._hat_fac[pt] for pt in PASSIVE_TYPES]])
         for s_idx, side in enumerate(SIDES):
-            eta, cancel, cols = self._lam_at_volume_nodes(m, side)
             V = self.V_a if side == "a" else self.V_b
-            band = V[:, cols]
-            cancel *= band
-            eta += cancel
-            for f in self.track:
-                fw = self._fw[f.name]
-                self.v_f[f.name][m, s_idx] = V @ fw
-                self.eta_f[f.name][m, s_idx] = eta @ fw[cols]
-            eta *= self.dt
-            band += eta
+            rows, frac, cols = self._volume_band(m, side)
+            width = cols.stop - cols.start
+            gains = (self.dt * self.p.place_gain[side], self.dt * self.p.cancel_gain[side])
+            terms = [
+                (w, [gain * coefs[r].sum(axis=0)[:, None] if r else None
+                     for gain, r in zip(gains, row_sets)])
+                for w, row_sets in self._side_terms[side]
+            ]
+            tracked = [(self.v_f[f.name][m, s_idx], self.eta_f[f.name][m, s_idx],
+                        self._fw[f.name]) for f in self.track]
+            for r0 in range(0, self.R, self._block):
+                blk = slice(r0, r0 + self._block)
+                shape = (min(self.R, r0 + self._block) - r0, width)
+                g, scratch, inc = (buf[:shape[0] * width].reshape(shape) for buf in self._work)
+                band = V[blk, cols]
+                for k, (w, (a, b)) in enumerate(terms):
+                    self._gather_window(w, side, rows[blk], frac[blk], g, scratch)
+                    acc = scratch if k else inc
+                    if b is None:
+                        np.multiply(g, a[blk], out=acc)
+                    else:
+                        np.multiply(band, b[blk], out=acc)
+                        if a is not None:
+                            acc += a[blk]
+                        acc *= g
+                    if k:
+                        inc += acc
+                for v_f, eta_f, fw in tracked:
+                    v_f[blk] = V[blk] @ fw
+                    eta_f[blk] = (inc @ fw[cols]) / self.dt
+                band += inc
         if self.track and m + 1 == self.n_steps:
             # record the terminal functional values as well
             for f in self.track:
@@ -794,7 +819,10 @@ def solve_paths(
     """Solve an ensemble, deterministic given the seed (or explicit noise).
 
     Explicit ``noise`` holds the standard normal increments, shaped
-    ``(n_steps, 2, n_paths)``.
+    ``(n_steps, 2, n_paths)``.  Raises ``NumericalFailureError`` on
+    non-finite intensities or prices at any step, on non-finite terminal
+    volumes, and when the diffusion radicand was clamped on more than
+    ``CLAMP_BUDGET`` of the path-steps.
     """
     eng = LimitEngine(params, init, horizon, dt, track, lam_checkpoint_times)
     if noise is not None and np.shape(noise) != (eng.n_steps, 2, eng.R):
@@ -813,6 +841,10 @@ def solve_paths(
         raise NumericalFailureError(
             f"clamped diffusion radicand on {eng.clamp_count} of {total_steps} steps"
         )
+    # one reduction per side: a NaN or infinity anywhere makes the sum non-finite
+    for side, V in (("ask", eng.V_a), ("bid", eng.V_b)):
+        if not math.isfinite(V.sum()):
+            raise NumericalFailureError(f"non-finite {side} volumes at the end of the run")
     return eng.finish(seed)
 
 
@@ -833,11 +865,14 @@ def volterra_system(params: LimitParams):
         fn = params.rho[side]
         return lambda S: float(fn(np.asarray([S[0]]), np.asarray([S[1]]))[0])
 
+    # one adapter per side, shared by its entries, so the operator evaluates
+    # each side's rate once per state
+    rates = {s: rate_adapter(s) for s in SIDES}
     entries = []
     for (tgt, src), prof in params.act_from_act.items():
         entries.append(
             scalar_to_scalar(lay.scalar_index(f"mu_{tgt}"), lay.scalar_index(f"mu_{src}"),
-                             prof, rate=rate_adapter(src))
+                             prof, rate=rates[src])
         )
     for (tgt, src_pt), (inp, prof) in params.act_from_pas.items():
         entries.append(
@@ -846,7 +881,7 @@ def volterra_system(params: LimitParams):
     for (tgt_pt, src), (outp, prof) in params.pas_from_act.items():
         entries.append(
             scalar_to_grid(lay.grid_index(tgt_pt), lay.scalar_index(f"mu_{src}"),
-                           prof, outp, rate=rate_adapter(src))
+                           prof, outp, rate=rates[src])
         )
     for (tgt_pt, src_pt), (outp, inp, prof) in params.pas_from_pas.items():
         entries.append(

@@ -250,11 +250,14 @@ class SizeMeasure:
             z = float(params["z"])
             if z < 0:
                 raise ValueError("size marks live on [0, inf)")
-            self._moments = (
-                math.exp(z) - 1.0,
-                math.exp(-z) - 1.0,
-                abs(math.exp(z) - 1.0) ** 4,
-            )
+            try:
+                self._moments = (
+                    math.exp(z) - 1.0,
+                    math.exp(-z) - 1.0,
+                    abs(math.exp(z) - 1.0) ** 4,
+                )
+            except OverflowError:
+                self._moments = (math.inf, -1.0, math.inf)
         elif family == "exponential":
             rate = float(params["rate"])
             if rate <= 4.0:
@@ -280,13 +283,16 @@ class SizeMeasure:
             )
             pdf /= np.trapezoid(pdf, zs)
             self._lognormal_grid = (zs, np.cumsum(pdf) * (zs[1] - zs[0]))
-            self._moments = (
-                float(np.trapezoid(pdf * (np.exp(zs) - 1), zs)),
-                float(np.trapezoid(pdf * (np.exp(-zs) - 1), zs)),
-                float(np.trapezoid(pdf * np.abs(np.exp(zs) - 1) ** 4, zs)),
-            )
+            with np.errstate(over="ignore"):
+                self._moments = (
+                    float(np.trapezoid(pdf * (np.exp(zs) - 1), zs)),
+                    float(np.trapezoid(pdf * (np.exp(-zs) - 1), zs)),
+                    float(np.trapezoid(pdf * np.abs(np.exp(zs) - 1) ** 4, zs)),
+                )
         else:
             raise ValueError(f"unknown size family {family!r}")
+        if not (math.isfinite(self._moments[0]) and math.isfinite(self._moments[2])):
+            raise ValueError("size marks need a finite placement gain and fourth moment")
         if not (-1.0 < self._moments[1] <= 0.0):
             raise ValueError("mean cancellation gain must lie in (-1, 0]")
 
@@ -513,9 +519,12 @@ class _CompiledBook:
     row holds its exogenous density, the level constant ``exo / dx^2`` when
     that density is an ``ExoConst`` (None otherwise), and the ``(state,
     amplitude)`` of its active then its passive sources, in the order the
-    intensity sums run.  A run stores the kernel sums and the varying
-    exogenous densities at each checkpoint; ``diagnostics`` turns them into
-    d11, d22 and the active scalars once, after the run.
+    intensity sums run.  Active types with equal rows (the same constant or
+    the same density object, and the same source lists) share one row, and
+    ``active_of`` maps each active type to its row.  A run stores the kernel
+    sums and the varying exogenous densities at each checkpoint;
+    ``diagnostics`` turns them into d11, d22 and the active scalars once,
+    after the run.
     """
 
     def __init__(self, p: MicroParams):
@@ -531,17 +540,22 @@ class _CompiledBook:
 
         self.factors = [p.state_factor[at] for at in ACTIVE_TYPES]
         self.active_rows = []
+        self.active_of = []
+        rows: dict = {}
         for at in ACTIVE_TYPES:
             exo = p.base_active[at]
+            const = type(exo) is ExoConst
             from_act = [(s, None, p.act_from_act.get((at, src))) for s, src in enumerate(ACTIVE_TYPES)]
             from_pas = [(4 + s, *p.act_from_pas.get((at, src), (None, None)))
                         for s, src in enumerate(PASSIVE_TYPES)]
-            self.active_rows.append((
-                exo,
-                exo.value / self.dx2 if type(exo) is ExoConst else None,
-                [entry(*e) for e in from_act if e[2] is not None],
-                [entry(*e) for e in from_pas if e[2] is not None],
-            ))
+            from_act = [entry(*e) for e in from_act if e[2] is not None]
+            from_pas = [entry(*e) for e in from_pas if e[2] is not None]
+            key = (const, exo.value if const else id(exo), tuple(from_act), tuple(from_pas))
+            if key not in rows:
+                rows[key] = len(self.active_rows)
+                self.active_rows.append(
+                    (exo, exo.value / self.dx2 if const else None, from_act, from_pas))
+            self.active_of.append(rows[key])
         self.pas_pref = dv / self.dx2
 
         self.cp_x = np.linspace(-L, L, 65)
@@ -568,7 +582,7 @@ class _CompiledBook:
 
         #: the exogenous densities of the active then the passive types, and
         #: the indices of those that are not level constants
-        self.exos = [row[0] for row in self.active_rows] + [row.exo for row in self.passive_rows]
+        self.exos = [p.base_active[at] for at in ACTIVE_TYPES] + [row.exo for row in self.passive_rows]
         self.varying = [k for k, exo in enumerate(self.exos) if type(exo) is not ExoConst]
         self.exo_consts = np.array(
             [math.nan if k in self.varying else exo.value for k, exo in enumerate(self.exos)]
@@ -611,14 +625,15 @@ class _CompiledBook:
         e_rows[:] = self.exo_consts[:, None]
         e_rows[self.varying] = np.array(exo, dtype=float).reshape(n, len(self.varying)).T
         dx2, pref = self.dx2, self.pas_pref
-        act = []
+        rows = []
         for r, (_exo, _term, from_act, from_pas) in enumerate(self.active_rows):
-            val = e_rows[r] / dx2
+            val = e_rows[self.active_of.index(r)] / dx2
             for i, amp in from_act:
                 val = val + amp * u_rows[i]
             for i, amp in from_pas:
                 val = val + pref * (amp * u_rows[i])
-            act.append(dx2 * val)
+            rows.append(dx2 * val)
+        act = [rows[r] for r in self.active_of]
         # checkpoints off the level constant: a live passive-target kernel
         # sum, or a varying passive density
         general = np.full(n, any(k >= 4 for k in self.varying))
@@ -660,7 +675,7 @@ class _Engine:
     def active(self, u: list, bound: bool) -> list:
         """Rescaled intensities mu of the active types (factors excluded)."""
         state, t, dx2, pref = self.state, self.sums.t, self.book.dx2, self.book.pas_pref
-        out = []
+        rows = []
         for exo, term, from_act, from_pas in self.book.active_rows:
             val = term if term is not None else (
                 exo.sup_t(state) if bound else exo(t, state)) / dx2
@@ -668,8 +683,8 @@ class _Engine:
                 val += amp * u[i]
             for i, amp in from_pas:
                 val += pref * (amp * u[i])
-            out.append(val)
-        return out
+            rows.append(val)
+        return [rows[r] for r in self.book.active_of]
 
     def rates(self, bound: bool):
         """Per-type event rates, the term masses of every passive type and
@@ -1080,71 +1095,3 @@ class ScalingFamily:
             drift_from_act=summed(self.drift_from_act, "ab"),
             drift_from_pas=dict(self.drift_from_pas),
         )
-
-
-# ---------------------------------------------------------------------------
-# scaling-condition checks (warnings, by numerical sampling)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConditionReport:
-    warnings: list
-
-    @property
-    def clean(self) -> bool:
-        return not self.warnings
-
-
-def check_scaling_conditions(
-    family: ScalingFamily,
-    levels: Sequence[int] = (0, 1, 2, 3),
-    probe_spreads: Sequence[float] = (0.0, 0.05, 0.1, 0.5, 1.0),
-    horizon: float = 1.0,
-) -> ConditionReport:
-    """Sample the refinement sequence for scaling-condition violations.
-
-    Conditions quantify over infinite sets, so only a probe set is checked
-    and violations are reported as warnings, not errors.  Checked here:
-    bounded state factors and rescaled differences across levels; uniform
-    convergence of the rescaled kernels (exact by construction, so the
-    check is that amplitudes stay finite); finite passive-profile masses;
-    finite size-mark fourth moments.
-    """
-    import warnings as _warnings
-
-    notes = []
-    for k in levels:
-        params = family.micro_params(k)
-        state = params.initial_state()
-        dx = params.delta_x
-        for s in probe_spreads:
-            ticks = int(round(s / dx))
-            state.ask_tick = state.bid_tick + max(ticks, 0)
-            for side in "ab":
-                mo = params.state_factor[f"{side}_mo"](state)
-                sp = params.state_factor[f"{side}_sp"](state)
-                if mo < 0 or sp < 0:
-                    notes.append(f"level {k}: negative state factor at spread {s}")
-                if sp > 0 and state.spread_ticks < 1:
-                    notes.append(
-                        f"level {k}: spread factor positive below one tick (no-crossing)"
-                    )
-                slope = (mo - sp) / dx
-                if abs(slope) > 1e3 * max(1.0, family.rates[side].scale):
-                    notes.append(
-                        f"level {k}: rescaled factor difference {slope:.3g} looks unbounded "
-                        f"at spread {s}"
-                    )
-    for pt, (fac, prof) in family.base_passive.items():
-        for p in (1, 2, 4):
-            xs = np.linspace(-family.half_width, family.half_width, 2001)
-            lp = float(np.trapezoid(prof.value(xs) ** p, xs)) ** (1.0 / p)
-            if not math.isfinite(lp):
-                notes.append(f"{pt}: exogenous profile has infinite L{p} norm")
-    for pt, size in family.sizes.items():
-        if not math.isfinite(size.fourth_moment):
-            notes.append(f"{pt}: size fourth moment is infinite")
-    for note in notes:
-        _warnings.warn(note, stacklevel=2)
-    return ConditionReport(notes)

@@ -255,11 +255,15 @@ class BlockKernelOp:
         return max(rows.values(), default=0.0)
 
     def rates(self, states: Sequence) -> np.ndarray:
-        """(entries, states): each entry's rate factor at each state, 1 without one."""
+        """(entries, states): each entry's rate factor at each state, 1 without
+        one.  Each distinct rate callable is evaluated once per state."""
         out = np.ones((len(self.entries), len(states)))
+        done: dict = {}
         for k, e in enumerate(self.entries):
             if e.rate is not None:
-                out[k] = [e.rate(s) for s in states]
+                if id(e.rate) not in done:
+                    done[id(e.rate)] = [e.rate(s) for s in states]
+                out[k] = done[id(e.rate)]
         return out
 
     def lag_table(self, n: int, dt: float) -> np.ndarray:

@@ -184,6 +184,27 @@ def test_unknown_model_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize("key_path, value, message", [
+    ("scaling.half_width", float("inf"), "must be finite"),
+    ("scaling.rates.a.scale", float("nan"), "must be finite"),
+    ("scaling.rates.b.scale", -0.5, "must be >= 0"),
+    ("scaling.base_passive.a_cx.profile", {"family": "gaussian", "amplitude": float("inf")},
+     "finite amplitude"),
+    ("scaling.base_passive.b_lo.profile", {"family": "uniform", "amplitude": float("nan")},
+     "finite amplitude"),
+    ("scaling.sizes.b_cx", {"family": "dirac", "z": 200.0}, "fourth moment"),
+    ("scaling.sizes.a_lo", {"family": "lognormal", "m": 0.0, "s": 1.0, "z_max": 200.0},
+     "fourth moment"),
+])
+def test_scaling_conditions_rejected(key_path, value, message):
+    # non-finite scales and profiles, negative rate factors and infinite
+    # size moments fail the parse, at the key that holds them
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_mutate(key_path, value))
+    assert any(path == key_path and message in m for path, m in exc.value.errors), \
+        exc.value.errors
+
+
 def test_size_measure_validation_propagates():
     text = _mutate("scaling.sizes.a_lo", {"family": "exponential", "rate": 2.0})
     with pytest.raises(ConfigError) as exc:

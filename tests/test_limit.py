@@ -68,24 +68,24 @@ class TestDriftDiffusion:
 
     def test_zero_factor_kills_diffusion(self):
         eng = self._engine(L.ConstantRate(0.0), L.ConstantRate(0.7), mu_a=2.0)
-        drift_a, _, diff_a, _ = eng.drift_diffusion(0)
+        drift_a, _, diff_a, _ = eng.drift_diffusion()
         assert drift_a[0] == pytest.approx(0.7 * 2.0)
         assert diff_a[0] == 0.0
 
     def test_unit_factor_diffusion(self):
         eng = self._engine(L.ConstantRate(1.0), L.ConstantRate(0.0), mu_a=2.0)
-        _, _, diff_a, _ = eng.drift_diffusion(0)
+        _, _, diff_a, _ = eng.drift_diffusion()
         assert diff_a[0] == pytest.approx(2.0)  # sqrt(2 * 1 * 2)
 
     def test_quadratic_factor_matches_one_sided_form(self):
         # rho = |p|^2 / 2 gives diffusion |p| sqrt(mu)
         eng = self._engine(L.PriceSquareRate(0.5, "a"), L.ConstantRate(0.0), mu_a=3.0)
-        _, _, diff_a, _ = eng.drift_diffusion(0)
+        _, _, diff_a, _ = eng.drift_diffusion()
         assert diff_a[0] == pytest.approx(1.5 * math.sqrt(3.0))
 
     def test_drift_combines_beta_and_mu(self):
         eng = self._engine(L.ConstantRate(0.5), L.ConstantRate(0.25), mu_a=2.0, beta_a=1.5)
-        drift_a, _, _, _ = eng.drift_diffusion(0)
+        drift_a, _, _, _ = eng.drift_diffusion()
         assert drift_a[0] == pytest.approx(0.5 * 1.5 + 0.25 * 2.0)
 
 
@@ -392,6 +392,24 @@ def _interp_rows(values, grid_lo, h, targets):
     return out
 
 
+def _gathered_intensities(eng, m, side):
+    """Gain-weighted placement and cancellation intensities on one side's
+    column band, summed from the engine's gathered windows by its term
+    groups; returns ``(place, cancel, cols)``."""
+    rows, frac, cols = eng._volume_band(m, side)
+    width = len(range(eng.x_v.size)[cols])
+    coefs = np.concatenate([eng._conv, [eng._hat_fac[pt] for pt in L.PASSIVE_TYPES]])
+    gains = (eng.p.place_gain[side], eng.p.cancel_gain[side])
+    out = [np.zeros((eng.R, width)), np.zeros((eng.R, width))]
+    g, scratch = np.empty((eng.R, width)), np.empty((eng.R, width))
+    for w, row_sets in eng._side_terms[side]:
+        eng._gather_window(w, side, rows, frac, g, scratch)
+        for i, coef_rows in enumerate(row_sets):
+            if coef_rows:
+                out[i] += gains[i] * coefs[coef_rows].sum(axis=0)[:, None] * g
+    return out[0], out[1], cols
+
+
 def test_windowed_gather_matches_row_interpolation():
     # the volume-node gather against row-wise interpolation of the
     # assembled grids, with shifts running off the distance grid both ways
@@ -430,7 +448,7 @@ def test_windowed_gather_matches_row_interpolation():
             edge = np.isclose(np.abs(rel), grid.half_width, rtol=0.0, atol=1e-9)
             if m == 0:
                 assert edge[4:].any() and not edge[:4].any()
-            place, cancel, cols = eng._lam_at_volume_nodes(m, side)
+            place, cancel, cols = _gathered_intensities(eng, m, side)
             outside = np.ones(eng.x_v.size, dtype=bool)
             outside[cols] = False
             gains = (params.place_gain[side], params.cancel_gain[side])
@@ -506,7 +524,8 @@ def _family_inputs(case: str):
     # extends outward to the distance spacing
     ask = 0.33 if case == "off_lattice" else family.ask_price0
     init = L.make_initial_state(params, ask, family.bid_price0,
-                                family.ask_volume0, family.bid_volume0, n_paths=40)
+                                family.ask_volume0, family.bid_volume0,
+                                n_paths=1 if case == "one_path" else 40)
     if case == "spread":
         # start prices spread over the volume grid: the band covers every column
         init.p_a = np.linspace(-2.2, 3.0, 40)
@@ -515,34 +534,43 @@ def _family_inputs(case: str):
 
 
 @pytest.mark.parametrize("case", ["family", "pas_from_act", "off_grid", "spread",
-                                  "off_lattice"])
-def test_banded_volume_update_matches_full_width(case):
-    # the in-place banded update against the full-width expressions it
-    # replaced: the prices and intensities do not read the volumes, so they
-    # are identical; the volumes fold the gains per path, which reorders
-    # their float operations
-    if case in ("family", "spread", "off_lattice"):
+                                  "off_lattice", "blocks", "one_path"])
+def test_banded_volume_update_matches_full_width(case, monkeypatch):
+    # the fused, path-blocked banded update against the full-width
+    # expressions it replaced: the prices and intensities do not read the
+    # volumes, so they are identical; the volumes fold dt and the gains per
+    # path, which reorders their float operations
+    if case in ("family", "spread", "off_lattice", "blocks", "one_path"):
         params, init = _family_inputs(case)
     else:
         # off_grid keeps one path, whose ask shift leaves the distance grid
         params, init = _pas_from_act_inputs(slice(1, 2) if case == "off_grid" else slice(None))
+    n_cols = init.v_x.size
+    if case == "blocks":
+        # 16-row blocks: 40 paths take two full blocks and a partial one
+        monkeypatch.setattr(L, "VOLUME_BLOCK_BYTES", 16 * 8 * n_cols)
     track = [L.SpatialTestFn("g", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2)))]
     fast = L.LimitEngine(params, init, 0.05, 1e-2, track=track)
     ref = _FullWidthEngine(params, init, 0.05, 1e-2, track=track)
+    if case == "blocks":
+        assert fast._block == 16 and fast.R > 16 and fast.R % 16
+    elif case == "one_path":
+        assert fast._block == fast.R == 1
+    else:
+        assert fast._block == fast.R
 
-    n_cols = init.v_x.size
     widths = {"a": set(), "b": set()}
     rng = np.random.default_rng(17)
     for m in range(fast.n_steps):
         for side in "ab":
-            _lo, _cx, cols = fast._lam_at_volume_nodes(m, side)
+            cols = fast._volume_band(m, side)[2]
             widths[side].add(len(range(n_cols)[cols]))
         noise = rng.standard_normal((2, fast.R))
         fast.step(noise)
         ref.step(noise)
     if case == "off_grid":
         assert widths["a"] == {0} and max(widths["b"]) > 0
-    elif case in ("family", "off_lattice"):
+    elif case in ("family", "off_lattice", "blocks", "one_path"):
         assert 0 < min(widths["a"] | widths["b"]) <= max(widths["a"] | widths["b"]) < n_cols
     else:
         # spread prices, or off-grid paths on both sides of the grid
@@ -569,6 +597,43 @@ def test_solve_paths_deterministic_given_seed(family):
     r2 = L.solve_paths(lp, init2, 0.3, 2e-3, seed=8)
     assert np.array_equal(r1.p_a, r2.p_a)
     assert np.array_equal(r1.v_a, r2.v_a)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_non_finite_volume_fails_loudly(family, side):
+    # a NaN at the first volume node, outside the band the intensities
+    # reach, fails the solve at the end rather than being returned
+    lp = family.limit_params(n_x=61)
+    init = L.make_initial_state(lp, family.ask_price0, family.bid_price0,
+                                family.ask_volume0, family.bid_volume0, n_paths=3)
+    getattr(init, f"v_{side}")[1, 0] = np.nan
+    name = "ask" if side == "a" else "bid"
+    with pytest.raises(L.NumericalFailureError, match=f"non-finite {name} volumes"):
+        L.solve_paths(lp, init, 0.02, 2e-3, seed=3)
+
+
+def test_volterra_system_evaluates_each_side_rate_once_per_state(family):
+    # four active entries read two sources: the operator calls each side's
+    # rate factor once per state, not once per entry
+    lp = family.limit_params(n_x=21)
+    calls = {"a": 0, "b": 0}
+
+    def counted(side, fn):
+        def rate(pa, pb):
+            calls[side] += 1
+            return fn(pa, pb)
+        return rate
+
+    lp = dataclasses.replace(lp, rho={s: counted(s, f) for s, f in lp.rho.items()})
+    _lay, op, _exo = L.volterra_system(lp)
+    states = [(0.3, 0.1), (0.5, -0.2), (0.2, 0.1)]
+    rates = op.rates(states)
+    assert calls == {"a": len(states), "b": len(states)}
+    sources = [e.rate for e in op.entries if e.rate is not None]
+    assert len(sources) == 4 and len(set(map(id, sources))) == 2
+    for k, e in enumerate(op.entries):
+        if e.rate is not None:
+            assert rates[k].tolist() == [e.rate(st) for st in states]
 
 
 def test_noise_coarsening_preserves_variance():

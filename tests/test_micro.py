@@ -34,7 +34,6 @@ from hawkeslob.micro import (
     active_intensity,
     apply_active,
     apply_passive,
-    check_scaling_conditions,
     passive_intensity,
     replay_book,
     simulate_book,
@@ -160,6 +159,12 @@ class TestSizeMeasure:
     def test_exponential_needs_finite_fourth_moment(self):
         with pytest.raises(ValueError, match="rate > 4"):
             SizeMeasure("exponential", rate=3.0)
+
+    @pytest.mark.parametrize("spec", [dict(family="dirac", z=200.0),
+                                      dict(family="lognormal", m=0.0, s=1.0, z_max=200.0)])
+    def test_overflowing_fourth_moment_rejected(self, spec):
+        with pytest.raises(ValueError, match="finite placement gain and fourth moment"):
+            SizeMeasure(**spec)
 
     def test_lognormal_requires_truncation(self):
         with pytest.raises(ValueError, match="truncation"):
@@ -382,9 +387,33 @@ class TestRescaledSequence:
                     assert m < 2.0 * prev[p]
             prev = {p: float(np.mean(np.asarray(loads) ** p)) for p in (1, 2, 4)}
 
-    def test_condition_check_clean_for_standard_family(self, family):
-        report = check_scaling_conditions(family, levels=(0, 1, 2))
-        assert report.clean
+    @pytest.mark.parametrize("rate_family", ["spread_linear", "constant"])
+    def test_rate_families_meet_the_factor_conditions(self, rate_family):
+        # both declared rate families hold the factor conditions by
+        # construction at every level and spread: factors are nonnegative,
+        # the spread-placement factor vanishes below one tick (no crossing),
+        # and the spread-linear rescaled difference is the declared scale
+        fam = make_family(rates={s: ActiveRateFamily(rate_family, 0.5) for s in "ab"})
+        for k in range(4):
+            params = fam.micro_params(k)
+            state = params.initial_state()
+            for ticks in range(12):
+                state.ask_tick = state.bid_tick + ticks
+                for side in "ab":
+                    mo = params.state_factor[f"{side}_mo"](state)
+                    sp = params.state_factor[f"{side}_sp"](state)
+                    assert mo >= 0.0 and sp >= 0.0
+                    if ticks < 1:
+                        assert sp == 0.0
+                    elif rate_family == "spread_linear":
+                        assert (mo - sp) / params.delta_x == pytest.approx(0.5)
+
+    def test_negative_factor_scales_rejected(self):
+        for make in (lambda: SpreadLinearFactor(-0.1), lambda: GatedConstantFactor(-0.1, True),
+                     lambda: ActiveRateFamily("spread_linear", -0.1).micro_factor("mo", 0.1),
+                     lambda: ActiveRateFamily("constant", -0.1).micro_factor("sp", 0.1)):
+            with pytest.raises(ValueError, match=">= 0"):
+                make()
 
 
 def test_volume_ledger_lazy_growth():
@@ -574,14 +603,15 @@ def checkpoint_row(eng):
     the checkpoint nodes and integrated."""
     book, state, t = eng.book, eng.state, eng.sums.t
     u = eng.sums.units(False)
-    act = []
+    rows = []
     for exo, _term, from_act, from_pas in book.active_rows:
         val = exo(t, state) / book.dx2
         for i, amp in from_act:
             val += amp * u[i]
         for i, amp in from_pas:
             val += book.pas_pref * (amp * u[i])
-        act.append(book.dx2 * val)
+        rows.append(book.dx2 * val)
+    act = [rows[r] for r in book.active_of]
     grids = []
     for row in book.passive_rows:
         out = row.exo(t, state) * row.cp_shapes[0]
@@ -627,6 +657,18 @@ class TestCheckpointDiagnostics:
                                       equal_nan=True)
             for name in ("load", "beta", "d11", "d22", "active_scalars"):
                 assert np.array_equal(getattr(d, name), getattr(ref.diagnostics, name))
+
+
+def test_identical_active_rows_share_one_row():
+    # the standard family's four active types carry the same constant and
+    # the same kernel terms, so they share one row
+    book = micro._CompiledBook(make_family().micro_params(2))
+    assert len(book.active_rows) == 1 and book.active_of == [0, 0, 0, 0]
+    # a density object of its own keeps its own row
+    book = micro._CompiledBook(wave_params(make_family(), 2))
+    b_sp = ACTIVE_TYPES.index("b_sp")
+    assert len(book.active_rows) == 2
+    assert book.active_of[b_sp] == 1 and book.active_of.count(0) == 3
 
 
 class ListHistorySums(KernelSums):
