@@ -284,13 +284,19 @@ class TickSampler:
             raise ValueError("cannot sample from a profile with zero mass")
         self.delta_x = delta_x
         self.n_side = int(round(half_width / delta_x))
-        self.cum = (np.cumsum(masses) / total).tolist()
+        self.cum_array = np.cumsum(masses) / total
+        self.cum = self.cum_array.tolist()
 
     def sample(self, rng: np.random.Generator) -> float:
         u = rng.random()
         j = min(bisect.bisect_right(self.cum, u), 2 * self.n_side - 1)
         left = (j - self.n_side) * self.delta_x
         return left + self.delta_x * rng.random()
+
+    def samples(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``sample`` for arrays of its two uniform draws, elementwise."""
+        j = np.minimum(np.searchsorted(self.cum_array, u, side="right"), 2 * self.n_side - 1)
+        return (j - self.n_side) * self.delta_x + self.delta_x * v
 
 
 class GaussianProfile(SpatialProfile):
@@ -542,6 +548,11 @@ class KernelSums:
         for i, ke in self.bank.gammas:
             # b(t + d) = (b + g d) e^{-k d} <= b + g / (k e)
             u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
+        self.scan(u, bound)
+        return u
+
+    def scan(self, u, bound: bool) -> None:
+        """Write the sums of the scanned states at time ``t`` into ``u``."""
         t = self.t
         for j, (i, h, prof, memory) in enumerate(self.bank.scans):
             hist = self.hist[h]
@@ -552,4 +563,3 @@ class KernelSums:
             lags = t - times[start:n]
             shape = prof.envelope(lags) if bound else prof.value(lags)
             u[i] = float(weights[start:n] @ shape) if lags.size else 0.0
-        return u

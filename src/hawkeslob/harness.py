@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import limit as limit_mod
-from .micro import ScalingFamily, simulate_book
+# simulate_book stays importable here: bench/layers.py wraps it at this name
+from .micro import ScalingFamily, simulate_book, simulate_books  # noqa: F401
 from .rng import SeedManifest, stream_rng
 
 #: standard errors within which a compensated mean passes as zero
@@ -178,8 +179,8 @@ def _run_level(
     loads = np.empty(replicates)
     supd = np.empty(replicates)
     n_events = 0
-    for r in range(replicates):
-        run = simulate_book(params, horizon, stream_rng(seed, r, "micro"))
+    runs = simulate_books(params, horizon, [stream_rng(seed, r, "micro") for r in range(replicates)])
+    for r, run in enumerate(runs):
         pa[r] = run.final_state.p_a
         for f in test_fns:
             inner[f.name][r] = run.final_state.ask_vol.inner(f.fn)

@@ -11,10 +11,15 @@ Prices are held as integer tick indices so one-tick moves and the
 non-crossing invariant are exact; volume densities are held in absolute
 tick coordinates so price moves never shift the profile arrays.
 
-The first ``simulate_book`` call on a ``MicroParams`` compiles it into
-index tables cached on that instance, shared by all replicates of a level.
-Its kernel entries go into a ``families.KernelBank``, which keeps the
-running kernel sums, the same bank ``hawkes.simulate_thinning`` drives.
+The first simulation of a ``MicroParams`` compiles it into index tables
+cached on that instance, shared by all replicates of a level.  Its kernel
+entries go into a ``families.KernelBank``, which keeps the running kernel
+sums, the same bank ``hawkes.simulate_thinning`` drives.
+
+``simulate_book`` runs one stream.  ``simulate_books`` runs the replicates
+of a level in lockstep, one column per stream, and returns for each stream
+the run ``simulate_book`` returns, bit for bit; it pays off from a few
+streams on, while a single stream runs faster through ``simulate_book``.
 """
 
 from __future__ import annotations
@@ -317,6 +322,12 @@ class SizeMeasure:
         u = rng.random() * cdf[-1]
         return float(np.interp(u, cdf, zs))
 
+    def samples(self, rngs: list) -> np.ndarray:
+        """One ``sample`` from each generator of ``rngs``."""
+        if self.family == "dirac":
+            return np.full(len(rngs), float(self.params["z"]))
+        return np.array([self.sample(rng) for rng in rngs])
+
 
 # ---------------------------------------------------------------------------
 # exogenous densities and state-rate factors
@@ -343,7 +354,9 @@ class SpreadLinearFactor:
 
     With offset 0 this is the market-order factor; with offset 1 the
     spread-placement factor, which vanishes for spreads below one tick and
-    so satisfies the no-crossing condition structurally.
+    so satisfies the no-crossing condition structurally.  Like every state
+    factor it reads only the best prices, so passive events leave it
+    unchanged.
     """
 
     def __init__(self, scale: float, offset_ticks: int = 0):
@@ -356,9 +369,18 @@ class SpreadLinearFactor:
         ticks = state.spread_ticks - self.offset_ticks
         return self.scale * max(ticks, 0) * state.grid.delta_x
 
+    def spreads(self, ticks: np.ndarray, delta_x: float) -> np.ndarray:
+        """The factor at each spread of ``ticks`` (in ticks), elementwise
+        as ``__call__``."""
+        return self.scale * np.maximum(ticks - self.offset_ticks, 0) * delta_x
+
 
 class GatedConstantFactor:
-    """Constant factor, zeroed when the spread is below one tick."""
+    """Constant factor, zeroed when the spread is below one tick.
+
+    Like every state factor it reads only the best prices, so passive
+    events leave it unchanged.
+    """
 
     def __init__(self, value: float, gated: bool):
         if value < 0:
@@ -371,6 +393,12 @@ class GatedConstantFactor:
             return 0.0
         return self.value
 
+    def spreads(self, ticks: np.ndarray, delta_x: float) -> np.ndarray:
+        """The factor at each spread of ``ticks`` (in ticks)."""
+        if self.gated:
+            return np.where(ticks < 1, 0.0, self.value)
+        return np.full(ticks.shape, self.value)
+
 
 # ---------------------------------------------------------------------------
 # parameters
@@ -381,6 +409,8 @@ class GatedConstantFactor:
 class MicroParams:
     """Everything the n-th order book model needs.
 
+    State factors are callables of the book state that read only the best
+    prices: the simulators evaluate them again after active events only.
     Kernel dictionaries are keyed by (target type, source type); missing
     entries vanish.  Active-to-active entries are plain time profiles;
     entries with passive sources carry an in-profile weighting the source
@@ -611,19 +641,19 @@ class _CompiledBook:
         ])
         return np.sum(np.abs(grids) @ self.cp_w), np.sum((grids**2) @ self.cp_w)
 
-    def diagnostics(self, n: int, units: list, exo: list):
-        """d11, d22 and the active scalars dx^2 mu at ``n`` checkpoints.
+    def diagnostics(self, u_rows: np.ndarray, e_varying: np.ndarray):
+        """d11, d22 and the active scalars dx^2 mu at a set of checkpoints.
 
-        ``units`` holds the per-state kernel sums and ``exo`` the varying
-        exogenous densities, checkpoint after checkpoint.  The columns
-        repeat, element for element, the float operations of
-        ``_Engine.active`` and of one checkpoint's norms, so the values
-        equal a per-checkpoint evaluation bit for bit.
+        ``u_rows`` holds the per-state kernel sums (one row per state) and
+        ``e_varying`` the varying exogenous densities (one row per density),
+        one column per checkpoint.  The columns repeat, element for element,
+        the float operations of ``_Engine.active`` and of one checkpoint's
+        norms, so the values equal a per-checkpoint evaluation bit for bit.
         """
-        u_rows = np.array(units, dtype=float).reshape(n, len(self.bank.states)).T
+        n = u_rows.shape[1]
         e_rows = np.empty((len(self.exos), n))
         e_rows[:] = self.exo_consts[:, None]
-        e_rows[self.varying] = np.array(exo, dtype=float).reshape(n, len(self.varying)).T
+        e_rows[self.varying] = e_varying
         dx2, pref = self.dx2, self.pas_pref
         rows = []
         for r, (_exo, _term, from_act, from_pas) in enumerate(self.active_rows):
@@ -670,7 +700,8 @@ class _Engine:
         sources."""
         _apply_event(self.state, label, distance, size, self.book.p.delta_v)
         self.sums.fire(label, distance)
-        self.factors = [f(self.state) for f in self.book.factors]
+        if label < 4:  # state factors read only the best prices
+            self.factors = [f(self.state) for f in self.book.factors]
 
     def active(self, u: list, bound: bool) -> list:
         """Rescaled intensities mu of the active types (factors excluded)."""
@@ -702,6 +733,13 @@ class _Engine:
                 m.append(k_mass * (amp * u[i]))
             terms.append(m)
         return act, [sum(m) for m in terms], terms, mu
+
+
+def _rate_total(act, pas):
+    """Sum of the eight per-type rates (floats or replicate columns), left to
+    right within the active and within the passive types, as numpy sums
+    four-element arrays."""
+    return (act[0] + act[1] + act[2] + act[3]) + (pas[0] + pas[1] + pas[2] + pas[3])
 
 
 def simulate_book(
@@ -760,10 +798,8 @@ def simulate_book(
         if len(accepted) >= MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
         # the last realised rates were taken at this time and book state
-        act_b, pas_b, *_ = rates if book.bound_is_value else eng.rates(bound=True)
-        # left to right, as numpy sums four-element arrays
-        majorant = (act_b[0] + act_b[1] + act_b[2] + act_b[3]) + (
-            pas_b[0] + pas_b[1] + pas_b[2] + pas_b[3])
+        # the last realised rates were taken at this time and book state
+        majorant = _rate_total(*(rates if book.bound_is_value else eng.rates(bound=True))[:2])
         if majorant <= 0.0:
             break
         t_next = t + rng.exponential(1.0 / majorant)
@@ -774,8 +810,7 @@ def simulate_book(
         eng.advance(t_next)
         t = t_next
         rates = act_r, pas_r, terms, _mu = eng.rates(bound=False)
-        total = (act_r[0] + act_r[1] + act_r[2] + act_r[3]) + (
-            pas_r[0] + pas_r[1] + pas_r[2] + pas_r[3])
+        total = _rate_total(act_r, pas_r)
         if total > majorant * (1.0 + 1e-9):
             raise MajorantViolationError(
                 f"book rate {total} exceeded majorant {majorant} at t={t}"
@@ -796,16 +831,7 @@ def simulate_book(
             distance, size = math.nan, math.nan
             load.append(load[-1] + dx2)
         else:
-            masses = terms[label - 4]
-            pick = rng.random()
-            idx = 0
-            if len(masses) > 1:
-                masses = np.array(masses)
-                pick *= masses.sum()
-                idx = min(int(np.searchsorted(np.cumsum(masses), pick, side="left")),
-                          len(masses) - 1)
-            distance = book.passive_rows[label - 4].samplers[idx].sample(rng)
-            size = p.sizes[PASSIVE_TYPES[label - 4]].sample(rng)
+            distance, size = _passive_marks(book, label - 4, terms[label - 4], rng)
             load.append(load[-1] + dv)
 
         eng.fire(label, distance, size)
@@ -820,7 +846,10 @@ def simulate_book(
 
     ev_times, labels, xs, zs = np.ascontiguousarray(np.reshape(accepted, (-1, 4)).T)
     times = np.concatenate([[0.0], ev_times])
-    d11, d22, act = book.diagnostics(cp_next, cp_units, cp_exo)
+    d11, d22, act = book.diagnostics(
+        np.array(cp_units, dtype=float).reshape(cp_next, len(book.bank.states)).T,
+        np.array(cp_exo, dtype=float).reshape(cp_next, len(varying)).T,
+    )
     diag = MicroDiagnostics(
         event_times=times, load=np.asarray(load), beta=np.asarray(beta),
         checkpoint_times=cps, d11=d11, d22=d22, active_scalars=act,
@@ -836,6 +865,449 @@ def simulate_book(
         candidates=candidates,
         accepted=len(accepted),
     )
+
+
+#: (ask, bid) tick move of each event label; row 8 stands for no event
+_LABEL_MOVES = np.array([_PRICE_MOVES[at] for at in ACTIVE_TYPES] + [(0, 0)] * 5, dtype=np.int64)
+
+
+class _Lockstep:
+    """Replicates of one ``simulate_books`` call over a compiled book, one
+    column each: book ticks, state factors, running kernel sums (``g`` and
+    ``b`` of ``KernelSums``, one row per state) and counters.
+
+    Every column update repeats, element for element, the float operations
+    of ``_Engine`` and ``KernelSums``, so each column follows its stream as
+    ``simulate_book`` does.  What has no bit-identical vectorised form stays
+    per replicate: generator calls, the ``math.exp`` decay factors,
+    exogenous density calls, in-profile weights, the histories of scanned
+    kernels (one ``KernelSums`` per replicate, used for its ``scan``) and the
+    volume ledgers.  ``split`` moves the columns of finished replicates to a
+    batch of their own; ``join`` puts such batches back together.
+    """
+
+    #: per-column arrays, column axis last, and per-column lists
+    _ARRAYS = ("ids", "t", "t_sums", "ask", "bid", "factors", "g", "b", "load",
+               "candidates", "accepted", "cp_next", "total")
+    _LISTS = ("rngs", "states", "sums")
+
+    def __init__(self, book: _CompiledBook, rngs: list, cp_times: np.ndarray):
+        bank, n, n_s = book.bank, len(rngs), len(book.bank.states)
+        self.book = book
+        self.cp_times = cp_times  # the checkpoint times, then inf
+        self.ids = np.arange(n)
+        self.rngs = rngs
+        self.states = [book.state0.copy() for _ in range(n)]
+        self.sums = [KernelSums(bank) if bank.scans else None for _ in range(n)]
+        self.t, self.t_sums = np.zeros(n), np.zeros(n)
+        self.ask = np.full(n, book.state0.ask_tick, dtype=np.int64)
+        self.bid = np.full(n, book.state0.bid_tick, dtype=np.int64)
+        self.factors = self.state_factors()
+        self.g, self.b = np.zeros((n_s, n)), np.zeros((n_s, n))
+        self.load = np.ones(n)
+        self.candidates = np.zeros(n, dtype=np.int64)
+        self.accepted = np.zeros(n, dtype=np.int64)
+        self.cp_next = np.zeros(n, dtype=np.int64)
+        self.total = np.zeros(n)
+        # kernel sums and varying exogenous densities at the checkpoints,
+        # by replicate
+        self.cp_units = np.empty((n_s, n, cp_times.size - 1))
+        self.cp_exo = np.empty((len(book.varying), n, cp_times.size - 1))
+        # per source label: the unit increments of the states it feeds
+        # without a weight (row 8: no event), and the entries that need
+        # per-replicate work, in-profile weights or histories
+        self.unit = np.zeros((9, n_s))
+        self.slow: list = [[] for _ in range(8)]
+        for source, by_prof in bank.excite.items():
+            for in_prof, (stateful, hists) in by_prof.items():
+                if in_prof is None:
+                    self.unit[source, stateful] = 1.0
+                    stateful = []
+                if stateful or hists:
+                    self.slow[source].append((in_prof, stateful, hists))
+
+    def split(self, mask: np.ndarray) -> "_Lockstep":
+        """Keep the columns where ``mask`` holds; return the others."""
+        out = copy.copy(self)
+        for name in self._ARRAYS:
+            col = getattr(self, name)
+            setattr(out, name, col[..., ~mask])
+            setattr(self, name, col[..., mask])
+        flags = mask.tolist()
+        for name in self._LISTS:
+            col = getattr(self, name)
+            setattr(out, name, [x for x, k in zip(col, flags) if not k])
+            setattr(self, name, [x for x, k in zip(col, flags) if k])
+        return out
+
+    @staticmethod
+    def join(parts: list) -> "_Lockstep":
+        out = copy.copy(parts[0])
+        for name in _Lockstep._ARRAYS:
+            setattr(out, name, np.concatenate([getattr(p, name) for p in parts], axis=-1))
+        for name in _Lockstep._LISTS:
+            setattr(out, name, [x for p in parts for x in getattr(p, name)])
+        return out
+
+    def state_factors(self) -> np.ndarray:
+        spread = self.ask - self.bid
+        return np.array([f.spreads(spread, self.book.p.delta_x) for f in self.book.factors])
+
+    def sync(self, cols) -> list:
+        """The book states of columns ``cols``, with their current ticks."""
+        states = [self.states[c] for c in cols]
+        for state, a, b in zip(states, self.ask[cols].tolist(), self.bid[cols].tolist()):
+            state.ask_tick, state.bid_tick = a, b
+        return states
+
+    def exo(self, exo, bound: bool, cols) -> np.ndarray:
+        """An exogenous density, or its bound, at columns ``cols``."""
+        states = self.sync(cols)
+        if bound:
+            return np.array([exo.sup_t(state) for state in states], dtype=float)
+        ts = self.t_sums[cols].tolist()
+        return np.array([exo(t, state) for t, state in zip(ts, states)], dtype=float)
+
+    def advance(self, t: np.ndarray) -> None:
+        """``_Engine.advance`` of every column to its time in ``t``: a column
+        already past its time stays where it is."""
+        move = t >= self.t_sums
+        dt = np.where(move, t - self.t_sums, 0.0)  # a zero step changes no sum
+        g, b = self.g, self.b
+        for kappa, (exps, gams) in self.book.bank.decay.items():
+            decay = np.array([math.exp(x) for x in (-kappa * dt).tolist()])
+            for i in exps:
+                g[i] *= decay
+            for i in gams:
+                b[i] = (b[i] + g[i] * dt) * decay
+                g[i] *= decay
+        self.t_sums = np.where(move, t, self.t_sums)
+
+    def units(self, bound: bool) -> np.ndarray:
+        """``KernelSums.units`` of every column."""
+        u = self.g.copy()
+        for i, ke in self.book.bank.gammas:
+            u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
+        if self.book.bank.scans:
+            for c, (sums, t) in enumerate(zip(self.sums, self.t_sums.tolist())):
+                sums.t = t
+                sums.scan(u[:, c], bound)
+        return u
+
+    def rates(self, bound: bool):
+        """``_Engine.rates`` of every column."""
+        book, n = self.book, self.ids.size
+        u = self.units(bound)
+        cols = np.arange(n) if book.varying else None
+        rows = []
+        for exo, term, from_act, from_pas in book.active_rows:
+            val = np.full(n, term) if term is not None else self.exo(exo, bound, cols) / book.dx2
+            for i, amp in from_act:
+                val = val + amp * u[i]
+            for i, amp in from_pas:
+                val = val + book.pas_pref * (amp * u[i])
+            rows.append(val)
+        mu = [rows[r] for r in book.active_of]
+        f = self.factors
+        act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
+        dv = book.p.delta_v
+        terms = []
+        for row in book.passive_rows:
+            m = [np.full(n, row.term) if row.term is not None
+                 else self.exo(row.exo, bound, cols) * row.mass / dv]
+            for i, amp, k_mass, _k in row.entries:
+                m.append(k_mass * (amp * u[i]))
+            terms.append(m)
+        return act, [sum(m) for m in terms], terms, mu
+
+    def record_checkpoints(self, upto: np.ndarray) -> None:
+        """Decay each column through its checkpoints up to ``upto`` and store
+        the kernel sums and the varying exogenous densities there.
+
+        The decay steps of a column follow one another as in
+        ``simulate_book``, but every column and step is taken at once: an
+        exponential sum through its steps is the running product of its
+        decay factors (``np.multiply.accumulate`` multiplies in sequence),
+        padded with ones where a column has fewer steps.
+        """
+        book, bank, cps = self.book, self.book.bank, self.cp_times
+        last = np.searchsorted(cps, upto + 1e-15, side="right")
+        cols = np.flatnonzero(last > self.cp_next)
+        if not cols.size:
+            return
+        first, last = self.cp_next[cols], last[cols]
+        steps = first[:, None] + np.arange((last - first).max())
+        valid = steps < last[:, None]
+        # padded steps repeat the last checkpoint time: a zero step
+        t_step = cps[np.minimum(steps, last[:, None] - 1)]
+        t0 = self.t_sums[cols][:, None]
+        prev = np.maximum(t0, np.concatenate([t0, t_step[:, :-1]], axis=1))
+        move = t_step >= prev
+        dt = np.where(move, t_step - prev, 0.0)
+        t_sums = np.maximum(t0, t_step)  # the sums' time after each step
+
+        u = np.repeat(self.g[:, cols][:, :, None], steps.shape[1], axis=2)
+        for kappa, (exps, gams) in bank.decay.items():
+            decay = np.array([math.exp(x) for x in (-kappa * dt).ravel().tolist()]).reshape(dt.shape)
+            if exps:
+                chain = np.concatenate([u[exps, :, :1], np.broadcast_to(decay, u[exps].shape)], axis=2)
+                chain = np.multiply.accumulate(chain, axis=2)
+                u[exps] = chain[:, :, 1:]
+                self.g[np.ix_(exps, cols)] = chain[:, :, -1]
+            for i in gams:
+                g, b = self.g[i, cols], self.b[i, cols]
+                for s in range(steps.shape[1]):
+                    b = (b + g * dt[:, s]) * decay[:, s]
+                    g = g * decay[:, s]
+                    u[i, :, s] = b
+                self.g[i, cols], self.b[i, cols] = g, b
+        if bank.scans:
+            for col, c in enumerate(cols.tolist()):
+                sums = self.sums[c]
+                for s in range(last[col] - first[col]):
+                    sums.t = float(t_sums[col, s])
+                    sums.scan(u[:, col, s], False)
+
+        ids = np.broadcast_to(self.ids[cols][:, None], steps.shape)[valid]
+        self.cp_units[:, ids, steps[valid]] = u[:, valid]
+        if book.varying:
+            states = self.sync(cols)
+            at = [states[col] for col in np.nonzero(valid)[0].tolist()]
+            ts = t_sums[valid].tolist()
+            self.cp_exo[:, ids, steps[valid]] = [
+                [book.exos[k](t, state) for t, state in zip(ts, at)] for k in book.varying]
+        self.t_sums[cols] = t_sums[:, -1]
+        self.cp_next[cols] = last
+
+    def passive(self, cols: np.ndarray, types: np.ndarray, terms: list):
+        """Draw the marks of passive events of ``PASSIVE_TYPES[types]`` at
+        columns ``cols`` and apply them to the volume ledgers, as
+        ``_passive_marks`` and ``apply_passive`` do; returns the distances
+        and the sizes."""
+        book, p = self.book, self.book.p
+        rngs = [self.rngs[c] for c in cols.tolist()]
+        # the term pick and the two uniforms of the distance sampler
+        draws = np.array([(rng.random(), rng.random(), rng.random()) for rng in rngs])
+        xs, zs = np.empty(cols.size), np.empty(cols.size)
+        for j in np.flatnonzero(np.bincount(types, minlength=4)).tolist():
+            sel = np.flatnonzero(types == j)
+            samplers = book.passive_rows[j].samplers
+            if len(samplers) == 1:
+                xs[sel] = samplers[0].samples(draws[sel, 1], draws[sel, 2])
+            else:
+                idx = np.array([_term_pick([m[c] for m in terms[j]], draws[q, 0])
+                                for q, c in zip(sel.tolist(), cols[sel].tolist())])
+                for s in set(idx.tolist()):
+                    at = sel[idx == s]
+                    xs[at] = samplers[s].samples(draws[at, 1], draws[at, 2])
+            zs[sel] = p.sizes[PASSIVE_TYPES[j]].samples([rngs[q] for q in sel.tolist()])
+        if np.any(zs < 0):
+            raise ValueError("size marks must be >= 0")
+        # apply_passive: ticks at the distances, then the placement gains and
+        # the cancellation factors
+        cells = np.floor(xs / p.delta_x + 1e-9).astype(np.int64)
+        ticks = np.where(types < 2, self.ask[cols] + cells, self.bid[cols] - cells - 1)
+        ratio = p.delta_v / p.delta_x
+        place = types % 2 == 0
+        gain = np.array([math.exp(z) for z in np.where(place, zs, -zs).tolist()]) - 1.0
+        vals = np.where(place, ratio * gain, 1.0 + ratio * gain)
+        for c, j, tick, val in zip(cols.tolist(), types.tolist(), ticks.tolist(), vals.tolist()):
+            state = self.states[c]
+            ledger = state.ask_vol if j < 2 else state.bid_vol
+            if j % 2 == 0:
+                ledger.add(tick, val)
+            else:
+                ledger.scale(tick, val)
+        return xs, zs
+
+    def fire(self, fired: np.ndarray, labels: np.ndarray, xs: np.ndarray) -> None:
+        """Feed the events of columns ``fired`` into the kernel sums, as
+        ``KernelSums.fire``."""
+        lab = np.full(self.ids.size, 8)
+        lab[fired] = labels
+        self.g += self.unit[lab].T
+        for c, label, x in zip(fired.tolist(), labels.tolist(), xs.tolist()):
+            for in_prof, stateful, hists in self.slow[label]:
+                w = 1.0 if in_prof is None else float(in_prof.value(x))
+                for i in stateful:
+                    self.g[i, c] += w
+                for h in hists:
+                    self.sums[c].hist[h].append(float(self.t_sums[c]), w)
+
+
+def simulate_books(
+    params: MicroParams,
+    horizon: float,
+    rngs: Sequence,
+    n_checkpoints: int = 33,
+) -> list[MicroRun]:
+    """``simulate_book`` on every stream of ``rngs``, the replicates run in
+    lockstep.
+
+    Each iteration draws one candidate for every live replicate; replicates
+    drop out as they finish.  Each returned run equals, bit for bit, what
+    ``simulate_book`` returns on the same stream: every replicate makes the
+    same scalar generator calls in the same order, and every vectorised
+    update repeats the scalar float operations element for element.  The
+    gain is the per-candidate Python work the replicates share, so a single
+    stream runs faster through ``simulate_book``.
+
+    The state factors must be ``SpreadLinearFactor`` or
+    ``GatedConstantFactor``, which have a vectorised form; any other raises
+    ``TypeError``.  A ``MajorantViolationError`` or ``NonCrossingError``
+    names the replicate by its index in ``rngs``.
+    """
+    p = params
+    if p._compiled is None:
+        p._compiled = _CompiledBook(p)
+    book = p._compiled
+    for at, f in zip(ACTIVE_TYPES, book.factors):
+        if type(f) not in (SpreadLinearFactor, GatedConstantFactor):
+            raise TypeError(
+                f"simulate_books needs SpreadLinearFactor or GatedConstantFactor state "
+                f"factors; {at} has {type(f).__name__} (simulate_book takes any)"
+            )
+    dx, dv, dx2 = p.delta_x, p.delta_v, book.dx2
+    n = len(rngs)
+    if not n:
+        return []
+    cps = np.linspace(0.0, horizon, n_checkpoints)
+    run = _Lockstep(book, [as_rng(g, "micro") for g in rngs], np.append(cps, math.inf))
+    states = run.states
+    finished = []
+
+    act, pas, _terms, mu = run.rates(False)
+    run.total = _rate_total(act, pas)
+    # event records, one array per field and iteration: replicate, time,
+    # label, distance, size, ticks, load and beta; the first holds the
+    # initial state of every replicate
+    nan = np.full(n, math.nan)
+    records = [(run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, run.ask.copy(),
+                run.bid.copy(), run.load.copy(), dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]))]
+
+    while run.ids.size:
+        if run.accepted.max() >= MAX_EVENTS:
+            raise RuntimeError("event budget exceeded; check kernel stability")
+        # the last realised rates were taken at this time and book state
+        majorant = run.total if book.bound_is_value else _rate_total(*run.rates(True)[:2])
+        stop = majorant <= 0.0
+        t_next = run.t + np.array([
+            0.0 if s else rng.exponential(1.0 / m)
+            for rng, m, s in zip(run.rngs, majorant.tolist(), stop.tolist())
+        ])
+        done = stop | (t_next > horizon)
+        if done.any():
+            # their last checkpoints are recorded together, after the loop
+            finished.append(run.split(~done))
+            t_next, majorant = t_next[~done], majorant[~done]
+            if not run.ids.size:
+                break
+        run.candidates += 1
+        run.record_checkpoints(t_next)
+        run.advance(t_next)
+        run.t = t_next
+        act, pas, terms, _mu = run.rates(False)
+        total = run.total = _rate_total(act, pas)
+        over = total > majorant * (1.0 + 1e-9)
+        if over.any():
+            c = int(np.argmax(over))
+            raise MajorantViolationError(
+                f"replicate {run.ids[c]}: book rate {float(total[c])} exceeded majorant "
+                f"{float(majorant[c])} at t={float(t_next[c])}"
+            )
+        thinned = np.array([rng.random() for rng in run.rngs]) * majorant > total
+        fired = np.flatnonzero(~thinned)
+        if not fired.size:
+            continue
+
+        u = np.array([run.rngs[c].random() for c in fired.tolist()]) * total[fired]
+        hit = u <= np.cumsum(np.array(act + pas)[:, fired], axis=0)
+        labels = np.where(hit.any(axis=0), hit.argmax(axis=0), 7)
+        active = labels < 4
+        xs, zs = np.full(fired.size, math.nan), np.full(fired.size, math.nan)
+        if not active.all():
+            q = np.flatnonzero(~active)
+            xs[q], zs[q] = run.passive(fired[q], labels[q] - 4, terms)
+
+        moves = _LABEL_MOVES[labels]
+        ask, bid = run.ask[fired] + moves[:, 0], run.bid[fired] + moves[:, 1]
+        if np.any(ask < bid):
+            q = int(np.argmax(ask < bid))
+            try:
+                apply_active(run.sync([fired[q]])[0], ACTIVE_TYPES[labels[q]])
+            except NonCrossingError as exc:
+                raise NonCrossingError(f"replicate {run.ids[fired[q]]}: {exc}") from None
+        run.ask[fired], run.bid[fired] = ask, bid
+        run.fire(fired, labels, xs)
+        run.load[fired] += np.where(active, dx2, dv)
+        run.accepted[fired] += 1
+        if active.any():
+            run.factors = run.state_factors()
+        act, pas, _terms, mu = run.rates(False)
+        run.total = _rate_total(act, pas)
+        records.append((run.ids[fired], t_next[fired], labels, xs, zs, ask, bid,
+                        run.load[fired], dx * (mu[0][fired] - mu[1][fired]),
+                        dx * (mu[2][fired] - mu[3][fired])))
+
+    done = _Lockstep.join(finished)
+    done.record_checkpoints(np.full(n, horizon))
+    done.sync(np.arange(n))
+    candidates, accepted = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    candidates[done.ids], accepted[done.ids] = done.candidates, done.accepted
+
+    # one array per field, replicate after replicate, each from its initial state
+    fields = [np.concatenate(f) for f in zip(*records)]
+    order = np.argsort(fields[0], kind="stable")
+    times, labels, xs, zs, asks, bids, loads, beta_a, beta_b = [f[order] for f in fields[1:]]
+    beta = np.stack([beta_a, beta_b], axis=1)
+    ends = np.cumsum(np.bincount(fields[0], minlength=n)).tolist()
+    n_cp, n_s = cps.size, len(book.bank.states)
+    d11, d22, act = book.diagnostics(
+        run.cp_units.reshape(n_s, n * n_cp), run.cp_exo.reshape(len(book.varying), n * n_cp))
+    d11, d22, act = d11.reshape(n, n_cp), d22.reshape(n, n_cp), act.reshape(n, n_cp, 4)
+
+    runs = []
+    start = 0
+    for r, end in enumerate(ends):
+        ev = slice(start + 1, end)
+        diag = MicroDiagnostics(
+            event_times=times[start:end], load=loads[start:end], beta=beta[start:end],
+            checkpoint_times=cps.copy(), d11=d11[r], d22=d22[r], active_scalars=act[r],
+        )
+        runs.append(MicroRun(
+            horizon=horizon,
+            events=EventStream(times[ev], labels[ev], xs[ev], zs[ev], horizon, EVENT_LABELS),
+            event_times=diag.event_times,
+            ask_ticks=asks[start:end],
+            bid_ticks=bids[start:end],
+            final_state=states[r],
+            diagnostics=diag,
+            candidates=int(candidates[r]),
+            accepted=int(accepted[r]),
+        ))
+        start = end
+    return runs
+
+
+def _term_pick(masses: list, pick: float) -> int:
+    """Index of the passive term a uniform ``pick`` selects by mass."""
+    if len(masses) == 1:
+        return 0
+    masses = np.array(masses)
+    pick *= masses.sum()
+    return min(int(np.searchsorted(np.cumsum(masses), pick, side="left")), len(masses) - 1)
+
+
+def _passive_marks(book: _CompiledBook, j: int, masses: list, rng) -> tuple[float, float]:
+    """Distance and size marks of a passive event of type ``PASSIVE_TYPES[j]``.
+
+    ``masses`` are the masses of the type's terms (exogenous, then one per
+    kernel entry); the term that fired is drawn by mass, the distance from
+    its profile, then the size.
+    """
+    idx = _term_pick(masses, rng.random())
+    distance = book.passive_rows[j].samplers[idx].sample(rng)
+    return distance, book.p.sizes[PASSIVE_TYPES[j]].sample(rng)
 
 
 def active_intensity(params: MicroParams, history: EventStream, t: float, active_type: str) -> float:

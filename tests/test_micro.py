@@ -332,6 +332,22 @@ class TestSimulateBook:
         assert np.all(run.final_state.ask_vol.values >= 0)
         assert np.all(run.final_state.bid_vol.values >= 0)
 
+    def test_factors_evaluated_after_active_events_only(self, family):
+        params = family.micro_params(1)
+        calls = []
+
+        class Counted(SpreadLinearFactor):
+            def __call__(self, state):
+                calls.append(state.spread_ticks)
+                return super().__call__(state)
+
+        params.state_factor = {at: Counted(f.scale, f.offset_ticks)
+                               for at, f in params.state_factor.items()}
+        run = simulate_book(params, 0.5, stream_rng(10, 0, "micro"))
+        n_active = int(np.sum(run.events.labels < 4))
+        assert 0 < n_active < run.accepted
+        assert len(calls) == 4 * (1 + n_active)
+
     def test_active_scalar_slots_nearly_merge(self, family):
         # dx^2 mu for the market and spread slots of a side agree up to the
         # rescaled difference, which vanishes here (no drift kernels)
@@ -752,3 +768,120 @@ class TestTableLimit:
         )
         with pytest.raises(ValueError, match="table kernels"):
             fam.micro_params(0)
+
+
+def _lockstep_shapes():
+    """Book models covering every kernel shape the lockstep engine handles,
+    by name."""
+    g, g2 = GaussianProfile(1.0), GaussianProfile(0.8, 0.3, 1.2)
+
+    def act_kernel(prof):
+        return lambda: make_family(
+            act_from_act={(tgt, src): prof for tgt in "ab" for src in ACTIVE_TYPES}
+        ).micro_params(2)
+
+    return {
+        "exponential": lambda: make_family().micro_params(2),
+        # few events: several checkpoints fall between two events
+        "sparse": lambda: make_family(act_from_act={
+            (tgt, src): GammaProfile(0.2, 1.0) if tgt == "a" else ExponentialProfile(0.2, 1.0)
+            for tgt in "ab" for src in ACTIVE_TYPES}).micro_params(0),
+        "constant": act_kernel(ConstantProfile(0.05)),
+        "gamma": act_kernel(GammaProfile(0.5, 2.0)),
+        "table": act_kernel(tapered_table(0.2, 1.0)),
+        "act_from_pas": lambda: make_family(act_from_pas={
+            ("a", "a_lo"): (g, ExponentialProfile(0.3, 1.0)),
+            ("b", "b_cx"): (g2, GammaProfile(0.4, 2.0)),
+            ("b", "a_lo"): (g, tapered_table(0.1, 1.0)),
+        }).micro_params(2),
+        "pas_from": lambda: make_family(
+            pas_from_act={("a_lo", "a_mo"): (g, ExponentialProfile(0.3, 1.0)),
+                          ("a_lo", "b_mo"): (g2, GammaProfile(0.4, 2.0))},
+            pas_from_pas={("a_lo", "b_cx"): (g2, g, ConstantProfile(0.01)),
+                          ("a_cx", "a_cx"): (g, g, tapered_table(0.2, 2.0))},
+        ).micro_params(2),
+        "wave": lambda: wave_params(make_family(), 2),
+        "every_kind_wave": lambda: wave_params(every_kind_family(), 2),
+    }
+
+
+def assert_runs_identical(run, ref):
+    """Every ``MicroRun`` field of ``run`` equals ``ref`` byte for byte."""
+    for name in ("times", "labels", "xs", "zs"):
+        a, b = getattr(run.events, name), getattr(ref.events, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("event_times", "ask_ticks", "bid_ticks"):
+        a, b = getattr(run, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for f in dataclasses.fields(micro.MicroDiagnostics):
+        a, b = getattr(run.diagnostics, f.name), getattr(ref.diagnostics, f.name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), f.name
+    for side in ("ask_vol", "bid_vol"):
+        a, b = getattr(run.final_state, side), getattr(ref.final_state, side)
+        assert a.base == b.base and a.values.tobytes() == b.values.tobytes(), side
+    assert (run.final_state.ask_tick, run.final_state.bid_tick) == (
+        ref.final_state.ask_tick, ref.final_state.bid_tick)
+    assert (run.horizon, run.candidates, run.accepted) == (ref.horizon, ref.candidates, ref.accepted)
+    assert run.events.horizon == ref.events.horizon
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("n_checkpoints", [2, 33])
+    @pytest.mark.parametrize("shape", list(_lockstep_shapes()))
+    def test_matches_simulate_book_per_stream(self, shape, n_checkpoints):
+        params = _lockstep_shapes()[shape]()
+        horizon = 0.3
+        refs = [simulate_book(params, horizon, stream_rng(60, r, "micro"), n_checkpoints)
+                for r in range(17)]
+        assert sum(ref.accepted for ref in refs) > 17 * 10
+        for batch in (1, 3, 17):
+            runs = micro.simulate_books(
+                params, horizon, [stream_rng(60, r, "micro") for r in range(batch)],
+                n_checkpoints)
+            assert len(runs) == batch
+            for run, ref in zip(runs, refs):
+                assert_runs_identical(run, ref)
+
+    def test_books_without_events(self):
+        params = minimal_params()  # every rate vanishes
+        runs = micro.simulate_books(params, 0.5, [stream_rng(64, r, "micro") for r in range(3)])
+        for r, run in enumerate(runs):
+            assert run.accepted == 0
+            assert_runs_identical(run, simulate_book(params, 0.5, stream_rng(64, r, "micro")))
+        assert micro.simulate_books(params, 0.5, []) == []
+
+    def test_under_declared_envelope_names_the_replicate(self):
+        class UnderExo(WaveExo):
+            def sup_t(self, state):
+                return 0.5 * self.value
+
+        params = make_family().micro_params(1)
+        params.base_active["a_mo"] = UnderExo(params.base_active["a_mo"].value)
+        with pytest.raises(MajorantViolationError, match=r"^replicate (\d+): book rate") as exc:
+            micro.simulate_books(params, 0.5, [stream_rng(61, r, "micro") for r in range(3)])
+        r = int(exc.value.args[0].split(":")[0].split()[1])
+        assert r in range(3)
+        with pytest.raises(MajorantViolationError):
+            simulate_book(params, 0.5, stream_rng(61, r, "micro"))
+
+    def test_crossing_factors_name_the_replicate(self):
+        # ungated spread placements and no market orders close the spread
+        # and then cross the book
+        params = minimal_params(
+            state_factor={at: GatedConstantFactor(0.0 if at.endswith("mo") else 1.0, gated=False)
+                          for at in ACTIVE_TYPES},
+            base_active={at: ExoConst(1.0) for at in ACTIVE_TYPES},
+        )
+        with pytest.raises(NonCrossingError, match=r"^replicate (\d+): \w_sp would cross") as exc:
+            micro.simulate_books(params, 5.0, [stream_rng(62, r, "micro") for r in range(3)])
+        r = int(exc.value.args[0].split(":")[0].split()[1])
+        assert r in range(3)
+        with pytest.raises(NonCrossingError):
+            simulate_book(params, 5.0, stream_rng(62, r, "micro"))
+
+    def test_other_factors_are_rejected(self):
+        params = minimal_params()
+        params.state_factor["b_mo"] = lambda state: 1.0
+        with pytest.raises(TypeError, match="b_mo"):
+            micro.simulate_books(params, 0.5, [stream_rng(63, 0, "micro")])
+        simulate_book(params, 0.5, stream_rng(63, 0, "micro"))  # the scalar engine takes any
