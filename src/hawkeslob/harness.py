@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import limit as limit_mod
-# simulate_book stays importable here: bench/layers.py wraps it at this name
+# _run_level calls simulate_books; simulate_book is still looked up at this
+# name by bench/layers.py, whose hooks do not observe simulate_books yet
 from .micro import ScalingFamily, simulate_book, simulate_books  # noqa: F401
 from .rng import SeedManifest, stream_rng
 

@@ -25,7 +25,9 @@ streams on, while a single stream runs faster through ``simulate_book``.
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
@@ -647,7 +649,7 @@ class _CompiledBook:
         ``u_rows`` holds the per-state kernel sums (one row per state) and
         ``e_varying`` the varying exogenous densities (one row per density),
         one column per checkpoint.  The columns repeat, element for element,
-        the float operations of ``_Engine.active`` and of one checkpoint's
+        the float operations of ``_book_rates`` and of one checkpoint's
         norms, so the values equal a per-checkpoint evaluation bit for bit.
         """
         n = u_rows.shape[1]
@@ -703,36 +705,51 @@ class _Engine:
         if label < 4:  # state factors read only the best prices
             self.factors = [f(self.state) for f in self.book.factors]
 
-    def active(self, u: list, bound: bool) -> list:
-        """Rescaled intensities mu of the active types (factors excluded)."""
-        state, t, dx2, pref = self.state, self.sums.t, self.book.dx2, self.book.pas_pref
-        rows = []
-        for exo, term, from_act, from_pas in self.book.active_rows:
-            val = term if term is not None else (
-                exo.sup_t(state) if bound else exo(t, state)) / dx2
-            for i, amp in from_act:
-                val += amp * u[i]
-            for i, amp in from_pas:
-                val += pref * (amp * u[i])
-            rows.append(val)
-        return [rows[r] for r in self.book.active_of]
+    def exo(self, density, bound: bool) -> float:
+        """An exogenous density, or its bound, at the current time and book state."""
+        return density.sup_t(self.state) if bound else density(self.sums.t, self.state)
 
     def rates(self, bound: bool):
-        """Per-type event rates, the term masses of every passive type and
-        the active intensities mu behind the active rates."""
-        u = self.sums.units(bound)
-        state, t, dv = self.state, self.sums.t, self.book.p.delta_v
-        mu = self.active(u, bound)
-        f = self.factors
-        act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
-        terms = []
-        for row in self.book.passive_rows:
-            m = [row.term if row.term is not None else (
-                row.exo.sup_t(state) if bound else row.exo(t, state)) * row.mass / dv]
-            for i, amp, k_mass, _k in row.entries:
-                m.append(k_mass * (amp * u[i]))
-            terms.append(m)
-        return act, [sum(m) for m in terms], terms, mu
+        """``_book_rates`` of this run."""
+        return _book_rates(self.book, self.sums.units(bound), self.factors, self.exo, bound)
+
+
+def _book_rates(book: _CompiledBook, u, factors, exo, bound: bool, n: Optional[int] = None):
+    """Per-type event rates, the term masses of every passive type and the
+    active intensities mu behind the active rates (before the state factors).
+
+    ``u`` holds the kernel sums of every state and ``factors`` the four
+    state factors; ``exo(density, bound)`` evaluates a density that is not
+    a level constant.  The values are floats of one run, or, with ``n``
+    given, columns of ``n`` replicates, in the same float operations.  The
+    terms of a passive type are added left to right (builtin ``sum`` of
+    floats is compensated from Python 3.12 on).
+    """
+    dx2, pref, dv = book.dx2, book.pas_pref, book.p.delta_v
+    rows = []
+    for density, term, from_act, from_pas in book.active_rows:
+        if term is None:
+            val = exo(density, bound) / dx2
+        else:
+            val = term if n is None else np.full(n, term)
+        for i, amp in from_act:
+            val = val + amp * u[i]
+        for i, amp in from_pas:
+            val = val + pref * (amp * u[i])
+        rows.append(val)
+    mu = [rows[r] for r in book.active_of]
+    f = factors
+    act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
+    terms = []
+    for row in book.passive_rows:
+        if row.term is None:
+            m = [exo(row.exo, bound) * row.mass / dv]
+        else:
+            m = [row.term if n is None else np.full(n, row.term)]
+        for i, amp, k_mass, _k in row.entries:
+            m.append(k_mass * (amp * u[i]))
+        terms.append(m)
+    return act, [functools.reduce(operator.add, m) for m in terms], terms, mu
 
 
 def _rate_total(act, pas):
@@ -797,7 +814,6 @@ def simulate_book(
     while True:
         if len(accepted) >= MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
-        # the last realised rates were taken at this time and book state
         # the last realised rates were taken at this time and book state
         majorant = _rate_total(*(rates if book.bound_is_value else eng.rates(bound=True))[:2])
         if majorant <= 0.0:
@@ -960,13 +976,13 @@ class _Lockstep:
             state.ask_tick, state.bid_tick = a, b
         return states
 
-    def exo(self, exo, bound: bool, cols) -> np.ndarray:
-        """An exogenous density, or its bound, at columns ``cols``."""
-        states = self.sync(cols)
+    def exo(self, density, bound: bool) -> np.ndarray:
+        """An exogenous density, or its bound, at every column."""
+        states = self.sync(np.arange(self.ids.size))
         if bound:
-            return np.array([exo.sup_t(state) for state in states], dtype=float)
-        ts = self.t_sums[cols].tolist()
-        return np.array([exo(t, state) for t, state in zip(ts, states)], dtype=float)
+            return np.array([density.sup_t(state) for state in states], dtype=float)
+        ts = self.t_sums.tolist()
+        return np.array([density(t, state) for t, state in zip(ts, states)], dtype=float)
 
     def advance(self, t: np.ndarray) -> None:
         """``_Engine.advance`` of every column to its time in ``t``: a column
@@ -995,30 +1011,8 @@ class _Lockstep:
         return u
 
     def rates(self, bound: bool):
-        """``_Engine.rates`` of every column."""
-        book, n = self.book, self.ids.size
-        u = self.units(bound)
-        cols = np.arange(n) if book.varying else None
-        rows = []
-        for exo, term, from_act, from_pas in book.active_rows:
-            val = np.full(n, term) if term is not None else self.exo(exo, bound, cols) / book.dx2
-            for i, amp in from_act:
-                val = val + amp * u[i]
-            for i, amp in from_pas:
-                val = val + book.pas_pref * (amp * u[i])
-            rows.append(val)
-        mu = [rows[r] for r in book.active_of]
-        f = self.factors
-        act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
-        dv = book.p.delta_v
-        terms = []
-        for row in book.passive_rows:
-            m = [np.full(n, row.term) if row.term is not None
-                 else self.exo(row.exo, bound, cols) * row.mass / dv]
-            for i, amp, k_mass, _k in row.entries:
-                m.append(k_mass * (amp * u[i]))
-            terms.append(m)
-        return act, [sum(m) for m in terms], terms, mu
+        """``_book_rates`` of every column."""
+        return _book_rates(self.book, self.units(bound), self.factors, self.exo, bound, self.ids.size)
 
     def record_checkpoints(self, upto: np.ndarray) -> None:
         """Decay each column through its checkpoints up to ``upto`` and store
@@ -1317,7 +1311,7 @@ def active_intensity(params: MicroParams, history: EventStream, t: float, active
     ``state_factor(S(t-)) * active_intensity(...)``.
     """
     eng = _replayed_engine(params, history, t)
-    return eng.active(eng.sums.units(False), False)[ACTIVE_TYPES.index(active_type)]
+    return eng.rates(False)[3][ACTIVE_TYPES.index(active_type)]
 
 
 def passive_intensity(params: MicroParams, history: EventStream, t: float,

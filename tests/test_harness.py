@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
+from hawkeslob import harness
 from hawkeslob import limit as L
 from hawkeslob.families import GaussianProfile
 from hawkeslob.harness import (
@@ -19,7 +20,7 @@ from hawkeslob.harness import (
     _var_gap_rows,
     _w1_rows,
 )
-from hawkeslob.micro import PASSIVE_TYPES
+from hawkeslob.micro import PASSIVE_TYPES, simulate_book
 
 from conftest import make_family
 from oracle_configs import canonical_spread_config
@@ -196,6 +197,35 @@ class TestConvergenceHarness:
         r1, _, _ = run_convergence(_tiny_plan(), fam, seed=62)
         r2, _, _ = run_convergence(_tiny_plan(), fam, seed=62)
         assert r1.to_dict()["statistics"] == r2.to_dict()["statistics"]
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_level_equals_a_loop_over_single_streams(self, monkeypatch, level):
+        # a level runs its replicates in lockstep; its statistics equal those
+        # of simulate_book stream by stream, and every run is a sane book
+        fam = make_family()
+        fns = [L.SpatialTestFn("g", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2)))]
+        lockstep, runs = harness.simulate_books, []
+
+        def recorded(params, horizon, rngs):
+            out = lockstep(params, horizon, rngs)
+            runs.extend(out)
+            return out
+
+        monkeypatch.setattr(harness, "simulate_books", recorded)
+        got = harness._run_level(fam, level, 60, 0.05, fns, seed=66)
+        monkeypatch.setattr(harness, "simulate_books", lambda params, horizon, rngs: [
+            simulate_book(params, horizon, rng) for rng in rngs])
+        ref = harness._run_level(fam, level, 60, 0.05, fns, seed=66)
+
+        assert len(runs) == 60 and sum(run.accepted for run in runs) > 60
+        for run in runs:
+            assert run.accepted <= run.candidates
+            assert np.all(run.ask_ticks >= run.bid_ticks)
+            assert np.isfinite(run.final_state.p_a) and np.isfinite(run.final_state.p_b)
+        assert got.n_events_mean == ref.n_events_mean
+        for name in ("p_a_terminal", "load_terminal", "sup_d11"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert got.v_inner["g"].tobytes() == ref.v_inner["g"].tobytes()
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="replicates"):
