@@ -287,14 +287,15 @@ class TickSampler:
         self.cum_array = np.cumsum(masses) / total
         self.cum = self.cum_array.tolist()
 
-    def sample(self, rng: np.random.Generator) -> float:
-        u = rng.random()
+    def sample(self, u: float, v: float) -> float:
+        """The distance at two uniforms: ``u`` picks the tick cell, ``v`` the
+        offset within it."""
         j = min(bisect.bisect_right(self.cum, u), 2 * self.n_side - 1)
         left = (j - self.n_side) * self.delta_x
-        return left + self.delta_x * rng.random()
+        return left + self.delta_x * v
 
     def samples(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``sample`` for arrays of its two uniform draws, elementwise."""
+        """``sample`` for arrays of its two uniforms, elementwise."""
         j = np.minimum(np.searchsorted(self.cum_array, u, side="right"), 2 * self.n_side - 1)
         return (j - self.n_side) * self.delta_x + self.delta_x * v
 
@@ -563,3 +564,15 @@ class KernelSums:
             lags = t - times[start:n]
             shape = prof.envelope(lags) if bound else prof.value(lags)
             u[i] = float(weights[start:n] @ shape) if lags.size else 0.0
+
+    def scan_past(self, u, t: float) -> None:
+        """Write into ``u`` the sums of the scanned states at a past time
+        ``t``, over the events at or before it, as ``scan`` read them then;
+        the window starts stay where they are."""
+        for i, h, prof, memory in self.bank.scans:
+            hist = self.hist[h]
+            times, weights = hist.cols
+            n = int(np.searchsorted(times[: hist.n], t, side="right"))
+            lags = t - times[:n]
+            start = int(np.count_nonzero(lags > memory))  # expired events lead the history
+            u[i] = float(weights[start:n] @ prof.value(lags[start:])) if start < n else 0.0

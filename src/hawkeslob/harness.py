@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -20,7 +21,7 @@ import numpy as np
 from . import limit as limit_mod
 # _run_level calls simulate_books; simulate_book is still looked up at this
 # name by bench/layers.py, whose hooks do not observe simulate_books yet
-from .micro import ScalingFamily, simulate_book, simulate_books  # noqa: F401
+from .micro import ScalingFamily, ledger_inners, simulate_book, simulate_books  # noqa: F401
 from .rng import SeedManifest, stream_rng
 
 #: standard errors within which a compensated mean passes as zero
@@ -176,15 +177,14 @@ def _run_level(
 ) -> LevelStats:
     params = family.micro_params(level)
     pa = np.empty(replicates)
-    inner = {f.name: np.empty(replicates) for f in test_fns}
     loads = np.empty(replicates)
     supd = np.empty(replicates)
     n_events = 0
     runs = simulate_books(params, horizon, [stream_rng(seed, r, "micro") for r in range(replicates)])
+    ledgers = [run.final_state.ask_vol for run in runs]
+    inner = {f.name: ledger_inners(ledgers, f.fn) for f in test_fns}
     for r, run in enumerate(runs):
         pa[r] = run.final_state.p_a
-        for f in test_fns:
-            inner[f.name][r] = run.final_state.ask_vol.inner(f.fn)
         loads[r] = run.diagnostics.load_terminal
         supd[r] = run.diagnostics.sup_d11()
         n_events += run.accepted
@@ -215,6 +215,8 @@ def run_convergence(
     sequence is nonincreasing across levels up to the standard-error slack.
     """
     t_start = time.perf_counter()
+    if n_workers > 1:
+        _check_picklable(family, plan.test_fns)
     manifest = SeedManifest(master_seed=seed, command="converge")
     lp = limit_params if limit_params is not None else family.limit_params()
     init = limit_mod.make_initial_state(
@@ -294,6 +296,20 @@ def run_convergence(
 
 def _run_level_star(args):
     return _run_level(*args)
+
+
+def _check_picklable(family: ScalingFamily, test_fns) -> None:
+    """Raise ``ValueError`` naming the first of the family and the test
+    functions that cannot be sent to a worker process."""
+    for what, obj in [("the scaling family", family)] + [
+            (f"test function {f.name!r}", f) for f in test_fns]:
+        try:
+            pickle.dumps(obj)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ValueError(
+                f"{what} cannot be sent to worker processes ({exc}); define its "
+                "callables at module level, or run with one worker"
+            ) from None
 
 
 # ---------------------------------------------------------------------------

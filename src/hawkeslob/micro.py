@@ -16,6 +16,13 @@ cached on that instance, shared by all replicates of a level.  Its kernel
 entries go into a ``families.KernelBank``, which keeps the running kernel
 sums, the same bank ``hawkes.simulate_thinning`` drives.
 
+Each thinning candidate reads one row of uniforms from its stream, drawn
+in blocks (``_draw_block``): the waiting time and the size mark come by
+inversion of the exponential law, the label, the passive term and the
+distance by inversion of discrete or tick-cell CDFs.  Checkpoint
+diagnostics are read after the run from the kernel sums kept after each
+event.
+
 ``simulate_book`` runs one stream.  ``simulate_books`` runs the replicates
 of a level in lockstep, one column per stream, and returns for each stream
 the run ``simulate_book`` returns, bit for bit; it pays off from a few
@@ -57,6 +64,15 @@ WINDOW_PAD = 4.0
 EPS_TRUNC_FACTOR = 1e-12
 #: accepted events after which ``simulate_book`` gives up as unstable
 MAX_EVENTS = 5_000_000
+#: candidate rows a stream draws at a time (``_draw_block``)
+BLOCK_ROWS = 64
+#: the columns of a candidate row: the waiting time, the thinning, label
+#: and term-pick uniforms, the tick cell and the offset within it of a
+#: passive distance, and the size mark; ``_EXP_COLS`` hold standard
+#: exponential variates, the others uniforms
+_WAIT, _THIN, _LABEL, _TERM, _CELL, _OFFSET, _SIZE = range(7)
+_ROW_WIDTH = 7
+_EXP_COLS = [_WAIT, _SIZE]
 #: tick move per active type, applied to (ask, bid)
 _PRICE_MOVES = {"a_mo": (1, 0), "a_sp": (-1, 0), "b_mo": (0, -1), "b_sp": (0, 1)}
 
@@ -146,8 +162,7 @@ class VolumeLedger:
 
     def inner(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """Inner product with f by the tick midpoint rule."""
-        mids = self._mids(self.base, self.base + self.values.size)
-        return float(np.sum(self.values * np.asarray(f(mids))) * self.delta_x)
+        return float(ledger_inners([self], f)[0])
 
     def window(self, lo_tick: int, hi_tick: int) -> np.ndarray:
         self._ensure(lo_tick)
@@ -158,6 +173,23 @@ class VolumeLedger:
         out = copy.copy(self)
         out.values = self.values.copy()
         return out
+
+
+def ledger_inners(ledgers: Sequence[VolumeLedger], f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``VolumeLedger.inner`` of every ledger of ``ledgers`` with ``f``, which
+    is evaluated once, on the tick midpoints spanning every window.  The
+    ledgers share one tick size."""
+    dx = ledgers[0].delta_x
+    if any(led.delta_x != dx for led in ledgers):
+        raise ValueError("ledger_inners needs ledgers of one tick size")
+    lo = min(led.base for led in ledgers)
+    hi = max(led.base + led.values.size for led in ledgers)
+    mids = ledgers[0]._mids(lo, hi)
+    vals = np.broadcast_to(np.asarray(f(mids)), mids.shape)
+    return np.array([
+        np.sum(led.values * vals[led.base - lo : led.base - lo + led.values.size]) * dx
+        for led in ledgers
+    ])
 
 
 @dataclass
@@ -289,7 +321,11 @@ class SizeMeasure:
                 zs * s * math.sqrt(2 * math.pi)
             )
             pdf /= np.trapezoid(pdf, zs)
-            self._lognormal_grid = (zs, np.cumsum(pdf) * (zs[1] - zs[0]))
+            cdf = np.cumsum(pdf)
+            # the grid in standard exponential quantiles, so a mark is drawn
+            # by interpolating at the row's exponential variate
+            with np.errstate(divide="ignore"):
+                self._lognormal_grid = (-np.log1p(-cdf / cdf[-1]), zs)
             with np.errstate(over="ignore"):
                 self._moments = (
                     float(np.trapezoid(pdf * (np.exp(zs) - 1), zs)),
@@ -315,20 +351,22 @@ class SizeMeasure:
     def fourth_moment(self) -> float:
         return self._moments[2]
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, e: float) -> float:
+        """The size mark at a standard exponential variate ``e``, by
+        inversion."""
         if self.family == "dirac":
             return float(self.params["z"])
         if self.family == "exponential":
-            return float(rng.exponential(1.0 / float(self.params["rate"])))
-        zs, cdf = self._lognormal_grid
-        u = rng.random() * cdf[-1]
-        return float(np.interp(u, cdf, zs))
+            return e / float(self.params["rate"])
+        return float(np.interp(e, *self._lognormal_grid))
 
-    def samples(self, rngs: list) -> np.ndarray:
-        """One ``sample`` from each generator of ``rngs``."""
+    def samples(self, e: np.ndarray) -> np.ndarray:
+        """``sample`` at each variate of ``e``, elementwise."""
         if self.family == "dirac":
-            return np.full(len(rngs), float(self.params["z"]))
-        return np.array([self.sample(rng) for rng in rngs])
+            return np.full(e.shape, float(self.params["z"]))
+        if self.family == "exponential":
+            return e / float(self.params["rate"])
+        return np.interp(e, *self._lognormal_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +591,9 @@ class _CompiledBook:
     amplitude)`` of its active then its passive sources, in the order the
     intensity sums run.  Active types with equal rows (the same constant or
     the same density object, and the same source lists) share one row, and
-    ``active_of`` maps each active type to its row.  A run stores the kernel
-    sums and the varying exogenous densities at each checkpoint;
-    ``diagnostics`` turns them into d11, d22 and the active scalars once,
-    after the run.
+    ``active_of`` maps each active type to its row.  ``diagnostics`` turns
+    the kernel sums and the varying exogenous densities at a set of
+    checkpoints into d11, d22 and the active scalars, once, after the runs.
     """
 
     def __init__(self, p: MicroParams):
@@ -625,6 +662,8 @@ class _CompiledBook:
         self.cp_norms = self.passive_norms(self.exo_consts[4:].tolist(), [0.0] * len(bank.states))
         # every bound then equals the value at the same time and book state
         self.bound_is_value = not bank.gammas and not bank.scans and not self.varying
+        #: the states with a lag-weighted sum ``b``, which event records keep
+        self.gamma_states = [i for i, _ke in bank.gammas]
 
     def passive_grid(self, j: int, exo: float, u: list, shapes: list) -> np.ndarray:
         """delta_v * passive intensity of one type, given its exogenous
@@ -759,6 +798,19 @@ def _rate_total(act, pas):
     return (act[0] + act[1] + act[2] + act[3]) + (pas[0] + pas[1] + pas[2] + pas[3])
 
 
+def _draw_block(rng: np.random.Generator) -> np.ndarray:
+    """The next ``BLOCK_ROWS`` candidate rows of a stream.
+
+    A row holds ``_ROW_WIDTH`` uniforms; the waiting-time and size columns
+    are turned into standard exponential variates by inversion.  Generator
+    uniforms do not depend on how they are chunked, so a stream's rows do
+    not depend on ``BLOCK_ROWS``.
+    """
+    block = rng.random((BLOCK_ROWS, _ROW_WIDTH))
+    block[:, _EXP_COLS] = -np.log1p(-block[:, _EXP_COLS])
+    return block
+
+
 def simulate_book(
     params: MicroParams,
     horizon: float,
@@ -772,45 +824,36 @@ def simulate_book(
     the kernel bounds, so acceptance is exact; a realized rate above the
     dominating rate aborts the run as an envelope declaration bug.
 
-    At each of the ``n_checkpoints`` equally spaced checkpoints the run
-    decays its kernel state to the checkpoint time and stores the kernel
-    sums there; d11, d22 and the active scalars are computed from them once,
-    after the run (``_CompiledBook.diagnostics``).  That decay step splits
-    the exponential decay chain, so the event stream depends on
-    ``n_checkpoints`` in the last bit: event times can move by an ulp
-    between two checkpoint counts.
+    Candidate k reads row k of the stream's candidate rows (``_draw_block``)
+    whether it is thinned, active or passive: its wait is the row's
+    exponential variate over the majorant, then come the thinning and label
+    uniforms and, for a passive event, the term pick, the tick cell, the
+    offset within the cell and the size.  So the draws depend on neither
+    the accept path nor the number of streams run together.
+
+    The run keeps the kernel sums after each event.  d11, d22 and the active
+    scalars at the ``n_checkpoints`` equally spaced checkpoints are read from
+    them after the run (``_checkpoint_diagnostics``), so the event stream
+    does not depend on ``n_checkpoints``.
     """
     p = params
     rng = as_rng(rng_seed, "micro")
     eng = _Engine(p)
-    book, state = eng.book, eng.state
+    book, state, sums = eng.book, eng.state, eng.sums
     dx, dv, dx2 = p.delta_x, p.delta_v, book.dx2
 
     ask_path = [state.ask_tick]
     bid_path = [state.bid_tick]
     accepted: list[tuple] = []  # (time, label, distance, size)
+    after = [sums.g + sums.b]  # the kernel sums after each event, from the initial ones
     load = [1.0]
     rates = eng.rates(bound=False)
     mu = rates[3]
     beta = [(dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]))]
 
-    cps = np.linspace(0.0, horizon, n_checkpoints)
-    cp_times = cps.tolist()
-    cp_next = 0
-    cp_units: list[float] = []  # per-state kernel sums, checkpoint after checkpoint
-    cp_exo: list[float] = []  # the varying exogenous densities there
-    exos, varying = book.exos, book.varying
-
-    def record_checkpoints(upto: float) -> None:
-        nonlocal cp_next
-        while cp_next < len(cp_times) and cp_times[cp_next] <= upto + 1e-15:
-            eng.advance(cp_times[cp_next])
-            cp_units.extend(eng.sums.units(False))
-            cp_exo.extend([exos[k](eng.sums.t, state) for k in varying])
-            cp_next += 1
-
     t = 0.0
     candidates = 0
+    rows, k = [], 0
     while True:
         if len(accepted) >= MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
@@ -818,11 +861,14 @@ def simulate_book(
         majorant = _rate_total(*(rates if book.bound_is_value else eng.rates(bound=True))[:2])
         if majorant <= 0.0:
             break
-        t_next = t + rng.exponential(1.0 / majorant)
+        if k == len(rows):
+            rows, k = _draw_block(rng).tolist(), 0
+        row = rows[k]
+        k += 1
+        t_next = t + row[_WAIT] / majorant
         if t_next > horizon:
             break
         candidates += 1
-        record_checkpoints(t_next)
         eng.advance(t_next)
         t = t_next
         rates = act_r, pas_r, terms, _mu = eng.rates(bound=False)
@@ -831,10 +877,10 @@ def simulate_book(
             raise MajorantViolationError(
                 f"book rate {total} exceeded majorant {majorant} at t={t}"
             )
-        if rng.random() * majorant > total:
+        if row[_THIN] * majorant > total:
             continue  # thinned candidate
 
-        u = rng.random() * total
+        u = row[_LABEL] * total
         cum = 0.0
         label = 7
         for i, rate in enumerate(act_r + pas_r):
@@ -847,32 +893,32 @@ def simulate_book(
             distance, size = math.nan, math.nan
             load.append(load[-1] + dx2)
         else:
-            distance, size = _passive_marks(book, label - 4, terms[label - 4], rng)
+            distance, size = _passive_marks(book, label - 4, terms[label - 4], row)
             load.append(load[-1] + dv)
 
         eng.fire(label, distance, size)
         accepted.append((t, label, distance, size))
+        after.append(sums.g + sums.b)
         ask_path.append(state.ask_tick)
         bid_path.append(state.bid_tick)
         rates = eng.rates(bound=False)
         mu = rates[3]
         beta.append((dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3])))
 
-    record_checkpoints(horizon)
-
     ev_times, labels, xs, zs = np.ascontiguousarray(np.reshape(accepted, (-1, 4)).T)
     times = np.concatenate([[0.0], ev_times])
-    d11, d22, act = book.diagnostics(
-        np.array(cp_units, dtype=float).reshape(cp_next, len(book.bank.states)).T,
-        np.array(cp_exo, dtype=float).reshape(cp_next, len(varying)).T,
-    )
+    events = EventStream(ev_times, labels, xs, zs, horizon, EVENT_LABELS)
+    cps = np.linspace(0.0, horizon, n_checkpoints)
+    kept = list(range(len(sums.g))) + [len(sums.g) + i for i in book.gamma_states]
+    d11, d22, act = _checkpoint_diagnostics(
+        book, cps, times, [times.size], np.array(after).T[kept], [sums], [events])
     diag = MicroDiagnostics(
         event_times=times, load=np.asarray(load), beta=np.asarray(beta),
-        checkpoint_times=cps, d11=d11, d22=d22, active_scalars=act,
+        checkpoint_times=cps, d11=d11[0], d22=d22[0], active_scalars=act[0],
     )
     return MicroRun(
         horizon=horizon,
-        events=EventStream(ev_times, labels, xs, zs, horizon, EVENT_LABELS),
+        events=events,
         event_times=times,
         ask_ticks=np.asarray(ask_path, dtype=np.int64),
         bid_ticks=np.asarray(bid_path, dtype=np.int64),
@@ -883,6 +929,54 @@ def simulate_book(
     )
 
 
+def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndarray,
+                            ends: list, after: np.ndarray, sums: list, events: list):
+    """d11, d22 and the active scalars of a set of runs at the checkpoints
+    ``cps``, one row per run.
+
+    ``times`` holds the record times of the runs one after the other, each
+    run's from its initial state at time 0, and ``ends`` where each run's
+    records end; ``after`` holds the kernel sums after each record, one
+    column per record: ``g`` of every state, then ``b`` of the gamma states
+    (``gamma_states``).  A checkpoint reads the sums after the last record
+    at or before it, decayed to it in one step in the float operations of
+    ``KernelSums.advance`` and ``units``; a scanned kernel reads its history
+    up to the checkpoint from the run's ``sums`` (``KernelSums.scan_past``).
+    Varying exogenous densities see the run's ``events`` replayed up to the
+    checkpoint.
+    """
+    bank, n_runs = book.bank, len(ends)
+    n_s = len(bank.states)
+    starts = [0] + list(ends[:-1])
+    idx = np.concatenate([s + np.searchsorted(times[s:e], cps, side="right") - 1
+                          for s, e in zip(starts, ends)])
+    dt = np.tile(cps, n_runs) - times[idx]
+    g = after[:n_s, idx]
+    b = dict(zip(book.gamma_states, after[n_s:, idx]))
+    u = g.copy()
+    for kappa, (exps, gams) in bank.decay.items():
+        decay = np.array([math.exp(x) for x in (-kappa * dt).tolist()])
+        u[exps] = g[exps] * decay
+        for i in gams:
+            u[i] = (b[i] + g[i] * dt) * decay
+    if bank.scans:
+        cols = iter(u.T)
+        for run_sums in sums:
+            for cp in cps.tolist():
+                run_sums.scan_past(next(cols), cp)
+    e_varying = np.empty((0, idx.size))
+    if book.varying:
+        exos = [book.exos[k] for k in book.varying]
+        seen: list = []
+        for ev in events:
+            replay_book(book.p, ev, cps.tolist(),
+                        lambda t, state: seen.append([exo(t, state) for exo in exos]))
+        e_varying = np.array(seen, dtype=float).T
+    d11, d22, act = book.diagnostics(u, e_varying)
+    return (d11.reshape(n_runs, cps.size), d22.reshape(n_runs, cps.size),
+            act.reshape(n_runs, cps.size, 4))
+
+
 #: (ask, bid) tick move of each event label; row 8 stands for no event
 _LABEL_MOVES = np.array([_PRICE_MOVES[at] for at in ACTIVE_TYPES] + [(0, 0)] * 5, dtype=np.int64)
 
@@ -890,12 +984,13 @@ _LABEL_MOVES = np.array([_PRICE_MOVES[at] for at in ACTIVE_TYPES] + [(0, 0)] * 5
 class _Lockstep:
     """Replicates of one ``simulate_books`` call over a compiled book, one
     column each: book ticks, state factors, running kernel sums (``g`` and
-    ``b`` of ``KernelSums``, one row per state) and counters.
+    ``b`` of ``KernelSums``, one row per state), counters and the current
+    block of candidate rows (``BLOCK_ROWS`` by ``_ROW_WIDTH``).
 
     Every column update repeats, element for element, the float operations
     of ``_Engine`` and ``KernelSums``, so each column follows its stream as
     ``simulate_book`` does.  What has no bit-identical vectorised form stays
-    per replicate: generator calls, the ``math.exp`` decay factors,
+    per replicate: the block draws, the ``math.exp`` decay factors,
     exogenous density calls, in-profile weights, the histories of scanned
     kernels (one ``KernelSums`` per replicate, used for its ``scan``) and the
     volume ledgers.  ``split`` moves the columns of finished replicates to a
@@ -903,19 +998,18 @@ class _Lockstep:
     """
 
     #: per-column arrays, column axis last, and per-column lists
-    _ARRAYS = ("ids", "t", "t_sums", "ask", "bid", "factors", "g", "b", "load",
-               "candidates", "accepted", "cp_next", "total")
+    _ARRAYS = ("ids", "t", "ask", "bid", "factors", "g", "b", "load",
+               "candidates", "accepted", "total", "block")
     _LISTS = ("rngs", "states", "sums")
 
-    def __init__(self, book: _CompiledBook, rngs: list, cp_times: np.ndarray):
+    def __init__(self, book: _CompiledBook, rngs: list):
         bank, n, n_s = book.bank, len(rngs), len(book.bank.states)
         self.book = book
-        self.cp_times = cp_times  # the checkpoint times, then inf
         self.ids = np.arange(n)
         self.rngs = rngs
         self.states = [book.state0.copy() for _ in range(n)]
         self.sums = [KernelSums(bank) if bank.scans else None for _ in range(n)]
-        self.t, self.t_sums = np.zeros(n), np.zeros(n)
+        self.t = np.zeros(n)
         self.ask = np.full(n, book.state0.ask_tick, dtype=np.int64)
         self.bid = np.full(n, book.state0.bid_tick, dtype=np.int64)
         self.factors = self.state_factors()
@@ -923,12 +1017,8 @@ class _Lockstep:
         self.load = np.ones(n)
         self.candidates = np.zeros(n, dtype=np.int64)
         self.accepted = np.zeros(n, dtype=np.int64)
-        self.cp_next = np.zeros(n, dtype=np.int64)
         self.total = np.zeros(n)
-        # kernel sums and varying exogenous densities at the checkpoints,
-        # by replicate
-        self.cp_units = np.empty((n_s, n, cp_times.size - 1))
-        self.cp_exo = np.empty((len(book.varying), n, cp_times.size - 1))
+        self.block = np.empty((0, _ROW_WIDTH, n))
         # per source label: the unit increments of the states it feeds
         # without a weight (row 8: no event), and the entries that need
         # per-replicate work, in-profile weights or histories
@@ -981,14 +1071,12 @@ class _Lockstep:
         states = self.sync(np.arange(self.ids.size))
         if bound:
             return np.array([density.sup_t(state) for state in states], dtype=float)
-        ts = self.t_sums.tolist()
+        ts = self.t.tolist()
         return np.array([density(t, state) for t, state in zip(ts, states)], dtype=float)
 
     def advance(self, t: np.ndarray) -> None:
-        """``_Engine.advance`` of every column to its time in ``t``: a column
-        already past its time stays where it is."""
-        move = t >= self.t_sums
-        dt = np.where(move, t - self.t_sums, 0.0)  # a zero step changes no sum
+        """``_Engine.advance`` of every column to its time in ``t``."""
+        dt = t - self.t
         g, b = self.g, self.b
         for kappa, (exps, gams) in self.book.bank.decay.items():
             decay = np.array([math.exp(x) for x in (-kappa * dt).tolist()])
@@ -997,7 +1085,7 @@ class _Lockstep:
             for i in gams:
                 b[i] = (b[i] + g[i] * dt) * decay
                 g[i] *= decay
-        self.t_sums = np.where(move, t, self.t_sums)
+        self.t = t
 
     def units(self, bound: bool) -> np.ndarray:
         """``KernelSums.units`` of every column."""
@@ -1005,96 +1093,39 @@ class _Lockstep:
         for i, ke in self.book.bank.gammas:
             u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
         if self.book.bank.scans:
-            for c, (sums, t) in enumerate(zip(self.sums, self.t_sums.tolist())):
+            for c, (sums, t) in enumerate(zip(self.sums, self.t.tolist())):
                 sums.t = t
                 sums.scan(u[:, c], bound)
         return u
+
+    def kept_sums(self, cols: np.ndarray) -> np.ndarray:
+        """The kernel sums a record keeps of columns ``cols``
+        (``_checkpoint_diagnostics``)."""
+        return np.concatenate((self.g[:, cols], self.b[np.ix_(self.book.gamma_states, cols)]))
 
     def rates(self, bound: bool):
         """``_book_rates`` of every column."""
         return _book_rates(self.book, self.units(bound), self.factors, self.exo, bound, self.ids.size)
 
-    def record_checkpoints(self, upto: np.ndarray) -> None:
-        """Decay each column through its checkpoints up to ``upto`` and store
-        the kernel sums and the varying exogenous densities there.
-
-        The decay steps of a column follow one another as in
-        ``simulate_book``, but every column and step is taken at once: an
-        exponential sum through its steps is the running product of its
-        decay factors (``np.multiply.accumulate`` multiplies in sequence),
-        padded with ones where a column has fewer steps.
-        """
-        book, bank, cps = self.book, self.book.bank, self.cp_times
-        last = np.searchsorted(cps, upto + 1e-15, side="right")
-        cols = np.flatnonzero(last > self.cp_next)
-        if not cols.size:
-            return
-        first, last = self.cp_next[cols], last[cols]
-        steps = first[:, None] + np.arange((last - first).max())
-        valid = steps < last[:, None]
-        # padded steps repeat the last checkpoint time: a zero step
-        t_step = cps[np.minimum(steps, last[:, None] - 1)]
-        t0 = self.t_sums[cols][:, None]
-        prev = np.maximum(t0, np.concatenate([t0, t_step[:, :-1]], axis=1))
-        move = t_step >= prev
-        dt = np.where(move, t_step - prev, 0.0)
-        t_sums = np.maximum(t0, t_step)  # the sums' time after each step
-
-        u = np.repeat(self.g[:, cols][:, :, None], steps.shape[1], axis=2)
-        for kappa, (exps, gams) in bank.decay.items():
-            decay = np.array([math.exp(x) for x in (-kappa * dt).ravel().tolist()]).reshape(dt.shape)
-            if exps:
-                chain = np.concatenate([u[exps, :, :1], np.broadcast_to(decay, u[exps].shape)], axis=2)
-                chain = np.multiply.accumulate(chain, axis=2)
-                u[exps] = chain[:, :, 1:]
-                self.g[np.ix_(exps, cols)] = chain[:, :, -1]
-            for i in gams:
-                g, b = self.g[i, cols], self.b[i, cols]
-                for s in range(steps.shape[1]):
-                    b = (b + g * dt[:, s]) * decay[:, s]
-                    g = g * decay[:, s]
-                    u[i, :, s] = b
-                self.g[i, cols], self.b[i, cols] = g, b
-        if bank.scans:
-            for col, c in enumerate(cols.tolist()):
-                sums = self.sums[c]
-                for s in range(last[col] - first[col]):
-                    sums.t = float(t_sums[col, s])
-                    sums.scan(u[:, col, s], False)
-
-        ids = np.broadcast_to(self.ids[cols][:, None], steps.shape)[valid]
-        self.cp_units[:, ids, steps[valid]] = u[:, valid]
-        if book.varying:
-            states = self.sync(cols)
-            at = [states[col] for col in np.nonzero(valid)[0].tolist()]
-            ts = t_sums[valid].tolist()
-            self.cp_exo[:, ids, steps[valid]] = [
-                [book.exos[k](t, state) for t, state in zip(ts, at)] for k in book.varying]
-        self.t_sums[cols] = t_sums[:, -1]
-        self.cp_next[cols] = last
-
-    def passive(self, cols: np.ndarray, types: np.ndarray, terms: list):
-        """Draw the marks of passive events of ``PASSIVE_TYPES[types]`` at
-        columns ``cols`` and apply them to the volume ledgers, as
-        ``_passive_marks`` and ``apply_passive`` do; returns the distances
-        and the sizes."""
+    def passive(self, cols: np.ndarray, types: np.ndarray, terms: list, rows: np.ndarray):
+        """The marks of passive events of ``PASSIVE_TYPES[types]`` at columns
+        ``cols``, from their candidate ``rows`` (one column each), applied
+        to the volume ledgers as ``_passive_marks`` and ``apply_passive`` do;
+        returns the distances and the sizes."""
         book, p = self.book, self.book.p
-        rngs = [self.rngs[c] for c in cols.tolist()]
-        # the term pick and the two uniforms of the distance sampler
-        draws = np.array([(rng.random(), rng.random(), rng.random()) for rng in rngs])
         xs, zs = np.empty(cols.size), np.empty(cols.size)
         for j in np.flatnonzero(np.bincount(types, minlength=4)).tolist():
             sel = np.flatnonzero(types == j)
             samplers = book.passive_rows[j].samplers
             if len(samplers) == 1:
-                xs[sel] = samplers[0].samples(draws[sel, 1], draws[sel, 2])
+                xs[sel] = samplers[0].samples(rows[_CELL, sel], rows[_OFFSET, sel])
             else:
-                idx = np.array([_term_pick([m[c] for m in terms[j]], draws[q, 0])
-                                for q, c in zip(sel.tolist(), cols[sel].tolist())])
+                idx = np.array([_term_pick([m[c] for m in terms[j]], pick)
+                                for pick, c in zip(rows[_TERM, sel].tolist(), cols[sel].tolist())])
                 for s in set(idx.tolist()):
                     at = sel[idx == s]
-                    xs[at] = samplers[s].samples(draws[at, 1], draws[at, 2])
-            zs[sel] = p.sizes[PASSIVE_TYPES[j]].samples([rngs[q] for q in sel.tolist()])
+                    xs[at] = samplers[s].samples(rows[_CELL, at], rows[_OFFSET, at])
+            zs[sel] = p.sizes[PASSIVE_TYPES[j]].samples(rows[_SIZE, sel])
         if np.any(zs < 0):
             raise ValueError("size marks must be >= 0")
         # apply_passive: ticks at the distances, then the placement gains and
@@ -1126,7 +1157,7 @@ class _Lockstep:
                 for i in stateful:
                     self.g[i, c] += w
                 for h in hists:
-                    self.sums[c].hist[h].append(float(self.t_sums[c]), w)
+                    self.sums[c].hist[h].append(float(self.t[c]), w)
 
 
 def simulate_books(
@@ -1138,13 +1169,15 @@ def simulate_books(
     """``simulate_book`` on every stream of ``rngs``, the replicates run in
     lockstep.
 
-    Each iteration draws one candidate for every live replicate; replicates
-    drop out as they finish.  Each returned run equals, bit for bit, what
-    ``simulate_book`` returns on the same stream: every replicate makes the
-    same scalar generator calls in the same order, and every vectorised
-    update repeats the scalar float operations element for element.  The
-    gain is the per-candidate Python work the replicates share, so a single
-    stream runs faster through ``simulate_book``.
+    Each pass draws one candidate for every live replicate; replicates drop
+    out as they finish.  Every live replicate is at the same pass, so a pass
+    reads one row of every replicate's block of candidate rows, and every
+    ``BLOCK_ROWS`` passes each stream draws its next block.  Each returned
+    run equals, bit for bit, what ``simulate_book`` returns on the same
+    stream: both read the same rows, and every vectorised update repeats the
+    scalar float operations element for element.  The gain is the
+    per-candidate Python work the replicates share, so a single stream runs
+    faster through ``simulate_book``.
 
     The state factors must be ``SpreadLinearFactor`` or
     ``GatedConstantFactor``, which have a vectorised form; any other raises
@@ -1165,41 +1198,42 @@ def simulate_books(
     n = len(rngs)
     if not n:
         return []
-    cps = np.linspace(0.0, horizon, n_checkpoints)
-    run = _Lockstep(book, [as_rng(g, "micro") for g in rngs], np.append(cps, math.inf))
-    states = run.states
+    run = _Lockstep(book, [as_rng(g, "micro") for g in rngs])
+    states, sums = run.states, run.sums
     finished = []
 
     act, pas, _terms, mu = run.rates(False)
     run.total = _rate_total(act, pas)
-    # event records, one array per field and iteration: replicate, time,
-    # label, distance, size, ticks, load and beta; the first holds the
-    # initial state of every replicate
+    # event records, one list per field with one array per pass: replicate,
+    # time, label, distance, size, ticks, load, beta and the kernel sums
+    # after the event (``_checkpoint_diagnostics``); the first pass holds
+    # the initial state of every replicate
     nan = np.full(n, math.nan)
-    records = [(run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, run.ask.copy(),
-                run.bid.copy(), run.load.copy(), dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]))]
+    records: list = [[f] for f in (
+        run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, run.ask.copy(),
+        run.bid.copy(), run.load.copy(), dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]),
+        run.kept_sums(run.ids))]
 
+    passes = 0
     while run.ids.size:
         if run.accepted.max() >= MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
         # the last realised rates were taken at this time and book state
         majorant = run.total if book.bound_is_value else _rate_total(*run.rates(True)[:2])
+        if passes % BLOCK_ROWS == 0:
+            run.block = np.stack([_draw_block(rng) for rng in run.rngs], axis=-1)
+        row = run.block[passes % BLOCK_ROWS]
+        passes += 1
         stop = majorant <= 0.0
-        t_next = run.t + np.array([
-            0.0 if s else rng.exponential(1.0 / m)
-            for rng, m, s in zip(run.rngs, majorant.tolist(), stop.tolist())
-        ])
+        t_next = run.t + row[_WAIT] / np.where(stop, 1.0, majorant)
         done = stop | (t_next > horizon)
         if done.any():
-            # their last checkpoints are recorded together, after the loop
             finished.append(run.split(~done))
-            t_next, majorant = t_next[~done], majorant[~done]
+            t_next, majorant, row = t_next[~done], majorant[~done], row[:, ~done]
             if not run.ids.size:
                 break
         run.candidates += 1
-        run.record_checkpoints(t_next)
         run.advance(t_next)
-        run.t = t_next
         act, pas, terms, _mu = run.rates(False)
         total = run.total = _rate_total(act, pas)
         over = total > majorant * (1.0 + 1e-9)
@@ -1209,19 +1243,18 @@ def simulate_books(
                 f"replicate {run.ids[c]}: book rate {float(total[c])} exceeded majorant "
                 f"{float(majorant[c])} at t={float(t_next[c])}"
             )
-        thinned = np.array([rng.random() for rng in run.rngs]) * majorant > total
-        fired = np.flatnonzero(~thinned)
+        fired = np.flatnonzero(~(row[_THIN] * majorant > total))
         if not fired.size:
             continue
 
-        u = np.array([run.rngs[c].random() for c in fired.tolist()]) * total[fired]
+        u = row[_LABEL, fired] * total[fired]
         hit = u <= np.cumsum(np.array(act + pas)[:, fired], axis=0)
         labels = np.where(hit.any(axis=0), hit.argmax(axis=0), 7)
         active = labels < 4
         xs, zs = np.full(fired.size, math.nan), np.full(fired.size, math.nan)
         if not active.all():
             q = np.flatnonzero(~active)
-            xs[q], zs[q] = run.passive(fired[q], labels[q] - 4, terms)
+            xs[q], zs[q] = run.passive(fired[q], labels[q] - 4, terms, row[:, fired[q]])
 
         moves = _LABEL_MOVES[labels]
         ask, bid = run.ask[fired] + moves[:, 0], run.bid[fired] + moves[:, 1]
@@ -1239,38 +1272,43 @@ def simulate_books(
             run.factors = run.state_factors()
         act, pas, _terms, mu = run.rates(False)
         run.total = _rate_total(act, pas)
-        records.append((run.ids[fired], t_next[fired], labels, xs, zs, ask, bid,
-                        run.load[fired], dx * (mu[0][fired] - mu[1][fired]),
-                        dx * (mu[2][fired] - mu[3][fired])))
+        for rec, f in zip(records, (
+                run.ids[fired], t_next[fired], labels, xs, zs, ask, bid, run.load[fired],
+                dx * (mu[0][fired] - mu[1][fired]), dx * (mu[2][fired] - mu[3][fired]),
+                run.kept_sums(fired))):
+            rec.append(f)
 
     done = _Lockstep.join(finished)
-    done.record_checkpoints(np.full(n, horizon))
     done.sync(np.arange(n))
     candidates, accepted = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     candidates[done.ids], accepted[done.ids] = done.candidates, done.accepted
 
-    # one array per field, replicate after replicate, each from its initial state
-    fields = [np.concatenate(f) for f in zip(*records)]
-    order = np.argsort(fields[0], kind="stable")
-    times, labels, xs, zs, asks, bids, loads, beta_a, beta_b = [f[order] for f in fields[1:]]
+    # one array per field, replicate after replicate, each from its initial
+    # state; a field's records go as soon as it is assembled
+    ids = np.concatenate(records[0])
+    order = np.argsort(ids, kind="stable")
+    fields = []
+    for rec in records[1:]:
+        fields.append(np.concatenate(rec, axis=-1)[..., order])
+        rec.clear()
+    times, labels, xs, zs, asks, bids, loads, beta_a, beta_b, after = fields
     beta = np.stack([beta_a, beta_b], axis=1)
-    ends = np.cumsum(np.bincount(fields[0], minlength=n)).tolist()
-    n_cp, n_s = cps.size, len(book.bank.states)
-    d11, d22, act = book.diagnostics(
-        run.cp_units.reshape(n_s, n * n_cp), run.cp_exo.reshape(len(book.varying), n * n_cp))
-    d11, d22, act = d11.reshape(n, n_cp), d22.reshape(n, n_cp), act.reshape(n, n_cp, 4)
+    ends = np.cumsum(np.bincount(ids, minlength=n)).tolist()
+    starts = [0] + ends[:-1]
+    events = [EventStream(times[s + 1:e], labels[s + 1:e], xs[s + 1:e], zs[s + 1:e], horizon,
+                          EVENT_LABELS) for s, e in zip(starts, ends)]
+    cps = np.linspace(0.0, horizon, n_checkpoints)
+    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, sums, events)
 
     runs = []
-    start = 0
-    for r, end in enumerate(ends):
-        ev = slice(start + 1, end)
+    for r, (start, end) in enumerate(zip(starts, ends)):
         diag = MicroDiagnostics(
             event_times=times[start:end], load=loads[start:end], beta=beta[start:end],
             checkpoint_times=cps.copy(), d11=d11[r], d22=d22[r], active_scalars=act[r],
         )
         runs.append(MicroRun(
             horizon=horizon,
-            events=EventStream(times[ev], labels[ev], xs[ev], zs[ev], horizon, EVENT_LABELS),
+            events=events[r],
             event_times=diag.event_times,
             ask_ticks=asks[start:end],
             bid_ticks=bids[start:end],
@@ -1279,7 +1317,6 @@ def simulate_books(
             candidates=int(candidates[r]),
             accepted=int(accepted[r]),
         ))
-        start = end
     return runs
 
 
@@ -1292,16 +1329,17 @@ def _term_pick(masses: list, pick: float) -> int:
     return min(int(np.searchsorted(np.cumsum(masses), pick, side="left")), len(masses) - 1)
 
 
-def _passive_marks(book: _CompiledBook, j: int, masses: list, rng) -> tuple[float, float]:
-    """Distance and size marks of a passive event of type ``PASSIVE_TYPES[j]``.
+def _passive_marks(book: _CompiledBook, j: int, masses: list, row: list) -> tuple[float, float]:
+    """Distance and size marks of a passive event of type ``PASSIVE_TYPES[j]``
+    from its candidate ``row``.
 
     ``masses`` are the masses of the type's terms (exogenous, then one per
-    kernel entry); the term that fired is drawn by mass, the distance from
-    its profile, then the size.
+    kernel entry); the term that fired is picked by mass, the distance drawn
+    from its profile, then the size.
     """
-    idx = _term_pick(masses, rng.random())
-    distance = book.passive_rows[j].samplers[idx].sample(rng)
-    return distance, book.p.sizes[PASSIVE_TYPES[j]].sample(rng)
+    idx = _term_pick(masses, row[_TERM])
+    distance = book.passive_rows[j].samplers[idx].sample(row[_CELL], row[_OFFSET])
+    return distance, book.p.sizes[PASSIVE_TYPES[j]].sample(row[_SIZE])
 
 
 def active_intensity(params: MicroParams, history: EventStream, t: float, active_type: str) -> float:

@@ -226,6 +226,24 @@ class TestConvergenceHarness:
         for name in ("p_a_terminal", "load_terminal", "sup_d11"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
         assert got.v_inner["g"].tobytes() == ref.v_inner["g"].tobytes()
+        # one evaluation of the test function over every ledger reads as one
+        # evaluation per ledger did
+        f = fns[0].fn
+        per_ledger = []
+        for run in runs:
+            led = run.final_state.ask_vol
+            mids = (np.arange(led.base, led.base + led.values.size) + 0.5) * led.delta_x
+            per_ledger.append(float(np.sum(led.values * np.asarray(f(mids))) * led.delta_x))
+        assert got.v_inner["g"].tolist() == per_ledger
+
+    def test_unpicklable_test_function_is_named_before_the_pool_starts(self, monkeypatch):
+        def no_limit(*args, **kwargs):
+            raise AssertionError("the limit solve started")
+
+        monkeypatch.setattr(harness.limit_mod, "solve_paths", no_limit)
+        fns = [L.SpatialTestFn("g_lambda", lambda x: np.exp(-(np.asarray(x) ** 2)))]
+        with pytest.raises(ValueError, match="test function 'g_lambda' cannot be sent"):
+            run_convergence(_tiny_plan(fns), make_family(), seed=67, n_workers=2)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="replicates"):

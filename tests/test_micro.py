@@ -1,3 +1,5 @@
+import bisect
+import copy
 import dataclasses
 import math
 
@@ -32,6 +34,7 @@ from hawkeslob.micro import (
     TickGrid,
     VolumeLedger,
     active_intensity,
+    ledger_inners,
     apply_active,
     apply_passive,
     passive_intensity,
@@ -172,10 +175,25 @@ class TestSizeMeasure:
         m = SizeMeasure("lognormal", m=-1.0, s=0.5, z_max=3.0)
         assert -1.0 < m.cancel_gain <= 0.0
         assert m.place_gain > 0.0
-        rng = np.random.default_rng(1)
-        draws = np.array([m.sample(rng) for _ in range(5000)])
+        e = -np.log1p(-np.random.default_rng(1).random(5000))
+        draws = m.samples(e)
         assert np.all((draws >= 0) & (draws <= 3.0))
         assert np.mean(np.exp(draws) - 1) == pytest.approx(m.place_gain, rel=0.05)
+        assert [m.sample(x) for x in e[:50].tolist()] == draws[:50].tolist()
+
+    @pytest.mark.parametrize("spec", [dict(family="dirac", z=0.3),
+                                      dict(family="exponential", rate=6.0),
+                                      dict(family="lognormal", m=-1.0, s=0.5, z_max=3.0)])
+    def test_marks_invert_exponential_variates(self, spec):
+        # the marks are a nondecreasing function of the row's exponential
+        # variate, one at a time or elementwise alike
+        m = SizeMeasure(**spec)
+        e = np.sort(-np.log1p(-np.random.default_rng(2).random(2000)))
+        draws = m.samples(e)
+        assert np.all(np.diff(draws) >= 0)
+        assert [m.sample(x) for x in e.tolist()] == draws.tolist()
+        if spec["family"] == "exponential":
+            assert draws.mean() == pytest.approx(1.0 / 6.0, rel=0.1)
 
 
 class TestIntensities:
@@ -448,6 +466,20 @@ def test_ledger_norms_and_inner():
     assert got == pytest.approx(0.5, rel=1e-9)  # int_0^1 x dx
 
 
+def test_ledger_inners_equal_one_ledger_at_a_time():
+    f = lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2))
+    ledgers = [VolumeLedger(gaussian_book, -5, 5, 0.1), VolumeLedger(gaussian_book, 3, 30, 0.1)]
+    ledgers[0].add(-40, 1.0)  # grows the first window below the second
+    ledgers[1].scale(70, 0.5)  # and the second above the first
+    one_pass = ledger_inners(ledgers, f)
+    for led, got in zip(ledgers, one_pass.tolist()):
+        mids = (np.arange(led.base, led.base + led.values.size) + 0.5) * led.delta_x
+        assert got == float(np.sum(led.values * f(mids)) * led.delta_x)
+        assert got == led.inner(f)
+    with pytest.raises(ValueError, match="one tick size"):
+        ledger_inners([ledgers[0], VolumeLedger(gaussian_book, 0, 4, 0.05)], f)
+
+
 def tapered_table(c, kappa, t_end=4.0, n=41):
     """An exponential shape tapered linearly to zero at t_end, as a table."""
     ts = np.linspace(0.0, t_end, n)
@@ -642,28 +674,51 @@ def checkpoint_row(eng):
     return d11, d22, act
 
 
+def engine_snapshot(eng):
+    """A copy of a live engine that its later events leave alone."""
+    out = copy.copy(eng)
+    out.state = eng.state.copy()
+    sums = out.sums = copy.copy(eng.sums)
+    sums.g, sums.b, sums.start = list(sums.g), list(sums.b), list(sums.start)
+    sums.hist = [copy.copy(h) for h in sums.hist]  # appends land past the copied length
+    return out
+
+
 class TestCheckpointDiagnostics:
     @pytest.mark.parametrize("make, wave", [(make_family, False), (every_kind_family, False),
                                             (make_family, True), (every_kind_family, True)])
     def test_after_run_columns_match_per_checkpoint_pass(self, monkeypatch, make, wave):
-        horizon = 0.5
-        cps = set(np.linspace(0.0, horizon, 33).tolist())
+        # the reference: the live engine right after the last event at or
+        # before each checkpoint, advanced to it in one step and evaluated
+        # there in one pass
         fam = make()
         for k in range(4):
             params = wave_params(fam, k) if wave else fam.micro_params(k)
+            # the last checkpoint falls on the last event, which it reads
+            horizon = float(simulate_book(params, 0.5, stream_rng(40 + k, 0, "micro")).events.times[-1])
+            cps = np.linspace(0.0, horizon, 33).tolist()
             run = simulate_book(params, horizon, stream_rng(40 + k, 0, "micro"))
-            rows = []
+            assert run.events.times[-1] == cps[-1]
+            snaps = []
 
-            class CheckpointEngine(micro._Engine):
-                def advance(self, t):
-                    super().advance(t)
-                    if t in cps:
-                        rows.append(checkpoint_row(self))
+            class RecordingEngine(micro._Engine):
+                def __init__(self, params):
+                    super().__init__(params)
+                    snaps.append(engine_snapshot(self))
+
+                def fire(self, label, distance, size):
+                    super().fire(label, distance, size)
+                    snaps.append(engine_snapshot(self))
 
             with monkeypatch.context() as m:
-                m.setattr(micro, "_Engine", CheckpointEngine)
+                m.setattr(micro, "_Engine", RecordingEngine)
                 ref = simulate_book(params, horizon, stream_rng(40 + k, 0, "micro"))
-            assert len(rows) == 33 and run.accepted > 0
+            assert len(snaps) == run.accepted + 1 and run.accepted > 0
+            rows = []
+            for cp in cps:
+                eng = engine_snapshot(snaps[int(np.searchsorted(run.event_times, cp, "right")) - 1])
+                eng.advance(cp)
+                rows.append(checkpoint_row(eng))
             d = run.diagnostics
             assert np.array_equal(d.d11, [r[0] for r in rows])
             assert np.array_equal(d.d22, [r[1] for r in rows])
@@ -722,6 +777,16 @@ class ListHistorySums(KernelSums):
             u[i] = float(np.asarray(weights[start:]) @ shape) if lags.size else 0.0
         return u
 
+    def scan_past(self, u, t):
+        for i, h, prof, memory in self.bank.scans:
+            times, weights = self.hist[h]
+            n = bisect.bisect_right(times, t)
+            start = 0
+            while start < n and t - times[start] > memory:
+                start += 1
+            lags = t - np.asarray(times[start:n])
+            u[i] = float(np.asarray(weights[start:n]) @ prof.value(lags)) if lags.size else 0.0
+
 
 class TestArrayHistory:
     @pytest.mark.parametrize("seed", [4, 7])
@@ -734,10 +799,10 @@ class TestArrayHistory:
                                              tapered_table(0.3, 1.0))},
         )
         # a small first capacity makes every scanned history double several times
-        monkeypatch.setattr(families, "_HISTORY_CAPACITY", 4)
+        monkeypatch.setattr(families, "_HISTORY_CAPACITY", 2)
         run = simulate_book(fam.micro_params(2), 0.5, stream_rng(seed, 0, "micro"))
         counts = np.bincount(run.events.labels.astype(int), minlength=8)
-        assert min(counts[[0, 1, 2, 3, EVENT_LABELS.index("P3")]]) > 4 * 2
+        assert min(counts[[0, 1, 2, 3, EVENT_LABELS.index("P3")]]) > 2 * 2
         monkeypatch.setattr(micro, "KernelSums", ListHistorySums)
         ref = simulate_book(fam.micro_params(2), 0.5, stream_rng(seed, 0, "micro"))
         for name in ("times", "labels", "xs", "zs"):
@@ -885,3 +950,66 @@ class TestLockstep:
         with pytest.raises(TypeError, match="b_mo"):
             micro.simulate_books(params, 0.5, [stream_rng(63, 0, "micro")])
         simulate_book(params, 0.5, stream_rng(63, 0, "micro"))  # the scalar engine takes any
+
+
+class TestDrawLayout:
+    @pytest.mark.parametrize("shape", ["sparse", "table", "pas_from", "every_kind_wave"])
+    def test_streams_do_not_depend_on_the_checkpoints(self, shape):
+        params = _lockstep_shapes()[shape]()
+        horizon = 0.3
+        for simulate in (lambda n_cp: [simulate_book(params, horizon, stream_rng(65, r, "micro"), n_cp)
+                                       for r in range(5)],
+                         lambda n_cp: micro.simulate_books(
+                             params, horizon, [stream_rng(65, r, "micro") for r in range(5)], n_cp)):
+            ref = simulate(33)
+            assert sum(run.accepted for run in ref) > 5 * 5
+            for n_cp in (2, 101):
+                for run, r in zip(simulate(n_cp), ref):
+                    for name in ("times", "labels", "xs", "zs"):
+                        assert getattr(run.events, name).tobytes() == getattr(r.events, name).tobytes()
+                    for name in ("ask_ticks", "bid_ticks"):
+                        assert getattr(run, name).tobytes() == getattr(r, name).tobytes()
+                    for name in ("load", "beta"):
+                        assert (getattr(run.diagnostics, name).tobytes()
+                                == getattr(r.diagnostics, name).tobytes())
+                    assert run.diagnostics.d11.size == n_cp
+
+    @pytest.mark.parametrize("shape", ["exponential", "gamma", "pas_from", "every_kind_wave"])
+    def test_block_size_does_not_change_the_runs(self, monkeypatch, shape):
+        params = _lockstep_shapes()[shape]()
+        horizon = 0.3
+        refs = [simulate_book(params, horizon, stream_rng(66, r, "micro")) for r in range(5)]
+        assert max(ref.candidates for ref in refs) > micro.BLOCK_ROWS  # several blocks a run
+        for rows in (1, 5):
+            monkeypatch.setattr(micro, "BLOCK_ROWS", rows)
+            runs = micro.simulate_books(params, horizon, [stream_rng(66, r, "micro") for r in range(5)])
+            for r, (run, ref) in enumerate(zip(runs, refs)):
+                assert_runs_identical(run, ref)
+                assert_runs_identical(simulate_book(params, horizon, stream_rng(66, r, "micro")), ref)
+
+    def test_candidate_k_reads_row_k_of_the_stream(self):
+        # a Poisson book whose spread only widens: the majorant is the
+        # constant total rate, every candidate is an event, and candidate k
+        # reads the stream's uniforms 7k to 7k + 6
+        params = minimal_params(
+            state_factor={at: GatedConstantFactor(0.0 if at.endswith("sp") else 1.0, gated=False)
+                          for at in ACTIVE_TYPES},
+            base_active={at: ExoConst(0.02) for at in ACTIVE_TYPES},
+            base_passive={pt: (ExoConst(0.5), GaussianProfile(1.0)) for pt in PASSIVE_TYPES},
+            sizes={pt: SizeMeasure("exponential", rate=6.0) for pt in PASSIVE_TYPES},
+        )
+        act, pas, _terms, _mu = micro._Engine(params).rates(False)
+        total = micro._rate_total(act, pas)
+        cum = np.cumsum(act + pas)
+        run = simulate_book(params, 1.0, stream_rng(67, 0, "micro"))
+        assert run.candidates == run.accepted > 50
+        rows = stream_rng(67, 0, "micro").random((run.accepted, 7))
+        times = np.cumsum(-np.log1p(-rows[:, 0]) / total)
+        assert run.events.times.tobytes() == times.tobytes()
+        labels = np.argmax(rows[:, 2:3] * total <= cum, axis=1)
+        assert np.array_equal(run.events.labels, labels)
+        passive = labels >= 4
+        sampler = micro._CompiledBook(params).passive_rows[0].samplers[0]
+        assert run.events.xs[passive].tolist() == sampler.samples(
+            rows[passive, 4], rows[passive, 5]).tolist()
+        assert run.events.zs[passive].tolist() == (-np.log1p(-rows[passive, 6]) / 6.0).tolist()
