@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -66,7 +65,7 @@ def _float_csv(path: Path, header: list, rows) -> None:
             writer.writerow(out)
 
 
-def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int,
                         manifest: SeedManifest) -> dict:
     horizon = float(cfg.data.get("grid", {}).get("horizon", 1.0))
     params = cfg.scaling_family().micro_params(level)
@@ -102,7 +101,7 @@ def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int, thread
     }
 
 
-def _cmd_solve_limit(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+def _cmd_solve_limit(cfg: RunConfig, out: Path, seed: int, level: int,
                      manifest: SeedManifest) -> dict:
     family = cfg.scaling_family()
     grid = cfg.data.get("grid", {})
@@ -140,7 +139,7 @@ def _cmd_solve_limit(cfg: RunConfig, out: Path, seed: int, level: int, threads: 
     }
 
 
-def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int,
                   manifest: SeedManifest) -> dict:
     family = cfg.scaling_family()
     exp = cfg.data.get("experiment", {})
@@ -153,7 +152,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int
         limit_dt=float(grid.get("dt", 1e-3)),
         test_fns=cfg.test_fns(),
     )
-    report, levels, _run = run_convergence(plan, family, seed, n_workers=threads)
+    report, levels, _run = run_convergence(plan, family, seed)
     manifest.streams = list(report.manifest.streams)
     moments = moment_diagnostics(levels)
     _write_json(out / "report.json", {
@@ -168,7 +167,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, seed: int, level: int, threads: int
     return {"passed": report.passed, "moment_blow_up": moments.blow_up}
 
 
-def _cmd_oracle_check(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+def _cmd_oracle_check(cfg: RunConfig, out: Path, seed: int, level: int,
                       manifest: SeedManifest) -> dict:
     block = cfg.data["oracle"]
     manifest.register("oracle", 1)
@@ -213,7 +212,7 @@ def _cmd_oracle_check(cfg: RunConfig, out: Path, seed: int, level: int, threads:
     return payload
 
 
-def _cmd_resolvent(cfg: RunConfig, out: Path, seed: int, level: int, threads: int,
+def _cmd_resolvent(cfg: RunConfig, out: Path, seed: int, level: int,
                    manifest: SeedManifest) -> dict:
     block = cfg.data["resolvent"]
     dt = float(block.get("dt", 1e-3))
@@ -238,7 +237,7 @@ _DISPATCH = {
 }
 
 
-def run(command: str, config, out_dir, seed=None, threads: int = 1, level: int = 0) -> int:
+def run(command: str, config, out_dir, seed=None, level: int = 0) -> int:
     """Programmatic entry point; returns the process exit status."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,7 +260,7 @@ def run(command: str, config, out_dir, seed=None, threads: int = 1, level: int =
     manifest = SeedManifest(master_seed=master_seed, command=command,
                             level=level if command == "simulate-micro" else None)
     try:
-        summary = _DISPATCH[command](cfg, out, master_seed, level, threads, manifest)
+        summary = _DISPATCH[command](cfg, out, master_seed, level, manifest)
     except ConfigError as exc:
         _write_json(out / "error.json", {
             "error": "configuration invalid",
@@ -290,16 +289,11 @@ def main(argv=None) -> int:
                        help="master seed (overrides the configuration)")
         p.add_argument("--manifest", default=None,
                        help="seed manifest of a previous run to reproduce")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("HAWKESLOB_THREADS", "1")),
-                       help="worker processes for replicate fan-out")
         p.add_argument("--level", type=int, default=None,
                        help="refinement level (default: the manifest's, else 0)")
     args = parser.parse_args(argv)
 
     seed = args.seed
-    if seed is None and os.environ.get("HAWKESLOB_SEED"):
-        seed = int(os.environ["HAWKESLOB_SEED"])
     level = args.level
     if args.manifest:
         manifest = SeedManifest.read(args.manifest)
@@ -310,10 +304,8 @@ def main(argv=None) -> int:
         if level is not None and manifest.level not in (None, level):
             parser.error(f"--level {level} disagrees with the manifest's level {manifest.level}")
         level = level if level is not None else manifest.level
-    if args.threads < 1:
-        parser.error("--threads must be >= 1")
     return run(args.command, args.config, args.out, seed=seed,
-               threads=args.threads, level=level if level is not None else 0)
+               level=level if level is not None else 0)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import erf
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +259,7 @@ class SpatialProfile:
     def tick_masses(self, delta_x: float, half_width: float) -> np.ndarray:
         """Exact integrals of g over each tick cell of [-L, L]."""
         n_side = int(round(half_width / delta_x))
-        edges = delta_x * np.arange(-n_side, n_side + 1)
-        return self._cdf(edges[1:]) - self._cdf(edges[:-1])
+        return np.diff(self._cdf(delta_x * np.arange(-n_side, n_side + 1)))
 
     def _cdf(self, x):
         """Antiderivative of g (up to a constant), vectorized."""
@@ -300,6 +298,11 @@ class TickSampler:
         return (j - self.n_side) * self.delta_x + self.delta_x * v
 
 
+#: ``math.erf`` on each element; CDFs are evaluated on one tick grid or one
+#: point at a time, so the Python loop stays cheap
+_erf = np.vectorize(math.erf, otypes=[float])
+
+
 class GaussianProfile(SpatialProfile):
     """g(x) = amplitude * exp(-((x - center) / width)^2)."""
 
@@ -316,7 +319,7 @@ class GaussianProfile(SpatialProfile):
 
     def _cdf(self, x):
         z = (np.asarray(x, dtype=float) - self.center) / self.width
-        return self.amplitude * self.width * 0.5 * math.sqrt(math.pi) * erf(z)
+        return self.amplitude * self.width * 0.5 * math.sqrt(math.pi) * _erf(z)
 
     def mass(self, half_width):
         return float(self._cdf(half_width) - self._cdf(-half_width))

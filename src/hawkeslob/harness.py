@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import pickle
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -213,10 +212,11 @@ def run_convergence(
     and variance, the transport distance between the terminal price
     samples, and the volume functionals; the report passes when every error
     sequence is nonincreasing across levels up to the standard-error slack.
+    The experiment runs in one process; ``n_workers`` accepts only 1.
     """
     t_start = time.perf_counter()
-    if n_workers > 1:
-        _check_picklable(family, plan.test_fns)
+    if n_workers != 1:
+        raise ValueError(f"run_convergence runs in one process; got n_workers={n_workers}")
     manifest = SeedManifest(master_seed=seed, command="converge")
     lp = limit_params if limit_params is not None else family.limit_params()
     init = limit_mod.make_initial_state(
@@ -231,20 +231,10 @@ def run_convergence(
     lim_pa = limit_run.p_a[-1]
     lim_inner = {f.name: limit_run.v_inner(f.fn, "a") for f in plan.test_fns}
 
-    if n_workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [
-            (family, k, plan.replicates, plan.horizon, tuple(plan.test_fns), seed)
-            for k in plan.levels
-        ]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            levels = list(pool.map(_run_level_star, args))
-    else:
-        levels = [
-            _run_level(family, k, plan.replicates, plan.horizon, plan.test_fns, seed)
-            for k in plan.levels
-        ]
+    levels = [
+        _run_level(family, k, plan.replicates, plan.horizon, plan.test_fns, seed)
+        for k in plan.levels
+    ]
     manifest.register("micro", plan.replicates)
 
     boot_rng = stream_rng(seed, 0, "harness")
@@ -292,24 +282,6 @@ def run_convergence(
         manifest=manifest,
     )
     return report, levels, limit_run
-
-
-def _run_level_star(args):
-    return _run_level(*args)
-
-
-def _check_picklable(family: ScalingFamily, test_fns) -> None:
-    """Raise ``ValueError`` naming the first of the family and the test
-    functions that cannot be sent to a worker process."""
-    for what, obj in [("the scaling family", family)] + [
-            (f"test function {f.name!r}", f) for f in test_fns]:
-        try:
-            pickle.dumps(obj)
-        except (pickle.PicklingError, AttributeError, TypeError) as exc:
-            raise ValueError(
-                f"{what} cannot be sent to worker processes ({exc}); define its "
-                "callables at module level, or run with one worker"
-            ) from None
 
 
 # ---------------------------------------------------------------------------

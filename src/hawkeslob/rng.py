@@ -3,8 +3,8 @@
 Every stochastic routine in the package draws from a counter-based Philox
 generator keyed by ``(master_seed, role, replicate)``.  Streams derived from
 the same master seed but different roles or replicate indices are
-statistically independent, so replicates can run in any order (or in
-parallel workers) and still reproduce bit-identical results.
+statistically independent, so replicates can run in any order and still
+reproduce bit-identical results.
 """
 
 from __future__ import annotations

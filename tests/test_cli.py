@@ -214,17 +214,20 @@ def test_converge_cli_small(tmp_path):
     assert len(table) > 9
 
 
-def test_converge_cli_parallel_matches_serial(tmp_path):
-    doc = yaml.safe_load(MINIMAL_MICRO)
-    doc["model"] = "converge"
-    doc["grid"] = {"horizon": 0.2, "dt": 0.004, "n_x": 31}
-    doc["experiment"] = {"levels": [0, 1, 2], "replicates": 100, "limit_paths": 150}
-    cfg = tmp_path / "conv.yaml"
-    cfg.write_text(yaml.safe_dump(doc))
-    out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-    assert run("converge", cfg, out1, threads=1) == 0
-    assert run("converge", cfg, out2, threads=2) == 0
-    assert (out1 / "tables.csv").read_text() == (out2 / "tables.csv").read_text()
+def test_threads_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--config", str(tmp_path / "conv.yaml"), "--out",
+              str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_environment_does_not_set_the_seed(micro_config, tmp_path, monkeypatch):
+    monkeypatch.setenv("HAWKESLOB_SEED", "5")
+    out = tmp_path / "o"
+    assert main(["simulate-micro", "--config", str(micro_config), "--out", str(out)]) == 0
+    seed = yaml.safe_load(micro_config.read_text())["seed"]
+    assert seed != 5 and SeedManifest.read(out / "manifest.json").master_seed == seed
 
 
 def test_converge_manifest_lists_the_streams_it_drew(tmp_path):

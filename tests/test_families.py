@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hawkeslob
 from hawkeslob.families import (
     ConstantProfile,
     ExponentialProfile,
@@ -201,6 +205,44 @@ def test_gaussian_profile_mass_and_sampler():
     # empirical mean close to the truncated-profile mean
     mean_true = np.trapezoid(xs * prof.value(xs), xs) / mass_quad
     assert draws.mean() == pytest.approx(mean_true, abs=0.02)
+
+
+@pytest.mark.parametrize("amplitude, center, width",
+                         [(1.0, 0.0, 1.0), (2.0, 0.3, 0.8), (0.05, -1.7, 3.5), (40.0, 2.5, 0.1)])
+@pytest.mark.parametrize("delta_x, half_width", [(0.1, 2.8), (0.1 / 32, 2.8), (0.5, 30.0)])
+def test_gaussian_cdf_matches_scipy_erf(amplitude, center, width, delta_x, half_width):
+    # the package evaluates math.erf per element; scipy's erf is the
+    # reference. Tail tick masses are differences of values near the CDF's
+    # ends, so every comparison is absolute, scaled by amplitude * width
+    from scipy.special import erf
+
+    prof = GaussianProfile(amplitude, center, width)
+    n_side = round(half_width / delta_x)
+    edges = delta_x * np.arange(-n_side, n_side + 1)
+    scale = amplitude * width * 0.5 * math.sqrt(math.pi)
+    ref = scale * erf((edges - center) / width)
+    tol = 1e-15 * amplitude * width
+    np.testing.assert_allclose(prof._cdf(edges), ref, rtol=0, atol=tol)
+    np.testing.assert_allclose(prof.tick_masses(delta_x, half_width), np.diff(ref),
+                               rtol=0, atol=tol)
+    ref_mass = scale * (erf((half_width - center) / width) - erf((-half_width - center) / width))
+    assert prof.mass(half_width) == pytest.approx(ref_mass, rel=0, abs=tol)
+    # the sampler CDF is a running sum over the cells divided by their total,
+    # so its last entry is 1 up to rounding; sample() clamps to the last cell
+    cum = np.array(prof.sampler(delta_x, half_width).cum)
+    ref_cum = np.cumsum(np.diff(ref)) / np.diff(ref).sum()
+    np.testing.assert_allclose(cum, ref_cum, rtol=0, atol=1e-14)
+    assert cum[-1] == pytest.approx(1.0, rel=0, abs=1e-14)
+
+
+def test_importing_the_package_loads_no_scipy():
+    package = Path(hawkeslob.__file__).parent
+    code = "import sys\n" + "".join(
+        f"import hawkeslob.{p.stem}\n" for p in sorted(package.glob("*.py")) if p.stem != "__init__"
+    ) + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=package.parent)
+    assert out.stdout.strip() == "[]"
 
 
 def test_uniform_profile():

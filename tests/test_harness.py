@@ -236,14 +236,14 @@ class TestConvergenceHarness:
             per_ledger.append(float(np.sum(led.values * np.asarray(f(mids))) * led.delta_x))
         assert got.v_inner["g"].tolist() == per_ledger
 
-    def test_unpicklable_test_function_is_named_before_the_pool_starts(self, monkeypatch):
+    @pytest.mark.parametrize("n_workers", [0, 2])
+    def test_one_process_only_raises_before_the_limit_solve(self, monkeypatch, n_workers):
         def no_limit(*args, **kwargs):
             raise AssertionError("the limit solve started")
 
         monkeypatch.setattr(harness.limit_mod, "solve_paths", no_limit)
-        fns = [L.SpatialTestFn("g_lambda", lambda x: np.exp(-(np.asarray(x) ** 2)))]
-        with pytest.raises(ValueError, match="test function 'g_lambda' cannot be sent"):
-            run_convergence(_tiny_plan(fns), make_family(), seed=67, n_workers=2)
+        with pytest.raises(ValueError, match="one process"):
+            run_convergence(_tiny_plan(), make_family(), seed=67, n_workers=n_workers)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError, match="replicates"):
