@@ -74,18 +74,20 @@ def _var_gap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _bootstrap_se(stat_rows: Callable, samples_a, samples_b, n_boot: int, rng) -> float:
     """Bootstrap standard error of a two-sample statistic.
 
-    The resample indices are drawn as one draw at a time would draw them,
-    ``a`` then ``b``, into ``(n_boot, n)`` stacks; ``stat_rows`` evaluates
-    the statistic on every pair of resampled rows at once.
+    All resample indices come from one ``rng.integers`` call whose bounds
+    broadcast the row ``[a.size] * a.size + [b.size] * b.size`` to
+    ``(n_boot, a.size + b.size)``; the first ``a.size`` columns index ``a``,
+    the rest ``b``.  numpy draws a broadcast bound element by element in row
+    order, with the same 32-bit bounded step as a scalar-bound fill, so the
+    indices, and the generator state after them, equal two ``integers``
+    calls per resample, ``a`` then ``b``.  ``stat_rows`` evaluates the
+    statistic on every pair of resampled rows at once.
     """
     a = np.asarray(samples_a)
     b = np.asarray(samples_b)
-    ia = np.empty((n_boot, a.size), dtype=np.int64)
-    ib = np.empty((n_boot, b.size), dtype=np.int64)
-    for i in range(n_boot):
-        ia[i] = rng.integers(0, a.size, a.size)
-        ib[i] = rng.integers(0, b.size, b.size)
-    return float(stat_rows(a[ia], b[ib]).std(ddof=1))
+    highs = np.repeat(np.array([a.size, b.size], dtype=np.int64), [a.size, b.size])
+    idx = rng.integers(0, np.broadcast_to(highs, (n_boot, highs.size)))
+    return float(stat_rows(a[idx[:, :a.size]], b[idx[:, a.size:]]).std(ddof=1))
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,10 @@ class EventStream:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         self.xs = np.asarray(self.xs, dtype=float)
         self.zs = np.asarray(self.zs, dtype=float)
-        if self.times.size and np.any(np.diff(self.times) <= 0):
+        t = self.times
+        if t.size and (t[1:] <= t[:-1]).any():
             raise ValueError("event times must be strictly increasing")
-        if self.times.size and (self.times[0] < 0 or self.times[-1] > self.horizon):
+        if t.size and (t[0] < 0 or t[-1] > self.horizon):
             raise ValueError("event times must lie in [0, horizon]")
 
     def __len__(self) -> int:

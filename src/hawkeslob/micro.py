@@ -31,7 +31,6 @@ streams on, while a single stream runs faster through ``simulate_book``.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
@@ -170,7 +169,8 @@ class VolumeLedger:
         return self.values[lo_tick - self.base : hi_tick - self.base].copy()
 
     def copy(self) -> "VolumeLedger":
-        out = copy.copy(self)
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
         out.values = self.values.copy()
         return out
 
@@ -798,15 +798,17 @@ def _rate_total(act, pas):
     return (act[0] + act[1] + act[2] + act[3]) + (pas[0] + pas[1] + pas[2] + pas[3])
 
 
-def _draw_block(rng: np.random.Generator) -> np.ndarray:
-    """The next ``BLOCK_ROWS`` candidate rows of a stream.
+def _draw_block(rngs: list) -> np.ndarray:
+    """The next ``BLOCK_ROWS`` candidate rows of each stream of ``rngs``, one
+    column per stream: ``(BLOCK_ROWS, _ROW_WIDTH, len(rngs))``.
 
-    A row holds ``_ROW_WIDTH`` uniforms; the waiting-time and size columns
-    are turned into standard exponential variates by inversion.  Generator
-    uniforms do not depend on how they are chunked, so a stream's rows do
-    not depend on ``BLOCK_ROWS``.
+    Each stream draws its ``_ROW_WIDTH`` uniforms a row; the waiting-time and
+    size columns of all streams are then turned into standard exponential
+    variates by inversion, in one elementwise pass.  Generator uniforms do
+    not depend on how they are chunked, so a stream's rows do not depend on
+    ``BLOCK_ROWS`` or on the streams drawn beside it.
     """
-    block = rng.random((BLOCK_ROWS, _ROW_WIDTH))
+    block = np.stack([rng.random((BLOCK_ROWS, _ROW_WIDTH)) for rng in rngs], axis=-1)
     block[:, _EXP_COLS] = -np.log1p(-block[:, _EXP_COLS])
     return block
 
@@ -862,7 +864,7 @@ def simulate_book(
         if majorant <= 0.0:
             break
         if k == len(rows):
-            rows, k = _draw_block(rng).tolist(), 0
+            rows, k = _draw_block([rng])[..., 0].tolist(), 0
         row = rows[k]
         k += 1
         t_next = t + row[_WAIT] / majorant
@@ -947,9 +949,7 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
     """
     bank, n_runs = book.bank, len(ends)
     n_s = len(bank.states)
-    starts = [0] + list(ends[:-1])
-    idx = np.concatenate([s + np.searchsorted(times[s:e], cps, side="right") - 1
-                          for s, e in zip(starts, ends)])
+    idx = _checkpoint_records(cps, times, ends)
     dt = np.tile(cps, n_runs) - times[idx]
     g = after[:n_s, idx]
     b = dict(zip(book.gamma_states, after[n_s:, idx]))
@@ -977,6 +977,26 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
             act.reshape(n_runs, cps.size, 4))
 
 
+def _checkpoint_records(cps: np.ndarray, times: np.ndarray, ends) -> np.ndarray:
+    """The index into ``times`` of each run's last record at or before each
+    checkpoint of the ascending ``cps``, run after run.
+
+    ``times`` and ``ends`` are laid out as for ``_checkpoint_diagnostics``,
+    each run's times ascending.  A record counts for every checkpoint from
+    the first one at or after it, so one search places every record, a
+    count over (run, first checkpoint) and a running sum give how many of a
+    run's records lie at or before each checkpoint, and the run's start
+    offset turns that count into an index.
+    """
+    n_runs, n_cp = len(ends), cps.size
+    sizes = np.diff(ends, prepend=0)
+    runs = np.repeat(np.arange(n_runs), sizes)
+    first = np.searchsorted(cps, times, side="left")
+    counts = np.bincount(runs * (n_cp + 1) + first, minlength=n_runs * (n_cp + 1))
+    at_or_before = np.cumsum(counts.reshape(n_runs, n_cp + 1)[:, :n_cp], axis=1)
+    return ((np.asarray(ends) - sizes)[:, None] + at_or_before - 1).ravel()
+
+
 #: (ask, bid) tick move of each event label; row 8 stands for no event
 _LABEL_MOVES = np.array([_PRICE_MOVES[at] for at in ACTIVE_TYPES] + [(0, 0)] * 5, dtype=np.int64)
 
@@ -985,22 +1005,26 @@ class _Lockstep:
     """Replicates of one ``simulate_books`` call over a compiled book, one
     column each: book ticks, state factors, running kernel sums (``g`` and
     ``b`` of ``KernelSums``, one row per state), counters and the current
-    block of candidate rows (``BLOCK_ROWS`` by ``_ROW_WIDTH``).
+    block of candidate rows (``BLOCK_ROWS`` by ``_ROW_WIDTH``).  ``ids``
+    names each live column's replicate.
 
     Every column update repeats, element for element, the float operations
     of ``_Engine`` and ``KernelSums``, so each column follows its stream as
     ``simulate_book`` does.  What has no bit-identical vectorised form stays
-    per replicate: the block draws, the ``math.exp`` decay factors,
-    exogenous density calls, in-profile weights, the histories of scanned
-    kernels (one ``KernelSums`` per replicate, used for its ``scan``) and the
-    volume ledgers.  ``split`` moves the columns of finished replicates to a
-    batch of their own; ``join`` puts such batches back together.
+    per replicate: the stream draws (one call per stream and block), the
+    ``math.exp`` decay factors, exogenous density calls, in-profile weights,
+    the histories of scanned kernels (one ``KernelSums`` per replicate, used
+    for its ``scan``) and the volume ledgers.  The per-replicate objects,
+    ``rngs``, ``states`` and ``sums``, are lists over the whole level,
+    indexed through ``ids``.  ``retire`` writes the final ticks and counters
+    of finished columns into level arrays (``final``) and drops the columns.
     """
 
-    #: per-column arrays, column axis last, and per-column lists
+    #: per-column arrays, column axis last
     _ARRAYS = ("ids", "t", "ask", "bid", "factors", "g", "b", "load",
                "candidates", "accepted", "total", "block")
-    _LISTS = ("rngs", "states", "sums")
+    #: the columns ``retire`` keeps per replicate, the rows of ``final``
+    _FINAL = ("ask", "bid", "candidates", "accepted")
 
     def __init__(self, book: _CompiledBook, rngs: list):
         bank, n, n_s = book.bank, len(rngs), len(book.bank.states)
@@ -1019,6 +1043,7 @@ class _Lockstep:
         self.accepted = np.zeros(n, dtype=np.int64)
         self.total = np.zeros(n)
         self.block = np.empty((0, _ROW_WIDTH, n))
+        self.final = np.empty((len(self._FINAL), n), dtype=np.int64)
         # per source label: the unit increments of the states it feeds
         # without a weight (row 8: no event), and the entries that need
         # per-replicate work, in-profile weights or histories
@@ -1032,28 +1057,13 @@ class _Lockstep:
                 if stateful or hists:
                     self.slow[source].append((in_prof, stateful, hists))
 
-    def split(self, mask: np.ndarray) -> "_Lockstep":
-        """Keep the columns where ``mask`` holds; return the others."""
-        out = copy.copy(self)
+    def retire(self, done: np.ndarray) -> None:
+        """Write the ``_FINAL`` columns where ``done`` holds into ``final``
+        at their replicates and drop those columns."""
+        self.final[:, self.ids[done]] = [getattr(self, name)[done] for name in self._FINAL]
+        keep = ~done
         for name in self._ARRAYS:
-            col = getattr(self, name)
-            setattr(out, name, col[..., ~mask])
-            setattr(self, name, col[..., mask])
-        flags = mask.tolist()
-        for name in self._LISTS:
-            col = getattr(self, name)
-            setattr(out, name, [x for x, k in zip(col, flags) if not k])
-            setattr(self, name, [x for x, k in zip(col, flags) if k])
-        return out
-
-    @staticmethod
-    def join(parts: list) -> "_Lockstep":
-        out = copy.copy(parts[0])
-        for name in _Lockstep._ARRAYS:
-            setattr(out, name, np.concatenate([getattr(p, name) for p in parts], axis=-1))
-        for name in _Lockstep._LISTS:
-            setattr(out, name, [x for p in parts for x in getattr(p, name)])
-        return out
+            setattr(self, name, getattr(self, name)[..., keep])
 
     def state_factors(self) -> np.ndarray:
         spread = self.ask - self.bid
@@ -1061,14 +1071,14 @@ class _Lockstep:
 
     def sync(self, cols) -> list:
         """The book states of columns ``cols``, with their current ticks."""
-        states = [self.states[c] for c in cols]
+        states = [self.states[i] for i in self.ids[cols].tolist()]
         for state, a, b in zip(states, self.ask[cols].tolist(), self.bid[cols].tolist()):
             state.ask_tick, state.bid_tick = a, b
         return states
 
     def exo(self, density, bound: bool) -> np.ndarray:
         """An exogenous density, or its bound, at every column."""
-        states = self.sync(np.arange(self.ids.size))
+        states = self.sync(slice(None))
         if bound:
             return np.array([density.sup_t(state) for state in states], dtype=float)
         ts = self.t.tolist()
@@ -1093,7 +1103,8 @@ class _Lockstep:
         for i, ke in self.book.bank.gammas:
             u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
         if self.book.bank.scans:
-            for c, (sums, t) in enumerate(zip(self.sums, self.t.tolist())):
+            for c, (i, t) in enumerate(zip(self.ids.tolist(), self.t.tolist())):
+                sums = self.sums[i]
                 sums.t = t
                 sums.scan(u[:, c], bound)
         return u
@@ -1136,8 +1147,9 @@ class _Lockstep:
         place = types % 2 == 0
         gain = np.array([math.exp(z) for z in np.where(place, zs, -zs).tolist()]) - 1.0
         vals = np.where(place, ratio * gain, 1.0 + ratio * gain)
-        for c, j, tick, val in zip(cols.tolist(), types.tolist(), ticks.tolist(), vals.tolist()):
-            state = self.states[c]
+        for i, j, tick, val in zip(self.ids[cols].tolist(), types.tolist(), ticks.tolist(),
+                                   vals.tolist()):
+            state = self.states[i]
             ledger = state.ask_vol if j < 2 else state.bid_vol
             if j % 2 == 0:
                 ledger.add(tick, val)
@@ -1151,13 +1163,14 @@ class _Lockstep:
         lab = np.full(self.ids.size, 8)
         lab[fired] = labels
         self.g += self.unit[lab].T
-        for c, label, x in zip(fired.tolist(), labels.tolist(), xs.tolist()):
+        for c, r, label, x in zip(fired.tolist(), self.ids[fired].tolist(), labels.tolist(),
+                                  xs.tolist()):
             for in_prof, stateful, hists in self.slow[label]:
                 w = 1.0 if in_prof is None else float(in_prof.value(x))
                 for i in stateful:
                     self.g[i, c] += w
                 for h in hists:
-                    self.sums[c].hist[h].append(float(self.t[c]), w)
+                    self.sums[r].hist[h].append(float(self.t[c]), w)
 
 
 def simulate_books(
@@ -1179,6 +1192,13 @@ def simulate_books(
     per-candidate Python work the replicates share, so a single stream runs
     faster through ``simulate_book``.
 
+    Set-up, the exponential inversion of each block, retiring finished
+    replicates, the checkpoint record search and the assembly of the event
+    arrays run once per level.  Per replicate remain: building its
+    generator, book state and run objects, one ``random`` call per block,
+    the ``math.exp`` factors, exogenous density calls, in-profile weights,
+    scanned-kernel histories and volume-ledger updates (``_Lockstep``).
+
     The state factors must be ``SpreadLinearFactor`` or
     ``GatedConstantFactor``, which have a vectorised form; any other raises
     ``TypeError``.  A ``MajorantViolationError`` or ``NonCrossingError``
@@ -1199,8 +1219,6 @@ def simulate_books(
     if not n:
         return []
     run = _Lockstep(book, [as_rng(g, "micro") for g in rngs])
-    states, sums = run.states, run.sums
-    finished = []
 
     act, pas, _terms, mu = run.rates(False)
     run.total = _rate_total(act, pas)
@@ -1221,14 +1239,14 @@ def simulate_books(
         # the last realised rates were taken at this time and book state
         majorant = run.total if book.bound_is_value else _rate_total(*run.rates(True)[:2])
         if passes % BLOCK_ROWS == 0:
-            run.block = np.stack([_draw_block(rng) for rng in run.rngs], axis=-1)
+            run.block = _draw_block([run.rngs[i] for i in run.ids.tolist()])
         row = run.block[passes % BLOCK_ROWS]
         passes += 1
         stop = majorant <= 0.0
         t_next = run.t + row[_WAIT] / np.where(stop, 1.0, majorant)
         done = stop | (t_next > horizon)
         if done.any():
-            finished.append(run.split(~done))
+            run.retire(done)
             t_next, majorant, row = t_next[~done], majorant[~done], row[:, ~done]
             if not run.ids.size:
                 break
@@ -1278,10 +1296,9 @@ def simulate_books(
                 run.kept_sums(fired))):
             rec.append(f)
 
-    done = _Lockstep.join(finished)
-    done.sync(np.arange(n))
-    candidates, accepted = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    candidates[done.ids], accepted[done.ids] = done.candidates, done.accepted
+    final_ask, final_bid, candidates, accepted = run.final.tolist()
+    for state, a, b in zip(run.states, final_ask, final_bid):
+        state.ask_tick, state.bid_tick = a, b
 
     # one array per field, replicate after replicate, each from its initial
     # state; a field's records go as soon as it is assembled
@@ -1298,7 +1315,7 @@ def simulate_books(
     events = [EventStream(times[s + 1:e], labels[s + 1:e], xs[s + 1:e], zs[s + 1:e], horizon,
                           EVENT_LABELS) for s, e in zip(starts, ends)]
     cps = np.linspace(0.0, horizon, n_checkpoints)
-    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, sums, events)
+    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, run.sums, events)
 
     runs = []
     for r, (start, end) in enumerate(zip(starts, ends)):
@@ -1312,10 +1329,10 @@ def simulate_books(
             event_times=diag.event_times,
             ask_ticks=asks[start:end],
             bid_ticks=bids[start:end],
-            final_state=states[r],
+            final_state=run.states[r],
             diagnostics=diag,
-            candidates=int(candidates[r]),
-            accepted=int(accepted[r]),
+            candidates=candidates[r],
+            accepted=accepted[r],
         ))
     return runs
 

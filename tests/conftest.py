@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hawkeslob.families import ExponentialProfile, GaussianProfile
 from hawkeslob.micro import (
@@ -13,6 +14,11 @@ from hawkeslob.micro import (
 )
 
 LN2 = math.log(2.0)
+
+# every run, locally and on every CI entry, sees the same examples; a test's
+# own @settings still sets its example count
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def gaussian_book(x):

@@ -21,6 +21,7 @@ from hawkeslob.harness import (
     _w1_rows,
 )
 from hawkeslob.micro import PASSIVE_TYPES, simulate_book
+from hawkeslob.rng import stream_rng
 
 from conftest import make_family
 from oracle_configs import canonical_spread_config
@@ -104,6 +105,29 @@ class TestStackedBootstrap:
         for rows, stat in cases:
             got = _bootstrap_se(rows, a, b, 200, np.random.default_rng(5))
             assert got == loop_bootstrap_se(stat, a, b, 200, np.random.default_rng(5))
+
+    @pytest.mark.parametrize("na, nb", [(100, 200), (400, 2000), (1, 50), (50, 1)])
+    @pytest.mark.parametrize("seed", [101, 9137])
+    def test_one_draw_matches_the_loop_on_harness_streams(self, na, nb, seed):
+        # the experiment's own Philox streams: the indices of one broadcast
+        # draw equal the loop's, and the stream stops where the loop's does
+        rng = np.random.default_rng(na + nb)
+        a, b = rng.normal(0.3, 0.1, na), rng.normal(0.31, 0.12, nb)
+        cases = [(_w1_rows, reference_w1)]
+        if min(na, nb) > 1:
+            cases.append((_var_gap_rows, lambda x, y: abs(x.var(ddof=1) - y.var(ddof=1))))
+        for rows, stat in cases:
+            got_rng, ref_rng = stream_rng(seed, 0, "harness"), stream_rng(seed, 0, "harness")
+            got = _bootstrap_se(rows, a, b, 200, got_rng)
+            assert got == loop_bootstrap_se(stat, a, b, 200, ref_rng)
+            assert got_rng.random(3).tolist() == ref_rng.random(3).tolist()
+
+    def test_one_element_samples_draw_nothing(self):
+        # numpy draws no variate for a bound of one, so the stream is where
+        # it started
+        rng = stream_rng(9137, 0, "harness")
+        assert _bootstrap_se(_w1_rows, [0.3], [0.2], 200, rng) == 0.0
+        assert rng.random() == stream_rng(9137, 0, "harness").random()
 
 
 @pytest.fixture(scope="module")

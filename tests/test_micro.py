@@ -1,10 +1,13 @@
 import bisect
 import copy
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hawkeslob import families
 from hawkeslob.families import (
@@ -460,6 +463,21 @@ def test_volume_ledger_lazy_growth():
         led.add(0, -1e9)
 
 
+def test_ledger_copy_keeps_the_subclass_and_owns_its_values():
+    class TaggedLedger(VolumeLedger):
+        pass
+
+    led = TaggedLedger(gaussian_book, -5, 5, 0.1)
+    led.tag = "kept"
+    out = led.copy()
+    assert type(out) is TaggedLedger and out.tag == "kept"
+    assert out.values is not led.values and out.values.tobytes() == led.values.tobytes()
+    out.add(0, 1.0)
+    out.add(-40, 1.0)  # grows the copy's window only
+    assert led.base == -5 and led.get(0) == float(gaussian_book(np.array([0.05]))[0])
+    assert out.base < -40 and out.get(0) == led.get(0) + 1.0
+
+
 def test_ledger_norms_and_inner():
     led = VolumeLedger(lambda x: np.ones_like(np.asarray(x)), 0, 10, 0.1)
     got = led.inner(lambda x: x)
@@ -728,6 +746,33 @@ class TestCheckpointDiagnostics:
                                       equal_nan=True)
             for name in ("load", "beta", "d11", "d22", "active_scalars"):
                 assert np.array_equal(getattr(d, name), getattr(ref.diagnostics, name))
+
+
+def per_run_checkpoint_records(cps, times, ends):
+    """The last record at or before each checkpoint, one search per run."""
+    starts = [0] + list(ends[:-1])
+    return np.concatenate([s + np.searchsorted(times[s:e], cps, side="right") - 1
+                           for s, e in zip(starts, ends)])
+
+
+@pytest.mark.parametrize("n_checkpoints", [1, 2, 33, 101])
+def test_checkpoint_records_count_as_one_search_per_run(n_checkpoints):
+    horizon = 0.8
+    cps = np.linspace(0.0, horizon, n_checkpoints)
+    rng = np.random.default_rng(n_checkpoints)
+    runs = [
+        [0.0],  # no events
+        [0.0, 1e-12, horizon / 3, horizon],  # an event at the horizon
+        [0.0],
+        np.concatenate([[0.0], np.sort(rng.uniform(0.0, horizon, 150))]),
+        # events exactly at checkpoints, the first right after time 0
+        np.concatenate([[0.0], np.unique(np.concatenate([cps[1:], cps[1:-1] + 1e-9]))]),
+        [0.0],
+    ]
+    times = np.concatenate(runs)
+    ends = np.cumsum([len(r) for r in runs]).tolist()
+    got = micro._checkpoint_records(cps, times, ends)
+    assert got.tolist() == per_run_checkpoint_records(cps, times, ends).tolist()
 
 
 def test_identical_active_rows_share_one_row():
@@ -1013,3 +1058,67 @@ class TestDrawLayout:
         assert run.events.xs[passive].tolist() == sampler.samples(
             rows[passive, 4], rows[passive, 5]).tolist()
         assert run.events.zs[passive].tolist() == (-np.log1p(-rows[passive, 6]) / 6.0).tolist()
+
+
+def widening_poisson_params():
+    """A Poisson book whose spread only widens: the majorant is the constant
+    total rate, so every candidate is an event."""
+    return minimal_params(
+        state_factor={at: GatedConstantFactor(0.0 if at.endswith("sp") else 1.0, gated=False)
+                      for at in ACTIVE_TYPES},
+        base_active={at: ExoConst(0.02) for at in ACTIVE_TYPES},
+        base_passive={pt: (ExoConst(0.5), GaussianProfile(1.0)) for pt in PASSIVE_TYPES},
+        sizes={pt: SizeMeasure("exponential", rate=6.0) for pt in PASSIVE_TYPES},
+    )
+
+
+def test_zero_waits_fail_the_event_time_check(monkeypatch):
+    # two accepted candidates that wait nothing repeat an event time, which
+    # both engines must still refuse
+    draw = micro._draw_block
+
+    def zero_waits(rngs):
+        block = draw(rngs)
+        block[3:5, micro._WAIT] = 0.0
+        return block
+
+    params = widening_poisson_params()
+    monkeypatch.setattr(micro, "_draw_block", zero_waits)
+    with pytest.raises(ValueError, match="^event times must be strictly increasing$"):
+        simulate_book(params, 1.0, stream_rng(68, 0, "micro"))
+    with pytest.raises(ValueError, match="^event times must be strictly increasing$"):
+        micro.simulate_books(params, 1.0, [stream_rng(68, r, "micro") for r in range(3)])
+
+
+_ACT_KERNELS = {
+    "exponential": ExponentialProfile(0.2, 1.0),
+    "gamma": GammaProfile(0.5, 2.0),
+    "constant": ConstantProfile(0.05),
+    "table": tapered_table(0.2, 1.0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def act_kernel_params(kernel, level):
+    """Level ``level`` of the test family with every active-to-active kernel
+    ``_ACT_KERNELS[kernel]``, compiled once for every example."""
+    return make_family(act_from_act={(tgt, src): _ACT_KERNELS[kernel]
+                                     for tgt in "ab" for src in ACTIVE_TYPES}).micro_params(level)
+
+
+@given(
+    kernel=st.sampled_from(sorted(_ACT_KERNELS)),
+    level=st.integers(0, 1),
+    horizon=st.floats(0.0, 0.1),
+    batch=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(kernel="table", level=1, horizon=0.1, batch=12, seed=0)
+@example(kernel="gamma", level=1, horizon=0.1, batch=12, seed=0)
+@settings(max_examples=150, deadline=None)
+def test_any_batch_equals_single_streams(kernel, level, horizon, batch, seed):
+    params = act_kernel_params(kernel, level)
+    runs = micro.simulate_books(params, horizon, [stream_rng(seed, r, "micro") for r in range(batch)])
+    assert len(runs) == batch
+    for r, run in enumerate(runs):
+        assert_runs_identical(run, simulate_book(params, horizon, stream_rng(seed, r, "micro")))
