@@ -21,7 +21,9 @@ in blocks (``_draw_block``): the waiting time and the size mark come by
 inversion of the exponential law, the label, the passive term and the
 distance by inversion of discrete or tick-cell CDFs.  Checkpoint
 diagnostics are read after the run from the kernel sums kept after each
-event.
+event.  Nothing in a run reads a volume (state factors and exogenous
+densities read only the time and the best ticks), so the volume ledgers
+are built after the run from its passive event records (``_fold_ledgers``).
 
 ``simulate_book`` runs one stream.  ``simulate_books`` runs the replicates
 of a level in lockstep, one column per stream, and returns for each stream
@@ -34,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -58,6 +60,8 @@ EVENT_LABELS = ("A1", "A2", "A3", "A4", "P1", "P2", "P3", "P4")
 #: price distance the initial volume ledgers reach beyond the distance
 #: interval, on each side of the start prices
 WINDOW_PAD = 4.0
+#: ticks a ledger's window grows to beyond a passive tick that falls outside it
+_WINDOW_GROWTH = 16
 #: history truncation level of the kernel bank, relative to the active
 #: exogenous mass (at least 1)
 EPS_TRUNC_FACTOR = 1e-12
@@ -95,9 +99,9 @@ class TickGrid:
         if self.delta_x <= 0:
             raise ValueError("tick size must be positive")
 
-    def tick_of(self, x: float) -> int:
-        """Index j of the tick interval [j*dx, (j+1)*dx) containing x."""
-        return int(math.floor(x / self.delta_x + 1e-9))
+    def tick_of(self, x):
+        """Index j of the tick interval [j*dx, (j+1)*dx) containing x, elementwise."""
+        return np.floor(np.asarray(x) / self.delta_x + 1e-9).astype(np.int64)
 
     def price_of(self, tick: int) -> float:
         return tick * self.delta_x
@@ -109,76 +113,50 @@ class TickGrid:
         return int(tick)
 
 
+@dataclass(eq=False)
 class VolumeLedger:
-    """Per-tick volume densities over a growable absolute tick window.
+    """Per-tick volume densities over a materialised absolute tick window.
 
-    Ticks outside the materialized window still hold their initial values;
-    they are filled in lazily from the initial density the first time the
-    window has to cover them.
+    ``values`` holds the densities at ticks ``base`` to ``base +
+    values.size - 1``; every tick outside it holds its initial density.  A
+    run's final ledgers are built after it from its passive events
+    (``_fold_ledgers``).
     """
 
-    def __init__(self, init_density: Callable[[np.ndarray], np.ndarray],
-                 lo_tick: int, hi_tick: int, delta_x: float):
-        self.delta_x = delta_x
-        self.init_density = init_density
-        self.base = lo_tick
-        self.values = np.asarray(
-            init_density(self._mids(lo_tick, hi_tick)), dtype=float
-        ).copy()
-        if np.any(self.values < 0):
+    init_density: Callable[[np.ndarray], np.ndarray]
+    base: int
+    values: np.ndarray
+    delta_x: float
+
+    @classmethod
+    def initial(cls, init_density, lo_tick: int, hi_tick: int, delta_x: float) -> "VolumeLedger":
+        """The initial densities, materialised on ticks ``lo_tick`` to ``hi_tick - 1``."""
+        led = cls(init_density, lo_tick, np.empty(0), delta_x)
+        led.values = led._initial(lo_tick, hi_tick)
+        if np.any(led.values < 0):
             raise ValueError("initial volume densities must be >= 0")
+        return led
 
     def _mids(self, lo: int, hi: int) -> np.ndarray:
         return (np.arange(lo, hi) + 0.5) * self.delta_x
 
-    def _ensure(self, tick: int) -> None:
-        if tick < self.base:
-            pad = self.base - tick + 16
-            new = self.init_density(self._mids(self.base - pad, self.base))
-            self.values = np.concatenate([np.asarray(new, dtype=float), self.values])
-            self.base -= pad
-        elif tick >= self.base + self.values.size:
-            hi = self.base + self.values.size
-            pad = tick - hi + 17
-            new = self.init_density(self._mids(hi, hi + pad))
-            self.values = np.concatenate([self.values, np.asarray(new, dtype=float)])
-
-    def get(self, tick: int) -> float:
-        self._ensure(tick)
-        return float(self.values[tick - self.base])
-
-    def add(self, tick: int, amount: float) -> None:
-        self._ensure(tick)
-        self.values[tick - self.base] += amount
-        if self.values[tick - self.base] < 0:
-            raise ValueError("volume density went negative")
-
-    def scale(self, tick: int, factor: float) -> None:
-        if factor < 0:
-            raise ValueError("volume multiplier must be >= 0")
-        self._ensure(tick)
-        self.values[tick - self.base] *= factor
-
-    def inner(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Inner product with f by the tick midpoint rule."""
-        return float(ledger_inners([self], f)[0])
+    def _initial(self, lo: int, hi: int) -> np.ndarray:
+        return np.array(self.init_density(self._mids(lo, hi)), dtype=float)
 
     def window(self, lo_tick: int, hi_tick: int) -> np.ndarray:
-        self._ensure(lo_tick)
-        self._ensure(hi_tick - 1)
-        return self.values[lo_tick - self.base : hi_tick - self.base].copy()
-
-    def copy(self) -> "VolumeLedger":
-        out = object.__new__(type(self))
-        out.__dict__.update(self.__dict__)
-        out.values = self.values.copy()
+        """A copy of the densities at ticks ``lo_tick`` to ``hi_tick - 1``."""
+        out = self._initial(lo_tick, hi_tick)
+        lo = max(lo_tick, self.base)
+        hi = max(min(hi_tick, self.base + self.values.size), lo)
+        out[lo - lo_tick : hi - lo_tick] = self.values[lo - self.base : hi - self.base]
         return out
 
 
 def ledger_inners(ledgers: Sequence[VolumeLedger], f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``VolumeLedger.inner`` of every ledger of ``ledgers`` with ``f``, which
-    is evaluated once, on the tick midpoints spanning every window.  The
-    ledgers share one tick size."""
+    """Inner product of every ledger of ``ledgers`` (of one tick size) with
+    ``f`` by the tick midpoint rule, ``f`` evaluated once on the midpoints
+    spanning every window.  Ledgers of one window are summed as rows of one
+    stack, which adds each row in the order a one-ledger ``np.sum`` does."""
     dx = ledgers[0].delta_x
     if any(led.delta_x != dx for led in ledgers):
         raise ValueError("ledger_inners needs ledgers of one tick size")
@@ -186,10 +164,14 @@ def ledger_inners(ledgers: Sequence[VolumeLedger], f: Callable[[np.ndarray], np.
     hi = max(led.base + led.values.size for led in ledgers)
     mids = ledgers[0]._mids(lo, hi)
     vals = np.broadcast_to(np.asarray(f(mids)), mids.shape)
-    return np.array([
-        np.sum(led.values * vals[led.base - lo : led.base - lo + led.values.size]) * dx
-        for led in ledgers
-    ])
+    groups: dict = {}
+    for k, led in enumerate(ledgers):
+        groups.setdefault((led.base, led.values.size), []).append(k)
+    out = np.empty(len(ledgers))
+    for (base, size), ks in groups.items():
+        stack = np.stack([ledgers[k].values for k in ks])
+        out[ks] = np.sum(stack * vals[base - lo : base - lo + size], axis=1) * dx
+    return out
 
 
 @dataclass
@@ -218,19 +200,6 @@ class BookState:
     def spread_ticks(self) -> int:
         return self.ask_tick - self.bid_tick
 
-    def copy(self) -> "BookState":
-        return BookState(
-            self.grid, self.ask_tick, self.bid_tick,
-            self.ask_vol.copy(), self.bid_vol.copy(),
-        )
-
-    def passive_tick(self, side: str, distance: float) -> int:
-        """Absolute tick hit by a passive event at the given distance."""
-        j = self.grid.tick_of(distance)
-        if side == "a":
-            return self.ask_tick + j
-        return self.bid_tick - j - 1
-
 
 def apply_active(state: BookState, active_type: str) -> BookState:
     """One-tick price move of the given active type, in place.
@@ -243,30 +212,72 @@ def apply_active(state: BookState, active_type: str) -> BookState:
     ask, bid = state.ask_tick + da, state.bid_tick + db
     if ask < bid:
         raise NonCrossingError(
-            f"{active_type} would cross the book at spread "
-            f"{state.spread_ticks} ticks; the state-rate factors violate the "
-            "no-crossing condition"
+            f"{active_type} would cross the book at spread {state.spread_ticks} ticks; the "
+            "state-rate factors violate the no-crossing condition"
         )
     state.ask_tick, state.bid_tick = ask, bid
     return state
 
 
-def apply_passive(
-    state: BookState, passive_type: str, distance: float, size: float,
-    delta_v: float,
-) -> BookState:
-    """Placement or proportional cancellation at a distance from best, in place."""
-    if size < 0:
+def _fold_ledgers(p: "MicroParams", ledgers: list, runs: np.ndarray, labels: np.ndarray,
+                  xs: np.ndarray, zs: np.ndarray, asks: np.ndarray, bids: np.ndarray) -> list:
+    """The ledgers of a set of runs (run r's ask and bid ledgers at ``2r``
+    and ``2r + 1``) after the passive events among their records: per
+    record its run, label, distance, size and best ticks, each run's
+    records in event order.
+
+    A passive event hits the tick at its distance from the same-side best
+    price; a placement adds ``(delta_v / delta_x)(e^z - 1)`` there, a
+    cancellation multiplies by ``1 + (delta_v / delta_x)(e^-z - 1)``.  A
+    tick outside its window first grows the window to ``_WINDOW_GROWTH``
+    ticks beyond it, so windows depend on the order of the ticks; each
+    growth round places the first tick outside every window.  Each fold
+    round applies the events of one rank on their ticks, so every density
+    sees its additions and multiplications in event order.
+    """
+    pas = labels >= 4
+    labels, runs, zs = labels[pas], runs[pas], zs[pas]
+    if np.any(zs < 0):
         raise ValueError("size marks must be >= 0")
-    side, kind = passive_type.split("_")
-    ledger = state.ask_vol if side == "a" else state.bid_vol
-    tick = state.passive_tick(side, distance)
-    ratio = delta_v / state.grid.delta_x
-    if kind == "lo":
-        ledger.add(tick, ratio * (math.exp(size) - 1.0))
-    else:
-        ledger.scale(tick, 1.0 + ratio * (math.exp(-size) - 1.0))
-    return state
+    bid_side = labels >= 6
+    cells = TickGrid(p.delta_x).tick_of(xs[pas])
+    ticks = np.where(bid_side, bids[pas] - cells - 1, asks[pas] + cells)
+    led = 2 * runs + bid_side
+    place = labels % 2 == 0
+    ratio = p.delta_v / p.delta_x
+    # math.exp once per distinct exponent (a dirac size has one per kind)
+    exponents, which = np.unique(np.where(place, zs, -zs), return_inverse=True)
+    gain = np.array([math.exp(z) for z in exponents.tolist()])[which] - 1.0
+    vals = np.where(place, ratio * gain, 1.0 + ratio * gain)
+
+    base0 = np.array([ledger.base for ledger in ledgers], dtype=np.int64)
+    end0 = base0 + [ledger.values.size for ledger in ledgers]
+    base, end = base0.copy(), end0.copy()
+    for edge, outside, reach in ((base, np.less, -_WINDOW_GROWTH),
+                                 (end, np.greater_equal, _WINDOW_GROWTH + 1)):
+        while (hit := np.flatnonzero(outside(ticks, edge[led]))).size:
+            at, first = np.unique(led[hit], return_index=True)
+            edge[at] = ticks[hit[first]] + reach
+    grown = set(np.flatnonzero((base != base0) | (end != end0)).tolist())
+    flat = np.concatenate([part for k, ledger in enumerate(ledgers) for part in (
+        (ledger._initial(base[k], base0[k]), ledger.values, ledger._initial(end0[k], end[k]))
+        if k in grown else (ledger.values,))])
+    offsets = np.concatenate(([0], np.cumsum(end - base)))
+
+    pos = offsets[led] + ticks - base[led]
+    order = np.argsort(pos, kind="stable")  # event order on each tick
+    pos, place, vals = pos[order], place[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
+    rank = np.arange(pos.size) - np.repeat(starts, np.diff(np.r_[starts, pos.size]))
+    by_rank = np.argsort(rank, kind="stable")
+    edges = np.cumsum(np.bincount(rank)).tolist()
+    for lo, hi in zip([0] + edges, edges):
+        sel = by_rank[lo:hi]
+        at, v = pos[sel], flat[pos[sel]]
+        flat[at] = np.where(place[sel], v + vals[sel], v * vals[sel])
+    offsets = offsets.tolist()
+    return [VolumeLedger(ledger.init_density, b, flat[lo:hi], ledger.delta_x)
+            for ledger, b, lo, hi in zip(ledgers, base.tolist(), offsets, offsets[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -375,18 +386,24 @@ class SizeMeasure:
 
 
 class ExoConst:
-    """Constant exogenous density; its own sup over time and states."""
+    """Constant exogenous density, its own bound; compiled into a level constant.
+
+    Every exogenous density declares ``rates(t, ask, bid, delta_x)``, its
+    values at times ``t`` and best ticks ``ask`` and ``bid``, elementwise
+    over equal-shaped arrays, and ``bounds(ask, bid, delta_x)``, bounds of
+    those values over all later times at the same ticks.  It reads no volume.
+    """
 
     def __init__(self, value: float):
         if value < 0:
             raise ValueError("exogenous densities are >= 0")
         self.value = float(value)
 
-    def __call__(self, t, state) -> float:
-        return self.value
+    def rates(self, t, ask, bid, delta_x) -> np.ndarray:
+        return np.full(np.shape(ask), self.value)
 
-    def sup_t(self, state) -> float:
-        return self.value
+    def bounds(self, ask, bid, delta_x) -> np.ndarray:
+        return np.full(np.shape(ask), self.value)
 
 
 class SpreadLinearFactor:
@@ -451,6 +468,7 @@ class MicroParams:
 
     State factors are callables of the book state that read only the best
     prices: the simulators evaluate them again after active events only.
+    Exogenous densities read only the time and the best ticks (``ExoConst``).
     Kernel dictionaries are keyed by (target type, source type); missing
     entries vanish.  Active-to-active entries are plain time profiles;
     entries with passive sources carry an in-profile weighting the source
@@ -500,8 +518,8 @@ class MicroParams:
         lo, hi = min(bid, ask) - pad, max(bid, ask) + pad
         return BookState(
             grid, ask, bid,
-            VolumeLedger(self.ask_volume0, lo, hi, self.delta_x),
-            VolumeLedger(self.bid_volume0, lo, hi, self.delta_x),
+            VolumeLedger.initial(self.ask_volume0, lo, hi, self.delta_x),
+            VolumeLedger.initial(self.bid_volume0, lo, hi, self.delta_x),
         )
 
 
@@ -598,11 +616,17 @@ class _CompiledBook:
 
     def __init__(self, p: MicroParams):
         dx, dv, L = p.delta_x, p.delta_v, p.half_width
+        for name, exo in [*p.base_active.items(), *((k, e) for k, (e, _) in p.base_passive.items())]:
+            if not (callable(getattr(exo, "rates", None)) and callable(getattr(exo, "bounds", None))):
+                raise TypeError(
+                    f"the exogenous density of {name} must be an ExoConst or declare rates(t, ask, "
+                    f"bid, delta_x) and bounds(ask, bid, delta_x); got {type(exo).__name__}")
         self.p = p
         self.dx2 = dx**2
-        self.state0 = p.initial_state()
+        self.state0 = s0 = p.initial_state()
+        ticks0 = np.array([s0.ask_tick]), np.array([s0.bid_tick]), dx
         eps = EPS_TRUNC_FACTOR * max(
-            sum(exo.sup_t(self.state0) for exo in p.base_active.values()), 1.0
+            sum(float(exo.bounds(*ticks0)[0]) for exo in p.base_active.values()), 1.0
         )
         self.bank = bank = KernelBank(eps)
         entry = bank.entry
@@ -721,13 +745,14 @@ class _CompiledBook:
 
 
 class _Engine:
-    """Book state and running kernel state of one run over a compiled book."""
+    """Best ticks and running kernel state of one run over a compiled book;
+    the book state shares the initial ledgers, which no run writes."""
 
     def __init__(self, params: MicroParams):
         if params._compiled is None:
             params._compiled = _CompiledBook(params)
         self.book = book = params._compiled
-        self.state = book.state0.copy()
+        self.state = replace(book.state0)
         self.sums = KernelSums(book.bank)
         self.factors = [f(self.state) for f in book.factors]
 
@@ -736,17 +761,18 @@ class _Engine:
         if t >= sums.t:
             sums.advance(t, t - sums.t)
 
-    def fire(self, label: int, distance: float, size: float) -> None:
-        """Apply an event to the book and feed it into every kernel state it
-        sources."""
-        _apply_event(self.state, label, distance, size, self.book.p.delta_v)
+    def fire(self, label: int, distance: float) -> None:
+        """Feed an event into every kernel state it sources; an active event
+        also moves the best ticks."""
         self.sums.fire(label, distance)
         if label < 4:  # state factors read only the best prices
+            apply_active(self.state, ACTIVE_TYPES[label])
             self.factors = [f(self.state) for f in self.book.factors]
 
     def exo(self, density, bound: bool) -> float:
-        """An exogenous density, or its bound, at the current time and book state."""
-        return density.sup_t(self.state) if bound else density(self.sums.t, self.state)
+        """An exogenous density, or its bound, at the current time and ticks."""
+        ticks = np.array([self.state.ask_tick]), np.array([self.state.bid_tick]), self.book.p.delta_x
+        return float((density.bounds(*ticks) if bound else density.rates(np.array([self.sums.t]), *ticks))[0])
 
     def rates(self, bound: bool):
         """``_book_rates`` of this run."""
@@ -836,7 +862,8 @@ def simulate_book(
     The run keeps the kernel sums after each event.  d11, d22 and the active
     scalars at the ``n_checkpoints`` equally spaced checkpoints are read from
     them after the run (``_checkpoint_diagnostics``), so the event stream
-    does not depend on ``n_checkpoints``.
+    does not depend on ``n_checkpoints``.  The final volume ledgers are
+    built after the run from its passive events (``_fold_ledgers``).
     """
     p = params
     rng = as_rng(rng_seed, "micro")
@@ -898,7 +925,7 @@ def simulate_book(
             distance, size = _passive_marks(book, label - 4, terms[label - 4], row)
             load.append(load[-1] + dv)
 
-        eng.fire(label, distance, size)
+        eng.fire(label, distance)
         accepted.append((t, label, distance, size))
         after.append(sums.g + sums.b)
         ask_path.append(state.ask_tick)
@@ -910,10 +937,13 @@ def simulate_book(
     ev_times, labels, xs, zs = np.ascontiguousarray(np.reshape(accepted, (-1, 4)).T)
     times = np.concatenate([[0.0], ev_times])
     events = EventStream(ev_times, labels, xs, zs, horizon, EVENT_LABELS)
+    asks, bids = np.asarray(ask_path, dtype=np.int64), np.asarray(bid_path, dtype=np.int64)
+    ask_vol, bid_vol = _fold_ledgers(p, [state.ask_vol, state.bid_vol], np.zeros(len(events), int),
+                                     events.labels, xs, zs, asks[1:], bids[1:])
     cps = np.linspace(0.0, horizon, n_checkpoints)
     kept = list(range(len(sums.g))) + [len(sums.g) + i for i in book.gamma_states]
     d11, d22, act = _checkpoint_diagnostics(
-        book, cps, times, [times.size], np.array(after).T[kept], [sums], [events])
+        book, cps, times, [times.size], np.array(after).T[kept], [sums], asks, bids)
     diag = MicroDiagnostics(
         event_times=times, load=np.asarray(load), beta=np.asarray(beta),
         checkpoint_times=cps, d11=d11[0], d22=d22[0], active_scalars=act[0],
@@ -922,9 +952,9 @@ def simulate_book(
         horizon=horizon,
         events=events,
         event_times=times,
-        ask_ticks=np.asarray(ask_path, dtype=np.int64),
-        bid_ticks=np.asarray(bid_path, dtype=np.int64),
-        final_state=state,
+        ask_ticks=asks,
+        bid_ticks=bids,
+        final_state=BookState(state.grid, state.ask_tick, state.bid_tick, ask_vol, bid_vol),
         diagnostics=diag,
         candidates=candidates,
         accepted=len(accepted),
@@ -932,7 +962,8 @@ def simulate_book(
 
 
 def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndarray,
-                            ends: list, after: np.ndarray, sums: list, events: list):
+                            ends: list, after: np.ndarray, sums: list, asks: np.ndarray,
+                            bids: np.ndarray):
     """d11, d22 and the active scalars of a set of runs at the checkpoints
     ``cps``, one row per run.
 
@@ -944,13 +975,14 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
     at or before it, decayed to it in one step in the float operations of
     ``KernelSums.advance`` and ``units``; a scanned kernel reads its history
     up to the checkpoint from the run's ``sums`` (``KernelSums.scan_past``).
-    Varying exogenous densities see the run's ``events`` replayed up to the
-    checkpoint.
+    Varying exogenous densities read the best ticks ``asks`` and ``bids``
+    after the same record, laid out as ``times``.
     """
     bank, n_runs = book.bank, len(ends)
     n_s = len(bank.states)
     idx = _checkpoint_records(cps, times, ends)
-    dt = np.tile(cps, n_runs) - times[idx]
+    cp_times = np.tile(cps, n_runs)
+    dt = cp_times - times[idx]
     g = after[:n_s, idx]
     b = dict(zip(book.gamma_states, after[n_s:, idx]))
     u = g.copy()
@@ -964,14 +996,9 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
         for run_sums in sums:
             for cp in cps.tolist():
                 run_sums.scan_past(next(cols), cp)
-    e_varying = np.empty((0, idx.size))
-    if book.varying:
-        exos = [book.exos[k] for k in book.varying]
-        seen: list = []
-        for ev in events:
-            replay_book(book.p, ev, cps.tolist(),
-                        lambda t, state: seen.append([exo(t, state) for exo in exos]))
-        e_varying = np.array(seen, dtype=float).T
+    at = cp_times, asks[idx], bids[idx], book.p.delta_x
+    e_varying = np.array([book.exos[k].rates(*at) for k in book.varying],
+                         dtype=float).reshape(-1, idx.size)
     d11, d22, act = book.diagnostics(u, e_varying)
     return (d11.reshape(n_runs, cps.size), d22.reshape(n_runs, cps.size),
             act.reshape(n_runs, cps.size, 4))
@@ -1010,14 +1037,15 @@ class _Lockstep:
 
     Every column update repeats, element for element, the float operations
     of ``_Engine`` and ``KernelSums``, so each column follows its stream as
-    ``simulate_book`` does.  What has no bit-identical vectorised form stays
-    per replicate: the stream draws (one call per stream and block), the
-    ``math.exp`` decay factors, exogenous density calls, in-profile weights,
-    the histories of scanned kernels (one ``KernelSums`` per replicate, used
-    for its ``scan``) and the volume ledgers.  The per-replicate objects,
-    ``rngs``, ``states`` and ``sums``, are lists over the whole level,
-    indexed through ``ids``.  ``retire`` writes the final ticks and counters
-    of finished columns into level arrays (``final``) and drops the columns.
+    ``simulate_book`` does.  A varying exogenous density is evaluated once
+    for every column.  What has no bit-identical vectorised form stays per
+    replicate: the stream draws (one call per stream and block), the
+    ``math.exp`` decay factors, in-profile weights and the histories of
+    scanned kernels (one ``KernelSums`` per replicate, used for its
+    ``scan``).  The per-replicate objects, ``rngs`` and ``sums``, are lists
+    over the whole level, indexed through ``ids``.  ``retire`` writes the
+    final ticks and counters of finished columns into level arrays
+    (``final``) and drops the columns.
     """
 
     #: per-column arrays, column axis last
@@ -1031,7 +1059,6 @@ class _Lockstep:
         self.book = book
         self.ids = np.arange(n)
         self.rngs = rngs
-        self.states = [book.state0.copy() for _ in range(n)]
         self.sums = [KernelSums(bank) if bank.scans else None for _ in range(n)]
         self.t = np.zeros(n)
         self.ask = np.full(n, book.state0.ask_tick, dtype=np.int64)
@@ -1069,21 +1096,6 @@ class _Lockstep:
         spread = self.ask - self.bid
         return np.array([f.spreads(spread, self.book.p.delta_x) for f in self.book.factors])
 
-    def sync(self, cols) -> list:
-        """The book states of columns ``cols``, with their current ticks."""
-        states = [self.states[i] for i in self.ids[cols].tolist()]
-        for state, a, b in zip(states, self.ask[cols].tolist(), self.bid[cols].tolist()):
-            state.ask_tick, state.bid_tick = a, b
-        return states
-
-    def exo(self, density, bound: bool) -> np.ndarray:
-        """An exogenous density, or its bound, at every column."""
-        states = self.sync(slice(None))
-        if bound:
-            return np.array([density.sup_t(state) for state in states], dtype=float)
-        ts = self.t.tolist()
-        return np.array([density(t, state) for t, state in zip(ts, states)], dtype=float)
-
     def advance(self, t: np.ndarray) -> None:
         """``_Engine.advance`` of every column to its time in ``t``."""
         dt = t - self.t
@@ -1116,13 +1128,14 @@ class _Lockstep:
 
     def rates(self, bound: bool):
         """``_book_rates`` of every column."""
-        return _book_rates(self.book, self.units(bound), self.factors, self.exo, bound, self.ids.size)
+        ticks = self.ask, self.bid, self.book.p.delta_x
+        exo = lambda d, bound: d.bounds(*ticks) if bound else d.rates(self.t, *ticks)
+        return _book_rates(self.book, self.units(bound), self.factors, exo, bound, self.ids.size)
 
     def passive(self, cols: np.ndarray, types: np.ndarray, terms: list, rows: np.ndarray):
-        """The marks of passive events of ``PASSIVE_TYPES[types]`` at columns
-        ``cols``, from their candidate ``rows`` (one column each), applied
-        to the volume ledgers as ``_passive_marks`` and ``apply_passive`` do;
-        returns the distances and the sizes."""
+        """The distances and sizes of passive events of
+        ``PASSIVE_TYPES[types]`` at columns ``cols``, from their candidate
+        ``rows`` (one column each), as ``_passive_marks`` draws them."""
         book, p = self.book, self.book.p
         xs, zs = np.empty(cols.size), np.empty(cols.size)
         for j in np.flatnonzero(np.bincount(types, minlength=4)).tolist():
@@ -1137,24 +1150,6 @@ class _Lockstep:
                     at = sel[idx == s]
                     xs[at] = samplers[s].samples(rows[_CELL, at], rows[_OFFSET, at])
             zs[sel] = p.sizes[PASSIVE_TYPES[j]].samples(rows[_SIZE, sel])
-        if np.any(zs < 0):
-            raise ValueError("size marks must be >= 0")
-        # apply_passive: ticks at the distances, then the placement gains and
-        # the cancellation factors
-        cells = np.floor(xs / p.delta_x + 1e-9).astype(np.int64)
-        ticks = np.where(types < 2, self.ask[cols] + cells, self.bid[cols] - cells - 1)
-        ratio = p.delta_v / p.delta_x
-        place = types % 2 == 0
-        gain = np.array([math.exp(z) for z in np.where(place, zs, -zs).tolist()]) - 1.0
-        vals = np.where(place, ratio * gain, 1.0 + ratio * gain)
-        for i, j, tick, val in zip(self.ids[cols].tolist(), types.tolist(), ticks.tolist(),
-                                   vals.tolist()):
-            state = self.states[i]
-            ledger = state.ask_vol if j < 2 else state.bid_vol
-            if j % 2 == 0:
-                ledger.add(tick, val)
-            else:
-                ledger.scale(tick, val)
         return xs, zs
 
     def fire(self, fired: np.ndarray, labels: np.ndarray, xs: np.ndarray) -> None:
@@ -1192,12 +1187,13 @@ def simulate_books(
     per-candidate Python work the replicates share, so a single stream runs
     faster through ``simulate_book``.
 
-    Set-up, the exponential inversion of each block, retiring finished
-    replicates, the checkpoint record search and the assembly of the event
-    arrays run once per level.  Per replicate remain: building its
-    generator, book state and run objects, one ``random`` call per block,
-    the ``math.exp`` factors, exogenous density calls, in-profile weights,
-    scanned-kernel histories and volume-ledger updates (``_Lockstep``).
+    Set-up, the exponential inversion of each block, varying exogenous
+    densities, retiring finished replicates, the checkpoint record search,
+    the assembly of the event arrays and the volume ledgers, built from the
+    passive event records after the run (``_fold_ledgers``), run once per
+    level or per pass.  Per replicate remain: building its generator and run
+    objects, one ``random`` call per block, the ``math.exp`` decay factors,
+    in-profile weights and scanned-kernel histories (``_Lockstep``).
 
     The state factors must be ``SpreadLinearFactor`` or
     ``GatedConstantFactor``, which have a vectorised form; any other raises
@@ -1278,10 +1274,12 @@ def simulate_books(
         ask, bid = run.ask[fired] + moves[:, 0], run.bid[fired] + moves[:, 1]
         if np.any(ask < bid):
             q = int(np.argmax(ask < bid))
-            try:
-                apply_active(run.sync([fired[q]])[0], ACTIVE_TYPES[labels[q]])
+            c = fired[q]
+            try:  # the same move on the replicate's book raises the crossing error
+                apply_active(replace(book.state0, ask_tick=int(run.ask[c]), bid_tick=int(run.bid[c])),
+                             ACTIVE_TYPES[labels[q]])
             except NonCrossingError as exc:
-                raise NonCrossingError(f"replicate {run.ids[fired[q]]}: {exc}") from None
+                raise NonCrossingError(f"replicate {run.ids[c]}: {exc}") from None
         run.ask[fired], run.bid[fired] = ask, bid
         run.fire(fired, labels, xs)
         run.load[fired] += np.where(active, dx2, dv)
@@ -1297,8 +1295,6 @@ def simulate_books(
             rec.append(f)
 
     final_ask, final_bid, candidates, accepted = run.final.tolist()
-    for state, a, b in zip(run.states, final_ask, final_bid):
-        state.ask_tick, state.bid_tick = a, b
 
     # one array per field, replicate after replicate, each from its initial
     # state; a field's records go as soon as it is assembled
@@ -1310,12 +1306,15 @@ def simulate_books(
         rec.clear()
     times, labels, xs, zs, asks, bids, loads, beta_a, beta_b, after = fields
     beta = np.stack([beta_a, beta_b], axis=1)
-    ends = np.cumsum(np.bincount(ids, minlength=n)).tolist()
+    sizes = np.bincount(ids, minlength=n)
+    ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
     events = [EventStream(times[s + 1:e], labels[s + 1:e], xs[s + 1:e], zs[s + 1:e], horizon,
                           EVENT_LABELS) for s, e in zip(starts, ends)]
+    ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
+                            np.repeat(np.arange(n), sizes), labels, xs, zs, asks, bids)
     cps = np.linspace(0.0, horizon, n_checkpoints)
-    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, run.sums, events)
+    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, run.sums, asks, bids)
 
     runs = []
     for r, (start, end) in enumerate(zip(starts, ends)):
@@ -1329,7 +1328,8 @@ def simulate_books(
             event_times=diag.event_times,
             ask_ticks=asks[start:end],
             bid_ticks=bids[start:end],
-            final_state=run.states[r],
+            final_state=BookState(book.state0.grid, final_ask[r], final_bid[r],
+                                  *ledgers[2 * r:2 * r + 2]),
             diagnostics=diag,
             candidates=candidates[r],
             accepted=accepted[r],
@@ -1377,7 +1377,7 @@ def passive_intensity(params: MicroParams, history: EventStream, t: float,
     row = eng.book.passive_rows[j]
     x = np.asarray([distance])
     shapes = [q.value(x) for q in row.profiles]
-    exo = row.exo(eng.sums.t, eng.state)
+    exo = eng.exo(row.exo, False)
     return float(eng.book.passive_grid(j, exo, eng.sums.units(False), shapes)[0]) / params.delta_v
 
 
@@ -1385,43 +1385,42 @@ def _replayed_engine(params: MicroParams, history: EventStream, t: float) -> _En
     if history.times.size and history.times[-1] >= t:
         raise ValueError("history must lie strictly before t")
     eng = _Engine(params)
-    for ts, lab, x, z in zip(history.times, history.labels, history.xs, history.zs):
+    for ts, lab, x in zip(history.times, history.labels, history.xs):
         eng.advance(float(ts))
-        eng.fire(int(lab), float(x), float(z))
+        eng.fire(int(lab), float(x))
     eng.advance(t)
     return eng
-
-
-def _apply_event(state: BookState, label: int, distance: float, size: float,
-                 delta_v: float) -> None:
-    if label < 4:
-        apply_active(state, ACTIVE_TYPES[label])
-    else:
-        apply_passive(state, PASSIVE_TYPES[label - 4], distance, size, delta_v)
 
 
 def replay_book(params: MicroParams, events: EventStream,
                 snapshot_times: Sequence[float] = (), snapshot=None):
     """Fold the recorded events through the pure update functions.
 
-    Returns (ask tick path, bid tick path, final state); the paths must
-    reproduce the simulator's recorded paths bit-exactly.  For each of the
-    ascending ``snapshot_times``, ``snapshot(t, state)`` sees the live book
-    once every event at or before ``t`` has been applied.
+    Returns (ask tick path, bid tick path, final state); the paths and the
+    final volume ledgers must reproduce the simulator's bit-exactly.  The
+    ticks follow ``apply_active`` event by event, and the ledgers fold the
+    passive events (``_fold_ledgers``).  For each of the ascending
+    ``snapshot_times``, ``snapshot(t, state)`` sees the book once every
+    event at or before ``t`` has been applied.
     """
     state = params.initial_state()
     asks = [state.ask_tick]
     bids = [state.bid_tick]
-    pending = list(snapshot_times)[::-1]
-    for t, lab, x, z in zip(events.times, events.labels, events.xs, events.zs):
-        while pending and t > pending[-1]:
-            snapshot(pending.pop(), state)
-        _apply_event(state, int(lab), float(x), float(z), params.delta_v)
+    for lab in events.labels.tolist():
+        if lab < 4:
+            apply_active(state, ACTIVE_TYPES[lab])
         asks.append(state.ask_tick)
         bids.append(state.bid_tick)
-    while pending:
-        snapshot(pending.pop(), state)
-    return np.asarray(asks, dtype=np.int64), np.asarray(bids, dtype=np.int64), state
+    asks, bids = np.asarray(asks, dtype=np.int64), np.asarray(bids, dtype=np.int64)
+    ledgers = [state.ask_vol, state.bid_vol]
+    for t in [*snapshot_times, math.inf]:
+        n = int(np.searchsorted(events.times, t, side="right"))
+        state = BookState(state.grid, int(asks[n]), int(bids[n]), *_fold_ledgers(
+            params, ledgers, np.zeros(n, dtype=np.int64), events.labels[:n], events.xs[:n],
+            events.zs[:n], asks[1:n + 1], bids[1:n + 1]))
+        if t < math.inf:
+            snapshot(t, state)
+    return asks, bids, state
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from hawkeslob.micro import (
     EVENT_LABELS,
     PASSIVE_TYPES,
     ActiveRateFamily,
-    BookState,
     ExoConst,
     GatedConstantFactor,
     MicroParams,
@@ -39,7 +38,6 @@ from hawkeslob.micro import (
     active_intensity,
     ledger_inners,
     apply_active,
-    apply_passive,
     passive_intensity,
     replay_book,
     simulate_book,
@@ -110,39 +108,53 @@ class TestBookUpdates:
     def test_placement_adds_density(self):
         # e^z - 1 = 1 at z = ln 2 and dv/dx = 0.5: density grows by 0.5
         params = minimal_params()
-        st = params.initial_state()
-        tick = st.passive_tick("a", 0.25)
-        before = st.ask_vol.get(tick)
-        apply_passive(st, "a_lo", 0.25, LN2, params.delta_v)
-        assert st.ask_vol.get(tick) == pytest.approx(before + 0.5)
+        st0 = params.initial_state()
+        tick = st0.ask_tick + 2  # distance 0.25 lies in the third tick from the best ask
+        st = replayed(params, ("a_lo", 0.25, LN2))
+        assert tick_value(st.ask_vol, tick) == pytest.approx(tick_value(st0.ask_vol, tick) + 0.5)
 
     def test_cancellation_halves_in_large_size_limit(self):
         params = minimal_params()
-        st = params.initial_state()
-        tick = st.passive_tick("b", 0.15)
-        before = st.bid_vol.get(tick)
-        apply_passive(st, "b_cx", 0.15, 50.0, params.delta_v)
-        assert st.bid_vol.get(tick) == pytest.approx(0.5 * before, rel=1e-9)
+        st0 = params.initial_state()
+        tick = st0.bid_tick - 2  # distance 0.15 lies in the second tick below the best bid
+        st = replayed(params, ("b_cx", 0.15, 50.0))
+        assert tick_value(st.bid_vol, tick) == pytest.approx(0.5 * tick_value(st0.bid_vol, tick),
+                                                             rel=1e-9)
 
     def test_zero_size_changes_nothing(self):
         params = minimal_params()
-        st = params.initial_state()
-        tick = st.passive_tick("a", 0.4)
-        before = st.ask_vol.get(tick)
-        apply_passive(st, "a_lo", 0.4, 0.0, params.delta_v)
-        apply_passive(st, "a_cx", 0.4, 0.0, params.delta_v)
-        assert st.ask_vol.get(tick) == before
+        st0 = params.initial_state()
+        st = replayed(params, ("a_lo", 0.4, 0.0), ("a_cx", 0.4, 0.0))
+        assert st.ask_vol.values.tobytes() == st0.ask_vol.values.tobytes()
 
     def test_bid_side_distance_mirrors(self):
         params = minimal_params(ask_price0=0.2, bid_price0=0.0)
-        st = params.initial_state()
-        # distance 0 on the bid hits the tick just below the best bid
-        assert st.passive_tick("b", 0.0) == st.bid_tick - 1
-        assert st.passive_tick("a", 0.0) == st.ask_tick
+        st0 = params.initial_state()
+        # distance 0 on the bid hits the tick just below the best bid, on the
+        # ask the best ask's own tick
+        for pt, side, tick in (("b_lo", "bid_vol", st0.bid_tick - 1), ("a_lo", "ask_vol", st0.ask_tick)):
+            before, after = getattr(st0, side), getattr(replayed(params, (pt, 0.0, LN2)), side)
+            changed = np.flatnonzero(after.values != before.values)
+            assert (after.base, changed.tolist()) == (before.base, [tick - before.base])
 
     def test_volume_positivity_guard(self):
         with pytest.raises(ValueError, match="delta_v must not exceed"):
             minimal_params(delta_v=0.2)
+
+
+def replayed(params, *events):
+    """The book after ``replay_book`` of passive ``events``, (type, distance,
+    size) each, one every 0.1 in time."""
+    n = len(events)
+    labels = [EVENT_LABELS.index(f"P{1 + PASSIVE_TYPES.index(pt)}") for pt, _x, _z in events]
+    stream = EventStream(0.1 * np.arange(1, n + 1), np.array(labels, dtype=np.int64),
+                         np.array([x for _pt, x, _z in events]),
+                         np.array([z for _pt, _x, z in events]), 0.1 * (n + 1), EVENT_LABELS)
+    return replay_book(params, stream)[2]
+
+
+def tick_value(ledger, tick):
+    return float(ledger.window(tick, tick + 1)[0])
 
 
 class TestSizeMeasure:
@@ -454,48 +466,43 @@ class TestRescaledSequence:
 
 
 def test_volume_ledger_lazy_growth():
-    led = VolumeLedger(gaussian_book, -5, 5, 0.1)
-    far = led.get(60)  # forces growth well outside the window
-    assert far == pytest.approx(gaussian_book(np.array([6.05]))[0])
-    led.add(-40, 1.0)
-    assert led.get(-40) == pytest.approx(gaussian_book(np.array([-3.95]))[0] + 1.0)
-    with pytest.raises(ValueError, match="negative"):
-        led.add(0, -1e9)
-
-
-def test_ledger_copy_keeps_the_subclass_and_owns_its_values():
-    class TaggedLedger(VolumeLedger):
-        pass
-
-    led = TaggedLedger(gaussian_book, -5, 5, 0.1)
-    led.tag = "kept"
-    out = led.copy()
-    assert type(out) is TaggedLedger and out.tag == "kept"
-    assert out.values is not led.values and out.values.tobytes() == led.values.tobytes()
-    out.add(0, 1.0)
-    out.add(-40, 1.0)  # grows the copy's window only
-    assert led.base == -5 and led.get(0) == float(gaussian_book(np.array([0.05]))[0])
-    assert out.base < -40 and out.get(0) == led.get(0) + 1.0
+    # ticks outside the materialised window read the initial density, and
+    # reading them grows nothing
+    led = VolumeLedger.initial(gaussian_book, -5, 5, 0.1)
+    for lo, hi in ((58, 62), (-7, 7), (-9, -6), (-9, -3), (3, 8), (-5, 5), (2, 2)):
+        want = gaussian_book((np.arange(lo, hi) + 0.5) * 0.1)
+        assert led.window(lo, hi).tobytes() == want.tobytes()
+    assert (led.base, led.values.size) == (-5, 10)
+    got = led.window(-5, 5)
+    got[:] = 0.0  # a copy
+    assert led.values.min() > 0.0
+    with pytest.raises(ValueError, match=">= 0"):
+        VolumeLedger.initial(lambda x: np.asarray(x) - 1.0, 0, 20, 0.1)
 
 
 def test_ledger_norms_and_inner():
-    led = VolumeLedger(lambda x: np.ones_like(np.asarray(x)), 0, 10, 0.1)
-    got = led.inner(lambda x: x)
+    led = VolumeLedger.initial(lambda x: np.ones_like(np.asarray(x)), 0, 10, 0.1)
+    got = float(ledger_inners([led], lambda x: x)[0])
     assert got == pytest.approx(0.5, rel=1e-9)  # int_0^1 x dx
 
 
 def test_ledger_inners_equal_one_ledger_at_a_time():
+    # ledgers on one window are reduced together; each must still equal its
+    # own np.sum, at widths around numpy's pairwise-summation blocks
     f = lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2))
-    ledgers = [VolumeLedger(gaussian_book, -5, 5, 0.1), VolumeLedger(gaussian_book, 3, 30, 0.1)]
-    ledgers[0].add(-40, 1.0)  # grows the first window below the second
-    ledgers[1].scale(70, 0.5)  # and the second above the first
-    one_pass = ledger_inners(ledgers, f)
-    for led, got in zip(ledgers, one_pass.tolist()):
-        mids = (np.arange(led.base, led.base + led.values.size) + 0.5) * led.delta_x
-        assert got == float(np.sum(led.values * f(mids)) * led.delta_x)
-        assert got == led.inner(f)
+    rng = np.random.default_rng(11)
+    dx = 0.1
+    for width in (7, 8, 9, 15, 16, 17, 100, 127, 128, 129, 160, 255, 513, 1024, 2049, 4097):
+        # three ledgers share a window, one reaches below it and one above
+        windows = [(-5, width)] * 3 + [(-40, width + 3), (3, 2 * width)]
+        ledgers = [VolumeLedger(gaussian_book, base, rng.uniform(0.0, 2.0, size), dx)
+                   for base, size in windows]
+        one_pass = ledger_inners(ledgers, f)
+        for led, got in zip(ledgers, one_pass.tolist()):
+            mids = (np.arange(led.base, led.base + led.values.size) + 0.5) * dx
+            assert got == float(np.sum(led.values * f(mids)) * dx), width
     with pytest.raises(ValueError, match="one tick size"):
-        ledger_inners([ledgers[0], VolumeLedger(gaussian_book, 0, 4, 0.05)], f)
+        ledger_inners([ledgers[0], VolumeLedger.initial(gaussian_book, 0, 4, 0.05)], f)
 
 
 def tapered_table(c, kappa, t_end=4.0, n=41):
@@ -541,6 +548,12 @@ def every_kind_family():
     )
 
 
+def exo_at(density, t, state):
+    """An exogenous density at one time and book state."""
+    ticks = np.array([state.ask_tick]), np.array([state.bid_tick]), state.grid.delta_x
+    return float(density.rates(np.array([t]), *ticks)[0])
+
+
 def full_sum_rates(params, events, k, state):
     """Active rates and passive mass totals just before event k, summed
     directly over every earlier event."""
@@ -555,7 +568,7 @@ def full_sum_rates(params, events, k, state):
 
     active = []
     for at in ACTIVE_TYPES:
-        mu = params.base_active[at](t, state) / dx2
+        mu = exo_at(params.base_active[at], t, state) / dx2
         for (tgt, src), prof in params.act_from_act.items():
             mu += kernel_sum(src, prof) if tgt == at else 0.0
         for (tgt, src), (in_prof, prof) in params.act_from_pas.items():
@@ -564,7 +577,7 @@ def full_sum_rates(params, events, k, state):
     passive = []
     for pt in PASSIVE_TYPES:
         exo, prof = params.base_passive[pt]
-        total = exo(t, state) * prof.mass(L) / dv
+        total = exo_at(exo, t, state) * prof.mass(L) / dv
         for (tgt, src), (out_prof, tprof) in params.pas_from_act.items():
             total += dx2 / dv * out_prof.mass(L) * kernel_sum(src, tprof) if tgt == pt else 0.0
         for (tgt, src), (out_prof, in_prof, tprof) in params.pas_from_pas.items():
@@ -587,12 +600,10 @@ class TestCompiledEngine:
             ref_act, ref_pas = full_sum_rates(params, ev, k, state)
             assert act == pytest.approx(ref_act, rel=1e-12, abs=1e-12)
             assert pas == pytest.approx(ref_pas, rel=1e-12, abs=1e-12)
-            lab, x, z = int(ev.labels[k]), float(ev.xs[k]), float(ev.zs[k])
-            eng.fire(lab, x, z)
+            lab = int(ev.labels[k])
+            eng.fire(lab, float(ev.xs[k]))
             if lab < 4:
                 apply_active(state, ACTIVE_TYPES[lab])
-            else:
-                apply_passive(state, PASSIVE_TYPES[lab - 4], x, z, params.delta_v)
 
     @pytest.mark.parametrize("make", [make_family, every_kind_family])
     def test_compiled_cache_carries_no_run_state(self, make):
@@ -642,15 +653,19 @@ class TestCompiledEngine:
 
 
 class WaveExo:
-    """A time-varying, spread-dependent exogenous density with its bound."""
+    """A time-varying, spread-dependent exogenous density: a sawtooth in time
+    plus a term in the spread, bounded by ``sup_t``."""
 
     def __init__(self, value):
         self.value = value
 
-    def __call__(self, t, state):
-        return self.value * (1.0 + 0.5 * math.sin(7.0 * t)) + 0.01 * (state.spread_ticks % 3)
+    def rates(self, t, ask, bid, delta_x):
+        return self.value * (1.0 + 0.5 * ((7.0 * t) % 1.0)) + 0.01 * ((ask - bid) % 3)
 
-    def sup_t(self, state):
+    def bounds(self, ask, bid, delta_x):
+        return np.full(np.shape(ask), self.sup_t((ask, bid)))
+
+    def sup_t(self, ticks):
         return 1.5 * self.value + 0.02
 
 
@@ -671,7 +686,7 @@ def checkpoint_row(eng):
     u = eng.sums.units(False)
     rows = []
     for exo, _term, from_act, from_pas in book.active_rows:
-        val = exo(t, state) / book.dx2
+        val = exo_at(exo, t, state) / book.dx2
         for i, amp in from_act:
             val += amp * u[i]
         for i, amp in from_pas:
@@ -680,7 +695,7 @@ def checkpoint_row(eng):
     act = [rows[r] for r in book.active_of]
     grids = []
     for row in book.passive_rows:
-        out = row.exo(t, state) * row.cp_shapes[0]
+        out = exo_at(row.exo, t, state) * row.cp_shapes[0]
         for (i, amp, _k, k_grid), shape in zip(row.entries, row.cp_shapes[1:]):
             out = out + k_grid * (amp * u[i]) * shape
         grids.append(out)
@@ -695,7 +710,7 @@ def checkpoint_row(eng):
 def engine_snapshot(eng):
     """A copy of a live engine that its later events leave alone."""
     out = copy.copy(eng)
-    out.state = eng.state.copy()
+    out.state = copy.copy(eng.state)
     sums = out.sums = copy.copy(eng.sums)
     sums.g, sums.b, sums.start = list(sums.g), list(sums.b), list(sums.start)
     sums.hist = [copy.copy(h) for h in sums.hist]  # appends land past the copied length
@@ -724,8 +739,8 @@ class TestCheckpointDiagnostics:
                     super().__init__(params)
                     snaps.append(engine_snapshot(self))
 
-                def fire(self, label, distance, size):
-                    super().fire(label, distance, size)
+                def fire(self, label, distance):
+                    super().fire(label, distance)
                     snaps.append(engine_snapshot(self))
 
             with monkeypatch.context() as m:
@@ -996,6 +1011,33 @@ class TestLockstep:
             micro.simulate_books(params, 0.5, [stream_rng(63, 0, "micro")])
         simulate_book(params, 0.5, stream_rng(63, 0, "micro"))  # the scalar engine takes any
 
+    @pytest.mark.parametrize("slot", ["b_mo", "a_cx"])
+    def test_other_densities_are_rejected(self, slot):
+        class StateDensity:
+            """A density of the whole book state, outside the contract."""
+
+            def __call__(self, t, state):
+                return 0.1
+
+            def sup_t(self, state):
+                return 0.1
+
+        class RatesOnly(WaveExo):
+            bounds = None
+
+        for density in (StateDensity(), RatesOnly(0.1)):
+            params = minimal_params()
+            if slot in ACTIVE_TYPES:
+                params.base_active[slot] = density
+            else:
+                params.base_passive[slot] = (density, GaussianProfile(1.0))
+            name = type(density).__name__
+            for run in (lambda: simulate_book(params, 0.5, stream_rng(63, 0, "micro")),
+                        lambda: micro.simulate_books(params, 0.5, [stream_rng(63, 0, "micro")]),
+                        lambda: micro._CompiledBook(params)):
+                with pytest.raises(TypeError, match=f"density of {slot} must be .*; got {name}$"):
+                    run()
+
 
 class TestDrawLayout:
     @pytest.mark.parametrize("shape", ["sparse", "table", "pas_from", "every_kind_wave"])
@@ -1122,3 +1164,178 @@ def test_any_batch_equals_single_streams(kernel, level, horizon, batch, seed):
     assert len(runs) == batch
     for r, run in enumerate(runs):
         assert_runs_identical(run, simulate_book(params, horizon, stream_rng(seed, r, "micro")))
+
+
+def fold_reference(params, ledger, events):
+    """``ledger`` after ``events``, (tick, placement, size) each, applied one
+    at a time: a tick outside the window first grows it to 16 ticks beyond
+    the tick, then the placement adds or the cancellation multiplies."""
+    dx, ratio = params.delta_x, params.delta_v / params.delta_x
+    base, values = ledger.base, ledger.values.tolist()
+
+    def initial(lo, hi):
+        return np.asarray(ledger.init_density((np.arange(lo, hi) + 0.5) * dx), dtype=float).tolist()
+
+    for tick, place, z in events:
+        if tick < base:
+            values = initial(tick - 16, base) + values
+            base = tick - 16
+        elif tick >= base + len(values):
+            values += initial(base + len(values), tick + 17)
+        k = tick - base
+        gain = math.exp(z if place else -z) - 1.0
+        values[k] = values[k] + ratio * gain if place else values[k] * (1.0 + ratio * gain)
+    return base, np.array(values)
+
+
+def passive_events(run):
+    """(side, tick, placement, size) of every passive event of ``run``."""
+    out = []
+    for k, (lab, x, z) in enumerate(zip(run.events.labels.tolist(), run.events.xs.tolist(),
+                                         run.events.zs.tolist())):
+        if lab >= 4:
+            cell = math.floor(x / run.final_state.grid.delta_x + 1e-9)
+            ask, bid = int(run.ask_ticks[k]), int(run.bid_ticks[k])
+            out.append(("bid_vol", bid - cell - 1, lab, z) if lab >= 6 else ("ask_vol", ask + cell, lab, z))
+    return [(side, tick, lab % 2 == 0, z) for side, tick, lab, z in out]
+
+
+def assert_ledgers_follow_events(params, run):
+    """The final ledgers of ``run`` equal ``fold_reference`` of its passive
+    events."""
+    state0 = params.initial_state()
+    events = passive_events(run)
+    for side in ("ask_vol", "bid_vol"):
+        base, values = fold_reference(params, getattr(state0, side),
+                                      [e[1:] for e in events if e[0] == side])
+        led = getattr(run.final_state, side)
+        assert (led.base, led.values.tobytes()) == (base, values.tobytes()), side
+
+
+class TestLedgerFold:
+    def test_each_tick_sees_its_events_in_order(self):
+        params = minimal_params()  # delta_v / delta_x = 1/2
+        state0 = params.initial_state()
+        ask, bid = state0.ask_tick, state0.bid_tick
+        b0, e0 = state0.ask_vol.base, state0.ask_vol.base + state0.ask_vol.values.size
+
+        def at(side, tick):
+            """The distance that hits ``tick`` on ``side``."""
+            cell = tick - ask if side == "a" else bid - 1 - tick
+            return (cell + 0.5) * params.delta_x
+
+        t = ask + 3
+        # (label, distance, size) per record of run 0, then of run 1
+        records = [
+            [(4, at("a", t), 0.3), (4, at("a", t), 0.7), (5, at("a", t), 0.2),  # add, add, scale
+             (0, math.nan, math.nan),  # an active record is skipped
+             (5, at("a", t + 1), 0.4), (4, at("a", t + 1), 0.1),  # scale then add
+             (7, at("b", bid - 2), 0.5), (6, at("b", bid - 2), 0.5),
+             # the near tick first: the farther one then lies inside the grown window
+             (4, at("a", b0 - 1), 0.2), (4, at("a", b0 - 10), 0.2),
+             (6, at("b", e0), 0.1), (7, at("b", e0 + 9), 0.1),
+             (4, 0.3, 0.2)],  # 0.3 / 0.1 rounds below 3, and counts in cell 3
+            [(4, at("a", t), 0.7), (5, at("a", t), 0.2), (4, at("a", t), 0.3),
+             (4, at("a", t + 1), 0.1), (5, at("a", t + 1), 0.4),
+             (6, at("b", b0 - 10), 0.2), (6, at("b", b0 - 1), 0.2)],
+        ]
+        runs = np.repeat([0, 1], [len(r) for r in records])
+        labels, xs, zs = (np.array(col) for col in zip(*records[0], *records[1]))
+        n = labels.size
+        got = micro._fold_ledgers(params, [state0.ask_vol, state0.bid_vol] * 2, runs, labels, xs,
+                                  zs, np.full(n, ask), np.full(n, bid))
+        for r, recs in enumerate(records):
+            for k, side in enumerate(("ask_vol", "bid_vol")):
+                events = []
+                for lab, x, z in recs:
+                    if lab >= 4 and (lab >= 6) == k:
+                        cell = math.floor(x / params.delta_x + 1e-9)
+                        events.append((bid - cell - 1 if k else ask + cell, lab % 2 == 0, z))
+                base, values = fold_reference(params, getattr(state0, side), events)
+                led = got[2 * r + k]
+                assert (led.base, led.values.tobytes()) == (base, values.tobytes()), (r, side)
+        # the same three events on tick t, and the same two on t + 1, in
+        # another order
+        assert got[0].values[t - (b0 - 17)] != got[2].values[t - b0]
+        assert got[0].values[t + 1 - (b0 - 17)] != got[2].values[t + 1 - b0]
+        assert got[0].base == b0 - 17 and got[2].base == b0  # not b0 - 26
+        assert got[1].base + got[1].values.size == e0 + 17  # not e0 + 26
+        assert got[3].base == b0 - 26
+
+    def test_windows_drift_out_on_both_sides(self):
+        # market orders only: the ask climbs and the bid falls until the
+        # passive ticks leave the initial windows, above and below
+        params = minimal_params(
+            state_factor={at: GatedConstantFactor(0.0 if at.endswith("sp") else 1.0, gated=False)
+                          for at in ACTIVE_TYPES},
+            base_active={at: ExoConst(1.0) for at in ACTIVE_TYPES},
+            base_passive={pt: (ExoConst(0.5), GaussianProfile(1.0)) for pt in PASSIVE_TYPES},
+            sizes={pt: SizeMeasure("exponential", rate=6.0) for pt in PASSIVE_TYPES},
+        )
+        state0 = params.initial_state()
+        b0, e0 = state0.ask_vol.base, state0.ask_vol.base + state0.ask_vol.values.size
+        horizon, n = 1.5, 6
+        runs = micro.simulate_books(params, horizon, [stream_rng(69, r, "micro") for r in range(n)])
+        order_mattered = 0
+        for r, run in enumerate(runs):
+            ref = simulate_book(params, horizon, stream_rng(69, r, "micro"))
+            _asks, _bids, replay = replay_book(params, run.events)
+            for side in ("ask_vol", "bid_vol"):
+                led = getattr(run.final_state, side)
+                for other in (getattr(ref.final_state, side), getattr(replay, side)):
+                    assert (other.base, other.values.size, other.values.tobytes()) == (
+                        led.base, led.values.size, led.values.tobytes()), (r, side)
+            ask_led, bid_led = run.final_state.ask_vol, run.final_state.bid_vol
+            assert ask_led.base + ask_led.values.size > e0 and bid_led.base < b0
+            assert_ledgers_follow_events(params, run)
+            # a window set by the extreme tick alone would reach further
+            ticks = [tick for side, tick, _p, _z in passive_events(run) if side == "bid_vol"]
+            order_mattered += bid_led.base != min(b0, min(ticks) - 16)
+        assert order_mattered
+
+
+_PAS_FROM = {
+    "act_exponential": ("pas_from_act", ("a_lo", "a_mo"), (GaussianProfile(1.0), ExponentialProfile(0.3, 1.0))),
+    "act_gamma": ("pas_from_act", ("a_lo", "b_mo"), (GaussianProfile(0.8, 0.3, 1.2), GammaProfile(0.4, 2.0))),
+    "pas_constant": ("pas_from_pas", ("a_lo", "b_cx"),
+                     (GaussianProfile(0.8, 0.3, 1.2), GaussianProfile(1.0), ConstantProfile(0.01))),
+    "pas_table": ("pas_from_pas", ("a_cx", "a_cx"),
+                  (GaussianProfile(1.0), GaussianProfile(1.0), tapered_table(0.2, 2.0))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def ledger_property_params(kernel, pas_from, wave, level):
+    """Level ``level`` of the test family with every active-to-active kernel
+    ``_ACT_KERNELS[kernel]``, the ``_PAS_FROM`` entries named in
+    ``pas_from`` and, with ``wave``, two ``WaveExo`` densities."""
+    tables = {"pas_from_act": {}, "pas_from_pas": {}}
+    for name in pas_from:
+        table, key, entry = _PAS_FROM[name]
+        tables[table][key] = entry
+    fam = make_family(act_from_act={(tgt, src): _ACT_KERNELS[kernel]
+                                    for tgt in "ab" for src in ACTIVE_TYPES}, **tables)
+    return wave_params(fam, level) if wave else fam.micro_params(level)
+
+
+@given(
+    kernel=st.sampled_from(sorted(_ACT_KERNELS)),
+    pas_from=st.frozensets(st.sampled_from(sorted(_PAS_FROM))),
+    wave=st.booleans(),
+    level=st.integers(0, 1),
+    horizon=st.floats(0.0, 0.3),
+    batch=st.integers(1, 6),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_final_ledgers_equal_a_replay_of_each_run(kernel, pas_from, wave, level, horizon, batch, seed):
+    params = ledger_property_params(kernel, pas_from, wave, level)
+    runs = micro.simulate_books(params, horizon, [stream_rng(seed, r, "micro") for r in range(batch)])
+    for run in runs:
+        asks, bids, final = replay_book(params, run.events)
+        assert asks.tobytes() == run.ask_ticks.tobytes() and bids.tobytes() == run.bid_ticks.tobytes()
+        assert (final.ask_tick, final.bid_tick) == (run.final_state.ask_tick, run.final_state.bid_tick)
+        for side in ("ask_vol", "bid_vol"):
+            a, b = getattr(run.final_state, side), getattr(final, side)
+            assert (a.base, a.values.size, a.values.tobytes()) == (b.base, b.values.size, b.values.tobytes())
+        assert_ledgers_follow_events(params, run)
