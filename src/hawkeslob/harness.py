@@ -172,32 +172,20 @@ def _monotone_within(errors: Sequence[float], ses: Sequence[float], slack: float
     return True
 
 
-def _run_level(
-    family: ScalingFamily, level: int, replicates: int, horizon: float,
-    test_fns, seed: int,
-) -> LevelStats:
+def _run_level(family: ScalingFamily, level: int, horizon: float, test_fns, rngs: list) -> LevelStats:
+    """The statistics of one level, its replicates run on the streams ``rngs``."""
     params = family.micro_params(level)
-    pa = np.empty(replicates)
-    loads = np.empty(replicates)
-    supd = np.empty(replicates)
-    n_events = 0
-    runs = simulate_books(params, horizon, [stream_rng(seed, r, "micro") for r in range(replicates)])
+    runs = simulate_books(params, horizon, rngs)
     ledgers = [run.final_state.ask_vol for run in runs]
-    inner = {f.name: ledger_inners(ledgers, f.fn) for f in test_fns}
-    for r, run in enumerate(runs):
-        pa[r] = run.final_state.p_a
-        loads[r] = run.diagnostics.load_terminal
-        supd[r] = run.diagnostics.sup_d11()
-        n_events += run.accepted
     return LevelStats(
         level=level,
         delta_x=params.delta_x,
         delta_v=params.delta_v,
-        n_events_mean=n_events / replicates,
-        p_a_terminal=pa,
-        v_inner=inner,
-        load_terminal=loads,
-        sup_d11=supd,
+        n_events_mean=sum(run.accepted for run in runs) / len(runs),
+        p_a_terminal=np.array([run.final_state.p_a for run in runs]),
+        v_inner={f.name: ledger_inners(ledgers, f.fn) for f in test_fns},
+        load_terminal=np.array([run.diagnostics.load_terminal for run in runs]),
+        sup_d11=np.array([run.diagnostics.sup_d11() for run in runs]),
     )
 
 
@@ -214,7 +202,10 @@ def run_convergence(
     and variance, the transport distance between the terminal price
     samples, and the volume functionals; the report passes when every error
     sequence is nonincreasing across levels up to the standard-error slack.
-    The experiment runs in one process; ``n_workers`` accepts only 1.
+    Every level runs replicate r on the micro stream r of ``seed``: the
+    streams are derived once, and each level starts them from their initial
+    states.  The experiment runs in one process; ``n_workers`` accepts only
+    1.
     """
     t_start = time.perf_counter()
     if n_workers != 1:
@@ -233,10 +224,13 @@ def run_convergence(
     lim_pa = limit_run.p_a[-1]
     lim_inner = {f.name: limit_run.v_inner(f.fn, "a") for f in plan.test_fns}
 
-    levels = [
-        _run_level(family, k, plan.replicates, plan.horizon, plan.test_fns, seed)
-        for k in plan.levels
-    ]
+    rngs = [stream_rng(seed, r, "micro") for r in range(plan.replicates)]
+    initial = [rng.bit_generator.state for rng in rngs]
+    levels = []
+    for k in plan.levels:
+        for rng, state in zip(rngs, initial):
+            rng.bit_generator.state = state
+        levels.append(_run_level(family, k, plan.horizon, plan.test_fns, rngs))
     manifest.register("micro", plan.replicates)
 
     boot_rng = stream_rng(seed, 0, "harness")

@@ -29,6 +29,8 @@ are built after the run from its passive event records (``_fold_ledgers``).
 of a level in lockstep, one column per stream, and returns for each stream
 the run ``simulate_book`` returns, bit for bit; it pays off from a few
 streams on, while a single stream runs faster through ``simulate_book``.
+Its passes draw only the marks they read; the others come from the
+recorded candidate rows after the run.
 """
 
 from __future__ import annotations
@@ -1040,16 +1042,18 @@ class _Lockstep:
     ``simulate_book`` does.  A varying exogenous density is evaluated once
     for every column.  What has no bit-identical vectorised form stays per
     replicate: the stream draws (one call per stream and block), the
-    ``math.exp`` decay factors, in-profile weights and the histories of
-    scanned kernels (one ``KernelSums`` per replicate, used for its
-    ``scan``).  The per-replicate objects, ``rngs`` and ``sums``, are lists
-    over the whole level, indexed through ``ids``.  ``retire`` writes the
-    final ticks and counters of finished columns into level arrays
-    (``final``) and drops the columns.
+    ``math.exp`` decay factors, the term picks of passive types with more
+    than one term, in-profile weights and the histories of scanned kernels
+    (one ``KernelSums`` per replicate, used for its ``scan``).  The pass
+    draws the distance of a passive event only where it reads it
+    (``marked``), and no size mark.  The per-replicate objects, ``rngs``
+    and ``sums``, are lists over the whole level, indexed through ``ids``.
+    ``retire`` writes the final ticks and counters of finished columns into
+    level arrays (``final``) and drops the columns.
     """
 
     #: per-column arrays, column axis last
-    _ARRAYS = ("ids", "t", "ask", "bid", "factors", "g", "b", "load",
+    _ARRAYS = ("ids", "t", "ask", "bid", "factors", "g", "b",
                "candidates", "accepted", "total", "block")
     #: the columns ``retire`` keeps per replicate, the rows of ``final``
     _FINAL = ("ask", "bid", "candidates", "accepted")
@@ -1065,7 +1069,6 @@ class _Lockstep:
         self.bid = np.full(n, book.state0.bid_tick, dtype=np.int64)
         self.factors = self.state_factors()
         self.g, self.b = np.zeros((n_s, n)), np.zeros((n_s, n))
-        self.load = np.ones(n)
         self.candidates = np.zeros(n, dtype=np.int64)
         self.accepted = np.zeros(n, dtype=np.int64)
         self.total = np.zeros(n)
@@ -1083,6 +1086,13 @@ class _Lockstep:
                     stateful = []
                 if stateful or hists:
                     self.slow[source].append((in_prof, stateful, hists))
+        #: per label: whether the pass draws its distance, for the term
+        #: masses of a passive type with more than one term or for an
+        #: in-profile weight
+        self.marked = np.array([label >= 4 and (
+            len(book.passive_rows[label - 4].samplers) > 1
+            or any(in_prof is not None for in_prof, _s, _h in self.slow[label]))
+            for label in range(8)])
 
     def retire(self, done: np.ndarray) -> None:
         """Write the ``_FINAL`` columns where ``done`` holds into ``final``
@@ -1132,25 +1142,14 @@ class _Lockstep:
         exo = lambda d, bound: d.bounds(*ticks) if bound else d.rates(self.t, *ticks)
         return _book_rates(self.book, self.units(bound), self.factors, exo, bound, self.ids.size)
 
-    def passive(self, cols: np.ndarray, types: np.ndarray, terms: list, rows: np.ndarray):
-        """The distances and sizes of passive events of
-        ``PASSIVE_TYPES[types]`` at columns ``cols``, from their candidate
-        ``rows`` (one column each), as ``_passive_marks`` draws them."""
-        book, p = self.book, self.book.p
-        xs, zs = np.empty(cols.size), np.empty(cols.size)
-        for j in np.flatnonzero(np.bincount(types, minlength=4)).tolist():
-            sel = np.flatnonzero(types == j)
-            samplers = book.passive_rows[j].samplers
-            if len(samplers) == 1:
-                xs[sel] = samplers[0].samples(rows[_CELL, sel], rows[_OFFSET, sel])
-            else:
-                idx = np.array([_term_pick([m[c] for m in terms[j]], pick)
-                                for pick, c in zip(rows[_TERM, sel].tolist(), cols[sel].tolist())])
-                for s in set(idx.tolist()):
-                    at = sel[idx == s]
-                    xs[at] = samplers[s].samples(rows[_CELL, at], rows[_OFFSET, at])
-            zs[sel] = p.sizes[PASSIVE_TYPES[j]].samples(rows[_SIZE, sel])
-        return xs, zs
+    def distances(self, cols: np.ndarray, types: np.ndarray, terms: list, rows: np.ndarray):
+        """The distances of passive events of ``PASSIVE_TYPES[types]`` at
+        columns ``cols`` from their candidate ``rows`` (one column each),
+        each type's term picked by its masses ``terms`` at this pass, as
+        ``_passive_marks`` draws them."""
+        picks = np.array([_term_pick([m[c] for m in terms[j]], pick) for j, c, pick in zip(
+            types.tolist(), cols.tolist(), rows[_TERM].tolist())], dtype=np.int64)
+        return _distances(self.book, types, picks, rows[_CELL], rows[_OFFSET])
 
     def fire(self, fired: np.ndarray, labels: np.ndarray, xs: np.ndarray) -> None:
         """Feed the events of columns ``fired`` into the kernel sums, as
@@ -1158,6 +1157,8 @@ class _Lockstep:
         lab = np.full(self.ids.size, 8)
         lab[fired] = labels
         self.g += self.unit[lab].T
+        if not any(self.slow):
+            return
         for c, r, label, x in zip(fired.tolist(), self.ids[fired].tolist(), labels.tolist(),
                                   xs.tolist()):
             for in_prof, stateful, hists in self.slow[label]:
@@ -1188,12 +1189,16 @@ def simulate_books(
     faster through ``simulate_book``.
 
     Set-up, the exponential inversion of each block, varying exogenous
-    densities, retiring finished replicates, the checkpoint record search,
-    the assembly of the event arrays and the volume ledgers, built from the
-    passive event records after the run (``_fold_ledgers``), run once per
-    level or per pass.  Per replicate remain: building its generator and run
-    objects, one ``random`` call per block, the ``math.exp`` decay factors,
-    in-profile weights and scanned-kernel histories (``_Lockstep``).
+    densities, retiring finished replicates, the checkpoint record search
+    and the assembly of the event arrays run once per level or per pass.
+    So does what is built from the event records after the run: the volume
+    ledgers (``_fold_ledgers``), every size mark and each distance mark the
+    pass does not read (one sampler call per passive type and term,
+    ``_distances``), and the loads.  Per replicate remain: building its
+    generator and run objects, one ``random`` call per block, the
+    ``math.exp`` decay factors, the term picks of passive types with more
+    than one term, in-profile weights, scanned-kernel histories
+    (``_Lockstep``) and the running sum of its load.
 
     The state factors must be ``SpreadLinearFactor`` or
     ``GatedConstantFactor``, which have a vectorised form; any other raises
@@ -1210,7 +1215,7 @@ def simulate_books(
                 f"simulate_books needs SpreadLinearFactor or GatedConstantFactor state "
                 f"factors; {at} has {type(f).__name__} (simulate_book takes any)"
             )
-    dx, dv, dx2 = p.delta_x, p.delta_v, book.dx2
+    dx = p.delta_x
     n = len(rngs)
     if not n:
         return []
@@ -1219,14 +1224,15 @@ def simulate_books(
     act, pas, _terms, mu = run.rates(False)
     run.total = _rate_total(act, pas)
     # event records, one list per field with one array per pass: replicate,
-    # time, label, distance, size, ticks, load, beta and the kernel sums
-    # after the event (``_checkpoint_diagnostics``); the first pass holds
-    # the initial state of every replicate
+    # time, label, the distance where the pass drew it (``marked``) and the
+    # tick-cell uniform elsewhere, the offset and size columns of the
+    # candidate row, ticks, beta and the kernel sums after the event
+    # (``_checkpoint_diagnostics``); the first pass holds the initial state
+    # of every replicate
     nan = np.full(n, math.nan)
     records: list = [[f] for f in (
-        run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, run.ask.copy(),
-        run.bid.copy(), run.load.copy(), dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]),
-        run.kept_sums(run.ids))]
+        run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, nan, run.ask.copy(),
+        run.bid.copy(), dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]), run.kept_sums(run.ids))]
 
     passes = 0
     while run.ids.size:
@@ -1264,11 +1270,10 @@ def simulate_books(
         u = row[_LABEL, fired] * total[fired]
         hit = u <= np.cumsum(np.array(act + pas)[:, fired], axis=0)
         labels = np.where(hit.any(axis=0), hit.argmax(axis=0), 7)
-        active = labels < 4
-        xs, zs = np.full(fired.size, math.nan), np.full(fired.size, math.nan)
-        if not active.all():
-            q = np.flatnonzero(~active)
-            xs[q], zs[q] = run.passive(fired[q], labels[q] - 4, terms, row[:, fired[q]])
+        xs = row[_CELL, fired]
+        q = np.flatnonzero(run.marked[labels])
+        if q.size:
+            xs[q] = run.distances(fired[q], labels[q] - 4, terms, row[:, fired[q]])
 
         moves = _LABEL_MOVES[labels]
         ask, bid = run.ask[fired] + moves[:, 0], run.bid[fired] + moves[:, 1]
@@ -1282,15 +1287,14 @@ def simulate_books(
                 raise NonCrossingError(f"replicate {run.ids[c]}: {exc}") from None
         run.ask[fired], run.bid[fired] = ask, bid
         run.fire(fired, labels, xs)
-        run.load[fired] += np.where(active, dx2, dv)
         run.accepted[fired] += 1
-        if active.any():
+        if labels.min() < 4:
             run.factors = run.state_factors()
         act, pas, _terms, mu = run.rates(False)
         run.total = _rate_total(act, pas)
         for rec, f in zip(records, (
-                run.ids[fired], t_next[fired], labels, xs, zs, ask, bid, run.load[fired],
-                dx * (mu[0][fired] - mu[1][fired]), dx * (mu[2][fired] - mu[3][fired]),
+                run.ids[fired], t_next[fired], labels, xs, row[_OFFSET, fired], row[_SIZE, fired],
+                ask, bid, dx * (mu[0][fired] - mu[1][fired]), dx * (mu[2][fired] - mu[3][fired]),
                 run.kept_sums(fired))):
             rec.append(f)
 
@@ -1304,11 +1308,25 @@ def simulate_books(
     for rec in records[1:]:
         fields.append(np.concatenate(rec, axis=-1)[..., order])
         rec.clear()
-    times, labels, xs, zs, asks, bids, loads, beta_a, beta_b, after = fields
+    times, labels, xs, offsets, zs, asks, bids, beta_a, beta_b, after = fields
     beta = np.stack([beta_a, beta_b], axis=1)
     sizes = np.bincount(ids, minlength=n)
     ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
+    # the marks the pass did not draw, from the recorded rows: the distances
+    # of single-term types, then every size, one call per type
+    active = labels < 4
+    unmarked = np.flatnonzero(~(active | run.marked[labels]))
+    types = labels[unmarked] - 4
+    xs[unmarked] = _distances(book, types, np.zeros_like(types), xs[unmarked], offsets[unmarked])
+    for j, pt in enumerate(PASSIVE_TYPES):
+        at = np.flatnonzero(labels == 4 + j)
+        zs[at] = p.sizes[pt].samples(zs[at])
+    xs[active] = zs[active] = math.nan
+    # the load: 1 at the start of a run, then dx^2 per active and delta_v
+    # per passive event, summed in event order
+    loads = np.where(active, book.dx2, p.delta_v)
+    loads[starts] = 1.0
     events = [EventStream(times[s + 1:e], labels[s + 1:e], xs[s + 1:e], zs[s + 1:e], horizon,
                           EVENT_LABELS) for s, e in zip(starts, ends)]
     ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
@@ -1319,7 +1337,7 @@ def simulate_books(
     runs = []
     for r, (start, end) in enumerate(zip(starts, ends)):
         diag = MicroDiagnostics(
-            event_times=times[start:end], load=loads[start:end], beta=beta[start:end],
+            event_times=times[start:end], load=np.cumsum(loads[start:end]), beta=beta[start:end],
             checkpoint_times=cps.copy(), d11=d11[r], d22=d22[r], active_scalars=act[r],
         )
         runs.append(MicroRun(
@@ -1357,6 +1375,21 @@ def _passive_marks(book: _CompiledBook, j: int, masses: list, row: list) -> tupl
     idx = _term_pick(masses, row[_TERM])
     distance = book.passive_rows[j].samplers[idx].sample(row[_CELL], row[_OFFSET])
     return distance, book.p.sizes[PASSIVE_TYPES[j]].sample(row[_SIZE])
+
+
+def _distances(book: _CompiledBook, types: np.ndarray, picks: np.ndarray, cells: np.ndarray,
+               offsets: np.ndarray) -> np.ndarray:
+    """Distance marks of passive events of ``PASSIVE_TYPES[types]``, each
+    from the profile of term ``picks`` of its type at its tick-cell and
+    offset uniforms, elementwise as ``_passive_marks``: one sampler call
+    per (type, term)."""
+    xs = np.empty(types.size)
+    for j in np.flatnonzero(np.bincount(types, minlength=4)).tolist():
+        samplers = book.passive_rows[j].samplers
+        for s in np.unique(picks[types == j]).tolist():
+            at = np.flatnonzero((types == j) & (picks == s))
+            xs[at] = samplers[s].samples(cells[at], offsets[at])
+    return xs
 
 
 def active_intensity(params: MicroParams, history: EventStream, t: float, active_type: str) -> float:

@@ -1,9 +1,13 @@
 """Digests of one ``run_convergence`` experiment, for bit-identity checks.
 
 Prints the sha256 of the convergence report (without ``runtime_s``), of the
-seed manifest, of every ``LevelStats`` array and of the limit ``p_a``,
-``p_b`` and ``mu``, one per line.  Two trees that print the same lines ran
-the same experiment bit for bit.
+seed manifest, of every ``LevelStats`` array, of each level's
+``simulate_books`` runs and of the limit ``p_a``, ``p_b`` and ``mu``, one per
+line.  The runs of a level give four digests, each over its runs in order:
+the event times, labels, distances and sizes (``events``); the best ticks,
+load and beta (``paths``); d11, d22 and the active scalars
+(``checkpoints``); and both final ledgers (``ledgers``).  Two trees that
+print the same lines ran the same experiment bit for bit.
 
     PYTHONPATH=src python tests/identity_digest.py --seed 101 --plan bench
     PYTHONPATH=src python tests/identity_digest.py --seed 9137 --plan criterion10
@@ -52,10 +56,44 @@ def _criterion10_plan():
     return plan, make_family(), None
 
 
-def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
-    from hawkeslob.harness import run_convergence
+def _array_bytes(a) -> bytes:
+    a = np.ascontiguousarray(a)
+    return str(a.dtype).encode() + repr(a.shape).encode() + a.tobytes()
 
-    report, levels, limit_run = run_convergence(plan, family, seed, limit_params=limit_params)
+
+def _run_fields(run) -> dict:
+    """The arrays of one ``MicroRun`` behind each run digest."""
+    ev, diag, state = run.events, run.diagnostics, run.final_state
+    return {
+        "events": [ev.times, ev.labels, ev.xs, ev.zs],
+        "paths": [run.ask_ticks, run.bid_ticks, diag.load, diag.beta],
+        "checkpoints": [diag.d11, diag.d22, diag.active_scalars],
+        "ledgers": [np.array([state.ask_vol.base]), state.ask_vol.values,
+                    np.array([state.bid_vol.base]), state.bid_vol.values],
+    }
+
+
+def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
+    from hawkeslob import harness
+
+    lockstep, run_hashes = harness.simulate_books, []
+
+    def hashed(params, horizon, rngs):
+        runs = lockstep(params, horizon, rngs)
+        hashes = {name: hashlib.sha256() for name in _run_fields(runs[0])}
+        for run in runs:
+            for name, arrays in _run_fields(run).items():
+                for a in arrays:
+                    hashes[name].update(_array_bytes(a))
+        run_hashes.append({name: h.hexdigest() for name, h in hashes.items()})
+        return runs
+
+    harness.simulate_books = hashed
+    try:
+        report, levels, limit_run = harness.run_convergence(plan, family, seed,
+                                                            limit_params=limit_params)
+    finally:
+        harness.simulate_books = lockstep
 
     def sha(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
@@ -71,6 +109,7 @@ def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
             out.append((f"L{lv.level}.{name}", sha(str(a.dtype).encode() + a.tobytes())))
         out.append((f"L{lv.level}.scalars",
                     sha(repr((lv.delta_x, lv.delta_v, lv.n_events_mean)).encode())))
+        out.extend((f"L{lv.level}.runs.{name}", h) for name, h in run_hashes.pop(0).items())
     for name in ("p_a", "p_b", "mu"):
         a = np.ascontiguousarray(getattr(limit_run, name))
         out.append((f"limit.{name}", sha(str(a.dtype).encode() + a.tobytes())))

@@ -6,6 +6,7 @@ from scipy import stats as sps
 
 from hawkeslob import harness
 from hawkeslob import limit as L
+from hawkeslob import micro
 from hawkeslob.families import GaussianProfile
 from hawkeslob.harness import (
     ExperimentPlan,
@@ -236,10 +237,10 @@ class TestConvergenceHarness:
             return out
 
         monkeypatch.setattr(harness, "simulate_books", recorded)
-        got = harness._run_level(fam, level, 60, 0.05, fns, seed=66)
+        got = harness._run_level(fam, level, 0.05, fns, [stream_rng(66, r, "micro") for r in range(60)])
         monkeypatch.setattr(harness, "simulate_books", lambda params, horizon, rngs: [
             simulate_book(params, horizon, rng) for rng in rngs])
-        ref = harness._run_level(fam, level, 60, 0.05, fns, seed=66)
+        ref = harness._run_level(fam, level, 0.05, fns, [stream_rng(66, r, "micro") for r in range(60)])
 
         assert len(runs) == 60 and sum(run.accepted for run in runs) > 60
         for run in runs:
@@ -259,6 +260,30 @@ class TestConvergenceHarness:
             mids = (np.arange(led.base, led.base + led.values.size) + 0.5) * led.delta_x
             per_ledger.append(float(np.sum(led.values * np.asarray(f(mids))) * led.delta_x))
         assert got.v_inner["g"].tolist() == per_ledger
+
+    def test_each_level_starts_its_streams_afresh(self, monkeypatch):
+        # the micro streams are derived once per experiment; a level whose
+        # replicates each drew more than one block of candidate rows leaves
+        # the next level to read them from their start again
+        fam = make_family()
+        lockstep, levels = harness.simulate_books, []
+
+        def recorded(params, horizon, rngs):
+            out = lockstep(params, horizon, rngs)
+            levels.append((params, out))
+            return out
+
+        monkeypatch.setattr(harness, "simulate_books", recorded)
+        plan = ExperimentPlan(levels=(0, 1, 2), replicates=100, horizon=0.8, limit_paths=100,
+                              limit_dt=1e-2, n_boot=2)
+        run_convergence(plan, fam, seed=69)
+        assert min(run.candidates for run in levels[1][1]) > micro.BLOCK_ROWS
+        for params, runs in levels:
+            fresh = lockstep(params, plan.horizon, [stream_rng(69, r, "micro") for r in range(100)])
+            for run, ref in zip(runs, fresh):
+                for name in ("times", "labels", "xs", "zs"):
+                    assert getattr(run.events, name).tobytes() == getattr(ref.events, name).tobytes()
+                assert run.candidates == ref.candidates
 
     @pytest.mark.parametrize("n_workers", [0, 2])
     def test_one_process_only_raises_before_the_limit_solve(self, monkeypatch, n_workers):

@@ -927,6 +927,12 @@ def _lockstep_shapes():
         ).micro_params(2),
         "wave": lambda: wave_params(make_family(), 2),
         "every_kind_wave": lambda: wave_params(every_kind_family(), 2),
+        # a passive type of two terms (a_lo), a source whose distance an
+        # in-profile weighs (b_cx) and two types whose marks the pass skips
+        "mixed_marks": lambda: make_family(
+            pas_from_act={("a_lo", "a_mo"): (g, ExponentialProfile(0.3, 1.0))},
+            act_from_pas={("b", "b_cx"): (g2, ExponentialProfile(0.3, 1.0))},
+        ).micro_params(2),
     }
 
 
@@ -1100,6 +1106,33 @@ class TestDrawLayout:
         assert run.events.xs[passive].tolist() == sampler.samples(
             rows[passive, 4], rows[passive, 5]).tolist()
         assert run.events.zs[passive].tolist() == (-np.log1p(-rows[passive, 6]) / 6.0).tolist()
+
+
+@pytest.mark.parametrize("shape, marked", [("exponential", []), ("mixed_marks", ["a_lo", "b_cx"])])
+def test_marks_are_drawn_after_the_run(monkeypatch, shape, marked):
+    # the pass draws the distances it reads, of a passive type with more
+    # than one term or of a source an in-profile weighs; every other mark
+    # is drawn after the run, one sampler call per (type, term) and level
+    params = _lockstep_shapes()[shape]()
+    calls = []
+    for cls in (families.TickSampler, SizeMeasure):
+        def counted(self, *args, _samples=cls.samples):
+            calls.append(self)
+            return _samples(self, *args)
+
+        monkeypatch.setattr(cls, "samples", counted)
+    runs = micro.simulate_books(params, 0.3, [stream_rng(69, r, "micro") for r in range(17)])
+    drawn = calls[:]
+    book = params._compiled
+    assert [PASSIVE_TYPES[k - 4] for k in np.flatnonzero(micro._Lockstep(book, []).marked)] == marked
+    assert sum(int(np.sum(run.events.labels >= 4)) for run in runs) > 100
+    after_run = [*params.sizes.values(), *(s for pt, row in zip(PASSIVE_TYPES, book.passive_rows)
+                                           if pt not in marked for s in row.samplers)]
+    assert all(drawn.count(obj) <= 1 for obj in after_run)
+    if not marked:
+        assert len(drawn) <= len(after_run)
+    for r, run in enumerate(runs):
+        assert_runs_identical(run, simulate_book(params, 0.3, stream_rng(69, r, "micro")))
 
 
 def widening_poisson_params():
