@@ -49,12 +49,16 @@ def wasserstein1(samples_a, samples_b) -> float:
 def _w1_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """W1 between matching rows of two stacks of samples.
 
-    Each row is summed on its own: a stacked ``axis=1`` sum adds in another
-    order than a one-row ``np.sum`` for some sample sizes.
+    The rows are gathered and reduced as C-ordered stacks: an ``axis=1``
+    reduction then runs along each contiguous row in the same pairwise
+    order as a one-row ``np.sum``, so every row equals its own sum bit for
+    bit.  ``a[:, ia]`` would give a column-major stack, whose ``axis=1``
+    sum adds in another order.  The weighted gaps are formed in place in
+    the first gathered stack, which keeps the transient memory down.
     """
     a, b = np.sort(a, axis=1), np.sort(b, axis=1)
     if a.shape[1] == b.shape[1]:
-        return np.array([row.mean() for row in np.abs(a - b)])
+        return np.abs(a - b).mean(axis=1)
     # integrate |F_a^{-1} - F_b^{-1}| over the merged quantile partition,
     # which depends on the two sample sizes only
     na, nb = a.shape[1], b.shape[1]
@@ -64,29 +68,60 @@ def _w1_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     widths = np.diff(qs)
     ia = np.minimum((mids * na).astype(int), na - 1)
     ib = np.minimum((mids * nb).astype(int), nb - 1)
-    return np.array([row.sum() for row in widths * np.abs(a[:, ia] - b[:, ib])])
+    gap = np.take(a, ia, axis=1)
+    gap -= np.take(b, ib, axis=1)
+    np.abs(gap, out=gap)
+    gap *= widths
+    return gap.sum(axis=1)
 
 
 def _var_gap_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a.var(axis=1, ddof=1) - b.var(axis=1, ddof=1))
 
 
+def _draw_indices(rng, highs: np.ndarray, rows: int) -> np.ndarray:
+    """``rng.integers(0, highs)`` with the int64 bound row ``highs``
+    broadcast to ``(rows, highs.size)``, as whole-array operations: the
+    same indices and the same generator state after them (``_bootstrap_se``
+    gives the argument)."""
+    if highs.min() > 1 and highs.max() <= 2**32:
+        state = rng.bit_generator.state
+        n = highs.astype(np.uint64)
+        m = rng.integers(0, 2**32, size=(rows, highs.size), dtype=np.uint64)
+        m *= n
+        if not np.any(m.astype(np.uint32) < (2**32 - n) % n):  # the cast keeps the low halves
+            m >>= 32
+            return m.view(np.int64)
+        rng.bit_generator.state = state
+    return rng.integers(0, np.broadcast_to(highs, (rows, highs.size)))
+
+
 def _bootstrap_se(stat_rows: Callable, samples_a, samples_b, n_boot: int, rng) -> float:
     """Bootstrap standard error of a two-sample statistic.
 
-    All resample indices come from one ``rng.integers`` call whose bounds
-    broadcast the row ``[a.size] * a.size + [b.size] * b.size`` to
-    ``(n_boot, a.size + b.size)``; the first ``a.size`` columns index ``a``,
-    the rest ``b``.  numpy draws a broadcast bound element by element in row
-    order, with the same 32-bit bounded step as a scalar-bound fill, so the
-    indices, and the generator state after them, equal two ``integers``
-    calls per resample, ``a`` then ``b``.  ``stat_rows`` evaluates the
-    statistic on every pair of resampled rows at once.
+    All resample indices come from one draw whose bounds broadcast the row
+    ``[a.size] * a.size + [b.size] * b.size`` to ``(n_boot, a.size +
+    b.size)``; the first ``a.size`` columns index ``a``, the rest ``b``.
+    numpy draws a broadcast bound element by element in row order, with the
+    same 32-bit bounded step as a scalar-bound fill, so the indices, and the
+    generator state after them, equal two ``integers`` calls per resample,
+    ``a`` then ``b``.  That step is Lemire's multiply-shift (Lemire 2019,
+    "Fast Random Integer Generation in an Interval"): a bound ``n`` from 2
+    to ``2**32`` turns a 32-bit word ``x`` into ``(x * n) >> 32``, unless
+    the low half of ``x * n`` falls below ``(2**32 - n) % n``, when the word
+    is rejected and another drawn; a bound of 1 takes no word.
+    ``_draw_indices`` takes the words from one scalar-bound fill,
+    ``integers(0, 2**32, dtype=uint64)``, which draws one per element from
+    the same buffered 32-bit stream, and multiplies and shifts the whole
+    array.  Where a word would be rejected or a bound is 1 the words no
+    longer line up, so it puts the generator back and makes the broadcast
+    call.  ``stat_rows`` evaluates the statistic on every pair of resampled
+    rows at once.
     """
     a = np.asarray(samples_a)
     b = np.asarray(samples_b)
     highs = np.repeat(np.array([a.size, b.size], dtype=np.int64), [a.size, b.size])
-    idx = rng.integers(0, np.broadcast_to(highs, (n_boot, highs.size)))
+    idx = _draw_indices(rng, highs, n_boot)
     return float(stat_rows(a[idx[:, :a.size]], b[idx[:, a.size:]]).std(ddof=1))
 
 

@@ -788,9 +788,13 @@ def _book_rates(book: _CompiledBook, u, factors, exo, bound: bool, n: Optional[i
     ``u`` holds the kernel sums of every state and ``factors`` the four
     state factors; ``exo(density, bound)`` evaluates a density that is not
     a level constant.  The values are floats of one run, or, with ``n``
-    given, columns of ``n`` replicates, in the same float operations.  The
-    terms of a passive type are added left to right (builtin ``sum`` of
-    floats is compensated from Python 3.12 on).
+    given, columns of ``n`` replicates, in the same float operations.  A
+    level constant stays a float where columns are added to it, and a
+    passive type's exogenous term always does: a float broadcasts to the
+    same sums.  So a passive rate or term of columns may be a float; mu
+    and the active rates are always columns.  The terms of a passive type
+    are added left to right (builtin ``sum`` of floats is compensated from
+    Python 3.12 on).
     """
     dx2, pref, dv = book.dx2, book.pas_pref, book.p.delta_v
     rows = []
@@ -798,7 +802,7 @@ def _book_rates(book: _CompiledBook, u, factors, exo, bound: bool, n: Optional[i
         if term is None:
             val = exo(density, bound) / dx2
         else:
-            val = term if n is None else np.full(n, term)
+            val = term if n is None or from_act or from_pas else np.full(n, term)
         for i, amp in from_act:
             val = val + amp * u[i]
         for i, amp in from_pas:
@@ -812,7 +816,7 @@ def _book_rates(book: _CompiledBook, u, factors, exo, bound: bool, n: Optional[i
         if row.term is None:
             m = [exo(row.exo, bound) * row.mass / dv]
         else:
-            m = [row.term if n is None else np.full(n, row.term)]
+            m = [row.term]
         for i, amp, k_mass, _k in row.entries:
             m.append(k_mass * (amp * u[i]))
         terms.append(m)
@@ -1033,9 +1037,10 @@ _LABEL_MOVES = np.array([_PRICE_MOVES[at] for at in ACTIVE_TYPES] + [(0, 0)] * 5
 class _Lockstep:
     """Replicates of one ``simulate_books`` call over a compiled book, one
     column each: book ticks, state factors, running kernel sums (``g`` and
-    ``b`` of ``KernelSums``, one row per state), counters and the current
-    block of candidate rows (``BLOCK_ROWS`` by ``_ROW_WIDTH``).  ``ids``
-    names each live column's replicate.
+    ``b`` of ``KernelSums``, one row per state) and counters.  ``ids``
+    names each live column's replicate, and ``col`` its column in the
+    current block of candidate rows (``BLOCK_ROWS`` by ``_ROW_WIDTH`` by
+    the columns live when it was drawn).
 
     Every column update repeats, element for element, the float operations
     of ``_Engine`` and ``KernelSums``, so each column follows its stream as
@@ -1049,12 +1054,14 @@ class _Lockstep:
     (``marked``), and no size mark.  The per-replicate objects, ``rngs``
     and ``sums``, are lists over the whole level, indexed through ``ids``.
     ``retire`` writes the final ticks and counters of finished columns into
-    level arrays (``final``) and drops the columns.
+    level arrays (``final``) and drops the columns, but keeps the block at
+    the width it was drawn at: ``col`` selects each pass's row from it.
+    Equal state factors are evaluated once (``factor_of``).
     """
 
     #: per-column arrays, column axis last
     _ARRAYS = ("ids", "t", "ask", "bid", "factors", "g", "b",
-               "candidates", "accepted", "total", "block")
+               "candidates", "accepted", "total", "col")
     #: the columns ``retire`` keeps per replicate, the rows of ``final``
     _FINAL = ("ask", "bid", "candidates", "accepted")
 
@@ -1067,12 +1074,16 @@ class _Lockstep:
         self.t = np.zeros(n)
         self.ask = np.full(n, book.state0.ask_tick, dtype=np.int64)
         self.bid = np.full(n, book.state0.bid_tick, dtype=np.int64)
+        # per active type: the first type whose factor has its type and fields
+        keys = [(type(f), tuple(vars(f).items())) for f in book.factors]
+        self.factor_of = [keys.index(k) for k in keys]
         self.factors = self.state_factors()
         self.g, self.b = np.zeros((n_s, n)), np.zeros((n_s, n))
         self.candidates = np.zeros(n, dtype=np.int64)
         self.accepted = np.zeros(n, dtype=np.int64)
         self.total = np.zeros(n)
         self.block = np.empty((0, _ROW_WIDTH, n))
+        self.col = np.arange(n)
         self.final = np.empty((len(self._FINAL), n), dtype=np.int64)
         # per source label: the unit increments of the states it feeds
         # without a weight (row 8: no event), and the entries that need
@@ -1103,8 +1114,9 @@ class _Lockstep:
             setattr(self, name, getattr(self, name)[..., keep])
 
     def state_factors(self) -> np.ndarray:
-        spread = self.ask - self.bid
-        return np.array([f.spreads(spread, self.book.p.delta_x) for f in self.book.factors])
+        spread, factors = self.ask - self.bid, self.book.factors
+        vals = {k: factors[k].spreads(spread, self.book.p.delta_x) for k in set(self.factor_of)}
+        return np.array([vals[k] for k in self.factor_of])
 
     def advance(self, t: np.ndarray) -> None:
         """``_Engine.advance`` of every column to its time in ``t``."""
@@ -1134,6 +1146,8 @@ class _Lockstep:
     def kept_sums(self, cols: np.ndarray) -> np.ndarray:
         """The kernel sums a record keeps of columns ``cols``
         (``_checkpoint_diagnostics``)."""
+        if not self.book.gamma_states:
+            return self.g[:, cols]
         return np.concatenate((self.g[:, cols], self.b[np.ix_(self.book.gamma_states, cols)]))
 
     def rates(self, bound: bool):
@@ -1145,10 +1159,12 @@ class _Lockstep:
     def distances(self, cols: np.ndarray, types: np.ndarray, terms: list, rows: np.ndarray):
         """The distances of passive events of ``PASSIVE_TYPES[types]`` at
         columns ``cols`` from their candidate ``rows`` (one column each),
-        each type's term picked by its masses ``terms`` at this pass, as
-        ``_passive_marks`` draws them."""
-        picks = np.array([_term_pick([m[c] for m in terms[j]], pick) for j, c, pick in zip(
-            types.tolist(), cols.tolist(), rows[_TERM].tolist())], dtype=np.int64)
+        each type's term picked by its masses ``terms`` at this pass (a
+        float term is every column's), as ``_passive_marks`` draws them."""
+        picks = np.array([
+            _term_pick([m[c] if isinstance(m, np.ndarray) else m for m in terms[j]], pick)
+            for j, c, pick in zip(types.tolist(), cols.tolist(), rows[_TERM].tolist())
+        ], dtype=np.int64)
         return _distances(self.book, types, picks, rows[_CELL], rows[_OFFSET])
 
     def fire(self, fired: np.ndarray, labels: np.ndarray, xs: np.ndarray) -> None:
@@ -1194,11 +1210,12 @@ def simulate_books(
     So does what is built from the event records after the run: the volume
     ledgers (``_fold_ledgers``), every size mark and each distance mark the
     pass does not read (one sampler call per passive type and term,
-    ``_distances``), and the loads.  Per replicate remain: building its
+    ``_distances``), and the loads (one row-wise running sum over a
+    zero-padded array of runs).  Per replicate remain: building its
     generator and run objects, one ``random`` call per block, the
     ``math.exp`` decay factors, the term picks of passive types with more
-    than one term, in-profile weights, scanned-kernel histories
-    (``_Lockstep``) and the running sum of its load.
+    than one term, in-profile weights and scanned-kernel histories
+    (``_Lockstep``).
 
     The state factors must be ``SpreadLinearFactor`` or
     ``GatedConstantFactor``, which have a vectorised form; any other raises
@@ -1242,7 +1259,8 @@ def simulate_books(
         majorant = run.total if book.bound_is_value else _rate_total(*run.rates(True)[:2])
         if passes % BLOCK_ROWS == 0:
             run.block = _draw_block([run.rngs[i] for i in run.ids.tolist()])
-        row = run.block[passes % BLOCK_ROWS]
+            run.col = np.arange(run.ids.size)
+        row = run.block[passes % BLOCK_ROWS][:, run.col]
         passes += 1
         stop = majorant <= 0.0
         t_next = run.t + row[_WAIT] / np.where(stop, 1.0, majorant)
@@ -1268,7 +1286,10 @@ def simulate_books(
             continue
 
         u = row[_LABEL, fired] * total[fired]
-        hit = u <= np.cumsum(np.array(act + pas)[:, fired], axis=0)
+        stack = np.empty((8, run.ids.size))
+        for k, rate in enumerate(act + pas):
+            stack[k] = rate
+        hit = u <= np.cumsum(stack[:, fired], axis=0)
         labels = np.where(hit.any(axis=0), hit.argmax(axis=0), 7)
         xs = row[_CELL, fired]
         q = np.flatnonzero(run.marked[labels])
@@ -1299,6 +1320,7 @@ def simulate_books(
             rec.append(f)
 
     final_ask, final_bid, candidates, accepted = run.final.tolist()
+    run.block = None  # every column has retired; the rows are not read again
 
     # one array per field, replicate after replicate, each from its initial
     # state; a field's records go as soon as it is assembled
@@ -1323,21 +1345,24 @@ def simulate_books(
         at = np.flatnonzero(labels == 4 + j)
         zs[at] = p.sizes[pt].samples(zs[at])
     xs[active] = zs[active] = math.nan
-    # the load: 1 at the start of a run, then dx^2 per active and delta_v
-    # per passive event, summed in event order
-    loads = np.where(active, book.dx2, p.delta_v)
-    loads[starts] = 1.0
     events = [EventStream(times[s + 1:e], labels[s + 1:e], xs[s + 1:e], zs[s + 1:e], horizon,
                           EVENT_LABELS) for s, e in zip(starts, ends)]
+    run_of = np.repeat(np.arange(n), sizes)
     ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
-                            np.repeat(np.arange(n), sizes), labels, xs, zs, asks, bids)
+                            run_of, labels, xs, zs, asks, bids)
     cps = np.linspace(0.0, horizon, n_checkpoints)
     d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, run.sums, asks, bids)
+    # the load: 1 at the start of a run, then dx^2 per active and delta_v
+    # per passive event, summed in event order, one zero-padded row per run
+    loads = np.zeros((n, sizes.max()))
+    loads[run_of, np.arange(ids.size) - np.repeat(starts, sizes)] = np.where(active, book.dx2, p.delta_v)
+    loads[:, 0] = 1.0
+    loads = np.cumsum(loads, axis=1)
 
     runs = []
     for r, (start, end) in enumerate(zip(starts, ends)):
         diag = MicroDiagnostics(
-            event_times=times[start:end], load=np.cumsum(loads[start:end]), beta=beta[start:end],
+            event_times=times[start:end], load=loads[r, :end - start], beta=beta[start:end],
             checkpoint_times=cps.copy(), d11=d11[r], d22=d22[r], active_scalars=act[r],
         )
         runs.append(MicroRun(

@@ -18,6 +18,7 @@ from hawkeslob.harness import (
     squared_ask_price,
     wasserstein1,
     _bootstrap_se,
+    _draw_indices,
     _var_gap_rows,
     _w1_rows,
 )
@@ -129,6 +130,64 @@ class TestStackedBootstrap:
         rng = stream_rng(9137, 0, "harness")
         assert _bootstrap_se(_w1_rows, [0.3], [0.2], 200, rng) == 0.0
         assert rng.random() == stream_rng(9137, 0, "harness").random()
+
+
+def sample_bounds(na, nb):
+    return np.repeat(np.array([na, nb], dtype=np.int64), [na, nb])
+
+
+def assert_draws_like_integers(highs, rows, got_rng, ref_rng):
+    """``_draw_indices`` gives the indices of ``rng.integers(0, highs)`` on
+    the broadcast bounds, and leaves the generator where it does."""
+    got = _draw_indices(got_rng, highs, rows)
+    ref = ref_rng.integers(0, np.broadcast_to(highs, (rows, highs.size)))
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+    assert repr(got_rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+
+def rejected_words(highs, rows, rng):
+    """How many of the words a multiply-shift draw of ``highs`` would take
+    from ``rng`` numpy rejects."""
+    n = highs.astype(np.uint64)
+    m = rng.integers(0, 2**32, size=(rows, highs.size), dtype=np.uint64) * n
+    return int(np.sum((m & 0xFFFFFFFF) < (2**32 - n) % n))
+
+
+class TestDrawIndices:
+    @pytest.mark.parametrize("na, nb", [(100, 200), (400, 2000), (37, 50), (2, 3)])
+    def test_matches_integers_on_harness_streams(self, na, nb):
+        highs = sample_bounds(na, nb)
+        for seed in range(200):
+            assert_draws_like_integers(highs, 200, stream_rng(seed, 0, "harness"),
+                                       stream_rng(seed, 0, "harness"))
+        if (na, nb) == (400, 2000):
+            # about one seed in ten rejects a word, so both paths ran
+            hit = sum(rejected_words(highs, 200, stream_rng(s, 0, "harness")) > 0 for s in range(200))
+            assert 0 < hit < 200
+
+    @pytest.mark.parametrize("highs", [[1] * 4, [1] + [50] * 50, [50] * 50 + [1]])
+    def test_a_bound_of_one_takes_no_word(self, highs):
+        highs = np.array(highs, dtype=np.int64)
+        assert_draws_like_integers(highs, 200, stream_rng(9137, 0, "harness"),
+                                   stream_rng(9137, 0, "harness"))
+
+    @pytest.mark.parametrize("highs", [sample_bounds(37, 50), np.array([2**32, 3], dtype=np.int64)])
+    def test_odd_word_alignment(self, highs):
+        # one bounded draw takes one 32-bit word and leaves the other half
+        # of the generator's 64-bit output buffered
+        got_rng, ref_rng = stream_rng(101, 0, "harness"), stream_rng(101, 0, "harness")
+        for rng in (got_rng, ref_rng):
+            rng.integers(0, 7, size=1)
+        assert got_rng.bit_generator.state["has_uint32"] == 1
+        assert_draws_like_integers(highs, 200, got_rng, ref_rng)
+
+    def test_rejected_words_fall_back(self):
+        # about half the words are rejected for a bound just above 2**31
+        highs = np.full(30, 2**31 + 1, dtype=np.int64)
+        assert rejected_words(highs, 10, stream_rng(7, 0, "harness")) > 100
+        assert_draws_like_integers(highs, 10, stream_rng(7, 0, "harness"),
+                                   stream_rng(7, 0, "harness"))
 
 
 @pytest.fixture(scope="module")

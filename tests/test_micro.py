@@ -973,6 +973,19 @@ class TestLockstep:
             for run, ref in zip(runs, refs):
                 assert_runs_identical(run, ref)
 
+    def test_blocks_drawn_after_columns_retire(self):
+        # replicates finish before, at and after pass BLOCK_ROWS, so the
+        # second block is drawn for fewer columns than the first, and
+        # columns retire from both blocks
+        params = make_family().micro_params(1)
+        refs = [simulate_book(params, 0.3, stream_rng(70, r, "micro")) for r in range(24)]
+        finished = [ref.candidates for ref in refs]  # a run retires at the pass of that index
+        assert min(finished) < micro.BLOCK_ROWS < max(finished)
+        assert micro.BLOCK_ROWS in finished
+        runs = micro.simulate_books(params, 0.3, [stream_rng(70, r, "micro") for r in range(24)])
+        for run, ref in zip(runs, refs):
+            assert_runs_identical(run, ref)
+
     def test_books_without_events(self):
         params = minimal_params()  # every rate vanishes
         runs = micro.simulate_books(params, 0.5, [stream_rng(64, r, "micro") for r in range(3)])
