@@ -48,9 +48,9 @@ PASSIVE_TYPES = ("a_lo", "a_cx", "b_lo", "b_cx")
 #: share of path-steps whose diffusion radicand may be clamped before a
 #: solve fails with ``NumericalFailureError``
 CLAMP_BUDGET = 1e-3
-#: bytes of one path block of the volume step's work buffers: at 197 volume
-#: columns a block is 256 paths, whose band and buffers stay in a core's L2
-#: cache between passes
+#: bytes of one column block of the volume step's work buffers: at 2000
+#: paths a block is 25 volume nodes, whose band rows and buffers stay in a
+#: core's L2 cache between passes
 VOLUME_BLOCK_BYTES = 256 * 197 * 8
 
 
@@ -297,10 +297,13 @@ class LimitEngine:
     three fixed-point sweeps of the implicit diagonal node), the prices by
     Euler-Maruyama, and the volumes by one fused explicit Euler step
     (``_advance_volumes``) that gathers each distinct profile window once
-    per side and path block.  Each side's rate factor is evaluated once per
-    state and serves the diffusion coefficients of that step and the
-    intensities of the next.  ``V_a`` and ``V_b`` are ``(R, volume nodes)``
-    arrays, updated in place over the column band the intensities reach.
+    per side and column block.  Each side's rate factor is evaluated once
+    per state and serves the diffusion coefficients of that step and the
+    intensities of the next.  ``V_a`` and ``V_b`` are node-major ``(volume
+    nodes, R)`` arrays, updated in place over the band of nodes the
+    intensities reach; ``V_b`` is stored mirrored (its row ``j`` is node
+    ``n_cols - 1 - j``), so both sides read the same profile windows with
+    the same band formula.  ``finish`` returns ``(R, volume nodes)`` views.
     """
 
     def __init__(
@@ -313,6 +316,11 @@ class LimitEngine:
         lam_checkpoint_times: Sequence[float] = (),
     ):
         self.p = params
+        for name, value in (("horizon", horizon), ("dt", dt)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if init.p_a.size == 0:
+            raise ValueError("the ensemble needs at least one path (n_paths >= 1)")
         self.n_steps = int(round(horizon / dt))
         if abs(self.n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
             raise ValueError("horizon must be a multiple of dt")
@@ -413,60 +421,61 @@ class LimitEngine:
         self.P_b = np.zeros((M + 1, R))
         self.P_a[0] = init.p_a
         self.P_b[0] = init.p_b
-        self.V_a = np.array(init.v_a, dtype=float)
-        self.V_b = np.array(init.v_b, dtype=float)
+        # node-major, the bid side mirrored; make_initial_state builds its
+        # volumes as transposes, so these are plain row copies
+        self.V_a = np.array(init.v_a.T, dtype=float, order="C")
+        self.V_b = np.array(init.v_b.T[::-1], dtype=float, order="C")
 
         self.v_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
         self.eta_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
-        # quadrature-weighted test-function values, one dot per tracked functional
-        self._fw = {f.name: np.asarray(f.fn(self.x_v), dtype=float) * self._wv
-                    for f in self.track}
+        # quadrature-weighted test-function values as one (F, volume nodes)
+        # matrix per side, in that side's node order
+        fw = np.array([np.asarray(f.fn(self.x_v), dtype=float) * self._wv
+                       for f in self.track]).reshape(len(self.track), self.x_v.size)
+        self._fw = {"a": fw, "b": np.ascontiguousarray(fw[:, ::-1])}
         self.lam_checkpoint_times = sorted(lam_checkpoint_times)
         self.lam_checkpoints: list = []
 
         self._build_gather_windows()
-        # the volume update's three work buffers, viewed as (block rows, band
-        # width) per block
-        self._block = max(1, min(self.R, VOLUME_BLOCK_BYTES // (8 * self.x_v.size)))
-        self._work = [np.empty(self._block * self.x_v.size) for _ in range(3)]
+        # the volume update's three work buffers, viewed as (block nodes, R)
+        # per column block
+        self._block_nodes = max(1, min(self.x_v.size, VOLUME_BLOCK_BYTES // (8 * self.R)))
+        self._buffers = [np.empty(self._block_nodes * self.R) for _ in range(3)]
 
         self.m = 0
         self._init_time_zero()
 
     def _build_gather_windows(self) -> None:
-        """Padded sliding windows over every distinct profile vector, and
-        each side's terms grouped by the window they read.
+        """Zero-padded windows over every distinct profile vector, and each
+        side's terms grouped by the window they read.
 
         Segment ``k`` of a vector ``vec`` is interpolated at fraction ``f`` as
         ``base[k] + f * diff[k]``, ``base = vec[:-1]``, ``diff = np.diff(vec)``.
-        Both are padded with ``n_cols + 1`` zeros on each side and viewed as
-        width-``n_cols`` sliding windows: row ``k + pad`` starts at segment
-        ``k``, and the first and last rows, where rows past the padding are
-        clipped to, are zero.  The bid side's windows hold both reversed, so
-        its row ``n - 2 - k + pad`` walks down from segment ``k`` in that
-        side's ``V`` column order.
+        Both sit at offset ``_pad = n_cols`` in arrays of zeros, viewed as
+        sliding windows of width ``n + n_cols``: row ``_pad + k`` starts at
+        segment ``k``, and a row reads zeros wherever it passes either end.
+        ``_volume_band`` bounds the rows and the width a step reads.
 
         ``_side_terms[side]`` lists ``(window, (place rows, cancel rows))``,
         rows of the coefficient stack: the entries' convolution values, then
         the hat factors in ``PASSIVE_TYPES`` order.
         """
-        n_cols = self.x_v.size
-        self._pad = n_cols + 1
-        self._windows: list[dict] = []
+        n, n_cols = self.xg.size, self.x_v.size
+        self._pad = n_cols
+        width = n + n_cols
+        self._windows: list[tuple] = []
         index: dict = {}
 
         def padded(arr: np.ndarray) -> np.ndarray:
-            buf = np.zeros(arr.size + 2 * self._pad)
-            buf[self._pad:-self._pad] = arr
-            return sliding_window_view(buf, n_cols)
+            buf = np.zeros(self._pad + 2 * width)
+            buf[self._pad:self._pad + arr.size] = arr
+            return sliding_window_view(buf, width)
 
         def window_of(vec: np.ndarray) -> int:
             key = vec.tobytes()
             if key not in index:
                 index[key] = len(self._windows)
-                base, diff = vec[:-1], np.diff(vec)
-                self._windows.append({"a": (padded(base), padded(diff)),
-                                      "b": (padded(base[::-1]), padded(diff[::-1]))})
+                self._windows.append((padded(vec[:-1]), padded(np.diff(vec))))
             return index[key]
 
         self._side_terms: dict = {}
@@ -479,7 +488,6 @@ class LimitEngine:
                 for vec, row in terms:
                     groups.setdefault(window_of(vec), ([], []))[i].append(row)
             self._side_terms[side] = list(groups.items())
-        self._last_row = self._windows[0]["a"][0].shape[0] - 1
 
     # -- assembly helpers ---------------------------------------------------
 
@@ -627,46 +635,34 @@ class LimitEngine:
         return drift_a, drift_b, diff_a, diff_b
 
     def _volume_band(self, m: int, side: str):
-        """Window rows, fractions and volume columns of one side's gather at
-        step ``m``.
+        """Table columns, fractions, band and table rows of one side's gather
+        at step ``m``.
 
         The volume grid has the distance grid's spacing, so a path's shift
-        is one start index ``idx0`` and fraction, and interpolating a profile
-        vector reads one window row per path.  Column ``j`` of the relative
-        coordinate reaches the profile only when ``idx0 + j`` lies in
-        ``[0, n - 2]``, so the gather covers just the band
-        ``[max(0, -max idx0), min(n_cols, n - 1 - min idx0))``, possibly
-        empty; on the bid side the band maps to the mirrored ``V`` columns.
-        Returns ``(rows, frac, cols)``: ``rows`` (R,), ``frac`` (R, 1) and the
-        band as a slice of ``V`` columns.
+        is one start index ``idx0`` and fraction, and node ``j`` of the
+        side's node-major ``V`` (the bid's mirrored) reads segment ``idx0 +
+        j`` of each profile vector.  It reaches the profile only when ``idx0
+        + j`` lies in ``[0, n - 2]``, so the gather covers just the band
+        ``[j0, j1) = [max(0, -max idx0), min(n_cols, n - 1 - min idx0))``,
+        possibly empty.  Every start index at or below ``-j1``, and every
+        one at or above ``n - 1 - j0``, reads zeros over the whole band, so
+        ``idx0`` is clipped to that range; the paths then read ``K = max
+        idx0 - min idx0 + 1`` consecutive window rows from ``row0 = _pad +
+        min idx0 + j0``.  Returns ``(k, frac, j0, j1, row0, K)``: ``k = idx0
+        - min idx0`` and ``frac`` are ``(R,)``.
         """
         pa, pb = self.P_a[m], self.P_b[m]
         starts = (self.x_v[0] - pa) if side == "a" else (pb - self.x_v[-1])
         pos0 = (starts - float(self.xg[0])) / self.h_v
         idx0 = np.floor(pos0).astype(np.int64)
-        frac = (pos0 - idx0)[:, None]
+        frac = pos0 - idx0
         n, n_cols = self.xg.size, self.x_v.size
         j0 = max(0, -int(idx0.max()))
         j1 = max(j0, min(n_cols, n - 1 - int(idx0.min())))
-        if side == "a":
-            rows, cols = idx0 + (j0 + self._pad), slice(j0, j1)
-        else:
-            rows, cols = (n - 1 - j1 + self._pad) - idx0, slice(n_cols - j1, n_cols - j0)
-        # rows are in range, and mode="clip" lets take write to out without
-        # an intermediate copy
-        np.clip(rows, 0, self._last_row, out=rows)
-        return rows, frac, cols
-
-    def _gather_window(self, w: int, side: str, rows: np.ndarray, frac: np.ndarray,
-                       out: np.ndarray, scratch: np.ndarray) -> None:
-        """Window ``w`` interpolated at the given rows and fractions, over
-        the first ``out.shape[1]`` band columns, into ``out``."""
-        base, diff = self._windows[w][side]
-        width = out.shape[1]
-        np.take(base[:, :width], rows, axis=0, out=out, mode="clip")
-        np.take(diff[:, :width], rows, axis=0, out=scratch, mode="clip")
-        scratch *= frac
-        out += scratch
+        np.clip(idx0, -j1, n - 1 - j0, out=idx0)
+        lo = int(idx0.min())
+        idx0 -= lo
+        return idx0, frac, j0, j1, self._pad + lo + j0, int(idx0.max()) + 1
 
     def _advance_volumes(self, m: int) -> None:
         """Explicit Euler step of both volume densities, in place.
@@ -676,52 +672,62 @@ class LimitEngine:
         per-path coefficients, so the terms sharing a window fold into two
         per-path coefficients, ``a = dt * place_gain * sum c_lo`` and ``b =
         dt * cancel_gain * sum c_cx``, and each gathered window ``g`` adds
-        ``g * (a + b * V)``.  Only the column band of ``_volume_band`` moves:
-        outside it the intensities are zero.  Paths are taken in blocks of
-        ``_block`` rows, so a block's band and the three work buffers stay
-        in cache between passes.  Tracked functionals read ``V`` before the
-        update and the increment over the band, divided by ``dt``.
+        ``g * (a + b * V)``.  Only the band of ``_volume_band`` moves:
+        outside it the intensities are zero.  Per side, each window's rows
+        the paths reach are copied into contiguous ``(band, K)`` base and
+        diff tables, and the band advances in blocks of ``_block_nodes``
+        nodes: ``np.take`` along the table rows gathers ``(nodes, R)``
+        blocks, whose cost does not grow with ``K``, and every pass runs
+        along contiguous rows of ``R`` paths with the per-path factors
+        broadcast.  Tracked functionals read ``V`` before the update and the
+        increment over the band, divided by ``dt``, as one ``(F, nodes)``
+        product per side and per block.
         """
         coefs = np.concatenate([self._conv, [self._hat_fac[pt] for pt in PASSIVE_TYPES]])
         for s_idx, side in enumerate(SIDES):
             V = self.V_a if side == "a" else self.V_b
-            rows, frac, cols = self._volume_band(m, side)
-            width = cols.stop - cols.start
+            fw = self._fw[side]
+            k, frac, j0, j1, row0, K = self._volume_band(m, side)
             gains = (self.dt * self.p.place_gain[side], self.dt * self.p.cancel_gain[side])
             terms = [
-                (w, [gain * coefs[r].sum(axis=0)[:, None] if r else None
-                     for gain, r in zip(gains, row_sets)])
+                ([tbl[row0:row0 + j1 - j0, :K].copy() for tbl in self._windows[w]],
+                 [gain * coefs[r].sum(axis=0) if r else None
+                  for gain, r in zip(gains, row_sets)])
                 for w, row_sets in self._side_terms[side]
             ]
-            tracked = [(self.v_f[f.name][m, s_idx], self.eta_f[f.name][m, s_idx],
-                        self._fw[f.name]) for f in self.track]
-            for r0 in range(0, self.R, self._block):
-                blk = slice(r0, r0 + self._block)
-                shape = (min(self.R, r0 + self._block) - r0, width)
-                g, scratch, inc = (buf[:shape[0] * width].reshape(shape) for buf in self._work)
-                band = V[blk, cols]
-                for k, (w, (a, b)) in enumerate(terms):
-                    self._gather_window(w, side, rows[blk], frac[blk], g, scratch)
-                    acc = scratch if k else inc
+            v_f = fw @ V
+            eta_f = np.zeros_like(v_f)
+            for c0 in range(j0, j1, self._block_nodes):
+                c1 = min(j1, c0 + self._block_nodes)
+                g, scratch, inc = (buf[:(c1 - c0) * self.R].reshape(c1 - c0, self.R)
+                                   for buf in self._buffers)
+                band = V[c0:c1]
+                for t, ((base, diff), (a, b)) in enumerate(terms):
+                    np.take(base[c0 - j0:c1 - j0], k, axis=1, out=g, mode="clip")
+                    np.take(diff[c0 - j0:c1 - j0], k, axis=1, out=scratch, mode="clip")
+                    scratch *= frac
+                    g += scratch
+                    acc = scratch if t else inc
                     if b is None:
-                        np.multiply(g, a[blk], out=acc)
+                        np.multiply(g, a, out=acc)
                     else:
-                        np.multiply(band, b[blk], out=acc)
+                        np.multiply(band, b, out=acc)
                         if a is not None:
-                            acc += a[blk]
+                            acc += a
                         acc *= g
-                    if k:
+                    if t:
                         inc += acc
-                for v_f, eta_f, fw in tracked:
-                    v_f[blk] = V[blk] @ fw
-                    eta_f[blk] = (inc @ fw[cols]) / self.dt
+                eta_f += fw[:, c0:c1] @ inc
                 band += inc
+            for i, f in enumerate(self.track):
+                self.v_f[f.name][m, s_idx] = v_f[i]
+                self.eta_f[f.name][m, s_idx] = eta_f[i] / self.dt
         if self.track and m + 1 == self.n_steps:
             # record the terminal functional values as well
-            for f in self.track:
-                fw = self._fw[f.name]
-                self.v_f[f.name][m + 1, 0] = self.V_a @ fw
-                self.v_f[f.name][m + 1, 1] = self.V_b @ fw
+            for s_idx, V in enumerate((self.V_a, self.V_b)):
+                v_f = self._fw[SIDES[s_idx]] @ V
+                for i, f in enumerate(self.track):
+                    self.v_f[f.name][m + 1, s_idx] = v_f[i]
 
     def _maybe_checkpoint(self, m: int) -> None:
         t = self.t[m]
@@ -739,8 +745,8 @@ class LimitEngine:
             mu=self.mu,
             beta=self.beta_arr,
             v_x=self.x_v,
-            v_a=self.V_a,
-            v_b=self.V_b,
+            v_a=self.V_a.T,
+            v_b=self.V_b[::-1].T,
             params=self.p,
             seed=seed,
             clamp_count=self.clamp_count,
@@ -780,8 +786,9 @@ def make_initial_state(
         hi = lo + g.h * steps
     n = steps + 1
     x_v = np.linspace(lo, hi, n)
-    va = np.broadcast_to(np.asarray(v0_a(x_v), dtype=float), (n_paths, n)).copy()
-    vb = np.broadcast_to(np.asarray(v0_b(x_v), dtype=float), (n_paths, n)).copy()
+    # (n_paths, n) transposes of node-major arrays, the engine's layout
+    va = np.broadcast_to(np.asarray(v0_a(x_v), dtype=float)[:, None], (n, n_paths)).copy().T
+    vb = np.broadcast_to(np.asarray(v0_b(x_v), dtype=float)[:, None], (n, n_paths)).copy().T
     return LimitState(
         p_a=np.full(n_paths, float(p_a0)),
         p_b=np.full(n_paths, float(p_b0)),

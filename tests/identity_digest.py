@@ -2,12 +2,16 @@
 
 Prints the sha256 of the convergence report (without ``runtime_s``), of the
 seed manifest, of every ``LevelStats`` array, of each level's
-``simulate_books`` runs and of the limit ``p_a``, ``p_b`` and ``mu``, one per
-line.  The runs of a level give four digests, each over its runs in order:
+``simulate_books`` runs and of the limit ``p_a``, ``p_b``, ``mu``, ``beta``,
+terminal ``v_a`` and ``v_b``, and each tracked function's ``v_f`` and
+``eta_f``, one per line.  The runs of a level give four digests, each over its runs in order:
 the event times, labels, distances and sizes (``events``); the best ticks,
 load and beta (``paths``); d11, d22 and the active scalars
 (``checkpoints``); and both final ledgers (``ledgers``).  Two trees that
-print the same lines ran the same experiment bit for bit.
+print the same lines ran the same experiment bit for bit; a change that
+only reorders the functionals' sums moves their lines and the ``report``
+line, whose volume-functional errors read the terminal volumes through an
+inner product.
 
     PYTHONPATH=src python tests/identity_digest.py --seed 101 --plan bench
     PYTHONPATH=src python tests/identity_digest.py --seed 9137 --plan criterion10
@@ -110,8 +114,12 @@ def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
         out.append((f"L{lv.level}.scalars",
                     sha(repr((lv.delta_x, lv.delta_v, lv.n_events_mean)).encode())))
         out.extend((f"L{lv.level}.runs.{name}", h) for name, h in run_hashes.pop(0).items())
-    for name in ("p_a", "p_b", "mu"):
-        a = np.ascontiguousarray(getattr(limit_run, name))
+    limit_arrays = {name: getattr(limit_run, name) for name in ("p_a", "p_b", "mu", "beta")}
+    limit_arrays.update({"v_a": limit_run.v_a, "v_b": limit_run.v_b})
+    for name in ("v_f", "eta_f"):
+        limit_arrays.update({f"{name}.{fn}": a for fn, a in sorted(getattr(limit_run, name).items())})
+    for name, a in limit_arrays.items():
+        a = np.ascontiguousarray(a)
         out.append((f"limit.{name}", sha(str(a.dtype).encode() + a.tobytes())))
     return out
 

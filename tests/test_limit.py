@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hawkeslob import limit as L
 from hawkeslob.families import (
@@ -106,12 +108,13 @@ def test_volume_ode_contracts_to_fixed_point():
     lo = lambda x: np.full_like(np.asarray(x, dtype=float), 0.5)
     init = L.make_initial_state(params, 0.5, -0.5, hi, lo, n_paths=1, v_pad=0.5)
     eng = L.LimitEngine(params, init, 14.0, 1e-2)
+    # node-major volumes, the bid side stored mirrored
     mid = init.v_x.size // 2
-    va_path, vb_path = [eng.V_a[0, mid]], [eng.V_b[0, mid]]
+    va_path, vb_path = [eng.V_a[mid, 0]], [eng.V_b[-1 - mid, 0]]
     for _ in range(eng.n_steps):
         eng.step(np.zeros((2, 1)))
-        va_path.append(eng.V_a[0, mid])
-        vb_path.append(eng.V_b[0, mid])
+        va_path.append(eng.V_a[mid, 0])
+        vb_path.append(eng.V_b[-1 - mid, 0])
     va, vb = np.asarray(va_path), np.asarray(vb_path)
     assert np.all(np.diff(va) <= 1e-12) and va[-1] == pytest.approx(2.0, abs=0.02)
     assert np.all(np.diff(vb) >= -1e-12) and vb[-1] == pytest.approx(2.0, abs=0.02)
@@ -394,20 +397,26 @@ def _interp_rows(values, grid_lo, h, targets):
 
 def _gathered_intensities(eng, m, side):
     """Gain-weighted placement and cancellation intensities on one side's
-    column band, summed from the engine's gathered windows by its term
-    groups; returns ``(place, cancel, cols)``."""
-    rows, frac, cols = eng._volume_band(m, side)
-    width = len(range(eng.x_v.size)[cols])
+    band, gathered from the engine's per-step window tables and summed by
+    its term groups; returns ``(place, cancel, cols)``, the first two
+    ``(R, band)`` in ``V``'s natural node order, with ``cols`` the band as a
+    slice of volume nodes."""
+    k, frac, j0, j1, row0, K = eng._volume_band(m, side)
     coefs = np.concatenate([eng._conv, [eng._hat_fac[pt] for pt in L.PASSIVE_TYPES]])
     gains = (eng.p.place_gain[side], eng.p.cancel_gain[side])
-    out = [np.zeros((eng.R, width)), np.zeros((eng.R, width))]
-    g, scratch = np.empty((eng.R, width)), np.empty((eng.R, width))
+    out = [np.zeros((j1 - j0, eng.R)), np.zeros((j1 - j0, eng.R))]
     for w, row_sets in eng._side_terms[side]:
-        eng._gather_window(w, side, rows, frac, g, scratch)
+        base, diff = (tbl[row0:row0 + j1 - j0, :K] for tbl in eng._windows[w])
+        assert np.all(k < K) and base.shape == (j1 - j0, K)
+        g = np.take(base, k, axis=1) + np.take(diff, k, axis=1) * frac
         for i, coef_rows in enumerate(row_sets):
             if coef_rows:
-                out[i] += gains[i] * coefs[coef_rows].sum(axis=0)[:, None] * g
-    return out[0], out[1], cols
+                out[i] += gains[i] * coefs[coef_rows].sum(axis=0) * g
+    if side == "a":
+        return out[0].T, out[1].T, slice(j0, j1)
+    # the bid side's band is mirrored: node j of the table is node n_cols - 1 - j
+    n_cols = eng.x_v.size
+    return out[0][::-1].T, out[1][::-1].T, slice(n_cols - j1, n_cols - j0)
 
 
 def test_windowed_gather_matches_row_interpolation():
@@ -501,20 +510,21 @@ class _FullWidthEngine(L.LimitEngine):
         return out
 
     def _advance_volumes(self, m):
+        # both sides' volumes as (R, volume nodes) views in natural node order
+        volumes = (self.V_a.T, self.V_b[::-1].T)
+        fw = [np.asarray(f.fn(self.x_v), dtype=float) * self._wv for f in self.track]
         for s_idx, side in enumerate(L.SIDES):
             lam_lo, lam_cx = self._full_width_lam(m, side)
-            V = self.V_a if side == "a" else self.V_b
+            V = volumes[s_idx]
             eta = self.p.place_gain[side] * lam_lo + self.p.cancel_gain[side] * lam_cx * V
-            for f in self.track:
-                fw = self._fw[f.name]
-                self.v_f[f.name][m, s_idx] = V @ fw
-                self.eta_f[f.name][m, s_idx] = eta @ fw
+            for i, f in enumerate(self.track):
+                self.v_f[f.name][m, s_idx] = V @ fw[i]
+                self.eta_f[f.name][m, s_idx] = eta @ fw[i]
             V += self.dt * eta
         if self.track and m + 1 == self.n_steps:
-            for f in self.track:
-                fw = self._fw[f.name]
-                self.v_f[f.name][m + 1, 0] = self.V_a @ fw
-                self.v_f[f.name][m + 1, 1] = self.V_b @ fw
+            for i, f in enumerate(self.track):
+                for s_idx, V in enumerate(volumes):
+                    self.v_f[f.name][m + 1, s_idx] = V @ fw[i]
 
 
 def _family_inputs(case: str):
@@ -536,7 +546,7 @@ def _family_inputs(case: str):
 @pytest.mark.parametrize("case", ["family", "pas_from_act", "off_grid", "spread",
                                   "off_lattice", "blocks", "one_path"])
 def test_banded_volume_update_matches_full_width(case, monkeypatch):
-    # the fused, path-blocked banded update against the full-width
+    # the fused, column-blocked banded update against the full-width
     # expressions it replaced: the prices and intensities do not read the
     # volumes, so they are identical; the volumes fold dt and the gains per
     # path, which reorders their float operations
@@ -547,24 +557,19 @@ def test_banded_volume_update_matches_full_width(case, monkeypatch):
         params, init = _pas_from_act_inputs(slice(1, 2) if case == "off_grid" else slice(None))
     n_cols = init.v_x.size
     if case == "blocks":
-        # 16-row blocks: 40 paths take two full blocks and a partial one
-        monkeypatch.setattr(L, "VOLUME_BLOCK_BYTES", 16 * 8 * n_cols)
+        # 7-node blocks: every band takes several blocks, the last partial
+        monkeypatch.setattr(L, "VOLUME_BLOCK_BYTES", 7 * 8 * init.p_a.size)
     track = [L.SpatialTestFn("g", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2)))]
     fast = L.LimitEngine(params, init, 0.05, 1e-2, track=track)
     ref = _FullWidthEngine(params, init, 0.05, 1e-2, track=track)
-    if case == "blocks":
-        assert fast._block == 16 and fast.R > 16 and fast.R % 16
-    elif case == "one_path":
-        assert fast._block == fast.R == 1
-    else:
-        assert fast._block == fast.R
+    assert fast._block_nodes == (7 if case == "blocks" else n_cols)
 
     widths = {"a": set(), "b": set()}
     rng = np.random.default_rng(17)
     for m in range(fast.n_steps):
         for side in "ab":
-            cols = fast._volume_band(m, side)[2]
-            widths[side].add(len(range(n_cols)[cols]))
+            j0, j1 = fast._volume_band(m, side)[2:4]
+            widths[side].add(j1 - j0)
         noise = rng.standard_normal((2, fast.R))
         fast.step(noise)
         ref.step(noise)
@@ -575,6 +580,9 @@ def test_banded_volume_update_matches_full_width(case, monkeypatch):
     else:
         # spread prices, or off-grid paths on both sides of the grid
         assert n_cols in widths["a"] and n_cols in widths["b"]
+    if case == "blocks":
+        assert min(widths["a"] | widths["b"]) > 7
+        assert any(w % 7 for w in widths["a"] | widths["b"])
 
     got, want = fast.finish(), ref.finish()
     for name in ("p_a", "p_b", "mu"):
@@ -585,6 +593,58 @@ def test_banded_volume_update_matches_full_width(case, monkeypatch):
     for name in ("v_f", "eta_f"):
         np.testing.assert_allclose(getattr(got, name)["g"], getattr(want, name)["g"],
                                    rtol=1e-12, err_msg=name)
+
+
+_G1 = L.SpatialTestFn("g1", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2)))
+_G2 = L.SpatialTestFn("g2", lambda x: np.exp(-((np.asarray(x) + 0.3) ** 2) / 0.98))
+
+
+@st.composite
+def _start_prices(draw, x_v):
+    """Ask and bid start prices of 1-40 paths: on a volume node (so on a
+    truncation edge of the lattice), anywhere on or well off the volume grid,
+    with spreads from a fraction of a node to several nodes."""
+    lo, hi, h = float(x_v[0]), float(x_v[-1]), float(x_v[1] - x_v[0])
+    node = st.integers(0, x_v.size - 1).map(lambda i: float(x_v[i]))
+    off = st.floats(lo - 6.0, hi + 6.0, allow_nan=False)
+    spread = st.one_of(st.integers(1, 8).map(lambda k: k * h), st.floats(0.01, 3.0))
+    pairs = draw(st.lists(st.tuples(st.one_of(node, off), spread), min_size=1, max_size=40))
+    p_a = np.array([p for p, _ in pairs])
+    return p_a, p_a - np.array([d for _, d in pairs])
+
+
+@given(data=st.data(), case=st.sampled_from(["family", "pas_from_act"]),
+       n_track=st.integers(0, 2), seed=st.integers(0, 2**16))
+@settings(max_examples=100, deadline=None)
+def test_volume_step_matches_the_full_width_reference(data, case, n_track, seed):
+    # the node-major, column-blocked volume step against the full-width
+    # reference over drawn start prices, ensemble sizes, column blocks of
+    # one node up to the whole band, and 0-2 tracked functionals
+    params, init = _family_inputs("family") if case == "family" else _pas_from_act_inputs()
+    init.p_a, init.p_b = data.draw(_start_prices(init.v_x))
+    n_paths, n_cols = init.p_a.size, init.v_x.size
+    init.v_a = init.v_a[:1].repeat(n_paths, axis=0)
+    init.v_b = init.v_b[:1].repeat(n_paths, axis=0)
+    block_nodes = data.draw(st.integers(1, n_cols))
+    track = [_G1, _G2][:n_track]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(L, "VOLUME_BLOCK_BYTES", block_nodes * 8 * n_paths)
+        fast = L.LimitEngine(params, init, 0.04, 1e-2, track=track)
+    ref = _FullWidthEngine(params, init, 0.04, 1e-2, track=track)
+    assert fast._block_nodes == block_nodes
+    rng = np.random.default_rng(seed)
+    for _ in range(fast.n_steps):
+        noise = rng.standard_normal((2, n_paths))
+        fast.step(noise)
+        ref.step(noise)
+    got, want = fast.finish(), ref.finish()
+    for name in ("p_a", "p_b", "mu", "beta"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    arrays = [(name, getattr(got, name), getattr(want, name)) for name in ("v_a", "v_b")]
+    arrays += [(f"{name}.{f.name}", getattr(got, name)[f.name], getattr(want, name)[f.name])
+               for name in ("v_f", "eta_f") for f in track]
+    for name, a, b in arrays:
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def test_solve_paths_deterministic_given_seed(family):
@@ -651,6 +711,29 @@ def test_horizon_must_align_with_step():
     init = L.make_initial_state(params, 1.0, -1.0, flat, flat)
     with pytest.raises(ValueError, match="multiple"):
         L.LimitEngine(params, init, 1.0, 0.3)
+
+
+@pytest.mark.parametrize("horizon, dt, name", [
+    (1.0, 0.0, "dt"), (1.0, -0.1, "dt"), (1.0, math.nan, "dt"), (1.0, math.inf, "dt"),
+    (0.0, 0.1, "horizon"), (-1.0, 0.1, "horizon"), (math.nan, 0.1, "horizon"),
+    (math.inf, 0.1, "horizon"),
+])
+def test_step_and_horizon_must_be_positive_and_finite(horizon, dt, name):
+    params = frozen_prices_params()
+    flat = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    init = L.make_initial_state(params, 1.0, -1.0, flat, flat)
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
+        L.LimitEngine(params, init, horizon, dt)
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite"):
+        L.solve_paths(params, init, horizon, dt, seed=1)
+
+
+def test_empty_ensemble_rejected():
+    params = frozen_prices_params()
+    flat = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    init = L.make_initial_state(params, 1.0, -1.0, flat, flat, n_paths=0)
+    with pytest.raises(ValueError, match="n_paths"):
+        L.solve_paths(params, init, 0.5, 1e-2, seed=1)
 
 
 def test_volume_grid_takes_the_distance_spacing(family):
