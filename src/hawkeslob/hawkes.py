@@ -319,6 +319,8 @@ def simulate_thinning(
     the event history, dropping contributions older than the lag where the
     envelope falls below ``EPS_TRUNC_FACTOR * max(c0, 1)``.
     """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     rng = as_rng(rng_seed, "hawkes")
     space = spec.mark_space
     kernel = spec.kernel

@@ -19,18 +19,20 @@ sums, the same bank ``hawkes.simulate_thinning`` drives.
 Each thinning candidate reads one row of uniforms from its stream, drawn
 in blocks (``_draw_block``): the waiting time and the size mark come by
 inversion of the exponential law, the label, the passive term and the
-distance by inversion of discrete or tick-cell CDFs.  Checkpoint
-diagnostics are read after the run from the kernel sums kept after each
-event.  Nothing in a run reads a volume (state factors and exogenous
-densities read only the time and the best ticks), so the volume ledgers
-are built after the run from its passive event records (``_fold_ledgers``).
+distance by inversion of discrete or tick-cell CDFs.  A run draws a
+passive distance only where it reads it (``_CompiledBook.marked``) and
+records the mark columns of every other candidate row.  Nothing in a run
+reads a volume (state factors and exogenous densities read only the time
+and the best ticks), so both engines finish through one after-run step
+(``_assemble_runs``): it draws the other distances and every size, folds
+the passive events into the volume ledgers (``_fold_ledgers``), reads the
+checkpoint diagnostics from the kernel sums kept after each event and
+sums the loads.
 
 ``simulate_book`` runs one stream.  ``simulate_books`` runs the replicates
 of a level in lockstep, one column per stream, and returns for each stream
 the run ``simulate_book`` returns, bit for bit; it pays off from a few
 streams on, while a single stream runs faster through ``simulate_book``.
-Its passes draw only the marks they read; the others come from the
-recorded candidate rows after the run.
 """
 
 from __future__ import annotations
@@ -364,17 +366,9 @@ class SizeMeasure:
     def fourth_moment(self) -> float:
         return self._moments[2]
 
-    def sample(self, e: float) -> float:
-        """The size mark at a standard exponential variate ``e``, by
-        inversion."""
-        if self.family == "dirac":
-            return float(self.params["z"])
-        if self.family == "exponential":
-            return e / float(self.params["rate"])
-        return float(np.interp(e, *self._lognormal_grid))
-
     def samples(self, e: np.ndarray) -> np.ndarray:
-        """``sample`` at each variate of ``e``, elementwise."""
+        """The size marks at the standard exponential variates ``e``, by
+        inversion, elementwise."""
         if self.family == "dirac":
             return np.full(e.shape, float(self.params["z"]))
         if self.family == "exponential":
@@ -397,8 +391,8 @@ class ExoConst:
     """
 
     def __init__(self, value: float):
-        if value < 0:
-            raise ValueError("exogenous densities are >= 0")
+        if not 0 <= value < math.inf:
+            raise ValueError(f"exogenous densities are finite and >= 0, got {value}")
         self.value = float(value)
 
     def rates(self, t, ask, bid, delta_x) -> np.ndarray:
@@ -419,8 +413,8 @@ class SpreadLinearFactor:
     """
 
     def __init__(self, scale: float, offset_ticks: int = 0):
-        if scale < 0:
-            raise ValueError("factor scale must be >= 0")
+        if not 0 <= scale < math.inf:
+            raise ValueError(f"factor scale must be finite and >= 0, got {scale}")
         self.scale = float(scale)
         self.offset_ticks = int(offset_ticks)
 
@@ -442,8 +436,8 @@ class GatedConstantFactor:
     """
 
     def __init__(self, value: float, gated: bool):
-        if value < 0:
-            raise ValueError("factor must be >= 0")
+        if not 0 <= value < math.inf:
+            raise ValueError(f"factor must be finite and >= 0, got {value}")
         self.value = float(value)
         self.gated = gated
 
@@ -690,6 +684,13 @@ class _CompiledBook:
         self.bound_is_value = not bank.gammas and not bank.scans and not self.varying
         #: the states with a lag-weighted sum ``b``, which event records keep
         self.gamma_states = [i for i, _ke in bank.gammas]
+        #: per label: whether a run draws its distance, for the term masses
+        #: of a passive type with more than one term or for an in-profile
+        #: weight; every other distance is drawn after the run
+        self.marked = np.array([label >= 4 and (
+            len(self.passive_rows[label - 4].samplers) > 1
+            or any(in_prof is not None for in_prof in bank.excite.get(label, {})))
+            for label in range(8)])
 
     def passive_grid(self, j: int, exo: float, u: list, shapes: list) -> np.ndarray:
         """delta_v * passive intensity of one type, given its exogenous
@@ -865,32 +866,35 @@ def simulate_book(
     offset within the cell and the size.  So the draws depend on neither
     the accept path nor the number of streams run together.
 
-    The run keeps the kernel sums after each event.  d11, d22 and the active
-    scalars at the ``n_checkpoints`` equally spaced checkpoints are read from
-    them after the run (``_checkpoint_diagnostics``), so the event stream
-    does not depend on ``n_checkpoints``.  The final volume ledgers are
-    built after the run from its passive events (``_fold_ledgers``).
+    The run keeps what a ``simulate_books`` pass keeps of each event and
+    draws a passive distance only where it reads it
+    (``_CompiledBook.marked``).  Every other distance, every size, the
+    volume ledgers, the loads and d11, d22 and the active scalars at the
+    ``n_checkpoints`` equally spaced checkpoints are built after the run
+    (``_assemble_runs``), so the event stream does not depend on
+    ``n_checkpoints``.
     """
-    p = params
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     rng = as_rng(rng_seed, "micro")
-    eng = _Engine(p)
+    eng = _Engine(params)
     book, state, sums = eng.book, eng.state, eng.sums
-    dx, dv, dx2 = p.delta_x, p.delta_v, book.dx2
+    dx = params.delta_x
+    marked = book.marked.tolist()
 
-    ask_path = [state.ask_tick]
-    bid_path = [state.bid_tick]
-    accepted: list[tuple] = []  # (time, label, distance, size)
-    after = [sums.g + sums.b]  # the kernel sums after each event, from the initial ones
-    load = [1.0]
     rates = eng.rates(bound=False)
     mu = rates[3]
-    beta = [(dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]))]
+    # the records of ``_assemble_runs``, the first one the initial state;
+    # the kernel sums after each record apart
+    records = [(0.0, 0, math.nan, math.nan, math.nan, state.ask_tick, state.bid_tick,
+                dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]))]
+    after = [sums.g + sums.b]
 
     t = 0.0
     candidates = 0
     rows, k = [], 0
     while True:
-        if len(accepted) >= MAX_EVENTS:
+        if len(records) > MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
         # the last realised rates were taken at this time and book state
         majorant = _rate_total(*(rates if book.bound_is_value else eng.rates(bound=True))[:2])
@@ -924,47 +928,95 @@ def simulate_book(
                 label = i
                 break
 
-        if label < 4:
-            distance, size = math.nan, math.nan
-            load.append(load[-1] + dx2)
-        else:
-            distance, size = _passive_marks(book, label - 4, terms[label - 4], row)
-            load.append(load[-1] + dv)
-
-        eng.fire(label, distance)
-        accepted.append((t, label, distance, size))
-        after.append(sums.g + sums.b)
-        ask_path.append(state.ask_tick)
-        bid_path.append(state.bid_tick)
+        x = row[_CELL]
+        if marked[label]:
+            j = label - 4
+            sampler = book.passive_rows[j].samplers[_term_pick(terms[j], row[_TERM])]
+            x = sampler.sample(x, row[_OFFSET])
+        eng.fire(label, x)
         rates = eng.rates(bound=False)
         mu = rates[3]
-        beta.append((dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3])))
+        records.append((t, label, x, row[_OFFSET], row[_SIZE], state.ask_tick, state.bid_tick,
+                        dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3])))
+        after.append(sums.g + sums.b)
 
-    ev_times, labels, xs, zs = np.ascontiguousarray(np.reshape(accepted, (-1, 4)).T)
-    times = np.concatenate([[0.0], ev_times])
-    events = EventStream(ev_times, labels, xs, zs, horizon, EVENT_LABELS)
-    asks, bids = np.asarray(ask_path, dtype=np.int64), np.asarray(bid_path, dtype=np.int64)
-    ask_vol, bid_vol = _fold_ledgers(p, [state.ask_vol, state.bid_vol], np.zeros(len(events), int),
-                                     events.labels, xs, zs, asks[1:], bids[1:])
-    cps = np.linspace(0.0, horizon, n_checkpoints)
+    fields = list(np.array(records).T.copy())
+    for f in (1, 5, 6):  # the label and the ticks
+        fields[f] = fields[f].astype(np.int64)
     kept = list(range(len(sums.g))) + [len(sums.g) + i for i in book.gamma_states]
-    d11, d22, act = _checkpoint_diagnostics(
-        book, cps, times, [times.size], np.array(after).T[kept], [sums], asks, bids)
-    diag = MicroDiagnostics(
-        event_times=times, load=np.asarray(load), beta=np.asarray(beta),
-        checkpoint_times=cps, d11=d11[0], d22=d22[0], active_scalars=act[0],
-    )
-    return MicroRun(
-        horizon=horizon,
-        events=events,
-        event_times=times,
-        ask_ticks=asks,
-        bid_ticks=bids,
-        final_state=BookState(state.grid, state.ask_tick, state.bid_tick, ask_vol, bid_vol),
-        diagnostics=diag,
-        candidates=candidates,
-        accepted=len(accepted),
-    )
+    fields.append(np.array(after).T[kept])
+    return _assemble_runs(book, horizon, n_checkpoints, [len(records)], fields, [sums],
+                          [candidates])[0]
+
+
+def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, sizes: list,
+                   fields: list, sums: list, candidates: list) -> list[MicroRun]:
+    """The ``MicroRun`` of each of a set of runs, built from its records.
+
+    ``fields`` holds one array per record field, the runs one after the
+    other, each run's ``sizes`` records from its initial state: the time,
+    the label, the distance where the run drew it (``_CompiledBook.marked``)
+    and the tick-cell uniform elsewhere, the offset and size columns of the
+    candidate row, the best ticks, beta of each side and, one column per
+    record, the kernel sums after it (``_checkpoint_diagnostics``).
+    ``sums`` holds each run's ``KernelSums`` (read for scanned kernels) and
+    ``candidates`` its candidate count.
+
+    From the records come every distance the runs did not draw and every
+    size (one sampler call per passive type and term, ``_distances``), the
+    events, the final volume ledgers (``_fold_ledgers``), the checkpoint
+    diagnostics and the loads: 1 at the start of a run, then dx^2 per
+    active and delta_v per passive event, one row-wise running sum over a
+    zero-padded array of runs.  A run's final ticks are those of its last
+    record, and each record after the first is an accepted event.
+    """
+    p = book.p
+    times, labels, xs, offsets, zs, asks, bids, beta_a, beta_b, after = fields
+    beta = np.stack([beta_a, beta_b], axis=1)
+    n, sizes = len(sizes), np.asarray(sizes)
+    ends = np.cumsum(sizes).tolist()
+    starts = [0] + ends[:-1]
+    active = labels < 4
+    unmarked = np.flatnonzero(~(active | book.marked[labels]))
+    types = labels[unmarked] - 4
+    xs[unmarked] = _distances(book, types, np.zeros_like(types), xs[unmarked], offsets[unmarked])
+    for j, pt in enumerate(PASSIVE_TYPES):
+        at = np.flatnonzero(labels == 4 + j)
+        zs[at] = p.sizes[pt].samples(zs[at])
+    xs[active] = zs[active] = math.nan
+    run_of = np.repeat(np.arange(n), sizes)
+    ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
+                            run_of, labels, xs, zs, asks, bids)
+    cps = np.linspace(0.0, horizon, n_checkpoints)
+    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, sums, asks, bids)
+    loads = np.zeros((n, sizes.max()))
+    loads[run_of, np.arange(labels.size) - np.repeat(starts, sizes)] = np.where(
+        active, book.dx2, p.delta_v)
+    loads[:, 0] = 1.0
+    loads = np.cumsum(loads, axis=1)
+    last = np.subtract(ends, 1)
+    final_ask, final_bid = asks[last].tolist(), bids[last].tolist()
+
+    runs = []
+    for r, (start, end) in enumerate(zip(starts, ends)):
+        diag = MicroDiagnostics(
+            event_times=times[start:end], load=loads[r, :end - start], beta=beta[start:end],
+            checkpoint_times=cps.copy(), d11=d11[r], d22=d22[r], active_scalars=act[r],
+        )
+        runs.append(MicroRun(
+            horizon=horizon,
+            events=EventStream(times[start + 1:end], labels[start + 1:end], xs[start + 1:end],
+                               zs[start + 1:end], horizon, EVENT_LABELS),
+            event_times=diag.event_times,
+            ask_ticks=asks[start:end],
+            bid_ticks=bids[start:end],
+            final_state=BookState(book.state0.grid, final_ask[r], final_bid[r],
+                                  *ledgers[2 * r:2 * r + 2]),
+            diagnostics=diag,
+            candidates=candidates[r],
+            accepted=end - start - 1,
+        ))
+    return runs
 
 
 def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndarray,
@@ -1051,19 +1103,17 @@ class _Lockstep:
     than one term, in-profile weights and the histories of scanned kernels
     (one ``KernelSums`` per replicate, used for its ``scan``).  The pass
     draws the distance of a passive event only where it reads it
-    (``marked``), and no size mark.  The per-replicate objects, ``rngs``
-    and ``sums``, are lists over the whole level, indexed through ``ids``.
-    ``retire`` writes the final ticks and counters of finished columns into
-    level arrays (``final``) and drops the columns, but keeps the block at
-    the width it was drawn at: ``col`` selects each pass's row from it.
-    Equal state factors are evaluated once (``factor_of``).
+    (``_CompiledBook.marked``), and no size mark.  The per-replicate
+    objects, ``rngs`` and ``sums``, are lists over the whole level, indexed
+    through ``ids``, and so is ``candidates``, each replicate's candidate
+    count, which ``retire`` writes as it drops finished columns.  It keeps
+    the block at the width it was drawn at: ``col`` selects each pass's row
+    from it.  Equal state factors are evaluated once (``factor_of``).
     """
 
     #: per-column arrays, column axis last
     _ARRAYS = ("ids", "t", "ask", "bid", "factors", "g", "b",
-               "candidates", "accepted", "total", "col")
-    #: the columns ``retire`` keeps per replicate, the rows of ``final``
-    _FINAL = ("ask", "bid", "candidates", "accepted")
+               "accepted", "total", "col")
 
     def __init__(self, book: _CompiledBook, rngs: list):
         bank, n, n_s = book.bank, len(rngs), len(book.bank.states)
@@ -1079,12 +1129,11 @@ class _Lockstep:
         self.factor_of = [keys.index(k) for k in keys]
         self.factors = self.state_factors()
         self.g, self.b = np.zeros((n_s, n)), np.zeros((n_s, n))
-        self.candidates = np.zeros(n, dtype=np.int64)
+        self.candidates = np.empty(n, dtype=np.int64)
         self.accepted = np.zeros(n, dtype=np.int64)
         self.total = np.zeros(n)
         self.block = np.empty((0, _ROW_WIDTH, n))
         self.col = np.arange(n)
-        self.final = np.empty((len(self._FINAL), n), dtype=np.int64)
         # per source label: the unit increments of the states it feeds
         # without a weight (row 8: no event), and the entries that need
         # per-replicate work, in-profile weights or histories
@@ -1097,18 +1146,11 @@ class _Lockstep:
                     stateful = []
                 if stateful or hists:
                     self.slow[source].append((in_prof, stateful, hists))
-        #: per label: whether the pass draws its distance, for the term
-        #: masses of a passive type with more than one term or for an
-        #: in-profile weight
-        self.marked = np.array([label >= 4 and (
-            len(book.passive_rows[label - 4].samplers) > 1
-            or any(in_prof is not None for in_prof, _s, _h in self.slow[label]))
-            for label in range(8)])
 
-    def retire(self, done: np.ndarray) -> None:
-        """Write the ``_FINAL`` columns where ``done`` holds into ``final``
-        at their replicates and drop those columns."""
-        self.final[:, self.ids[done]] = [getattr(self, name)[done] for name in self._FINAL]
+    def retire(self, done: np.ndarray, candidates: int) -> None:
+        """Write ``candidates`` as the candidate count of the replicates of
+        the columns where ``done`` holds and drop those columns."""
+        self.candidates[self.ids[done]] = candidates
         keep = ~done
         for name in self._ARRAYS:
             setattr(self, name, getattr(self, name)[..., keep])
@@ -1160,7 +1202,7 @@ class _Lockstep:
         """The distances of passive events of ``PASSIVE_TYPES[types]`` at
         columns ``cols`` from their candidate ``rows`` (one column each),
         each type's term picked by its masses ``terms`` at this pass (a
-        float term is every column's), as ``_passive_marks`` draws them."""
+        float term is every column's), as ``simulate_book`` draws them."""
         picks = np.array([
             _term_pick([m[c] if isinstance(m, np.ndarray) else m for m in terms[j]], pick)
             for j, c, pick in zip(types.tolist(), cols.tolist(), rows[_TERM].tolist())
@@ -1205,23 +1247,21 @@ def simulate_books(
     faster through ``simulate_book``.
 
     Set-up, the exponential inversion of each block, varying exogenous
-    densities, retiring finished replicates, the checkpoint record search
-    and the assembly of the event arrays run once per level or per pass.
-    So does what is built from the event records after the run: the volume
-    ledgers (``_fold_ledgers``), every size mark and each distance mark the
-    pass does not read (one sampler call per passive type and term,
-    ``_distances``), and the loads (one row-wise running sum over a
-    zero-padded array of runs).  Per replicate remain: building its
-    generator and run objects, one ``random`` call per block, the
-    ``math.exp`` decay factors, the term picks of passive types with more
-    than one term, in-profile weights and scanned-kernel histories
-    (``_Lockstep``).
+    densities and retiring finished replicates run once per level or per
+    pass, and so does the after-run step both engines share
+    (``_assemble_runs``), over the records of every replicate at once.
+    Per replicate remain: building its generator and run objects, one
+    ``random`` call per block, the ``math.exp`` decay factors, the term
+    picks of passive types with more than one term, in-profile weights and
+    scanned-kernel histories (``_Lockstep``).
 
     The state factors must be ``SpreadLinearFactor`` or
     ``GatedConstantFactor``, which have a vectorised form; any other raises
     ``TypeError``.  A ``MajorantViolationError`` or ``NonCrossingError``
     names the replicate by its index in ``rngs``.
     """
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
     p = params
     if p._compiled is None:
         p._compiled = _CompiledBook(p)
@@ -1241,11 +1281,8 @@ def simulate_books(
     act, pas, _terms, mu = run.rates(False)
     run.total = _rate_total(act, pas)
     # event records, one list per field with one array per pass: replicate,
-    # time, label, the distance where the pass drew it (``marked``) and the
-    # tick-cell uniform elsewhere, the offset and size columns of the
-    # candidate row, ticks, beta and the kernel sums after the event
-    # (``_checkpoint_diagnostics``); the first pass holds the initial state
-    # of every replicate
+    # then the fields of ``_assemble_runs``; the first pass holds the
+    # initial state of every replicate
     nan = np.full(n, math.nan)
     records: list = [[f] for f in (
         run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, nan, run.ask.copy(),
@@ -1266,11 +1303,11 @@ def simulate_books(
         t_next = run.t + row[_WAIT] / np.where(stop, 1.0, majorant)
         done = stop | (t_next > horizon)
         if done.any():
-            run.retire(done)
+            # every earlier pass drew a candidate inside the horizon
+            run.retire(done, passes - 1)
             t_next, majorant, row = t_next[~done], majorant[~done], row[:, ~done]
             if not run.ids.size:
                 break
-        run.candidates += 1
         run.advance(t_next)
         act, pas, terms, _mu = run.rates(False)
         total = run.total = _rate_total(act, pas)
@@ -1292,7 +1329,7 @@ def simulate_books(
         hit = u <= np.cumsum(stack[:, fired], axis=0)
         labels = np.where(hit.any(axis=0), hit.argmax(axis=0), 7)
         xs = row[_CELL, fired]
-        q = np.flatnonzero(run.marked[labels])
+        q = np.flatnonzero(book.marked[labels])
         if q.size:
             xs[q] = run.distances(fired[q], labels[q] - 4, terms, row[:, fired[q]])
 
@@ -1319,7 +1356,7 @@ def simulate_books(
                 run.kept_sums(fired))):
             rec.append(f)
 
-    final_ask, final_bid, candidates, accepted = run.final.tolist()
+    candidates = run.candidates.tolist()
     run.block = None  # every column has retired; the rows are not read again
 
     # one array per field, replicate after replicate, each from its initial
@@ -1330,54 +1367,8 @@ def simulate_books(
     for rec in records[1:]:
         fields.append(np.concatenate(rec, axis=-1)[..., order])
         rec.clear()
-    times, labels, xs, offsets, zs, asks, bids, beta_a, beta_b, after = fields
-    beta = np.stack([beta_a, beta_b], axis=1)
-    sizes = np.bincount(ids, minlength=n)
-    ends = np.cumsum(sizes).tolist()
-    starts = [0] + ends[:-1]
-    # the marks the pass did not draw, from the recorded rows: the distances
-    # of single-term types, then every size, one call per type
-    active = labels < 4
-    unmarked = np.flatnonzero(~(active | run.marked[labels]))
-    types = labels[unmarked] - 4
-    xs[unmarked] = _distances(book, types, np.zeros_like(types), xs[unmarked], offsets[unmarked])
-    for j, pt in enumerate(PASSIVE_TYPES):
-        at = np.flatnonzero(labels == 4 + j)
-        zs[at] = p.sizes[pt].samples(zs[at])
-    xs[active] = zs[active] = math.nan
-    events = [EventStream(times[s + 1:e], labels[s + 1:e], xs[s + 1:e], zs[s + 1:e], horizon,
-                          EVENT_LABELS) for s, e in zip(starts, ends)]
-    run_of = np.repeat(np.arange(n), sizes)
-    ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
-                            run_of, labels, xs, zs, asks, bids)
-    cps = np.linspace(0.0, horizon, n_checkpoints)
-    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, run.sums, asks, bids)
-    # the load: 1 at the start of a run, then dx^2 per active and delta_v
-    # per passive event, summed in event order, one zero-padded row per run
-    loads = np.zeros((n, sizes.max()))
-    loads[run_of, np.arange(ids.size) - np.repeat(starts, sizes)] = np.where(active, book.dx2, p.delta_v)
-    loads[:, 0] = 1.0
-    loads = np.cumsum(loads, axis=1)
-
-    runs = []
-    for r, (start, end) in enumerate(zip(starts, ends)):
-        diag = MicroDiagnostics(
-            event_times=times[start:end], load=loads[r, :end - start], beta=beta[start:end],
-            checkpoint_times=cps.copy(), d11=d11[r], d22=d22[r], active_scalars=act[r],
-        )
-        runs.append(MicroRun(
-            horizon=horizon,
-            events=events[r],
-            event_times=diag.event_times,
-            ask_ticks=asks[start:end],
-            bid_ticks=bids[start:end],
-            final_state=BookState(book.state0.grid, final_ask[r], final_bid[r],
-                                  *ledgers[2 * r:2 * r + 2]),
-            diagnostics=diag,
-            candidates=candidates[r],
-            accepted=accepted[r],
-        ))
-    return runs
+    return _assemble_runs(book, horizon, n_checkpoints, np.bincount(ids, minlength=n), fields,
+                          run.sums, candidates)
 
 
 def _term_pick(masses: list, pick: float) -> int:
@@ -1389,31 +1380,17 @@ def _term_pick(masses: list, pick: float) -> int:
     return min(int(np.searchsorted(np.cumsum(masses), pick, side="left")), len(masses) - 1)
 
 
-def _passive_marks(book: _CompiledBook, j: int, masses: list, row: list) -> tuple[float, float]:
-    """Distance and size marks of a passive event of type ``PASSIVE_TYPES[j]``
-    from its candidate ``row``.
-
-    ``masses`` are the masses of the type's terms (exogenous, then one per
-    kernel entry); the term that fired is picked by mass, the distance drawn
-    from its profile, then the size.
-    """
-    idx = _term_pick(masses, row[_TERM])
-    distance = book.passive_rows[j].samplers[idx].sample(row[_CELL], row[_OFFSET])
-    return distance, book.p.sizes[PASSIVE_TYPES[j]].sample(row[_SIZE])
-
-
 def _distances(book: _CompiledBook, types: np.ndarray, picks: np.ndarray, cells: np.ndarray,
                offsets: np.ndarray) -> np.ndarray:
     """Distance marks of passive events of ``PASSIVE_TYPES[types]``, each
     from the profile of term ``picks`` of its type at its tick-cell and
-    offset uniforms, elementwise as ``_passive_marks``: one sampler call
+    offset uniforms, elementwise as ``TickSampler.sample``: one sampler call
     per (type, term)."""
     xs = np.empty(types.size)
-    for j in np.flatnonzero(np.bincount(types, minlength=4)).tolist():
-        samplers = book.passive_rows[j].samplers
-        for s in np.unique(picks[types == j]).tolist():
-            at = np.flatnonzero((types == j) & (picks == s))
-            xs[at] = samplers[s].samples(cells[at], offsets[at])
+    keys = 4 * picks + types
+    for key in np.flatnonzero(np.bincount(keys)).tolist():
+        at = np.flatnonzero(keys == key)
+        xs[at] = book.passive_rows[key % 4].samplers[key // 4].samples(cells[at], offsets[at])
     return xs
 
 

@@ -7,11 +7,14 @@ terminal ``v_a`` and ``v_b``, and each tracked function's ``v_f`` and
 ``eta_f``, one per line.  The runs of a level give four digests, each over its runs in order:
 the event times, labels, distances and sizes (``events``); the best ticks,
 load and beta (``paths``); d11, d22 and the active scalars
-(``checkpoints``); and both final ledgers (``ledgers``).  Two trees that
-print the same lines ran the same experiment bit for bit; a change that
-only reorders the functionals' sums moves their lines and the ``report``
-line, whose volume-functional errors read the terminal volumes through an
-inner product.
+(``checkpoints``); and both final ledgers (``ledgers``).  The ``book.*``
+lines give the same four digests of ``simulate_book`` runs on a few
+streams of four families (``_book_families``), so they cover the
+single-stream engine.  Two trees that print the same lines ran the same
+experiment bit for bit; a change that only reorders the functionals' sums
+moves their lines and the ``report`` line, whose volume-functional errors
+read the terminal volumes through an inner product.  The script calls only
+public functions, so it runs on older trees as well.
 
     PYTHONPATH=src python tests/identity_digest.py --seed 101 --plan bench
     PYTHONPATH=src python tests/identity_digest.py --seed 9137 --plan criterion10
@@ -36,10 +39,20 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _bench_plan():
+#: streams of each ``simulate_book`` digest, and their horizon
+BOOK_STREAMS = 4
+BOOK_HORIZON = 0.5
+
+
+def _workloads():
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _bench_plan():
+    workloads = _workloads()
     family = workloads.make_family()
     plan = workloads.harness.ExperimentPlan(test_fns=[workloads.G1, workloads.G2], n_boot=200,
                                             **workloads.CONVERGE["full"])
@@ -77,6 +90,56 @@ def _run_fields(run) -> dict:
     }
 
 
+def _run_digests(runs) -> dict:
+    """The four digests of a list of runs, each over the runs in order."""
+    hashes = {name: hashlib.sha256() for name in _run_fields(runs[0])}
+    for run in runs:
+        for name, arrays in _run_fields(run).items():
+            for a in arrays:
+                hashes[name].update(_array_bytes(a))
+    return {name: h.hexdigest() for name, h in hashes.items()}
+
+
+def _book_families() -> dict:
+    """The families and levels of the ``simulate_book`` digests, by name:
+    the bench family; the table-kernel family of the ``empirical-kernels``
+    workload; the bench family with exponential sizes, a passive type of
+    two terms and a source distance an in-profile weighs, so its runs draw
+    marks both during and after the run; and the bench family with strong,
+    fast-decaying active kernels, so candidates are often thinned."""
+    from hawkeslob import config
+    from hawkeslob.families import ExponentialProfile, GaussianProfile
+    from hawkeslob.micro import ACTIVE_TYPES, PASSIVE_TYPES, SizeMeasure
+
+    workloads = _workloads()
+    table = config.parse_config(workloads.micro_yaml(0, BOOK_HORIZON)).scaling_family()
+    marks = workloads.make_family(
+        sizes={pt: SizeMeasure("exponential", rate=6.0) for pt in PASSIVE_TYPES},
+        pas_from_act={("a_lo", "a_mo"): (GaussianProfile(1.0), ExponentialProfile(0.3, 1.0))},
+        act_from_pas={("b", "b_cx"): (GaussianProfile(0.8, 0.3, 1.2), ExponentialProfile(0.3, 1.0))},
+    )
+    thinned = workloads.make_family(
+        act_from_act={(tgt, src): ExponentialProfile(100.0, 800.0) for tgt in "ab" for src in ACTIVE_TYPES})
+    return {"bench": (workloads.make_family(), (2, 3)), "table": (table, (3,)), "marks": (marks, (2,)),
+            "thinned": (thinned, (1,))}
+
+
+def book_digests(seed: int) -> list[tuple[str, str]]:
+    """The run digests of ``simulate_book`` on ``BOOK_STREAMS`` streams of
+    each family and level of ``_book_families``."""
+    from hawkeslob.micro import simulate_book
+    from hawkeslob.rng import stream_rng
+
+    out = []
+    for name, (family, levels) in _book_families().items():
+        for level in levels:
+            params = family.micro_params(level)
+            runs = [simulate_book(params, BOOK_HORIZON, stream_rng(seed, r, "micro"))
+                    for r in range(BOOK_STREAMS)]
+            out.extend((f"book.{name}.L{level}.{field}", h) for field, h in _run_digests(runs).items())
+    return out
+
+
 def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
     from hawkeslob import harness
 
@@ -84,12 +147,7 @@ def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
 
     def hashed(params, horizon, rngs):
         runs = lockstep(params, horizon, rngs)
-        hashes = {name: hashlib.sha256() for name in _run_fields(runs[0])}
-        for run in runs:
-            for name, arrays in _run_fields(run).items():
-                for a in arrays:
-                    hashes[name].update(_array_bytes(a))
-        run_hashes.append({name: h.hexdigest() for name, h in hashes.items()})
+        run_hashes.append(_run_digests(runs))
         return runs
 
     harness.simulate_books = hashed
@@ -130,7 +188,7 @@ def main(argv=None) -> int:
     ap.add_argument("--plan", choices=("bench", "criterion10"), required=True)
     args = ap.parse_args(argv)
     plan, family, limit_params = _bench_plan() if args.plan == "bench" else _criterion10_plan()
-    for name, digest in digests(plan, family, args.seed, limit_params):
+    for name, digest in digests(plan, family, args.seed, limit_params) + book_digests(args.seed):
         print(f"{name} {digest}")
     return 0
 

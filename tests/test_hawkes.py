@@ -316,6 +316,13 @@ def test_event_stream_invariants():
                     np.full(1, np.nan), 2.0, ("e",))
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+def test_horizon_must_be_positive_and_finite(horizon):
+    # a NaN horizon never ends a run
+    with pytest.raises(ValueError, match="^horizon must be positive and finite"):
+        simulate_thinning(scalar_spec(), horizon, 8)
+
+
 def test_marked_spatial_space():
     # separable spatial intensity: uniform marks on [-L, L]
     space = MarkSpace(labels=("e",), spatial_half_width=1.0)
