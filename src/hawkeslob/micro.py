@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -200,10 +200,6 @@ class BookState:
     def p_b(self) -> float:
         return self.grid.price_of(self.bid_tick)
 
-    @property
-    def spread_ticks(self) -> int:
-        return self.ask_tick - self.bid_tick
-
 
 def apply_active(state: BookState, active_type: str) -> BookState:
     """One-tick price move of the given active type, in place.
@@ -212,15 +208,18 @@ def apply_active(state: BookState, active_type: str) -> BookState:
     relabels which part of the density is the standing book and which part
     is the pre-placed spread volume.
     """
-    da, db = _PRICE_MOVES[active_type]
-    ask, bid = state.ask_tick + da, state.bid_tick + db
-    if ask < bid:
-        raise NonCrossingError(
-            f"{active_type} would cross the book at spread {state.spread_ticks} ticks; the "
-            "state-rate factors violate the no-crossing condition"
-        )
-    state.ask_tick, state.bid_tick = ask, bid
+    state.ask_tick, state.bid_tick = _moved(state.ask_tick, state.bid_tick, active_type)
     return state
+
+
+def _moved(ask: int, bid: int, active_type: str) -> tuple[int, int]:
+    """The best ticks after a one-tick move of the given active type; a move
+    that would cross the book raises ``NonCrossingError``."""
+    da, db = _PRICE_MOVES[active_type]
+    if ask + da < bid + db:
+        raise NonCrossingError(f"{active_type} would cross the book at spread {ask - bid} ticks; "
+                               "the state-rate factors violate the no-crossing condition")
+    return ask + da, bid + db
 
 
 def _fold_ledgers(p: "MicroParams", ledgers: list, runs: np.ndarray, labels: np.ndarray,
@@ -418,13 +417,8 @@ class SpreadLinearFactor:
         self.scale = float(scale)
         self.offset_ticks = int(offset_ticks)
 
-    def __call__(self, state: BookState) -> float:
-        ticks = state.spread_ticks - self.offset_ticks
-        return self.scale * max(ticks, 0) * state.grid.delta_x
-
     def spreads(self, ticks: np.ndarray, delta_x: float) -> np.ndarray:
-        """The factor at each spread of ``ticks`` (in ticks), elementwise
-        as ``__call__``."""
+        """The factor at each spread of ``ticks`` (in ticks)."""
         return self.scale * np.maximum(ticks - self.offset_ticks, 0) * delta_x
 
 
@@ -440,11 +434,6 @@ class GatedConstantFactor:
             raise ValueError(f"factor must be finite and >= 0, got {value}")
         self.value = float(value)
         self.gated = gated
-
-    def __call__(self, state: BookState) -> float:
-        if self.gated and state.spread_ticks < 1:
-            return 0.0
-        return self.value
 
     def spreads(self, ticks: np.ndarray, delta_x: float) -> np.ndarray:
         """The factor at each spread of ``ticks`` (in ticks)."""
@@ -462,8 +451,9 @@ class GatedConstantFactor:
 class MicroParams:
     """Everything the n-th order book model needs.
 
-    State factors are callables of the book state that read only the best
-    prices: the simulators evaluate them again after active events only.
+    State factors are ``SpreadLinearFactor`` or ``GatedConstantFactor``,
+    evaluated through ``spreads`` on the spread in ticks, which only active
+    events move; any other factor raises ``TypeError`` when the book compiles.
     Exogenous densities read only the time and the best ticks (``ExoConst``).
     Kernel dictionaries are keyed by (target type, source type); missing
     entries vanish.  Active-to-active entries are plain time profiles;
@@ -617,6 +607,16 @@ class _CompiledBook:
                 raise TypeError(
                     f"the exogenous density of {name} must be an ExoConst or declare rates(t, ask, "
                     f"bid, delta_x) and bounds(ask, bid, delta_x); got {type(exo).__name__}")
+        self.factors = [p.state_factor[at] for at in ACTIVE_TYPES]
+        for at, f in zip(ACTIVE_TYPES, self.factors):
+            if type(f) not in (SpreadLinearFactor, GatedConstantFactor):
+                raise TypeError(f"the state factor of {at} must be a SpreadLinearFactor or "
+                                f"GatedConstantFactor; got {type(f).__name__}")
+        # per active type: the first type whose factor has its type and fields
+        keys = [(type(f), tuple(vars(f).items())) for f in self.factors]
+        self.factor_of = [keys.index(k) for k in keys]
+        #: the state factors of ``_Engine`` per spread in ticks, as floats
+        self.by_spread: dict = {}
         self.p = p
         self.dx2 = dx**2
         self.state0 = s0 = p.initial_state()
@@ -627,7 +627,6 @@ class _CompiledBook:
         self.bank = bank = KernelBank(eps)
         entry = bank.entry
 
-        self.factors = [p.state_factor[at] for at in ACTIVE_TYPES]
         self.active_rows = []
         self.active_of = []
         rows: dict = {}
@@ -692,6 +691,12 @@ class _CompiledBook:
             or any(in_prof is not None for in_prof in bank.excite.get(label, {})))
             for label in range(8)])
 
+    def state_factors(self, spreads: np.ndarray) -> np.ndarray:
+        """The four state factors at each of ``spreads`` (in ticks), one row
+        per active type; equal factors are evaluated once (``factor_of``)."""
+        vals = {k: self.factors[k].spreads(spreads, self.p.delta_x) for k in set(self.factor_of)}
+        return np.array([vals[k] for k in self.factor_of])
+
     def passive_grid(self, j: int, exo: float, u: list, shapes: list) -> np.ndarray:
         """delta_v * passive intensity of one type, given its exogenous
         density and its base and out profiles evaluated on the same
@@ -749,15 +754,21 @@ class _CompiledBook:
 
 class _Engine:
     """Best ticks and running kernel state of one run over a compiled book;
-    the book state shares the initial ledgers, which no run writes."""
+    the state factors at a spread are evaluated once per book (``by_spread``)."""
 
     def __init__(self, params: MicroParams):
         if params._compiled is None:
             params._compiled = _CompiledBook(params)
         self.book = book = params._compiled
-        self.state = replace(book.state0)
+        self.ask, self.bid = book.state0.ask_tick, book.state0.bid_tick
         self.sums = KernelSums(book.bank)
-        self.factors = [f(self.state) for f in book.factors]
+        self.set_factors()
+
+    def set_factors(self) -> None:
+        by_spread, spread = self.book.by_spread, self.ask - self.bid
+        if spread not in by_spread:
+            by_spread[spread] = self.book.state_factors(np.array([spread]))[:, 0].tolist()
+        self.factors = by_spread[spread]
 
     def advance(self, t: float) -> None:
         sums = self.sums
@@ -768,13 +779,13 @@ class _Engine:
         """Feed an event into every kernel state it sources; an active event
         also moves the best ticks."""
         self.sums.fire(label, distance)
-        if label < 4:  # state factors read only the best prices
-            apply_active(self.state, ACTIVE_TYPES[label])
-            self.factors = [f(self.state) for f in self.book.factors]
+        if label < 4:  # state factors read only the spread
+            self.ask, self.bid = _moved(self.ask, self.bid, ACTIVE_TYPES[label])
+            self.set_factors()
 
     def exo(self, density, bound: bool) -> float:
         """An exogenous density, or its bound, at the current time and ticks."""
-        ticks = np.array([self.state.ask_tick]), np.array([self.state.bid_tick]), self.book.p.delta_x
+        ticks = np.array([self.ask]), np.array([self.bid]), self.book.p.delta_x
         return float((density.bounds(*ticks) if bound else density.rates(np.array([self.sums.t]), *ticks))[0])
 
     def rates(self, bound: bool):
@@ -878,7 +889,7 @@ def simulate_book(
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     rng = as_rng(rng_seed, "micro")
     eng = _Engine(params)
-    book, state, sums = eng.book, eng.state, eng.sums
+    book, sums = eng.book, eng.sums
     dx = params.delta_x
     marked = book.marked.tolist()
 
@@ -886,7 +897,7 @@ def simulate_book(
     mu = rates[3]
     # the records of ``_assemble_runs``, the first one the initial state;
     # the kernel sums after each record apart
-    records = [(0.0, 0, math.nan, math.nan, math.nan, state.ask_tick, state.bid_tick,
+    records = [(0.0, 0, math.nan, math.nan, math.nan, eng.ask, eng.bid,
                 dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]))]
     after = [sums.g + sums.b]
 
@@ -936,7 +947,7 @@ def simulate_book(
         eng.fire(label, x)
         rates = eng.rates(bound=False)
         mu = rates[3]
-        records.append((t, label, x, row[_OFFSET], row[_SIZE], state.ask_tick, state.bid_tick,
+        records.append((t, label, x, row[_OFFSET], row[_SIZE], eng.ask, eng.bid,
                         dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3])))
         after.append(sums.g + sums.b)
 
@@ -962,13 +973,14 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
     ``sums`` holds each run's ``KernelSums`` (read for scanned kernels) and
     ``candidates`` its candidate count.
 
-    From the records come every distance the runs did not draw and every
-    size (one sampler call per passive type and term, ``_distances``), the
-    events, the final volume ledgers (``_fold_ledgers``), the checkpoint
-    diagnostics and the loads: 1 at the start of a run, then dx^2 per
-    active and delta_v per passive event, one row-wise running sum over a
-    zero-padded array of runs.  A run's final ticks are those of its last
-    record, and each record after the first is an accepted event.
+    From the records come every distance the runs did not draw (one
+    sampler call per passive type and term, ``_distances``), every size
+    (one call per passive type with an event), the events, the final
+    volume ledgers (``_fold_ledgers``), the checkpoint diagnostics and the
+    loads: 1 at the start of a run, then dx^2 per active and delta_v per
+    passive event, one row-wise running sum over a zero-padded array of
+    runs.  A run's final ticks are those of its last record, and each
+    record after the first is an accepted event.
     """
     p = book.p
     times, labels, xs, offsets, zs, asks, bids, beta_a, beta_b, after = fields
@@ -980,9 +992,9 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
     unmarked = np.flatnonzero(~(active | book.marked[labels]))
     types = labels[unmarked] - 4
     xs[unmarked] = _distances(book, types, np.zeros_like(types), xs[unmarked], offsets[unmarked])
-    for j, pt in enumerate(PASSIVE_TYPES):
+    for j in np.flatnonzero(np.bincount(labels, minlength=8)[4:]).tolist():
         at = np.flatnonzero(labels == 4 + j)
-        zs[at] = p.sizes[pt].samples(zs[at])
+        zs[at] = p.sizes[PASSIVE_TYPES[j]].samples(zs[at])
     xs[active] = zs[active] = math.nan
     run_of = np.repeat(np.arange(n), sizes)
     ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
@@ -1108,7 +1120,7 @@ class _Lockstep:
     through ``ids``, and so is ``candidates``, each replicate's candidate
     count, which ``retire`` writes as it drops finished columns.  It keeps
     the block at the width it was drawn at: ``col`` selects each pass's row
-    from it.  Equal state factors are evaluated once (``factor_of``).
+    from it.
     """
 
     #: per-column arrays, column axis last
@@ -1124,10 +1136,7 @@ class _Lockstep:
         self.t = np.zeros(n)
         self.ask = np.full(n, book.state0.ask_tick, dtype=np.int64)
         self.bid = np.full(n, book.state0.bid_tick, dtype=np.int64)
-        # per active type: the first type whose factor has its type and fields
-        keys = [(type(f), tuple(vars(f).items())) for f in book.factors]
-        self.factor_of = [keys.index(k) for k in keys]
-        self.factors = self.state_factors()
+        self.factors = book.state_factors(self.ask - self.bid)
         self.g, self.b = np.zeros((n_s, n)), np.zeros((n_s, n))
         self.candidates = np.empty(n, dtype=np.int64)
         self.accepted = np.zeros(n, dtype=np.int64)
@@ -1154,11 +1163,6 @@ class _Lockstep:
         keep = ~done
         for name in self._ARRAYS:
             setattr(self, name, getattr(self, name)[..., keep])
-
-    def state_factors(self) -> np.ndarray:
-        spread, factors = self.ask - self.bid, self.book.factors
-        vals = {k: factors[k].spreads(spread, self.book.p.delta_x) for k in set(self.factor_of)}
-        return np.array([vals[k] for k in self.factor_of])
 
     def advance(self, t: np.ndarray) -> None:
         """``_Engine.advance`` of every column to its time in ``t``."""
@@ -1255,10 +1259,11 @@ def simulate_books(
     picks of passive types with more than one term, in-profile weights and
     scanned-kernel histories (``_Lockstep``).
 
-    The state factors must be ``SpreadLinearFactor`` or
-    ``GatedConstantFactor``, which have a vectorised form; any other raises
-    ``TypeError``.  A ``MajorantViolationError`` or ``NonCrossingError``
-    names the replicate by its index in ``rngs``.
+    The state factors, ``SpreadLinearFactor`` or ``GatedConstantFactor``,
+    are evaluated through ``spreads`` on every column's spread in ticks;
+    any other factor raises ``TypeError`` when the book compiles.  A
+    ``MajorantViolationError`` or ``NonCrossingError`` names the replicate
+    by its index in ``rngs``.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -1266,12 +1271,6 @@ def simulate_books(
     if p._compiled is None:
         p._compiled = _CompiledBook(p)
     book = p._compiled
-    for at, f in zip(ACTIVE_TYPES, book.factors):
-        if type(f) not in (SpreadLinearFactor, GatedConstantFactor):
-            raise TypeError(
-                f"simulate_books needs SpreadLinearFactor or GatedConstantFactor state "
-                f"factors; {at} has {type(f).__name__} (simulate_book takes any)"
-            )
     dx = p.delta_x
     n = len(rngs)
     if not n:
@@ -1338,16 +1337,15 @@ def simulate_books(
         if np.any(ask < bid):
             q = int(np.argmax(ask < bid))
             c = fired[q]
-            try:  # the same move on the replicate's book raises the crossing error
-                apply_active(replace(book.state0, ask_tick=int(run.ask[c]), bid_tick=int(run.bid[c])),
-                             ACTIVE_TYPES[labels[q]])
+            try:  # the same move of the replicate's ticks raises the crossing error
+                _moved(int(run.ask[c]), int(run.bid[c]), ACTIVE_TYPES[labels[q]])
             except NonCrossingError as exc:
                 raise NonCrossingError(f"replicate {run.ids[c]}: {exc}") from None
         run.ask[fired], run.bid[fired] = ask, bid
         run.fire(fired, labels, xs)
         run.accepted[fired] += 1
         if labels.min() < 4:
-            run.factors = run.state_factors()
+            run.factors = book.state_factors(run.ask - run.bid)
         act, pas, _terms, mu = run.rates(False)
         run.total = _rate_total(act, pas)
         for rec, f in zip(records, (

@@ -97,7 +97,7 @@ class TestBookUpdates:
         st = params.initial_state()
         apply_active(st, "a_sp")
         apply_active(st, "b_sp")
-        assert st.spread_ticks == 1
+        assert st.ask_tick - st.bid_tick == 1
 
     def test_non_crossing_violation(self):
         params = minimal_params(ask_price0=0.0, bid_price0=0.0)
@@ -239,10 +239,11 @@ class TestIntensities:
             ask_price0=0.1, bid_price0=0.0,
         )
         st = params.initial_state()
-        assert st.spread_ticks == 1
+        spread = np.array([st.ask_tick - st.bid_tick])
+        assert spread.tolist() == [1]
         # at exactly one tick the spread-placement factor is already zero
-        assert params.state_factor["a_sp"](st) == 0.0
-        assert params.state_factor["a_mo"](st) == pytest.approx(0.1)
+        assert params.state_factor["a_sp"].spreads(spread, params.delta_x).tolist() == [0.0]
+        assert params.state_factor["a_mo"].spreads(spread, params.delta_x)[0] == pytest.approx(0.1)
 
     def test_passive_event_excites_active(self):
         c, kappa, s, t, y = 0.6, 1.5, 0.3, 0.8, -0.7
@@ -363,21 +364,37 @@ class TestSimulateBook:
         assert np.all(run.final_state.ask_vol.values >= 0)
         assert np.all(run.final_state.bid_vol.values >= 0)
 
-    def test_factors_evaluated_after_active_events_only(self, family):
-        params = family.micro_params(1)
-        calls = []
+    def test_factors_evaluated_after_active_events_only(self, monkeypatch):
+        # factors are evaluated only at spreads the run visits, at most once
+        # per spread and distinct factor, and never in a passive event
+        calls, fired = [], []
+        for cls in (SpreadLinearFactor, GatedConstantFactor):
+            def counted(self, ticks, delta_x, spreads=cls.spreads):
+                calls.extend((type(self), tuple(vars(self).items()), s) for s in ticks.tolist())
+                return spreads(self, ticks, delta_x)
 
-        class Counted(SpreadLinearFactor):
-            def __call__(self, state):
-                calls.append(state.spread_ticks)
-                return super().__call__(state)
+            monkeypatch.setattr(cls, "spreads", counted)
+        fire = micro._Engine.fire
 
-        params.state_factor = {at: Counted(f.scale, f.offset_ticks)
-                               for at, f in params.state_factor.items()}
-        run = simulate_book(params, 0.5, stream_rng(10, 0, "micro"))
-        n_active = int(np.sum(run.events.labels < 4))
-        assert 0 < n_active < run.accepted
-        assert len(calls) == 4 * (1 + n_active)
+        def counted_fire(self, label, distance):
+            before = len(calls)
+            fire(self, label, distance)
+            fired.append((label, len(calls) - before))
+
+        monkeypatch.setattr(micro._Engine, "fire", counted_fire)
+        for rate_family in ("spread_linear", "constant"):
+            fam = make_family(rates={s: ActiveRateFamily(rate_family, 0.5) for s in "ab"})
+            calls.clear()
+            fired.clear()
+            run = simulate_book(fam.micro_params(1), 0.5, stream_rng(10, 0, "micro"))
+            n_active = int(np.sum(run.events.labels < 4))
+            assert 0 < n_active < run.accepted
+            assert [label for label, _n in fired] == run.events.labels.tolist()
+            assert all(n == 0 for label, n in fired if label >= 4)
+            visited = set((run.ask_ticks - run.bid_ticks).tolist())
+            assert len(visited) > 2
+            assert {s for _t, _f, s in calls} == visited
+            assert len(set(calls)) == len(calls) == 2 * len(visited)  # two distinct factors
 
     def test_active_scalar_slots_nearly_merge(self, family):
         # dx^2 mu for the market and spread slots of a side agree up to the
@@ -441,19 +458,16 @@ class TestRescaledSequence:
         # the spread-placement factor vanishes below one tick (no crossing),
         # and the spread-linear rescaled difference is the declared scale
         fam = make_family(rates={s: ActiveRateFamily(rate_family, 0.5) for s in "ab"})
+        ticks = np.arange(12)
         for k in range(4):
             params = fam.micro_params(k)
-            state = params.initial_state()
-            for ticks in range(12):
-                state.ask_tick = state.bid_tick + ticks
-                for side in "ab":
-                    mo = params.state_factor[f"{side}_mo"](state)
-                    sp = params.state_factor[f"{side}_sp"](state)
-                    assert mo >= 0.0 and sp >= 0.0
-                    if ticks < 1:
-                        assert sp == 0.0
-                    elif rate_family == "spread_linear":
-                        assert (mo - sp) / params.delta_x == pytest.approx(0.5)
+            for side in "ab":
+                mo = params.state_factor[f"{side}_mo"].spreads(ticks, params.delta_x)
+                sp = params.state_factor[f"{side}_sp"].spreads(ticks, params.delta_x)
+                assert np.all(mo >= 0.0) and np.all(sp >= 0.0)
+                assert np.all(sp[ticks < 1] == 0.0)
+                if rate_family == "spread_linear":
+                    assert (mo - sp)[ticks >= 1] / params.delta_x == pytest.approx(0.5)
 
     def test_negative_factor_scales_rejected(self):
         for make in (lambda: SpreadLinearFactor(-0.1), lambda: GatedConstantFactor(-0.1, True),
@@ -554,10 +568,9 @@ def every_kind_family():
     )
 
 
-def exo_at(density, t, state):
-    """An exogenous density at one time and book state."""
-    ticks = np.array([state.ask_tick]), np.array([state.bid_tick]), state.grid.delta_x
-    return float(density.rates(np.array([t]), *ticks)[0])
+def exo_at(density, t, ask, bid, delta_x):
+    """An exogenous density at one time and pair of best ticks."""
+    return float(density.rates(np.array([t]), np.array([ask]), np.array([bid]), delta_x)[0])
 
 
 def full_sum_rates(params, events, k, state):
@@ -566,6 +579,8 @@ def full_sum_rates(params, events, k, state):
     t = events.times[k]
     lags, labels, xs = t - events.times[:k], events.labels[:k], events.xs[:k]
     dx2, dv, L = params.delta_x**2, params.delta_v, params.half_width
+    ticks = state.ask_tick, state.bid_tick, params.delta_x
+    spread = np.array([state.ask_tick - state.bid_tick])
 
     def kernel_sum(src, prof, in_prof=None):
         hit = labels == (ACTIVE_TYPES + PASSIVE_TYPES).index(src)
@@ -574,16 +589,16 @@ def full_sum_rates(params, events, k, state):
 
     active = []
     for at in ACTIVE_TYPES:
-        mu = exo_at(params.base_active[at], t, state) / dx2
+        mu = exo_at(params.base_active[at], t, *ticks) / dx2
         for (tgt, src), prof in params.act_from_act.items():
             mu += kernel_sum(src, prof) if tgt == at else 0.0
         for (tgt, src), (in_prof, prof) in params.act_from_pas.items():
             mu += dv / dx2 * kernel_sum(src, prof, in_prof) if tgt == at else 0.0
-        active.append(params.state_factor[at](state) * mu)
+        active.append(params.state_factor[at].spreads(spread, params.delta_x)[0] * mu)
     passive = []
     for pt in PASSIVE_TYPES:
         exo, prof = params.base_passive[pt]
-        total = exo_at(exo, t, state) * prof.mass(L) / dv
+        total = exo_at(exo, t, *ticks) * prof.mass(L) / dv
         for (tgt, src), (out_prof, tprof) in params.pas_from_act.items():
             total += dx2 / dv * out_prof.mass(L) * kernel_sum(src, tprof) if tgt == pt else 0.0
         for (tgt, src), (out_prof, in_prof, tprof) in params.pas_from_pas.items():
@@ -688,11 +703,12 @@ def checkpoint_row(eng):
     """d11, d22 and dx^2 mu of one checkpoint, evaluated on the live engine
     in one pass: every exogenous density called, the passive field built on
     the checkpoint nodes and integrated."""
-    book, state, t = eng.book, eng.state, eng.sums.t
+    book, t = eng.book, eng.sums.t
+    ticks = eng.ask, eng.bid, book.p.delta_x
     u = eng.sums.units(False)
     rows = []
     for exo, _term, from_act, from_pas in book.active_rows:
-        val = exo_at(exo, t, state) / book.dx2
+        val = exo_at(exo, t, *ticks) / book.dx2
         for i, amp in from_act:
             val += amp * u[i]
         for i, amp in from_pas:
@@ -701,7 +717,7 @@ def checkpoint_row(eng):
     act = [rows[r] for r in book.active_of]
     grids = []
     for row in book.passive_rows:
-        out = exo_at(row.exo, t, state) * row.cp_shapes[0]
+        out = exo_at(row.exo, t, *ticks) * row.cp_shapes[0]
         for (i, amp, _k, k_grid), shape in zip(row.entries, row.cp_shapes[1:]):
             out = out + k_grid * (amp * u[i]) * shape
         grids.append(out)
@@ -716,7 +732,6 @@ def checkpoint_row(eng):
 def engine_snapshot(eng):
     """A copy of a live engine that its later events leave alone."""
     out = copy.copy(eng)
-    out.state = copy.copy(eng.state)
     sums = out.sums = copy.copy(eng.sums)
     sums.g, sums.b, sums.start = list(sums.g), list(sums.b), list(sums.start)
     sums.hist = [copy.copy(h) for h in sums.hist]  # appends land past the copied length
@@ -1037,9 +1052,10 @@ class TestLockstep:
     def test_other_factors_are_rejected(self):
         params = minimal_params()
         params.state_factor["b_mo"] = lambda state: 1.0
-        with pytest.raises(TypeError, match="b_mo"):
-            micro.simulate_books(params, 0.5, [stream_rng(63, 0, "micro")])
-        simulate_book(params, 0.5, stream_rng(63, 0, "micro"))  # the scalar engine takes any
+        for run in (lambda: simulate_book(params, 0.5, stream_rng(63, 0, "micro")),
+                    lambda: micro.simulate_books(params, 0.5, [stream_rng(63, 0, "micro")])):
+            with pytest.raises(TypeError, match="^the state factor of b_mo must be .*; got function$"):
+                run()
 
     @pytest.mark.parametrize("slot", ["b_mo", "a_cx"])
     def test_other_densities_are_rejected(self, slot):
@@ -1221,25 +1237,29 @@ _ACT_KERNELS = {
 
 
 @functools.lru_cache(maxsize=None)
-def act_kernel_params(kernel, level):
+def act_kernel_params(kernel, level, rates):
     """Level ``level`` of the test family with every active-to-active kernel
-    ``_ACT_KERNELS[kernel]``, compiled once for every example."""
-    return make_family(act_from_act={(tgt, src): _ACT_KERNELS[kernel]
+    ``_ACT_KERNELS[kernel]`` and the state factors of the ``rates`` family,
+    compiled once for every example."""
+    return make_family(rates={s: ActiveRateFamily(rates, 0.5) for s in "ab"},
+                       act_from_act={(tgt, src): _ACT_KERNELS[kernel]
                                      for tgt in "ab" for src in ACTIVE_TYPES}).micro_params(level)
 
 
 @given(
     kernel=st.sampled_from(sorted(_ACT_KERNELS)),
     level=st.integers(0, 1),
+    rates=st.sampled_from(["spread_linear", "constant"]),
     horizon=st.floats(0.0, 0.1, exclude_min=True),
     batch=st.integers(1, 12),
     seed=st.integers(0, 2**31 - 1),
 )
-@example(kernel="table", level=1, horizon=0.1, batch=12, seed=0)
-@example(kernel="gamma", level=1, horizon=0.1, batch=12, seed=0)
+@example(kernel="table", level=1, rates="spread_linear", horizon=0.1, batch=12, seed=0)
+@example(kernel="gamma", level=1, rates="spread_linear", horizon=0.1, batch=12, seed=0)
+@example(kernel="gamma", level=1, rates="constant", horizon=0.1, batch=12, seed=0)
 @settings(max_examples=150, deadline=None)
-def test_any_batch_equals_single_streams(kernel, level, horizon, batch, seed):
-    params = act_kernel_params(kernel, level)
+def test_any_batch_equals_single_streams(kernel, level, rates, horizon, batch, seed):
+    params = act_kernel_params(kernel, level, rates)
     runs = micro.simulate_books(params, horizon, [stream_rng(seed, r, "micro") for r in range(batch)])
     assert len(runs) == batch
     for r, run in enumerate(runs):
