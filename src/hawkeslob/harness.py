@@ -146,6 +146,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates per level")
+        if self.limit_paths < 100:
+            raise ValueError("need at least 100 limit paths")
         if len(self.levels) < 3:
             raise ValueError("need at least three refinement levels")
         if self.n_boot < 2:
@@ -239,8 +241,10 @@ def run_convergence(
     sequence is nonincreasing across levels up to the standard-error slack.
     Every level runs replicate r on the micro stream r of ``seed``: the
     streams are derived once, and each level starts them from their initial
-    states.  The experiment runs in one process; ``n_workers`` accepts only
-    1.
+    states.  The limit is solved without tracked functionals: the volume
+    errors read its terminal volumes (``LimitRun.v_inner``), so the returned
+    run's ``v_f`` and ``eta_f`` are empty.  The experiment runs in one
+    process; ``n_workers`` accepts only 1.
     """
     t_start = time.perf_counter()
     if n_workers != 1:
@@ -251,9 +255,7 @@ def run_convergence(
         lp, family.ask_price0, family.bid_price0,
         family.ask_volume0, family.bid_volume0, n_paths=plan.limit_paths,
     )
-    limit_run = limit_mod.solve_paths(
-        lp, init, plan.horizon, plan.limit_dt, seed=seed, track=plan.test_fns
-    )
+    limit_run = limit_mod.solve_paths(lp, init, plan.horizon, plan.limit_dt, seed=seed)
     manifest.register("limit", 1)
 
     lim_pa = limit_run.p_a[-1]

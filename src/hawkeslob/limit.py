@@ -186,7 +186,7 @@ class LimitRun:
     seed: Optional[int]
     clamp_count: int
     v_f: dict  # name -> (M+1, 2, R) tracked volume functionals (a, b)
-    eta_f: dict  # name -> (M+1, 2, R) tracked volume drift functionals
+    eta_f: dict  # name -> (M+1, 2, R) tracked volume drift functionals; row M stays 0
     lam_checkpoints: list  # (t, (4, n_x, R)) passive intensity snapshots
 
     @property
@@ -223,7 +223,7 @@ class _Entry:
 
     def __init__(self, time: TimeProfile, src_key, kind: str, target):
         self.time = time
-        self.src_key = src_key  # key into the scalar source histories
+        self.src_key = src_key  # ("q", side) or ("ip", in-product index)
         self.kind = kind  # "mu" | "lam" | "beta"
         self.target = target  # side or passive type
 
@@ -233,17 +233,20 @@ class _TrapezoidConv:
 
     For the exact exponential, constant, zero and gamma profile families the
     sum obeys an exact one-step recursion, so the per-step cost is O(paths)
-    instead of O(steps * paths); other profiles, subclasses included, fall
-    back to the full dot product through their ``value``.
+    instead of O(steps * paths) and only the running sums are kept; other
+    profiles, subclasses included, fall back to the full dot product through
+    their ``value`` (``generic`` mode).  The generic mode alone keeps the
+    source's history, q_0..q_{M-1} on the time grid ``t``; the engine hands
+    over only the newest row.
     It is not a ``families.KernelBank``: it is a trapezoid quadrature over
     a path ensemble on a time grid, with a half-weighted first node, not a
     sum over events.
     """
 
-    def __init__(self, profile: TimeProfile, dt: float, n_paths: int):
+    def __init__(self, profile: TimeProfile, t: np.ndarray, dt: float, n_paths: int):
         self.profile = profile
         self.dt = dt
-        self._first = True
+        self.n = 0  # source rows folded so far
         kind = type(profile)
         if kind in (ConstantProfile, ZeroProfile):
             self.mode = "exp"
@@ -263,20 +266,25 @@ class _TrapezoidConv:
             self.b = np.zeros(n_paths)
         else:
             self.mode = "generic"
+            self.t = t
+            self.q = np.empty((t.size - 1, n_paths))
 
-    def fold_and_value(self, q_hist: np.ndarray, lags: np.ndarray,
-                       w: np.ndarray) -> np.ndarray:
-        """History part of the convolution at the new time.
+    def fold_and_value(self, q_new: np.ndarray) -> np.ndarray:
+        """History part of the convolution at t_{m+1}.
 
-        ``q_hist`` holds the finalized sources q_0..q_m; stateful modes fold
-        the newest value into the running sum, the generic mode recomputes
-        the weighted dot against the provided lags and weights.
+        ``q_new`` is the newest finalized source row q_m; stateful modes fold
+        it into the running sum, the generic mode appends it to its history
+        and recomputes the weighted dot over q_0..q_m.
         """
+        m = self.n
+        self.n = m + 1
         if self.mode == "generic":
-            prof_vals = self.profile.value(lags)
-            return self.dt * ((prof_vals * w) @ q_hist)
-        q_new = q_hist[-1] * (0.5 if self._first else 1.0)
-        self._first = False
+            self.q[m] = q_new
+            w = np.ones(m + 1)
+            w[0] = 0.5
+            prof_vals = self.profile.value(self.t[m + 1] - self.t[:m + 1])
+            return self.dt * ((prof_vals * w) @ self.q[:m + 1])
+        q_new = q_new * (0.5 if m == 0 else 1.0)
         if self.mode == "exp":
             self.h = self.decay * (self.h + q_new)
             return self.dt * self.c * self.h
@@ -299,11 +307,15 @@ class LimitEngine:
     (``_advance_volumes``) that gathers each distinct profile window once
     per side and column block.  Each side's rate factor is evaluated once
     per state and serves the diffusion coefficients of that step and the
-    intensities of the next.  ``V_a`` and ``V_b`` are node-major ``(volume
-    nodes, R)`` arrays, updated in place over the band of nodes the
-    intensities reach; ``V_b`` is stored mirrored (its row ``j`` is node
-    ``n_cols - 1 - j``), so both sides read the same profile windows with
-    the same band formula.  ``finish`` returns ``(R, volume nodes)`` views.
+    intensities of the next.  The engine keeps the intensity and price
+    paths it returns, but of the scalar sources (``q = rho * mu`` per side
+    and the in-products ``ell``) only the current row: each convolution
+    keeps what it reads (``_TrapezoidConv``).  ``V_a`` and ``V_b`` are
+    node-major ``(volume nodes, R)`` arrays, updated in place over the band
+    of nodes the intensities reach; ``V_b`` is stored mirrored (its row
+    ``j`` is node ``n_cols - 1 - j``), so both sides read the same profile
+    windows with the same band formula.  ``finish`` returns ``(R, volume
+    nodes)`` views.
     """
 
     def __init__(
@@ -348,8 +360,8 @@ class LimitEngine:
         self.h_v = float(self.x_v[1] - self.x_v[0])
         self._wv = _trapz_weights(self.x_v)
 
-        # scalar source histories: q_<side> = rho_side * mu_side, and one
-        # in-product series per (passive source, in-profile) pair
+        # scalar sources: q_<side> = rho_side * mu_side, and one in-product
+        # series per (passive source, in-profile) pair
         self.inprods: list[tuple[str, SpatialProfile]] = []
         self._ip_index: dict = {}
 
@@ -407,14 +419,11 @@ class LimitEngine:
                 if out_vals is not None and self.entries[k].target == pt_r:
                     self._ip_out[r, k] = float(in_w @ out_vals)
 
-        self._convs = [_TrapezoidConv(e.time, dt, self.R) for e in self.entries]
+        self._convs = [_TrapezoidConv(e.time, self.t, dt, self.R) for e in self.entries]
         # the implicit trapezoid node's weight per entry: 0.5 dt h(0)
         self._diag = [0.5 * dt * float(e.time.value(0.0)) for e in self.entries]
-        self._any_generic = any(c.mode == "generic" for c in self._convs)
 
         M, R = self.n_steps, self.R
-        self.q = np.zeros((M + 1, 2, R))
-        self.ell = np.zeros((M + 1, len(self.inprods), R))
         self.mu = np.zeros((M + 1, 2, R))
         self.beta_arr = np.zeros((M + 1, 2, R))
         self.P_a = np.zeros((M + 1, R))
@@ -442,8 +451,11 @@ class LimitEngine:
         self._block_nodes = max(1, min(self.x_v.size, VOLUME_BLOCK_BYTES // (8 * self.R)))
         self._buffers = [np.empty(self._block_nodes * self.R) for _ in range(3)]
 
-        self.m = 0
-        self._init_time_zero()
+        pa, pb = self.P_a[0], self.P_b[0]
+        for s_idx, side in enumerate(SIDES):
+            self.mu[0, s_idx] = self.p.base_rate[side](0.0, pa, pb)
+            self.beta_arr[0, s_idx] = self.p.base_drift[side](0.0, pa, pb)
+        self._settle(0, np.zeros((len(self.entries), R)))
 
     def _build_gather_windows(self) -> None:
         """Zero-padded windows over every distinct profile vector, and each
@@ -516,28 +528,22 @@ class LimitEngine:
 
     # -- stepping -----------------------------------------------------------
 
-    def _init_time_zero(self):
-        pa, pb = self.P_a[0], self.P_b[0]
-        hat_fac = self._hat_factors(0.0, pa, pb)
-        conv = np.zeros((len(self.entries), self.R))
+    def _settle(self, m: int, conv: np.ndarray) -> None:
+        """Finalize step ``m`` from its realized prices, its intensities
+        ``mu[m]`` and its convolution values ``conv``, and take a checkpoint
+        there if one is due."""
+        pa, pb = self.P_a[m], self.P_b[m]
         # each side's rate factor at the current state, read by the next
         # step's intensities and by drift_diffusion
         self._rho = np.stack([self.p.rho[s](pa, pb) for s in SIDES])
-        for s_idx, side in enumerate(SIDES):
-            self.mu[0, s_idx] = self.p.base_rate[side](0.0, pa, pb)
-            self.beta_arr[0, s_idx] = self.p.base_drift[side](0.0, pa, pb)
-            self.q[0, s_idx] = self._rho[s_idx] * self.mu[0, s_idx]
-        self.ell[0] = self._ell_from(conv, hat_fac)
         # convolution values and hat factors of the current step, read by the
         # volume update and the checkpoints of that step only
-        self._conv, self._hat_fac = conv, hat_fac
-        self._maybe_checkpoint(0)
-
-    def _src_hist(self, e: _Entry, m: int) -> np.ndarray:
-        if e.src_key[0] == "q":
-            s_idx = SIDES.index(e.src_key[1])
-            return self.q[:m, s_idx, :]
-        return self.ell[:m, e.src_key[1], :]
+        self._conv, self._hat_fac = conv, self._hat_factors(self.t[m], pa, pb)
+        # the current source rows, folded into the convolutions by the next step
+        self._q = self._rho * self.mu[m]
+        self._ell = self._ell_from(conv, self._hat_fac)
+        self.m = m
+        self._maybe_checkpoint(m)
 
     def _src_now(self, e: _Entry, q_now: np.ndarray, ell_now: np.ndarray) -> np.ndarray:
         if e.src_key[0] == "q":
@@ -554,22 +560,15 @@ class LimitEngine:
         pa_prev, pb_prev = self.P_a[m], self.P_b[m]
 
         # 1. intensities at t_{m+1}, driven by the state at the step start
+        q_now, ell_now = self._q, self._ell
         hist = np.zeros((len(self.entries), self.R))
-        lags = w = None
-        if self._any_generic:
-            lags = t_new - self.t[: m + 1]
-            w = np.ones(m + 1)
-            w[0] = 0.5
         for k, e in enumerate(self.entries):
-            hist[k] = self._convs[k].fold_and_value(self._src_hist(e, m + 1), lags, w)
+            hist[k] = self._convs[k].fold_and_value(self._src_now(e, q_now, ell_now))
 
         hat_fac = self._hat_factors(t_new, pa_prev, pb_prev)
         base_rate = np.stack([self.p.base_rate[s](t_new, pa_prev, pb_prev) for s in SIDES])
         rho_prev = self._rho
-        q_now = self.q[m].copy()
-        ell_now = self.ell[m].copy()
-        conv = hist.copy()
-        mu_now = self.mu[m].copy()
+        conv = np.empty_like(hist)
         for _ in range(3):
             for k, e in enumerate(self.entries):
                 conv[k] = hist[k] + self._diag[k] * self._src_now(e, q_now, ell_now)
@@ -599,17 +598,7 @@ class LimitEngine:
 
         # 3. volumes by explicit Euler with intensities at the step start
         self._advance_volumes(m)
-
-        # finalize source histories at t_{m+1} with the realized state
-        pa_new, pb_new = self.P_a[m + 1], self.P_b[m + 1]
-        self._rho = np.stack([self.p.rho[s](pa_new, pb_new) for s in SIDES])
-        self.q[m + 1] = self._rho * mu_now
-        hat_new = self._hat_factors(t_new, pa_new, pb_new)
-        self.ell[m + 1] = self._ell_from(conv, hat_new)
-        self._conv, self._hat_fac = conv, hat_new
-
-        self.m = m + 1
-        self._maybe_checkpoint(self.m)
+        self._settle(m + 1, conv)
 
     def drift_diffusion(self):
         """Price drift and diffusion coefficients at the current step.

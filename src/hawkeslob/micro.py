@@ -973,9 +973,10 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
     ``sums`` holds each run's ``KernelSums`` (read for scanned kernels) and
     ``candidates`` its candidate count.
 
-    From the records come every distance the runs did not draw (one
-    sampler call per passive type and term, ``_distances``), every size
-    (one call per passive type with an event), the events, the final
+    From the records come every distance the runs did not draw and every
+    size, one pass over the passive types with an event: a type is marked
+    for all of its events or for none, and an unmarked type has a single
+    term, whose sampler draws its distances.  Then come the events, the final
     volume ledgers (``_fold_ledgers``), the checkpoint diagnostics and the
     loads: 1 at the start of a run, then dx^2 per active and delta_v per
     passive event, one row-wise running sum over a zero-padded array of
@@ -989,11 +990,10 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
     ends = np.cumsum(sizes).tolist()
     starts = [0] + ends[:-1]
     active = labels < 4
-    unmarked = np.flatnonzero(~(active | book.marked[labels]))
-    types = labels[unmarked] - 4
-    xs[unmarked] = _distances(book, types, np.zeros_like(types), xs[unmarked], offsets[unmarked])
     for j in np.flatnonzero(np.bincount(labels, minlength=8)[4:]).tolist():
         at = np.flatnonzero(labels == 4 + j)
+        if not book.marked[4 + j]:
+            xs[at] = book.passive_rows[j].samplers[0].samples(xs[at], offsets[at])
         zs[at] = p.sizes[PASSIVE_TYPES[j]].samples(zs[at])
     xs[active] = zs[active] = math.nan
     run_of = np.repeat(np.arange(n), sizes)

@@ -3,18 +3,22 @@
 Prints the sha256 of the convergence report (without ``runtime_s``), of the
 seed manifest, of every ``LevelStats`` array, of each level's
 ``simulate_books`` runs and of the limit ``p_a``, ``p_b``, ``mu``, ``beta``,
-terminal ``v_a`` and ``v_b``, and each tracked function's ``v_f`` and
-``eta_f``, one per line.  The runs of a level give four digests, each over its runs in order:
+terminal ``v_a`` and ``v_b``, one per line.  The runs of a level give four
+digests, each over its runs in order:
 the event times, labels, distances and sizes (``events``); the best ticks,
 load and beta (``paths``); d11, d22 and the active scalars
 (``checkpoints``); and both final ledgers (``ledgers``).  The ``book.*``
 lines give the same four digests of ``simulate_book`` runs on a few
 streams of four families (``_book_families``), so they cover the
-single-stream engine.  Two trees that print the same lines ran the same
-experiment bit for bit; a change that only reorders the functionals' sums
-moves their lines and the ``report`` line, whose volume-functional errors
-read the terminal volumes through an inner product.  The script calls only
-public functions, so it runs on older trees as well.
+single-stream engine.  The ``tracked.*`` lines digest ``p_a``, ``mu`` and
+the tracked volume functionals ``v_f`` and ``eta_f`` of a small limit solve
+with a tracked test function, the solve of acceptance criterion 12 at
+``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps.  Two trees that print
+the same lines ran the same experiment bit for bit; a change that only
+reorders the sums of an inner product moves the ``tracked.*`` functional
+lines or the ``report`` line, whose volume-functional errors read the
+terminal volumes through an inner product.  The script calls only public
+functions, so it runs on older trees as well.
 
     PYTHONPATH=src python tests/identity_digest.py --seed 101 --plan bench
     PYTHONPATH=src python tests/identity_digest.py --seed 9137 --plan criterion10
@@ -42,6 +46,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: streams of each ``simulate_book`` digest, and their horizon
 BOOK_STREAMS = 4
 BOOK_HORIZON = 0.5
+#: paths and steps of the tracked limit solve, at dt 1e-3
+TRACKED_PATHS = 200
+TRACKED_STEPS = 100
 
 
 def _workloads():
@@ -59,18 +66,26 @@ def _bench_plan():
     return plan, family, family.limit_params(n_x=113)
 
 
-def _criterion10_plan():
-    from hawkeslob import limit
-    from hawkeslob.harness import ExperimentPlan
-
+def _test_family():
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import make_family
 
-    f1 = limit.SpatialTestFn("g1", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2)))
-    f2 = limit.SpatialTestFn("g2", lambda x: np.exp(-((np.asarray(x) + 0.3) ** 2) / 0.98))
+    return make_family()
+
+
+def _test_fns():
+    from hawkeslob import limit
+
+    return [limit.SpatialTestFn("g1", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2))),
+            limit.SpatialTestFn("g2", lambda x: np.exp(-((np.asarray(x) + 0.3) ** 2) / 0.98))]
+
+
+def _criterion10_plan():
+    from hawkeslob.harness import ExperimentPlan
+
     plan = ExperimentPlan(levels=(0, 1, 2, 3), replicates=400, horizon=1.0, limit_paths=2000,
-                          limit_dt=1e-3, test_fns=[f1, f2], n_boot=200)
-    return plan, make_family(), None
+                          limit_dt=1e-3, test_fns=_test_fns(), n_boot=200)
+    return plan, _test_family(), None
 
 
 def _array_bytes(a) -> bytes:
@@ -174,12 +189,25 @@ def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
         out.extend((f"L{lv.level}.runs.{name}", h) for name, h in run_hashes.pop(0).items())
     limit_arrays = {name: getattr(limit_run, name) for name in ("p_a", "p_b", "mu", "beta")}
     limit_arrays.update({"v_a": limit_run.v_a, "v_b": limit_run.v_b})
-    for name in ("v_f", "eta_f"):
-        limit_arrays.update({f"{name}.{fn}": a for fn, a in sorted(getattr(limit_run, name).items())})
     for name, a in limit_arrays.items():
         a = np.ascontiguousarray(a)
         out.append((f"limit.{name}", sha(str(a.dtype).encode() + a.tobytes())))
     return out
+
+
+def tracked_digests(seed: int) -> list[tuple[str, str]]:
+    """Digests of a limit solve that tracks ``g1``: criterion 12's solve at
+    ``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps of 1e-3."""
+    from hawkeslob import limit
+
+    family, g1 = _test_family(), _test_fns()[0]
+    lp = family.limit_params(n_x=113)
+    init = limit.make_initial_state(lp, family.ask_price0, family.bid_price0, family.ask_volume0,
+                                    family.bid_volume0, n_paths=TRACKED_PATHS)
+    run = limit.solve_paths(lp, init, TRACKED_STEPS * 1e-3, 1e-3, seed=seed, track=[g1])
+    arrays = {"p_a": run.p_a, "mu": run.mu, "v_f.g1": run.v_f["g1"], "eta_f.g1": run.eta_f["g1"]}
+    return [(f"tracked.{name}", hashlib.sha256(_array_bytes(a)).hexdigest())
+            for name, a in arrays.items()]
 
 
 def main(argv=None) -> int:
@@ -188,7 +216,8 @@ def main(argv=None) -> int:
     ap.add_argument("--plan", choices=("bench", "criterion10"), required=True)
     args = ap.parse_args(argv)
     plan, family, limit_params = _bench_plan() if args.plan == "bench" else _criterion10_plan()
-    for name, digest in digests(plan, family, args.seed, limit_params) + book_digests(args.seed):
+    for name, digest in (digests(plan, family, args.seed, limit_params) + tracked_digests(args.seed)
+                         + book_digests(args.seed)):
         print(f"{name} {digest}")
     return 0
 

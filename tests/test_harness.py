@@ -275,6 +275,8 @@ class TestConvergenceHarness:
             assert err < 3 * se
         names = {s.name for s in report.statistics}
         assert "volume_g_error" in names
+        # the volume errors read the terminal volumes: the limit runs untracked
+        assert limit_run.v_f == {} and limit_run.eta_f == {}
 
     def test_report_deterministic_given_seed(self):
         fam = make_family(act_from_act={})
@@ -358,6 +360,10 @@ class TestConvergenceHarness:
             ExperimentPlan(levels=(0, 1, 2), replicates=50)
         with pytest.raises(ValueError, match="levels"):
             ExperimentPlan(levels=(0, 1), replicates=200)
+        # one limit path gives NaN standard errors, which pass every comparison
+        for limit_paths in (1, 99):
+            with pytest.raises(ValueError, match="limit paths"):
+                ExperimentPlan(levels=(0, 1, 2), replicates=100, limit_paths=limit_paths)
 
     @pytest.mark.parametrize("n_boot", [0, 1])
     def test_plan_needs_two_bootstrap_draws(self, n_boot):

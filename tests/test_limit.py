@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -262,9 +263,20 @@ def test_drift_intensity_recursion_analytic():
     assert np.max(np.abs(run.p_a[:, 0] - p_ref)) < 2e-3
 
 
-def test_all_kernel_blocks_consistent_with_reference_solver():
-    # every block type at once: the fast scalar-history stepper must agree
-    # with the grid-quadrature reference on the re-solve
+def _subclassed(prof):
+    """A copy of ``prof`` whose type is a bare subclass of its own, which the
+    stepper convolves in generic mode."""
+    out = copy.copy(prof)
+    out.__class__ = type(f"Sub{type(prof).__name__}", (type(prof),), {})
+    return out
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["exact", "subclass"])
+def test_all_kernel_blocks_consistent_with_reference_solver(generic):
+    # every block type at once, its time profiles of exact type (recursive
+    # convolutions) or of subclasses (generic history sums over both the
+    # rho * mu and the in-product sources): the stepper must agree with the
+    # grid-quadrature reference on the re-solve
     grid = SpatialGrid(2.0, 41)
     gauss = GaussianProfile(0.6)
     uni = UniformProfile(0.3)
@@ -272,6 +284,7 @@ def test_all_kernel_blocks_consistent_with_reference_solver():
     def fac(t, pa, pb):
         return np.full_like(np.asarray(pa, dtype=float), 0.4)
 
+    time = _subclassed if generic else (lambda prof: prof)
     params = L.LimitParams(
         grid=grid,
         rho={s: L.SpreadPlusRate(0.5) for s in "ab"},
@@ -281,16 +294,22 @@ def test_all_kernel_blocks_consistent_with_reference_solver():
         base_passive={pt: (fac, GaussianProfile(1.0)) for pt in L.PASSIVE_TYPES},
         place_gain={"a": 1.0, "b": 1.0},
         cancel_gain={"a": -0.5, "b": -0.5},
-        act_from_act={("a", "a"): ExponentialProfile(0.2, 1.0),
-                      ("b", "a"): ConstantProfile(0.1)},
-        act_from_pas={("a", "a_lo"): (gauss, ExponentialProfile(0.3, 2.0))},
-        pas_from_act={("a_cx", "b"): (gauss, GammaProfile(0.4, 1.5))},
-        pas_from_pas={("b_lo", "a_cx"): (uni, gauss, ExponentialProfile(0.25, 1.0))},
-        drift_from_act={("a", "b"): ExponentialProfile(0.15, 1.0)},
-        drift_from_pas={("b", "a_lo"): (gauss, ConstantProfile(0.05))},
+        act_from_act={("a", "a"): time(ExponentialProfile(0.2, 1.0)),
+                      ("b", "a"): time(ConstantProfile(0.1))},
+        act_from_pas={("a", "a_lo"): (gauss, time(ExponentialProfile(0.3, 2.0)))},
+        pas_from_act={("a_cx", "b"): (gauss, time(GammaProfile(0.4, 1.5)))},
+        pas_from_pas={("b_lo", "a_cx"): (uni, gauss, time(ExponentialProfile(0.25, 1.0)))},
+        drift_from_act={("a", "b"): time(ExponentialProfile(0.15, 1.0))},
+        drift_from_pas={("b", "a_lo"): (gauss, time(ConstantProfile(0.05)))},
     )
     v0 = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
     init = L.make_initial_state(params, 0.2, -0.2, v0, v0, n_paths=3)
+    # only generic convolutions keep a source history, of q_0..q_{M-1}
+    convs = L.LimitEngine(params, init, 0.5, 2e-3)._convs
+    if generic:
+        assert all(c.mode == "generic" and c.q.shape == (250, 3) for c in convs)
+    else:
+        assert all(c.mode != "generic" and not hasattr(c, "q") for c in convs)
     run = L.solve_paths(params, init, 0.5, 2e-3, seed=71)
     assert L.intensity_consistency(run, 0) < 1e-10
     assert L.intensity_consistency(run, 2) < 1e-10
@@ -331,7 +350,7 @@ def test_zero_kernel_entry_keeps_the_recursive_stepper(family):
     )
     init = L.make_initial_state(with_zero, family.ask_price0, family.bid_price0,
                                 family.ask_volume0, family.bid_volume0, n_paths=4)
-    assert not L.LimitEngine(with_zero, init, 0.5, 2e-3)._any_generic
+    assert all(c.mode != "generic" for c in L.LimitEngine(with_zero, init, 0.5, 2e-3)._convs)
     got, want = _family_run(family, with_zero), _family_run(family, params)
     for f in dataclasses.fields(L.LimitRun):
         a, b = getattr(got, f.name), getattr(want, f.name)
