@@ -75,8 +75,8 @@ class ConstantProfile(TimeProfile):
     """h(t) = c.  Bounded spatial mass per lag, infinite L1 in time."""
 
     def __init__(self, c: float):
-        if c < 0:
-            raise ValueError("constant profile amplitude must be >= 0")
+        if not 0 <= c < math.inf:
+            raise ValueError("constant profile amplitude must be finite and >= 0")
         self.c = float(c)
 
     def value(self, t):
@@ -96,8 +96,8 @@ class ExponentialProfile(TimeProfile):
     """h(t) = c * exp(-kappa * t)."""
 
     def __init__(self, c: float, kappa: float):
-        if c < 0 or kappa <= 0:
-            raise ValueError("need amplitude >= 0 and decay rate > 0")
+        if not (0 <= c < math.inf and 0 < kappa < math.inf):
+            raise ValueError("need finite amplitude >= 0 and finite decay rate > 0")
         self.c = float(c)
         self.kappa = float(kappa)
 
@@ -123,8 +123,8 @@ class GammaProfile(TimeProfile):
     """h(t) = c * t * exp(-kappa * t); rises to c/(kappa e) at t = 1/kappa."""
 
     def __init__(self, c: float, kappa: float):
-        if c < 0 or kappa <= 0:
-            raise ValueError("need amplitude >= 0 and decay rate > 0")
+        if not (0 <= c < math.inf and 0 < kappa < math.inf):
+            raise ValueError("need finite amplitude >= 0 and finite decay rate > 0")
         self.c = float(c)
         self.kappa = float(kappa)
 
@@ -155,6 +155,8 @@ class TableProfile(TimeProfile):
             raise ValueError("table profile needs strictly increasing sample times")
         if self.vals.shape != self.ts.shape or self.env.shape != self.ts.shape:
             raise ValueError("table profile arrays must share a shape")
+        if not np.isfinite([self.ts, self.vals, self.env]).all():
+            raise ValueError("table profile arrays must be finite")
         if np.any(self.vals < 0) or np.any(self.env < 0):
             raise ValueError("table profile values must be >= 0")
         if np.any(np.diff(self.env) > 1e-12):
@@ -460,9 +462,12 @@ class KernelBank:
     with one ``math.exp`` per rate, with the entry's amplitude applied to the
     unit-amplitude sum.  Table kernels keep one windowed history scan per
     source and table, dropping events older than the lag where the envelope
-    falls below ``eps``.  Floating-point operations keep the order of the
-    per-entry sums, so results are byte-identical to them; the state stays
-    scalar because vectorised ``np.exp`` rounds differently from
+    falls below ``eps``; a scanned sum is reused while the time and its
+    history's length stay the same (``KernelSums.scan``), and the sums at a
+    run's checkpoints are read in one pass per run
+    (``KernelSums.scan_past``).  Floating-point operations keep the order
+    of the per-entry sums, so results are byte-identical to them; the state
+    stays scalar because vectorised ``np.exp`` rounds differently from
     ``math.exp`` on some inputs.
 
     ``entry`` registers one kernel entry; ``KernelSums`` holds the state of
@@ -508,7 +513,7 @@ class KernelBank:
 class KernelSums:
     """The running sums of one run over a ``KernelBank``, at time ``t``."""
 
-    __slots__ = ("bank", "t", "g", "b", "hist", "start")
+    __slots__ = ("bank", "t", "g", "b", "hist", "start", "memo")
 
     def __init__(self, bank: KernelBank):
         self.bank = bank
@@ -517,6 +522,7 @@ class KernelSums:
         self.b = [0.0] * len(bank.states)  # gamma lag-weighted sum
         self.hist = [EventHistory(float, float) for _ in bank.histories]  # times, weights
         self.start = [0] * len(bank.scans)  # first event inside each scan's window
+        self.memo = [((), 0.0)] * len(bank.scans)  # ((t, history length, bound), sum)
 
     def advance(self, t: float, dt: float) -> None:
         """Decay every state to time ``t``, ``dt`` after the current time.
@@ -556,26 +562,43 @@ class KernelSums:
         return u
 
     def scan(self, u, bound: bool) -> None:
-        """Write the sums of the scanned states at time ``t`` into ``u``."""
-        t = self.t
+        """Write the sums of the scanned states at time ``t`` into ``u``.
+
+        A scanned sum depends only on ``t``, the length of its history and
+        ``bound``, so a state whose last scan had all three reuses that
+        scan's sum: after an event, only the states it feeds scan again."""
+        t, memo = self.t, self.memo
         for j, (i, h, prof, memory) in enumerate(self.bank.scans):
             hist = self.hist[h]
+            key = (t, hist.n, bound)
+            if memo[j][0] == key:
+                u[i] = memo[j][1]
+                continue
             (times, weights), n, start = hist.cols, hist.n, self.start[j]
             while start < n and t - times[start] > memory:
                 start += 1
             self.start[j] = start
             lags = t - times[start:n]
             shape = prof.envelope(lags) if bound else prof.value(lags)
-            u[i] = float(weights[start:n] @ shape) if lags.size else 0.0
+            u[i] = total = float(weights[start:n] @ shape) if lags.size else 0.0
+            memo[j] = (key, total)
 
-    def scan_past(self, u, t: float) -> None:
-        """Write into ``u`` the sums of the scanned states at a past time
-        ``t``, over the events at or before it, as ``scan`` read them then;
-        the window starts stay where they are."""
+    def scan_past(self, u, ts: np.ndarray) -> None:
+        """Write into ``u``, one row per state and one column per time of
+        ``ts``, the sums of the scanned states at those past times, each over
+        the events at or before it, as ``scan`` read them then; the window
+        starts and the memo stay as they are.
+
+        One pass per state serves every time: one lag row per time and one
+        profile call on them all, then one dot per time over the same
+        slice of its row that ``scan`` took."""
         for i, h, prof, memory in self.bank.scans:
             hist = self.hist[h]
             times, weights = hist.cols
-            n = int(np.searchsorted(times[: hist.n], t, side="right"))
-            lags = t - times[:n]
-            start = int(np.count_nonzero(lags > memory))  # expired events lead the history
-            u[i] = float(weights[start:n] @ prof.value(lags[start:])) if start < n else 0.0
+            ends = np.searchsorted(times[: hist.n], ts, side="right")
+            lags = ts[:, None] - times[: ends.max(initial=0)]
+            # expired events lead the history; later ones have negative lags
+            starts = np.count_nonzero(lags > memory, axis=1)
+            shapes = prof.value(lags.ravel()).reshape(lags.shape)
+            for c, (start, n) in enumerate(zip(starts.tolist(), ends.tolist())):
+                u[i, c] = float(weights[start:n] @ shapes[c, start:n]) if start < n else 0.0

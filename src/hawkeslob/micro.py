@@ -50,6 +50,7 @@ from .families import (
     KernelBank,
     KernelSums,
     SpatialProfile,
+    TableProfile,
     TimeProfile,
     ZeroProfile,
     combine_amplitudes,
@@ -679,8 +680,14 @@ class _CompiledBook:
         # exogenous one, so its checkpoint norms are a level constant (NaN
         # when a passive density varies; every checkpoint then recomputes)
         self.cp_norms = self.passive_norms(self.exo_consts[4:].tolist(), [0.0] * len(bank.states))
-        # every bound then equals the value at the same time and book state
-        self.bound_is_value = not bank.gammas and not bank.scans and not self.varying
+        #: whether every bound equals the value at the same time and book
+        #: state: no gamma kernel, no varying density, and every scanned
+        #: kernel an exact ``TableProfile`` whose envelope array is its
+        #: values, so its bound interpolates the same array; the majorant
+        #: is then the last realised total rate, with no bound pass
+        self.bound_is_value = not bank.gammas and not self.varying and all(
+            type(prof) is TableProfile and prof.env.tobytes() == prof.vals.tobytes()
+            for _i, _h, prof, _memory in bank.scans)
         #: the states with a lag-weighted sum ``b``, which event records keep
         self.gamma_states = [i for i, _ke in bank.gammas]
         #: per label: whether a run draws its distance, for the term masses
@@ -1044,9 +1051,10 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
     (``gamma_states``).  A checkpoint reads the sums after the last record
     at or before it, decayed to it in one step in the float operations of
     ``KernelSums.advance`` and ``units``; a scanned kernel reads its history
-    up to the checkpoint from the run's ``sums`` (``KernelSums.scan_past``).
-    Varying exogenous densities read the best ticks ``asks`` and ``bids``
-    after the same record, laid out as ``times``.
+    up to each checkpoint from the run's ``sums``, in one
+    ``KernelSums.scan_past`` call per run.  Varying exogenous densities
+    read the best ticks ``asks`` and ``bids`` after the same record, laid
+    out as ``times``.
     """
     bank, n_runs = book.bank, len(ends)
     n_s = len(bank.states)
@@ -1062,10 +1070,8 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
         for i in gams:
             u[i] = (b[i] + g[i] * dt) * decay
     if bank.scans:
-        cols = iter(u.T)
-        for run_sums in sums:
-            for cp in cps.tolist():
-                run_sums.scan_past(next(cols), cp)
+        for r, run_sums in enumerate(sums):
+            run_sums.scan_past(u[:, r * cps.size:(r + 1) * cps.size], cps)
     at = cp_times, asks[idx], bids[idx], book.p.delta_x
     e_varying = np.array([book.exos[k].rates(*at) for k in book.varying],
                          dtype=float).reshape(-1, idx.size)
@@ -1113,14 +1119,15 @@ class _Lockstep:
     replicate: the stream draws (one call per stream and block), the
     ``math.exp`` decay factors, the term picks of passive types with more
     than one term, in-profile weights and the histories of scanned kernels
-    (one ``KernelSums`` per replicate, used for its ``scan``).  The pass
-    draws the distance of a passive event only where it reads it
-    (``_CompiledBook.marked``), and no size mark.  The per-replicate
-    objects, ``rngs`` and ``sums``, are lists over the whole level, indexed
-    through ``ids``, and so is ``candidates``, each replicate's candidate
-    count, which ``retire`` writes as it drops finished columns.  It keeps
-    the block at the width it was drawn at: ``col`` selects each pass's row
-    from it.
+    (one ``KernelSums`` per replicate, used for its ``scan``; the rates
+    after a pass's events rescan only the columns whose event fed a
+    history).  The pass draws the distance of a passive event only where it
+    reads it (``_CompiledBook.marked``), and no size mark.  The
+    per-replicate objects, ``rngs`` and ``sums``, are lists over the whole
+    level, indexed through ``ids``, and so is ``candidates``, each
+    replicate's candidate count, which ``retire`` writes as it drops
+    finished columns.  It keeps the block at the width it was drawn at:
+    ``col`` selects each pass's row from it.
     """
 
     #: per-column arrays, column axis last

@@ -9,9 +9,14 @@ the event times, labels, distances and sizes (``events``); the best ticks,
 load and beta (``paths``); d11, d22 and the active scalars
 (``checkpoints``); and both final ledgers (``ledgers``).  The ``book.*``
 lines give the same four digests of ``simulate_book`` runs on a few
-streams of four families (``_book_families``), so they cover the
-single-stream engine.  The ``tracked.*`` lines digest ``p_a``, ``mu`` and
-the tracked volume functionals ``v_f`` and ``eta_f`` of a small limit solve
+streams of five families (``_book_families``), so they cover the
+single-stream engine; ``book.table_env.*`` runs the table family with its
+envelopes raised above its values, so its bound and value scans differ.
+The ``books.table.*`` lines give the four digests of one
+``simulate_books`` call on ``LOCKSTEP_STREAMS`` streams of the table
+family, so they cover the lockstep engine's table scans.  The
+``tracked.*`` lines digest ``p_a``, ``mu`` and the tracked volume
+functionals ``v_f`` and ``eta_f`` of a small limit solve
 with a tracked test function, the solve of acceptance criterion 12 at
 ``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps.  Two trees that print
 the same lines ran the same experiment bit for bit; a change that only
@@ -46,6 +51,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: streams of each ``simulate_book`` digest, and their horizon
 BOOK_STREAMS = 4
 BOOK_HORIZON = 0.5
+#: streams of the ``simulate_books`` digest of the table family
+LOCKSTEP_STREAMS = 8
 #: paths and steps of the tracked limit solve, at dt 1e-3
 TRACKED_PATHS = 200
 TRACKED_STEPS = 100
@@ -115,19 +122,31 @@ def _run_digests(runs) -> dict:
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
+def _table_family(raised: bool = False):
+    """The table-kernel family of the ``empirical-kernels`` workload, or,
+    ``raised``, the same with every envelope a quarter above its values."""
+    import yaml
+
+    from hawkeslob import config
+
+    doc = yaml.safe_load(_workloads().micro_yaml(0, BOOK_HORIZON))
+    if raised:
+        for entry in doc["scaling"]["kernels"]["act_from_act"]:
+            entry["time"]["envelope"] = [1.25 * v for v in entry["time"]["values"]]
+    return config.parse_config(yaml.safe_dump(doc)).scaling_family()
+
+
 def _book_families() -> dict:
     """The families and levels of the ``simulate_book`` digests, by name:
     the bench family; the table-kernel family of the ``empirical-kernels``
-    workload; the bench family with exponential sizes, a passive type of
+    workload, and the same with raised envelopes; the bench family with exponential sizes, a passive type of
     two terms and a source distance an in-profile weighs, so its runs draw
     marks both during and after the run; and the bench family with strong,
     fast-decaying active kernels, so candidates are often thinned."""
-    from hawkeslob import config
     from hawkeslob.families import ExponentialProfile, GaussianProfile
     from hawkeslob.micro import ACTIVE_TYPES, PASSIVE_TYPES, SizeMeasure
 
     workloads = _workloads()
-    table = config.parse_config(workloads.micro_yaml(0, BOOK_HORIZON)).scaling_family()
     marks = workloads.make_family(
         sizes={pt: SizeMeasure("exponential", rate=6.0) for pt in PASSIVE_TYPES},
         pas_from_act={("a_lo", "a_mo"): (GaussianProfile(1.0), ExponentialProfile(0.3, 1.0))},
@@ -135,7 +154,8 @@ def _book_families() -> dict:
     )
     thinned = workloads.make_family(
         act_from_act={(tgt, src): ExponentialProfile(100.0, 800.0) for tgt in "ab" for src in ACTIVE_TYPES})
-    return {"bench": (workloads.make_family(), (2, 3)), "table": (table, (3,)), "marks": (marks, (2,)),
+    return {"bench": (workloads.make_family(), (2, 3)), "table": (_table_family(), (3,)),
+            "table_env": (_table_family(raised=True), (3,)), "marks": (marks, (2,)),
             "thinned": (thinned, (1,))}
 
 
@@ -153,6 +173,17 @@ def book_digests(seed: int) -> list[tuple[str, str]]:
                     for r in range(BOOK_STREAMS)]
             out.extend((f"book.{name}.L{level}.{field}", h) for field, h in _run_digests(runs).items())
     return out
+
+
+def lockstep_digests(seed: int) -> list[tuple[str, str]]:
+    """The run digests of one ``simulate_books`` call on ``LOCKSTEP_STREAMS``
+    streams of the table family at level 2."""
+    from hawkeslob.micro import simulate_books
+    from hawkeslob.rng import stream_rng
+
+    runs = simulate_books(_table_family().micro_params(2), BOOK_HORIZON,
+                          [stream_rng(seed, r, "micro") for r in range(LOCKSTEP_STREAMS)])
+    return [(f"books.table.L2.{field}", h) for field, h in _run_digests(runs).items()]
 
 
 def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
@@ -217,7 +248,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     plan, family, limit_params = _bench_plan() if args.plan == "bench" else _criterion10_plan()
     for name, digest in (digests(plan, family, args.seed, limit_params) + tracked_digests(args.seed)
-                         + book_digests(args.seed)):
+                         + book_digests(args.seed) + lockstep_digests(args.seed)):
         print(f"{name} {digest}")
     return 0
 

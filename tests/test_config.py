@@ -205,6 +205,19 @@ def test_scaling_conditions_rejected(key_path, value, message):
         exc.value.errors
 
 
+@pytest.mark.parametrize("time", [
+    {"family": "exponential", "c": float("nan"), "kappa": 1.0},
+    {"family": "table", "ts": [0.0, 1.0], "values": [float("nan"), 0.0], "envelope": [1.0, 0.0]},
+])
+def test_non_finite_kernel_parameters_rejected(time):
+    doc = yaml.safe_load(MINIMAL_MICRO)
+    doc["scaling"]["kernels"]["act_from_act"][0]["time"] = time
+    with pytest.raises(ConfigError) as exc:
+        parse_config(yaml.safe_dump(doc))
+    assert any(path == "scaling.kernels.act_from_act[0].time" and "finite" in m
+               for path, m in exc.value.errors), exc.value.errors
+
+
 def test_size_measure_validation_propagates():
     text = _mutate("scaling.sizes.a_lo", {"family": "exponential", "rate": 2.0})
     with pytest.raises(ConfigError) as exc:

@@ -113,10 +113,45 @@ def test_scan_past_reads_what_scan_read_then():
         sums.fire(0)
         seen.append((t, sums.units(False)[state]))
     assert sums.start[0] > 10
-    for t, value in seen:
-        u = [0.0] * len(bank.states)
-        sums.scan_past(u, t)
-        assert u[state] == value
+    ts, values = np.array(seen).T
+    u = np.zeros((len(bank.states), ts.size))
+    sums.scan_past(u, ts)
+    assert u[state].tolist() == values.tolist()
+
+
+def test_scan_reuses_a_sum_at_the_same_time_and_history_length():
+    scanned = []
+
+    class CountedTable(TableProfile):
+        def value(self, t):
+            scanned.append(("value", np.size(t)))
+            return super().value(t)
+
+        def envelope(self, t):
+            scanned.append(("envelope", np.size(t)))
+            return super().envelope(t)
+
+    base = tapered_table()
+    prof = CountedTable(base.ts, base.vals, base.vals)
+    bank = KernelBank(1e-3)
+    (a, _), (b, _) = bank.entry(0, None, prof), bank.entry(1, None, prof)
+    sums = KernelSums(bank)
+    sums.advance(0.1, 0.1)
+    sums.fire(0)
+    sums.fire(1)
+    first = sums.units(False)
+    scanned.clear()
+    assert sums.units(False) == first and not scanned
+    sums.fire(0)  # only the state source 0 feeds scans again
+    second = sums.units(False)
+    assert scanned == [("value", 2)] and second[b] == first[b] and second[a] == 2 * first[a]
+    scanned.clear()
+    sums.units(True)  # a bound is keyed apart from a value
+    assert scanned == [("envelope", 2), ("envelope", 1)]
+    scanned.clear()
+    sums.advance(0.2, 0.1)
+    sums.units(False)
+    assert scanned == [("value", 2), ("value", 1)]
 
 
 def test_bank_shares_one_state_per_source_and_decay_rate():
@@ -138,6 +173,23 @@ def test_envelope_inverse():
     g = GammaProfile(1.0, 1.0)
     lag = g.envelope_inverse(1e-8)
     assert g.envelope(lag) <= 1e-8 * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (ConstantProfile, (math.nan,)),
+    (ConstantProfile, (math.inf,)),
+    (ExponentialProfile, (math.nan, 1.0)),
+    (ExponentialProfile, (0.5, math.inf)),
+    (GammaProfile, (math.inf, 1.0)),
+    (GammaProfile, (0.5, math.nan)),
+    (TableProfile, ([0.0, math.nan], [1.0, 0.0], [1.0, 0.0])),
+    (TableProfile, ([0.0, 1.0], [math.nan, 0.0], [1.0, 0.0])),
+    (TableProfile, ([0.0, 1.0], [1.0, 0.0], [math.inf, 0.0])),
+])
+def test_time_profiles_reject_non_finite_parameters(cls, args):
+    # a NaN amplitude or decay rate made thinning loop forever
+    with pytest.raises(ValueError, match="finite"):
+        cls(*args)
 
 
 def test_table_profile_requires_valid_envelope():

@@ -533,6 +533,22 @@ def tapered_table(c, kappa, t_end=4.0, n=41):
     return TableProfile(ts, vals, vals)
 
 
+def raised_table(c, kappa):
+    """``tapered_table`` with its envelope a quarter above its values."""
+    prof = tapered_table(c, kappa)
+    return TableProfile(prof.ts, prof.vals, 1.25 * prof.vals)
+
+
+class TableSubclass(TableProfile):
+    """A table profile of its own type, scanned through its own methods."""
+
+
+def subclassed_table(c, kappa):
+    """``tapered_table`` as a ``TableSubclass``."""
+    prof = tapered_table(c, kappa)
+    return TableSubclass(prof.ts, prof.vals, prof.vals)
+
+
 def every_kind_family():
     """Exponential, gamma, constant and table kernels in all four tables."""
     g, g2 = GaussianProfile(1.0), GaussianProfile(0.8, 0.3, 1.2)
@@ -733,7 +749,8 @@ def engine_snapshot(eng):
     """A copy of a live engine that its later events leave alone."""
     out = copy.copy(eng)
     sums = out.sums = copy.copy(eng.sums)
-    sums.g, sums.b, sums.start = list(sums.g), list(sums.b), list(sums.start)
+    sums.g, sums.b, sums.start, sums.memo = (list(sums.g), list(sums.b), list(sums.start),
+                                             list(sums.memo))
     sums.hist = [copy.copy(h) for h in sums.hist]  # appends land past the copied length
     return out
 
@@ -825,8 +842,9 @@ def test_identical_active_rows_share_one_row():
 
 class ListHistorySums(KernelSums):
     """Running kernel sums with table histories kept in Python lists and
-    copied into arrays at every scan: the reference for the array-backed
-    histories."""
+    copied into arrays at every scan, with no memo, and past sums read one
+    checkpoint at a time: the reference for the array-backed histories,
+    the scan memo and the per-run ``scan_past``."""
 
     def __init__(self, bank):
         super().__init__(bank)
@@ -858,26 +876,30 @@ class ListHistorySums(KernelSums):
             u[i] = float(np.asarray(weights[start:]) @ shape) if lags.size else 0.0
         return u
 
-    def scan_past(self, u, t):
-        for i, h, prof, memory in self.bank.scans:
-            times, weights = self.hist[h]
-            n = bisect.bisect_right(times, t)
-            start = 0
-            while start < n and t - times[start] > memory:
-                start += 1
-            lags = t - np.asarray(times[start:n])
-            u[i] = float(np.asarray(weights[start:n]) @ prof.value(lags)) if lags.size else 0.0
+    def scan_past(self, u, ts):
+        for c, t in enumerate(ts.tolist()):
+            for i, h, prof, memory in self.bank.scans:
+                times, weights = self.hist[h]
+                n = bisect.bisect_right(times, t)
+                start = 0
+                while start < n and t - times[start] > memory:
+                    start += 1
+                lags = t - np.asarray(times[start:n])
+                u[i, c] = (float(np.asarray(weights[start:n]) @ prof.value(lags))
+                           if lags.size else 0.0)
 
 
 class TestArrayHistory:
-    @pytest.mark.parametrize("seed", [4, 7])
-    def test_matches_list_history(self, monkeypatch, seed):
+    # a raised envelope keeps the bound scans, so the memo sees both keys
+    @pytest.mark.parametrize("seed, table", [
+        pytest.param(4, tapered_table, id="4"), pytest.param(7, tapered_table, id="7"),
+        pytest.param(4, raised_table, id="raised-4"), pytest.param(7, raised_table, id="raised-7"),
+    ])
+    def test_matches_list_history(self, monkeypatch, seed, table):
         g = GaussianProfile(1.0)
         fam = make_family(
-            act_from_act={(tgt, src): tapered_table(0.2, 1.0)
-                          for tgt in "ab" for src in ACTIVE_TYPES},
-            pas_from_pas={("b_cx", "b_lo"): (g, GaussianProfile(0.8, 0.3, 1.2),
-                                             tapered_table(0.3, 1.0))},
+            act_from_act={(tgt, src): table(0.2, 1.0) for tgt in "ab" for src in ACTIVE_TYPES},
+            pas_from_pas={("b_cx", "b_lo"): (g, GaussianProfile(0.8, 0.3, 1.2), table(0.3, 1.0))},
         )
         # a small first capacity makes every scanned history double several times
         monkeypatch.setattr(families, "_HISTORY_CAPACITY", 2)
@@ -895,6 +917,43 @@ class TestArrayHistory:
         for f in dataclasses.fields(micro.MicroDiagnostics):
             assert np.array_equal(getattr(run.diagnostics, f.name),
                                   getattr(ref.diagnostics, f.name)), f.name
+
+
+class TestBoundFastPath:
+    def test_self_enveloped_tables_skip_the_bound_pass(self):
+        # tables in the active and both passive-source tables, beside an
+        # exponential kernel; runs that take the bound pass are the reference
+        g = GaussianProfile(1.0)
+        fam = make_family(
+            act_from_act={(tgt, src): tapered_table(0.2, 1.0) if src.endswith("mo")
+                          else ExponentialProfile(0.2, 1.0)
+                          for tgt in "ab" for src in ACTIVE_TYPES},
+            act_from_pas={("b", "a_lo"): (g, tapered_table(0.1, 1.0))},
+            pas_from_pas={("a_cx", "a_cx"): (g, g, tapered_table(0.2, 2.0))},
+        )
+        fast, slow = fam.micro_params(2), fam.micro_params(2)
+        fast._compiled, slow._compiled = micro._CompiledBook(fast), micro._CompiledBook(slow)
+        assert fast._compiled.bound_is_value and fast._compiled.bank.scans
+        slow._compiled.bound_is_value = False
+
+        def rngs():
+            return [stream_rng(70, r, "micro") for r in range(6)]
+
+        refs = [simulate_book(slow, 0.3, rng) for rng in rngs()]
+        assert sum(ref.accepted for ref in refs) > 6 * 10
+        for run, ref in zip([simulate_book(fast, 0.3, rng) for rng in rngs()], refs):
+            assert_runs_identical(run, ref)
+        for run, ref in zip(micro.simulate_books(fast, 0.3, rngs()),
+                            micro.simulate_books(slow, 0.3, rngs())):
+            assert_runs_identical(run, ref)
+
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(raised_table(0.2, 1.0), id="raised"),
+        pytest.param(subclassed_table(0.2, 1.0), id="subclass"),
+    ])
+    def test_other_scanned_kernels_keep_the_bound_pass(self, kernel):
+        fam = make_family(act_from_act={(tgt, src): kernel for tgt in "ab" for src in ACTIVE_TYPES})
+        assert not micro._CompiledBook(fam.micro_params(2)).bound_is_value
 
 
 class TestTableLimit:
