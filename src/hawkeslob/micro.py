@@ -22,8 +22,8 @@ inversion of the exponential law, the label, the passive term and the
 distance by inversion of discrete or tick-cell CDFs.  A run draws a
 passive distance only where it reads it (``_CompiledBook.marked``) and
 records the mark columns of every other candidate row.  Nothing in a run
-reads a volume (state factors and exogenous densities read only the time
-and the best ticks), so both engines finish through one after-run step
+reads a volume (state factors read only the best ticks, and exogenous
+densities are constants), so both engines finish through one after-run step
 (``_assemble_runs``): it draws the other distances and every size, folds
 the passive events into the volume ledgers (``_fold_ledgers``), reads the
 checkpoint diagnostics from the kernel sums kept after each event and
@@ -382,24 +382,12 @@ class SizeMeasure:
 
 
 class ExoConst:
-    """Constant exogenous density, its own bound; compiled into a level constant.
-
-    Every exogenous density declares ``rates(t, ask, bid, delta_x)``, its
-    values at times ``t`` and best ticks ``ask`` and ``bid``, elementwise
-    over equal-shaped arrays, and ``bounds(ask, bid, delta_x)``, bounds of
-    those values over all later times at the same ticks.  It reads no volume.
-    """
+    """Constant exogenous density, compiled into a level constant."""
 
     def __init__(self, value: float):
         if not 0 <= value < math.inf:
             raise ValueError(f"exogenous densities are finite and >= 0, got {value}")
         self.value = float(value)
-
-    def rates(self, t, ask, bid, delta_x) -> np.ndarray:
-        return np.full(np.shape(ask), self.value)
-
-    def bounds(self, ask, bid, delta_x) -> np.ndarray:
-        return np.full(np.shape(ask), self.value)
 
 
 class SpreadLinearFactor:
@@ -454,8 +442,8 @@ class MicroParams:
 
     State factors are ``SpreadLinearFactor`` or ``GatedConstantFactor``,
     evaluated through ``spreads`` on the spread in ticks, which only active
-    events move; any other factor raises ``TypeError`` when the book compiles.
-    Exogenous densities read only the time and the best ticks (``ExoConst``).
+    events move.  Exogenous densities are ``ExoConst``.  Any other factor or
+    density raises ``TypeError`` when the book compiles.
     Kernel dictionaries are keyed by (target type, source type); missing
     entries vanish.  Active-to-active entries are plain time profiles;
     entries with passive sources carry an in-profile weighting the source
@@ -485,6 +473,10 @@ class MicroParams:
     )
 
     def __post_init__(self):
+        for name in ("delta_x", "delta_v", "half_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.delta_v > self.delta_x:
             raise ValueError(
                 "delta_v must not exceed delta_x: the proportional cancellation "
@@ -572,42 +564,40 @@ class _PassiveRow:
     """Mass terms of one passive type: the exogenous term, then one per
     passive-target kernel entry ``(state, amplitude, mass factor, grid
     factor)``, with the profile, sampler and checkpoint values of each.
-    ``term`` is the level constant ``exo * mass / delta_v`` of a constant
-    exogenous density, None for any other."""
+    ``term`` is the level constant ``exo * mass / delta_v``, ``mass`` that
+    of the base profile."""
 
-    __slots__ = ("exo", "mass", "term", "entries", "profiles", "samplers", "cp_shapes")
+    __slots__ = ("exo", "term", "entries", "profiles", "samplers", "cp_shapes")
 
     def __init__(self, exo, profile: SpatialProfile, delta_x: float, delta_v: float,
                  half_width: float):
+        mass = profile.mass(half_width)
         self.exo = exo
-        self.mass = profile.mass(half_width)
-        self.term = exo.value * self.mass / delta_v if type(exo) is ExoConst else None
+        self.term = exo.value * mass / delta_v
         self.entries: list = []
         self.profiles = [profile]
-        self.samplers = [profile.sampler(delta_x, half_width) if self.mass > 0 else None]
+        self.samplers = [profile.sampler(delta_x, half_width) if mass > 0 else None]
 
 
 class _CompiledBook:
     """One ``MicroParams`` compiled into kernel index tables and level constants.
 
     Its kernel entries are registered in one ``KernelBank``.  Each active
-    row holds its exogenous density, the level constant ``exo / dx^2`` when
-    that density is an ``ExoConst`` (None otherwise), and the ``(state,
+    row holds the level constant ``exo / dx^2`` and the ``(state,
     amplitude)`` of its active then its passive sources, in the order the
-    intensity sums run.  Active types with equal rows (the same constant or
-    the same density object, and the same source lists) share one row, and
-    ``active_of`` maps each active type to its row.  ``diagnostics`` turns
-    the kernel sums and the varying exogenous densities at a set of
-    checkpoints into d11, d22 and the active scalars, once, after the runs.
+    intensity sums run.  Active types with equal rows (the same constant and
+    the same source lists) share one row, and ``active_of`` maps each
+    active type to its row.  ``diagnostics`` turns the kernel sums at a set
+    of checkpoints into d11, d22 and the active scalars, once, after the
+    runs.
     """
 
     def __init__(self, p: MicroParams):
         dx, dv, L = p.delta_x, p.delta_v, p.half_width
         for name, exo in [*p.base_active.items(), *((k, e) for k, (e, _) in p.base_passive.items())]:
-            if not (callable(getattr(exo, "rates", None)) and callable(getattr(exo, "bounds", None))):
-                raise TypeError(
-                    f"the exogenous density of {name} must be an ExoConst or declare rates(t, ask, "
-                    f"bid, delta_x) and bounds(ask, bid, delta_x); got {type(exo).__name__}")
+            if type(exo) is not ExoConst:
+                raise TypeError(f"the exogenous density of {name} must be an ExoConst; "
+                                f"got {type(exo).__name__}")
         self.factors = [p.state_factor[at] for at in ACTIVE_TYPES]
         for at, f in zip(ACTIVE_TYPES, self.factors):
             if type(f) not in (SpreadLinearFactor, GatedConstantFactor):
@@ -620,11 +610,8 @@ class _CompiledBook:
         self.by_spread: dict = {}
         self.p = p
         self.dx2 = dx**2
-        self.state0 = s0 = p.initial_state()
-        ticks0 = np.array([s0.ask_tick]), np.array([s0.bid_tick]), dx
-        eps = EPS_TRUNC_FACTOR * max(
-            sum(float(exo.bounds(*ticks0)[0]) for exo in p.base_active.values()), 1.0
-        )
+        self.state0 = p.initial_state()
+        eps = EPS_TRUNC_FACTOR * max(sum(exo.value for exo in p.base_active.values()), 1.0)
         self.bank = bank = KernelBank(eps)
         entry = bank.entry
 
@@ -632,18 +619,16 @@ class _CompiledBook:
         self.active_of = []
         rows: dict = {}
         for at in ACTIVE_TYPES:
-            exo = p.base_active[at]
-            const = type(exo) is ExoConst
+            exo = p.base_active[at].value
             from_act = [(s, None, p.act_from_act.get((at, src))) for s, src in enumerate(ACTIVE_TYPES)]
             from_pas = [(4 + s, *p.act_from_pas.get((at, src), (None, None)))
                         for s, src in enumerate(PASSIVE_TYPES)]
             from_act = [entry(*e) for e in from_act if e[2] is not None]
             from_pas = [entry(*e) for e in from_pas if e[2] is not None]
-            key = (const, exo.value if const else id(exo), tuple(from_act), tuple(from_pas))
+            key = (exo, tuple(from_act), tuple(from_pas))
             if key not in rows:
                 rows[key] = len(self.active_rows)
-                self.active_rows.append(
-                    (exo, exo.value / self.dx2 if const else None, from_act, from_pas))
+                self.active_rows.append((exo / self.dx2, from_act, from_pas))
             self.active_of.append(rows[key])
         self.pas_pref = dv / self.dx2
 
@@ -669,23 +654,15 @@ class _CompiledBook:
             row.cp_shapes = [q.value(self.cp_x) for q in row.profiles]
             self.passive_rows.append(row)
 
-        #: the exogenous densities of the active then the passive types, and
-        #: the indices of those that are not level constants
-        self.exos = [p.base_active[at] for at in ACTIVE_TYPES] + [row.exo for row in self.passive_rows]
-        self.varying = [k for k, exo in enumerate(self.exos) if type(exo) is not ExoConst]
-        self.exo_consts = np.array(
-            [math.nan if k in self.varying else exo.value for k, exo in enumerate(self.exos)]
-        )
         # with no live passive-target kernel the passive field is the
-        # exogenous one, so its checkpoint norms are a level constant (NaN
-        # when a passive density varies; every checkpoint then recomputes)
-        self.cp_norms = self.passive_norms(self.exo_consts[4:].tolist(), [0.0] * len(bank.states))
+        # exogenous one, so its checkpoint norms are a level constant
+        self.cp_norms = self.passive_norms([0.0] * len(bank.states))
         #: whether every bound equals the value at the same time and book
-        #: state: no gamma kernel, no varying density, and every scanned
-        #: kernel an exact ``TableProfile`` whose envelope array is its
-        #: values, so its bound interpolates the same array; the majorant
-        #: is then the last realised total rate, with no bound pass
-        self.bound_is_value = not bank.gammas and not self.varying and all(
+        #: state: no gamma kernel, and every scanned kernel an exact
+        #: ``TableProfile`` whose envelope array is its values, so its bound
+        #: interpolates the same array; the majorant is then the last
+        #: realised total rate, with no bound pass
+        self.bound_is_value = not bank.gammas and all(
             type(prof) is TableProfile and prof.env.tobytes() == prof.vals.tobytes()
             for _i, _h, prof, _memory in bank.scans)
         #: the states with a lag-weighted sum ``b``, which event records keep
@@ -704,55 +681,48 @@ class _CompiledBook:
         vals = {k: self.factors[k].spreads(spreads, self.p.delta_x) for k in set(self.factor_of)}
         return np.array([vals[k] for k in self.factor_of])
 
-    def passive_grid(self, j: int, exo: float, u: list, shapes: list) -> np.ndarray:
-        """delta_v * passive intensity of one type, given its exogenous
-        density and its base and out profiles evaluated on the same
-        distance nodes."""
-        out = exo * shapes[0]
-        for (i, amp, _k, k_grid), shape in zip(self.passive_rows[j].entries, shapes[1:]):
+    def passive_grid(self, j: int, u: list, shapes: list) -> np.ndarray:
+        """delta_v * passive intensity of one type, given its base and out
+        profiles evaluated on the same distance nodes."""
+        row = self.passive_rows[j]
+        out = row.exo.value * shapes[0]
+        for (i, amp, _k, k_grid), shape in zip(row.entries, shapes[1:]):
             out = out + k_grid * (amp * u[i]) * shape
         return out
 
-    def passive_norms(self, exo: list, u: list):
-        """L1 and squared-L2 parts of d11/d22 of the passive field at cp_x,
-        given the exogenous densities of the passive types."""
-        grids = np.stack([
-            self.passive_grid(j, exo[j], u, row.cp_shapes) for j, row in enumerate(self.passive_rows)
-        ])
+    def passive_norms(self, u: list):
+        """L1 and squared-L2 parts of d11/d22 of the passive field at cp_x."""
+        grids = np.stack([self.passive_grid(j, u, row.cp_shapes)
+                          for j, row in enumerate(self.passive_rows)])
         return np.sum(np.abs(grids) @ self.cp_w), np.sum((grids**2) @ self.cp_w)
 
-    def diagnostics(self, u_rows: np.ndarray, e_varying: np.ndarray):
+    def diagnostics(self, u_rows: np.ndarray):
         """d11, d22 and the active scalars dx^2 mu at a set of checkpoints.
 
-        ``u_rows`` holds the per-state kernel sums (one row per state) and
-        ``e_varying`` the varying exogenous densities (one row per density),
+        ``u_rows`` holds the per-state kernel sums, one row per state and
         one column per checkpoint.  The columns repeat, element for element,
         the float operations of ``_book_rates`` and of one checkpoint's
         norms, so the values equal a per-checkpoint evaluation bit for bit.
         """
         n = u_rows.shape[1]
-        e_rows = np.empty((len(self.exos), n))
-        e_rows[:] = self.exo_consts[:, None]
-        e_rows[self.varying] = e_varying
         dx2, pref = self.dx2, self.pas_pref
         rows = []
-        for r, (_exo, _term, from_act, from_pas) in enumerate(self.active_rows):
-            val = e_rows[self.active_of.index(r)] / dx2
+        for term, from_act, from_pas in self.active_rows:
+            val = np.full(n, term)
             for i, amp in from_act:
                 val = val + amp * u_rows[i]
             for i, amp in from_pas:
                 val = val + pref * (amp * u_rows[i])
             rows.append(dx2 * val)
         act = [rows[r] for r in self.active_of]
-        # checkpoints off the level constant: a live passive-target kernel
-        # sum, or a varying passive density
-        general = np.full(n, any(k >= 4 for k in self.varying))
+        # checkpoints off the level constant: a live passive-target kernel sum
+        general = np.zeros(n, dtype=bool)
         for row in self.passive_rows:
             for i, amp, _k, _g in row.entries:
                 general |= amp * u_rows[i] != 0.0
         l1, l2 = np.full(n, self.cp_norms[0]), np.full(n, self.cp_norms[1])
         for c in np.flatnonzero(general):
-            l1[c], l2[c] = self.passive_norms(e_rows[4:, c].tolist(), u_rows[:, c].tolist())
+            l1[c], l2[c] = self.passive_norms(u_rows[:, c].tolist())
         a0, a1, a2, a3 = act
         d11 = np.abs(a0) + np.abs(a1) + np.abs(a2) + np.abs(a3) + l1
         d22 = np.sqrt(a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + l2)
@@ -790,38 +760,28 @@ class _Engine:
             self.ask, self.bid = _moved(self.ask, self.bid, ACTIVE_TYPES[label])
             self.set_factors()
 
-    def exo(self, density, bound: bool) -> float:
-        """An exogenous density, or its bound, at the current time and ticks."""
-        ticks = np.array([self.ask]), np.array([self.bid]), self.book.p.delta_x
-        return float((density.bounds(*ticks) if bound else density.rates(np.array([self.sums.t]), *ticks))[0])
-
     def rates(self, bound: bool):
         """``_book_rates`` of this run."""
-        return _book_rates(self.book, self.sums.units(bound), self.factors, self.exo, bound)
+        return _book_rates(self.book, self.sums.units(bound), self.factors)
 
 
-def _book_rates(book: _CompiledBook, u, factors, exo, bound: bool, n: Optional[int] = None):
+def _book_rates(book: _CompiledBook, u, factors, n: Optional[int] = None):
     """Per-type event rates, the term masses of every passive type and the
     active intensities mu behind the active rates (before the state factors).
 
     ``u`` holds the kernel sums of every state and ``factors`` the four
-    state factors; ``exo(density, bound)`` evaluates a density that is not
-    a level constant.  The values are floats of one run, or, with ``n``
-    given, columns of ``n`` replicates, in the same float operations.  A
-    level constant stays a float where columns are added to it, and a
-    passive type's exogenous term always does: a float broadcasts to the
-    same sums.  So a passive rate or term of columns may be a float; mu
-    and the active rates are always columns.  The terms of a passive type
-    are added left to right (builtin ``sum`` of floats is compensated from
-    Python 3.12 on).
+    state factors.  The values are floats of one run, or, with ``n`` given,
+    columns of ``n`` replicates, in the same float operations.  A level
+    constant stays a float where columns are added to it, and a passive
+    type's exogenous term always does: a float broadcasts to the same sums.
+    So a passive rate or term of columns may be a float; mu and the active
+    rates are always columns.  The terms of a passive type are added left
+    to right (builtin ``sum`` of floats is compensated from Python 3.12 on).
     """
-    dx2, pref, dv = book.dx2, book.pas_pref, book.p.delta_v
+    pref = book.pas_pref
     rows = []
-    for density, term, from_act, from_pas in book.active_rows:
-        if term is None:
-            val = exo(density, bound) / dx2
-        else:
-            val = term if n is None or from_act or from_pas else np.full(n, term)
+    for term, from_act, from_pas in book.active_rows:
+        val = term if n is None or from_act or from_pas else np.full(n, term)
         for i, amp in from_act:
             val = val + amp * u[i]
         for i, amp in from_pas:
@@ -832,10 +792,7 @@ def _book_rates(book: _CompiledBook, u, factors, exo, bound: bool, n: Optional[i
     act = [f[0] * mu[0], f[1] * mu[1], f[2] * mu[2], f[3] * mu[3]]
     terms = []
     for row in book.passive_rows:
-        if row.term is None:
-            m = [exo(row.exo, bound) * row.mass / dv]
-        else:
-            m = [row.term]
+        m = [row.term]
         for i, amp, k_mass, _k in row.entries:
             m.append(k_mass * (amp * u[i]))
         terms.append(m)
@@ -873,9 +830,9 @@ def simulate_book(
     """Thinning simulation of the book over [0, horizon].
 
     The dominating rate is rebuilt at every candidate from the frozen book
-    state (state factors and exogenous densities only change at events) and
-    the kernel bounds, so acceptance is exact; a realized rate above the
-    dominating rate aborts the run as an envelope declaration bug.
+    state (state factors only change at events) and the kernel bounds, so
+    acceptance is exact; a realized rate above the dominating rate aborts
+    the run as an envelope declaration bug.
 
     Candidate k reads row k of the stream's candidate rows (``_draw_block``)
     whether it is thinned, active or passive: its wait is the row's
@@ -1007,7 +964,7 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
     ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
                             run_of, labels, xs, zs, asks, bids)
     cps = np.linspace(0.0, horizon, n_checkpoints)
-    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, sums, asks, bids)
+    d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, sums)
     loads = np.zeros((n, sizes.max()))
     loads[run_of, np.arange(labels.size) - np.repeat(starts, sizes)] = np.where(
         active, book.dx2, p.delta_v)
@@ -1039,8 +996,7 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
 
 
 def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndarray,
-                            ends: list, after: np.ndarray, sums: list, asks: np.ndarray,
-                            bids: np.ndarray):
+                            ends: list, after: np.ndarray, sums: list):
     """d11, d22 and the active scalars of a set of runs at the checkpoints
     ``cps``, one row per run.
 
@@ -1052,9 +1008,7 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
     at or before it, decayed to it in one step in the float operations of
     ``KernelSums.advance`` and ``units``; a scanned kernel reads its history
     up to each checkpoint from the run's ``sums``, in one
-    ``KernelSums.scan_past`` call per run.  Varying exogenous densities
-    read the best ticks ``asks`` and ``bids`` after the same record, laid
-    out as ``times``.
+    ``KernelSums.scan_past`` call per run.
     """
     bank, n_runs = book.bank, len(ends)
     n_s = len(bank.states)
@@ -1072,10 +1026,7 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
     if bank.scans:
         for r, run_sums in enumerate(sums):
             run_sums.scan_past(u[:, r * cps.size:(r + 1) * cps.size], cps)
-    at = cp_times, asks[idx], bids[idx], book.p.delta_x
-    e_varying = np.array([book.exos[k].rates(*at) for k in book.varying],
-                         dtype=float).reshape(-1, idx.size)
-    d11, d22, act = book.diagnostics(u, e_varying)
+    d11, d22, act = book.diagnostics(u)
     return (d11.reshape(n_runs, cps.size), d22.reshape(n_runs, cps.size),
             act.reshape(n_runs, cps.size, 4))
 
@@ -1114,9 +1065,8 @@ class _Lockstep:
 
     Every column update repeats, element for element, the float operations
     of ``_Engine`` and ``KernelSums``, so each column follows its stream as
-    ``simulate_book`` does.  A varying exogenous density is evaluated once
-    for every column.  What has no bit-identical vectorised form stays per
-    replicate: the stream draws (one call per stream and block), the
+    ``simulate_book`` does.  What has no bit-identical vectorised form stays
+    per replicate: the stream draws (one call per stream and block), the
     ``math.exp`` decay factors, the term picks of passive types with more
     than one term, in-profile weights and the histories of scanned kernels
     (one ``KernelSums`` per replicate, used for its ``scan``; the rates
@@ -1205,9 +1155,7 @@ class _Lockstep:
 
     def rates(self, bound: bool):
         """``_book_rates`` of every column."""
-        ticks = self.ask, self.bid, self.book.p.delta_x
-        exo = lambda d, bound: d.bounds(*ticks) if bound else d.rates(self.t, *ticks)
-        return _book_rates(self.book, self.units(bound), self.factors, exo, bound, self.ids.size)
+        return _book_rates(self.book, self.units(bound), self.factors, self.ids.size)
 
     def distances(self, cols: np.ndarray, types: np.ndarray, terms: list, rows: np.ndarray):
         """The distances of passive events of ``PASSIVE_TYPES[types]`` at
@@ -1257,18 +1205,19 @@ def simulate_books(
     per-candidate Python work the replicates share, so a single stream runs
     faster through ``simulate_book``.
 
-    Set-up, the exponential inversion of each block, varying exogenous
-    densities and retiring finished replicates run once per level or per
-    pass, and so does the after-run step both engines share
-    (``_assemble_runs``), over the records of every replicate at once.
+    Set-up, the exponential inversion of each block and retiring finished
+    replicates run once per level or per pass, and so does the after-run
+    step both engines share (``_assemble_runs``), over the records of every
+    replicate at once.
     Per replicate remain: building its generator and run objects, one
     ``random`` call per block, the ``math.exp`` decay factors, the term
     picks of passive types with more than one term, in-profile weights and
     scanned-kernel histories (``_Lockstep``).
 
     The state factors, ``SpreadLinearFactor`` or ``GatedConstantFactor``,
-    are evaluated through ``spreads`` on every column's spread in ticks;
-    any other factor raises ``TypeError`` when the book compiles.  A
+    are evaluated through ``spreads`` on every column's spread in ticks,
+    and every exogenous density is an ``ExoConst``; any other factor or
+    density raises ``TypeError`` when the book compiles.  A
     ``MajorantViolationError`` or ``NonCrossingError`` names the replicate
     by its index in ``rngs``.
     """
@@ -1414,11 +1363,9 @@ def passive_intensity(params: MicroParams, history: EventStream, t: float,
     """Passive intensity density at one distance given an explicit history."""
     eng = _replayed_engine(params, history, t)
     j = PASSIVE_TYPES.index(passive_type)
-    row = eng.book.passive_rows[j]
     x = np.asarray([distance])
-    shapes = [q.value(x) for q in row.profiles]
-    exo = eng.exo(row.exo, False)
-    return float(eng.book.passive_grid(j, exo, eng.sums.units(False), shapes)[0]) / params.delta_v
+    shapes = [q.value(x) for q in eng.book.passive_rows[j].profiles]
+    return float(eng.book.passive_grid(j, eng.sums.units(False), shapes)[0]) / params.delta_v
 
 
 def _replayed_engine(params: MicroParams, history: EventStream, t: float) -> _Engine:

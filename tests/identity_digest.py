@@ -9,9 +9,11 @@ the event times, labels, distances and sizes (``events``); the best ticks,
 load and beta (``paths``); d11, d22 and the active scalars
 (``checkpoints``); and both final ledgers (``ledgers``).  The ``book.*``
 lines give the same four digests of ``simulate_book`` runs on a few
-streams of five families (``_book_families``), so they cover the
+streams of six families (``_book_families``), so they cover the
 single-stream engine; ``book.table_env.*`` runs the table family with its
-envelopes raised above its values, so its bound and value scans differ.
+envelopes raised above its values, so its bound and value scans differ,
+and ``book.gamma.*`` runs gamma active kernels, whose bounds take the
+recursive bound pass.
 The ``books.table.*`` lines give the four digests of one
 ``simulate_books`` call on ``LOCKSTEP_STREAMS`` streams of the table
 family, so they cover the lockstep engine's table scans.  The
@@ -141,9 +143,10 @@ def _book_families() -> dict:
     the bench family; the table-kernel family of the ``empirical-kernels``
     workload, and the same with raised envelopes; the bench family with exponential sizes, a passive type of
     two terms and a source distance an in-profile weighs, so its runs draw
-    marks both during and after the run; and the bench family with strong,
-    fast-decaying active kernels, so candidates are often thinned."""
-    from hawkeslob.families import ExponentialProfile, GaussianProfile
+    marks both during and after the run; the bench family with strong,
+    fast-decaying active kernels, so candidates are often thinned; and the
+    bench family with gamma active kernels of the exponential ones' mass."""
+    from hawkeslob.families import ExponentialProfile, GammaProfile, GaussianProfile
     from hawkeslob.micro import ACTIVE_TYPES, PASSIVE_TYPES, SizeMeasure
 
     workloads = _workloads()
@@ -154,9 +157,11 @@ def _book_families() -> dict:
     )
     thinned = workloads.make_family(
         act_from_act={(tgt, src): ExponentialProfile(100.0, 800.0) for tgt in "ab" for src in ACTIVE_TYPES})
+    gamma = workloads.make_family(
+        act_from_act={(tgt, src): GammaProfile(0.8, 2.0) for tgt in "ab" for src in ACTIVE_TYPES})
     return {"bench": (workloads.make_family(), (2, 3)), "table": (_table_family(), (3,)),
             "table_env": (_table_family(raised=True), (3,)), "marks": (marks, (2,)),
-            "thinned": (thinned, (1,))}
+            "thinned": (thinned, (1,)), "gamma": (gamma, (2,))}
 
 
 def book_digests(seed: int) -> list[tuple[str, str]]:

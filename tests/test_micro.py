@@ -141,6 +141,15 @@ class TestBookUpdates:
         with pytest.raises(ValueError, match="delta_v must not exceed"):
             minimal_params(delta_v=0.2)
 
+    @pytest.mark.parametrize("name", ["delta_x", "delta_v", "half_width"])
+    @pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
+    def test_scales_must_be_positive_and_finite(self, name, value):
+        # a negative delta_v or half_width ran without events, a zero delta_v
+        # divided by zero in the compiled book and a NaN one ran to the
+        # event budget
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            minimal_params(**{name: value})
+
 
 def replayed(params, *events):
     """The book after ``replay_book`` of passive ``events``, (type, distance,
@@ -584,18 +593,12 @@ def every_kind_family():
     )
 
 
-def exo_at(density, t, ask, bid, delta_x):
-    """An exogenous density at one time and pair of best ticks."""
-    return float(density.rates(np.array([t]), np.array([ask]), np.array([bid]), delta_x)[0])
-
-
 def full_sum_rates(params, events, k, state):
     """Active rates and passive mass totals just before event k, summed
     directly over every earlier event."""
     t = events.times[k]
     lags, labels, xs = t - events.times[:k], events.labels[:k], events.xs[:k]
     dx2, dv, L = params.delta_x**2, params.delta_v, params.half_width
-    ticks = state.ask_tick, state.bid_tick, params.delta_x
     spread = np.array([state.ask_tick - state.bid_tick])
 
     def kernel_sum(src, prof, in_prof=None):
@@ -605,7 +608,7 @@ def full_sum_rates(params, events, k, state):
 
     active = []
     for at in ACTIVE_TYPES:
-        mu = exo_at(params.base_active[at], t, *ticks) / dx2
+        mu = params.base_active[at].value / dx2
         for (tgt, src), prof in params.act_from_act.items():
             mu += kernel_sum(src, prof) if tgt == at else 0.0
         for (tgt, src), (in_prof, prof) in params.act_from_pas.items():
@@ -614,7 +617,7 @@ def full_sum_rates(params, events, k, state):
     passive = []
     for pt in PASSIVE_TYPES:
         exo, prof = params.base_passive[pt]
-        total = exo_at(exo, t, *ticks) * prof.mass(L) / dv
+        total = exo.value * prof.mass(L) / dv
         for (tgt, src), (out_prof, tprof) in params.pas_from_act.items():
             total += dx2 / dv * out_prof.mass(L) * kernel_sum(src, tprof) if tgt == pt else 0.0
         for (tgt, src), (out_prof, in_prof, tprof) in params.pas_from_pas.items():
@@ -689,42 +692,15 @@ class TestCompiledEngine:
             assert (ask, bid) == (run.ask_ticks[n], run.bid_ticks[n])
 
 
-class WaveExo:
-    """A time-varying, spread-dependent exogenous density: a sawtooth in time
-    plus a term in the spread, bounded by ``sup_t``."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def rates(self, t, ask, bid, delta_x):
-        return self.value * (1.0 + 0.5 * ((7.0 * t) % 1.0)) + 0.01 * ((ask - bid) % 3)
-
-    def bounds(self, ask, bid, delta_x):
-        return np.full(np.shape(ask), self.sup_t((ask, bid)))
-
-    def sup_t(self, ticks):
-        return 1.5 * self.value + 0.02
-
-
-def wave_params(fam, k):
-    """Level ``k`` of ``fam`` with one active and one passive exogenous
-    density replaced by ``WaveExo``."""
-    params = fam.micro_params(k)
-    params.base_active["b_sp"] = WaveExo(params.base_active["b_sp"].value)
-    params.base_passive["a_lo"] = (WaveExo(0.25), params.base_passive["a_lo"][1])
-    return params
-
-
 def checkpoint_row(eng):
     """d11, d22 and dx^2 mu of one checkpoint, evaluated on the live engine
-    in one pass: every exogenous density called, the passive field built on
-    the checkpoint nodes and integrated."""
-    book, t = eng.book, eng.sums.t
-    ticks = eng.ask, eng.bid, book.p.delta_x
+    in one pass: the passive field built on the checkpoint nodes and
+    integrated."""
+    book = eng.book
     u = eng.sums.units(False)
     rows = []
-    for exo, _term, from_act, from_pas in book.active_rows:
-        val = exo_at(exo, t, *ticks) / book.dx2
+    for term, from_act, from_pas in book.active_rows:
+        val = term
         for i, amp in from_act:
             val += amp * u[i]
         for i, amp in from_pas:
@@ -733,7 +709,7 @@ def checkpoint_row(eng):
     act = [rows[r] for r in book.active_of]
     grids = []
     for row in book.passive_rows:
-        out = exo_at(row.exo, t, *ticks) * row.cp_shapes[0]
+        out = row.exo.value * row.cp_shapes[0]
         for (i, amp, _k, k_grid), shape in zip(row.entries, row.cp_shapes[1:]):
             out = out + k_grid * (amp * u[i]) * shape
         grids.append(out)
@@ -756,15 +732,14 @@ def engine_snapshot(eng):
 
 
 class TestCheckpointDiagnostics:
-    @pytest.mark.parametrize("make, wave", [(make_family, False), (every_kind_family, False),
-                                            (make_family, True), (every_kind_family, True)])
-    def test_after_run_columns_match_per_checkpoint_pass(self, monkeypatch, make, wave):
+    @pytest.mark.parametrize("make", [make_family, every_kind_family])
+    def test_after_run_columns_match_per_checkpoint_pass(self, monkeypatch, make):
         # the reference: the live engine right after the last event at or
         # before each checkpoint, advanced to it in one step and evaluated
         # there in one pass
         fam = make()
         for k in range(4):
-            params = wave_params(fam, k) if wave else fam.micro_params(k)
+            params = fam.micro_params(k)
             # the last checkpoint falls on the last event, which it reads
             horizon = float(simulate_book(params, 0.5, stream_rng(40 + k, 0, "micro")).events.times[-1])
             cps = np.linspace(0.0, horizon, 33).tolist()
@@ -833,8 +808,10 @@ def test_identical_active_rows_share_one_row():
     # the same kernel terms, so they share one row
     book = micro._CompiledBook(make_family().micro_params(2))
     assert len(book.active_rows) == 1 and book.active_of == [0, 0, 0, 0]
-    # a density object of its own keeps its own row
-    book = micro._CompiledBook(wave_params(make_family(), 2))
+    # a constant of its own keeps its own row
+    params = make_family().micro_params(2)
+    params.base_active["b_sp"] = ExoConst(params.base_active["b_sp"].value + 0.01)
+    book = micro._CompiledBook(params)
     b_sp = ACTIVE_TYPES.index("b_sp")
     assert len(book.active_rows) == 2
     assert book.active_of[b_sp] == 1 and book.active_of.count(0) == 3
@@ -1010,8 +987,7 @@ def _lockstep_shapes():
         "thinned": lambda: make_family(act_from_act={
             (tgt, src): ExponentialProfile(100.0, 800.0) for tgt in "ab" for src in ACTIVE_TYPES
         }).micro_params(1),
-        "wave": lambda: wave_params(make_family(), 2),
-        "every_kind_wave": lambda: wave_params(every_kind_family(), 2),
+        "every_kind": lambda: every_kind_family().micro_params(2),
         # a passive type of two terms (a_lo), a source whose distance an
         # in-profile weighs (b_cx) and two types whose marks the pass skips
         "mixed_marks": lambda: make_family(
@@ -1080,12 +1056,18 @@ class TestLockstep:
         assert micro.simulate_books(params, 0.5, []) == []
 
     def test_under_declared_envelope_names_the_replicate(self):
-        class UnderExo(WaveExo):
-            def sup_t(self, state):
-                return 0.5 * self.value
+        class UnderTable(TableProfile):
+            """A table whose envelope is half the one it declares, so its
+            bound scans under-declare the kernel sums."""
 
-        params = make_family().micro_params(1)
-        params.base_active["a_mo"] = UnderExo(params.base_active["a_mo"].value)
+            def envelope(self, t):
+                return 0.5 * super().envelope(t)
+
+        table = tapered_table(0.2, 1.0)
+        under = UnderTable(table.ts, table.vals, table.env)
+        params = make_family(
+            act_from_act={(tgt, src): under for tgt in "ab" for src in ACTIVE_TYPES}
+        ).micro_params(1)
         with pytest.raises(MajorantViolationError, match=r"^replicate (\d+): book rate") as exc:
             micro.simulate_books(params, 0.5, [stream_rng(61, r, "micro") for r in range(3)])
         r = int(exc.value.args[0].split(":")[0].split()[1])
@@ -1127,10 +1109,18 @@ class TestLockstep:
             def sup_t(self, state):
                 return 0.1
 
-        class RatesOnly(WaveExo):
-            bounds = None
+        class RatesAndBounds:
+            """A density of the time and the best ticks, with its bound."""
 
-        for density in (StateDensity(), RatesOnly(0.1)):
+            value = 0.1
+
+            def rates(self, t, ask, bid, delta_x):
+                return np.full(np.shape(ask), self.value)
+
+            def bounds(self, ask, bid, delta_x):
+                return np.full(np.shape(ask), self.value)
+
+        for density in (StateDensity(), RatesAndBounds()):
             params = minimal_params()
             if slot in ACTIVE_TYPES:
                 params.base_active[slot] = density
@@ -1140,12 +1130,13 @@ class TestLockstep:
             for run in (lambda: simulate_book(params, 0.5, stream_rng(63, 0, "micro")),
                         lambda: micro.simulate_books(params, 0.5, [stream_rng(63, 0, "micro")]),
                         lambda: micro._CompiledBook(params)):
-                with pytest.raises(TypeError, match=f"density of {slot} must be .*; got {name}$"):
+                with pytest.raises(TypeError, match=f"^the exogenous density of {slot} must be "
+                                                    f"an ExoConst; got {name}$"):
                     run()
 
 
 class TestDrawLayout:
-    @pytest.mark.parametrize("shape", ["sparse", "table", "pas_from", "every_kind_wave"])
+    @pytest.mark.parametrize("shape", ["sparse", "table", "pas_from", "every_kind"])
     def test_streams_do_not_depend_on_the_checkpoints(self, shape):
         params = _lockstep_shapes()[shape]()
         horizon = 0.3
@@ -1166,7 +1157,7 @@ class TestDrawLayout:
                                 == getattr(r.diagnostics, name).tobytes())
                     assert run.diagnostics.d11.size == n_cp
 
-    @pytest.mark.parametrize("shape", ["exponential", "gamma", "pas_from", "every_kind_wave"])
+    @pytest.mark.parametrize("shape", ["exponential", "gamma", "pas_from", "every_kind"])
     def test_block_size_does_not_change_the_runs(self, monkeypatch, shape):
         params = _lockstep_shapes()[shape]()
         horizon = 0.3
@@ -1464,31 +1455,30 @@ _PAS_FROM = {
 
 
 @functools.lru_cache(maxsize=None)
-def ledger_property_params(kernel, pas_from, wave, level):
+def ledger_property_params(kernel, pas_from, level):
     """Level ``level`` of the test family with every active-to-active kernel
-    ``_ACT_KERNELS[kernel]``, the ``_PAS_FROM`` entries named in
-    ``pas_from`` and, with ``wave``, two ``WaveExo`` densities."""
+    ``_ACT_KERNELS[kernel]`` and the ``_PAS_FROM`` entries named in
+    ``pas_from``."""
     tables = {"pas_from_act": {}, "pas_from_pas": {}}
     for name in pas_from:
         table, key, entry = _PAS_FROM[name]
         tables[table][key] = entry
     fam = make_family(act_from_act={(tgt, src): _ACT_KERNELS[kernel]
                                     for tgt in "ab" for src in ACTIVE_TYPES}, **tables)
-    return wave_params(fam, level) if wave else fam.micro_params(level)
+    return fam.micro_params(level)
 
 
 @given(
     kernel=st.sampled_from(sorted(_ACT_KERNELS)),
     pas_from=st.frozensets(st.sampled_from(sorted(_PAS_FROM))),
-    wave=st.booleans(),
     level=st.integers(0, 1),
     horizon=st.floats(0.0, 0.3, exclude_min=True),
     batch=st.integers(1, 6),
     seed=st.integers(0, 2**31 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_final_ledgers_equal_a_replay_of_each_run(kernel, pas_from, wave, level, horizon, batch, seed):
-    params = ledger_property_params(kernel, pas_from, wave, level)
+def test_final_ledgers_equal_a_replay_of_each_run(kernel, pas_from, level, horizon, batch, seed):
+    params = ledger_property_params(kernel, pas_from, level)
     runs = micro.simulate_books(params, horizon, [stream_rng(seed, r, "micro") for r in range(batch)])
     for run in runs:
         asks, bids, final = replay_book(params, run.events)
