@@ -363,6 +363,8 @@ def _validate_experiment(block: dict, chk: _Checker) -> None:
     if (not isinstance(levels, list) or len(levels) < 3
             or any(not isinstance(k, int) or k < 0 for k in levels)):
         chk.fail("experiment.levels", "need a list of >= 3 nonnegative levels")
+    elif any(k >= k_next for k, k_next in zip(levels, levels[1:])):
+        chk.fail("experiment.levels", "levels must be strictly increasing")
     reps = block.get("replicates", 400)
     if not isinstance(reps, int) or reps < 100:
         chk.fail("experiment.replicates", "need an integer >= 100")

@@ -150,6 +150,8 @@ class ExperimentPlan:
             raise ValueError("need at least 100 limit paths")
         if len(self.levels) < 3:
             raise ValueError("need at least three refinement levels")
+        if any(k >= k_next for k, k_next in zip(self.levels, self.levels[1:])):
+            raise ValueError(f"refinement levels must be strictly increasing, got {tuple(self.levels)}")
         if self.n_boot < 2:
             raise ValueError("need at least two bootstrap draws for a standard error")
         if self.se_slack < 0:
@@ -222,7 +224,7 @@ def _run_level(family: ScalingFamily, level: int, horizon: float, test_fns, rngs
         p_a_terminal=np.array([run.final_state.p_a for run in runs]),
         v_inner={f.name: ledger_inners(ledgers, f.fn) for f in test_fns},
         load_terminal=np.array([run.diagnostics.load_terminal for run in runs]),
-        sup_d11=np.array([run.diagnostics.sup_d11() for run in runs]),
+        sup_d11=np.stack([run.diagnostics.d11 for run in runs]).max(axis=1),
     )
 
 

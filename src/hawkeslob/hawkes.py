@@ -239,6 +239,33 @@ class EventStream:
         return int(self.times.size)
 
     @classmethod
+    def spans(cls, times, labels, xs, zs, starts, ends, horizon: float,
+              label_names=()) -> list["EventStream"]:
+        """The streams of the ascending, disjoint spans ``[starts[k],
+        ends[k])`` of one set of columns, as views, with the checks of
+        ``__post_init__`` run once over all of them."""
+        times, labels = np.asarray(times, dtype=float), np.asarray(labels, dtype=np.int64)
+        xs, zs = np.asarray(xs, dtype=float), np.asarray(zs, dtype=float)
+        starts, ends = np.asarray(starts, dtype=np.int64), np.asarray(ends, dtype=np.int64)
+        if not starts.size:
+            return []
+        # each pair of times out of order, and the last span starting at or before it
+        down = np.flatnonzero(times[1:] <= times[:-1])
+        span = np.searchsorted(starts, down, side="right") - 1
+        if np.any((span >= 0) & (down + 1 < ends[span])):
+            raise ValueError("event times must be strictly increasing")
+        full = ends > starts
+        if np.any(times[starts[full]] < 0) or np.any(times[ends[full] - 1] > horizon):
+            raise ValueError("event times must lie in [0, horizon]")
+        names, streams = tuple(label_names), []
+        for lo, hi in zip(starts.tolist(), ends.tolist()):
+            stream = cls.__new__(cls)  # checked above
+            stream.__dict__.update(times=times[lo:hi], labels=labels[lo:hi], xs=xs[lo:hi],
+                                   zs=zs[lo:hi], horizon=horizon, label_names=names)
+            streams.append(stream)
+        return streams
+
+    @classmethod
     def empty(cls, horizon: float, label_names=()) -> "EventStream":
         return cls(
             np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),

@@ -223,12 +223,14 @@ def _moved(ask: int, bid: int, active_type: str) -> tuple[int, int]:
     return ask + da, bid + db
 
 
-def _fold_ledgers(p: "MicroParams", ledgers: list, runs: np.ndarray, labels: np.ndarray,
-                  xs: np.ndarray, zs: np.ndarray, asks: np.ndarray, bids: np.ndarray) -> list:
-    """The ledgers of a set of runs (run r's ask and bid ledgers at ``2r``
-    and ``2r + 1``) after the passive events among their records: per
-    record its run, label, distance, size and best ticks, each run's
-    records in event order.
+def _fold_ledgers(p: "MicroParams", ledgers: Sequence, n_runs: int, runs: np.ndarray,
+                  labels: np.ndarray, xs: np.ndarray, zs: np.ndarray, asks: np.ndarray,
+                  bids: np.ndarray) -> list:
+    """The ledgers of ``n_runs`` runs after the passive events among their
+    records, run r's ask and bid ledgers at ``2r`` and ``2r + 1``.  Every
+    run starts from the ask and bid ledgers of ``ledgers``; per record come
+    its run, label, distance, size and best ticks, each run's records in
+    event order.
 
     A passive event hits the tick at its distance from the same-side best
     price; a placement adds ``(delta_v / delta_x)(e^z - 1)`` there, a
@@ -250,35 +252,44 @@ def _fold_ledgers(p: "MicroParams", ledgers: list, runs: np.ndarray, labels: np.
     place = labels % 2 == 0
     ratio = p.delta_v / p.delta_x
     # math.exp once per distinct exponent (a dirac size has one per kind)
-    exponents, which = np.unique(np.where(place, zs, -zs), return_inverse=True)
-    gain = np.array([math.exp(z) for z in exponents.tolist()])[which] - 1.0
+    signed = np.where(place, zs, -zs)
+    exponents = np.unique(signed)
+    gain = np.array([math.exp(z) for z in exponents.tolist()])[
+        np.searchsorted(exponents, signed)] - 1.0
     vals = np.where(place, ratio * gain, 1.0 + ratio * gain)
 
-    base0 = np.array([ledger.base for ledger in ledgers], dtype=np.int64)
-    end0 = base0 + [ledger.values.size for ledger in ledgers]
+    base0 = np.tile(np.array([ledger.base for ledger in ledgers], dtype=np.int64), n_runs)
+    end0 = base0 + np.tile([ledger.values.size for ledger in ledgers], n_runs)
     base, end = base0.copy(), end0.copy()
     for edge, outside, reach in ((base, np.less, -_WINDOW_GROWTH),
                                  (end, np.greater_equal, _WINDOW_GROWTH + 1)):
         while (hit := np.flatnonzero(outside(ticks, edge[led]))).size:
             at, first = np.unique(led[hit], return_index=True)
             edge[at] = ticks[hit[first]] + reach
-    grown = set(np.flatnonzero((base != base0) | (end != end0)).tolist())
-    flat = np.concatenate([part for k, ledger in enumerate(ledgers) for part in (
-        (ledger._initial(base[k], base0[k]), ledger.values, ledger._initial(end0[k], end[k]))
-        if k in grown else (ledger.values,))])
+    ledgers = list(ledgers) * n_runs
+    parts = [ledger.values for ledger in ledgers]
+    for k in np.flatnonzero((base != base0) | (end != end0)).tolist():
+        parts[k] = np.concatenate((ledgers[k]._initial(base[k], base0[k]), parts[k],
+                                   ledgers[k]._initial(end0[k], end[k])))
+    flat = np.concatenate(parts)
     offsets = np.concatenate(([0], np.cumsum(end - base)))
 
     pos = offsets[led] + ticks - base[led]
-    order = np.argsort(pos, kind="stable")  # event order on each tick
+    # event order on each tick, then the events by rank, each in event
+    # order: a sort on a key unique to each event gives the permutation of
+    # a stable sort, in a fraction of its time
+    m = pos.size
+    order = np.argsort(pos * m + np.arange(m))
     pos, place, vals = pos[order], place[order], vals[order]
     starts = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
-    rank = np.arange(pos.size) - np.repeat(starts, np.diff(np.r_[starts, pos.size]))
-    by_rank = np.argsort(rank, kind="stable")
+    rank = np.arange(m) - np.repeat(starts, np.diff(np.r_[starts, m]))
+    by_rank = np.argsort(rank * m + np.arange(m))
+    pos, place, vals = pos[by_rank], place[by_rank], vals[by_rank]
     edges = np.cumsum(np.bincount(rank)).tolist()
     for lo, hi in zip([0] + edges, edges):
-        sel = by_rank[lo:hi]
-        at, v = pos[sel], flat[pos[sel]]
-        flat[at] = np.where(place[sel], v + vals[sel], v * vals[sel])
+        at = pos[lo:hi]
+        v = flat[at]
+        flat[at] = np.where(place[lo:hi], v + vals[lo:hi], v * vals[lo:hi])
     offsets = offsets.tolist()
     return [VolumeLedger(ledger.init_density, b, flat[lo:hi], ledger.delta_x)
             for ledger, b, lo, hi in zip(ledgers, base.tolist(), offsets, offsets[1:])]
@@ -524,9 +535,6 @@ class MicroDiagnostics:
     def load_terminal(self) -> float:
         return float(self.load[-1]) if self.load.size else 1.0
 
-    def sup_d11(self) -> float:
-        return float(np.max(self.d11)) if self.d11.size else 0.0
-
 
 @dataclass
 class MicroRun:
@@ -606,11 +614,13 @@ class _CompiledBook:
         # per active type: the first type whose factor has its type and fields
         keys = [(type(f), tuple(vars(f).items())) for f in self.factors]
         self.factor_of = [keys.index(k) for k in keys]
-        #: the state factors of ``_Engine`` per spread in ticks, as floats
-        self.by_spread: dict = {}
         self.p = p
         self.dx2 = dx**2
         self.state0 = p.initial_state()
+        #: the state factors per spread in ticks from 0, one row per active
+        #: type, and the same as a list of floats per spread for ``_Engine``
+        self.factor_table, self.factor_lists = np.empty((4, 0)), []
+        self.cover(self.state0.ask_tick - self.state0.bid_tick)
         eps = EPS_TRUNC_FACTOR * max(sum(exo.value for exo in p.base_active.values()), 1.0)
         self.bank = bank = KernelBank(eps)
         entry = bank.entry
@@ -675,11 +685,25 @@ class _CompiledBook:
             or any(in_prof is not None for in_prof in bank.excite.get(label, {})))
             for label in range(8)])
 
-    def state_factors(self, spreads: np.ndarray) -> np.ndarray:
-        """The four state factors at each of ``spreads`` (in ticks), one row
-        per active type; equal factors are evaluated once (``factor_of``)."""
+    def cover(self, spread: int) -> None:
+        """Extend the factor tables, which lack the spread ``spread`` (in
+        ticks), to twice that spread, evaluating only the spreads they lack
+        and equal factors once (``factor_of``).  The factors are elementwise
+        in the spread, so a spread reads the same bits at any table size."""
+        spreads = np.arange(len(self.factor_lists), 2 * spread + 1)
         vals = {k: self.factors[k].spreads(spreads, self.p.delta_x) for k in set(self.factor_of)}
-        return np.array([vals[k] for k in self.factor_of])
+        new = np.array([vals[k] for k in self.factor_of])
+        self.factor_table = np.concatenate((self.factor_table, new), axis=1)
+        self.factor_lists += new.T.tolist()
+
+    def state_factors(self, spreads: np.ndarray) -> np.ndarray:
+        """The four state factors at each of ``spreads`` (in ticks, never
+        negative), one row per active type, read from the table."""
+        try:
+            return self.factor_table[:, spreads]
+        except IndexError:
+            self.cover(int(spreads.max()))
+            return self.factor_table[:, spreads]
 
     def passive_grid(self, j: int, u: list, shapes: list) -> np.ndarray:
         """delta_v * passive intensity of one type, given its base and out
@@ -731,7 +755,7 @@ class _CompiledBook:
 
 class _Engine:
     """Best ticks and running kernel state of one run over a compiled book;
-    the state factors at a spread are evaluated once per book (``by_spread``)."""
+    the state factors per spread are read from the book's table."""
 
     def __init__(self, params: MicroParams):
         if params._compiled is None:
@@ -742,10 +766,10 @@ class _Engine:
         self.set_factors()
 
     def set_factors(self) -> None:
-        by_spread, spread = self.book.by_spread, self.ask - self.bid
-        if spread not in by_spread:
-            by_spread[spread] = self.book.state_factors(np.array([spread]))[:, 0].tolist()
-        self.factors = by_spread[spread]
+        book, spread = self.book, self.ask - self.bid
+        if spread >= len(book.factor_lists):
+            book.cover(spread)
+        self.factors = book.factor_lists[spread]
 
     def advance(self, t: float) -> None:
         sums = self.sums
@@ -946,6 +970,12 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
     passive event, one row-wise running sum over a zero-padded array of
     runs.  A run's final ticks are those of its last record, and each
     record after the first is an accepted event.
+
+    Each step runs once for the whole set of runs: the event streams are
+    checked in one pass (``EventStream.spans``), and every run's ledgers
+    fold from the book's initial pair.  A run's arrays are views of the
+    set's: its slices of the record fields and of the loads, and its rows of
+    the checkpoint arrays.
     """
     p = book.p
     times, labels, xs, offsets, zs, asks, bids, beta_a, beta_b, after = fields
@@ -961,7 +991,7 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
         zs[at] = p.sizes[PASSIVE_TYPES[j]].samples(zs[at])
     xs[active] = zs[active] = math.nan
     run_of = np.repeat(np.arange(n), sizes)
-    ledgers = _fold_ledgers(p, [book.state0.ask_vol, book.state0.bid_vol] * n,
+    ledgers = _fold_ledgers(p, (book.state0.ask_vol, book.state0.bid_vol), n,
                             run_of, labels, xs, zs, asks, bids)
     cps = np.linspace(0.0, horizon, n_checkpoints)
     d11, d22, act = _checkpoint_diagnostics(book, cps, times, ends, after, sums)
@@ -972,26 +1002,19 @@ def _assemble_runs(book: _CompiledBook, horizon: float, n_checkpoints: int, size
     loads = np.cumsum(loads, axis=1)
     last = np.subtract(ends, 1)
     final_ask, final_bid = asks[last].tolist(), bids[last].tolist()
+    cp_rows = np.tile(cps, (n, 1))
+    streams = EventStream.spans(times, labels, xs, zs, np.add(starts, 1), ends, horizon,
+                                EVENT_LABELS)
 
-    runs = []
+    # the fields of each object in the order they are declared
+    runs, grid = [], book.state0.grid
     for r, (start, end) in enumerate(zip(starts, ends)):
-        diag = MicroDiagnostics(
-            event_times=times[start:end], load=loads[r, :end - start], beta=beta[start:end],
-            checkpoint_times=cps.copy(), d11=d11[r], d22=d22[r], active_scalars=act[r],
-        )
-        runs.append(MicroRun(
-            horizon=horizon,
-            events=EventStream(times[start + 1:end], labels[start + 1:end], xs[start + 1:end],
-                               zs[start + 1:end], horizon, EVENT_LABELS),
-            event_times=diag.event_times,
-            ask_ticks=asks[start:end],
-            bid_ticks=bids[start:end],
-            final_state=BookState(book.state0.grid, final_ask[r], final_bid[r],
-                                  *ledgers[2 * r:2 * r + 2]),
-            diagnostics=diag,
-            candidates=candidates[r],
-            accepted=end - start - 1,
-        ))
+        event_times = times[start:end]
+        diag = MicroDiagnostics(event_times, loads[r, :end - start], beta[start:end], cp_rows[r],
+                                d11[r], d22[r], act[r])
+        state = BookState(grid, final_ask[r], final_bid[r], ledgers[2 * r], ledgers[2 * r + 1])
+        runs.append(MicroRun(horizon, streams[r], event_times, asks[start:end], bids[start:end],
+                             state, diag, candidates[r], end - start - 1))
     return runs
 
 
@@ -1019,7 +1042,7 @@ def _checkpoint_diagnostics(book: _CompiledBook, cps: np.ndarray, times: np.ndar
     b = dict(zip(book.gamma_states, after[n_s:, idx]))
     u = g.copy()
     for kappa, (exps, gams) in bank.decay.items():
-        decay = np.array([math.exp(x) for x in (-kappa * dt).tolist()])
+        decay = np.fromiter(map(math.exp, (-kappa * dt).tolist()), float, dt.size)
         u[exps] = g[exps] * decay
         for i in gams:
             u[i] = (b[i] + g[i] * dt) * decay
@@ -1051,17 +1074,23 @@ def _checkpoint_records(cps: np.ndarray, times: np.ndarray, ends) -> np.ndarray:
     return ((np.asarray(ends) - sizes)[:, None] + at_or_before - 1).ravel()
 
 
-#: (ask, bid) tick move of each event label; row 8 stands for no event
-_LABEL_MOVES = np.array([_PRICE_MOVES[at] for at in ACTIVE_TYPES] + [(0, 0)] * 5, dtype=np.int64)
+#: (ask, bid) tick move of each event label, one column per label; column 8
+#: stands for no event
+_LABEL_MOVES = np.array([_PRICE_MOVES[at] for at in ACTIVE_TYPES] + [(0, 0)] * 5,
+                        dtype=np.int64).T
+#: the column index of a pass in which every live column fires: a slice,
+#: which indexes without copying
+_EVERY = slice(None)
 
 
 class _Lockstep:
     """Replicates of one ``simulate_books`` call over a compiled book, one
-    column each: book ticks, state factors, running kernel sums (``g`` and
-    ``b`` of ``KernelSums``, one row per state) and counters.  ``ids``
-    names each live column's replicate, and ``col`` its column in the
-    current block of candidate rows (``BLOCK_ROWS`` by ``_ROW_WIDTH`` by
-    the columns live when it was drawn).
+    column each: best ticks (``ticks``, the ask row then the bid row), state
+    factors, running kernel sums (``g`` and ``b`` of ``KernelSums``, one row
+    per state) and counters.  ``ids`` names each
+    live column's replicate, and ``col`` its column in the current block of
+    candidate rows (``BLOCK_ROWS`` by ``_ROW_WIDTH`` by the columns live
+    when it was drawn).
 
     Every column update repeats, element for element, the float operations
     of ``_Engine`` and ``KernelSums``, so each column follows its stream as
@@ -1078,11 +1107,14 @@ class _Lockstep:
     replicate's candidate count, which ``retire`` writes as it drops
     finished columns.  It keeps the block at the width it was drawn at:
     ``col`` selects each pass's row from it.
+
+    The columns that fire in a pass are an index array, or ``_EVERY`` when
+    every live column fires.  ``advance`` and ``fire`` change ``g`` and
+    ``b`` in place, so ``kept_sums`` copies them even then.
     """
 
     #: per-column arrays, column axis last
-    _ARRAYS = ("ids", "t", "ask", "bid", "factors", "g", "b",
-               "accepted", "total", "col")
+    _ARRAYS = ("ids", "t", "ticks", "factors", "g", "b", "accepted", "total", "col")
 
     def __init__(self, book: _CompiledBook, rngs: list):
         bank, n, n_s = book.bank, len(rngs), len(book.bank.states)
@@ -1091,15 +1123,19 @@ class _Lockstep:
         self.rngs = rngs
         self.sums = [KernelSums(bank) if bank.scans else None for _ in range(n)]
         self.t = np.zeros(n)
-        self.ask = np.full(n, book.state0.ask_tick, dtype=np.int64)
-        self.bid = np.full(n, book.state0.bid_tick, dtype=np.int64)
-        self.factors = book.state_factors(self.ask - self.bid)
+        self.ticks = np.repeat(np.array([[book.state0.ask_tick], [book.state0.bid_tick]],
+                                        dtype=np.int64), n, axis=1)
+        self.factors = book.state_factors(self.ticks[0] - self.ticks[1])
         self.g, self.b = np.zeros((n_s, n)), np.zeros((n_s, n))
         self.candidates = np.empty(n, dtype=np.int64)
         self.accepted = np.zeros(n, dtype=np.int64)
         self.total = np.zeros(n)
         self.block = np.empty((0, _ROW_WIDTH, n))
         self.col = np.arange(n)
+        #: per decay rate: its exponential states, a slice when they are
+        #: every state, so one multiply decays them all; and its gamma states
+        self.decays = [(kappa, _EVERY if exps == list(range(n_s)) else exps, gams)
+                       for kappa, (exps, gams) in bank.decay.items()]
         # per source label: the unit increments of the states it feeds
         # without a weight (row 8: no event), and the entries that need
         # per-replicate work, in-profile weights or histories
@@ -1113,45 +1149,52 @@ class _Lockstep:
                 if stateful or hists:
                     self.slow[source].append((in_prof, stateful, hists))
 
-    def retire(self, done: np.ndarray, candidates: int) -> None:
+    def retire(self, done: np.ndarray, candidates: int) -> np.ndarray:
         """Write ``candidates`` as the candidate count of the replicates of
-        the columns where ``done`` holds and drop those columns."""
+        the columns where ``done`` holds, drop those columns and return the
+        indices of the columns kept."""
         self.candidates[self.ids[done]] = candidates
-        keep = ~done
+        keep = np.flatnonzero(~done)
         for name in self._ARRAYS:
             setattr(self, name, getattr(self, name)[..., keep])
+        return keep
 
     def advance(self, t: np.ndarray) -> None:
         """``_Engine.advance`` of every column to its time in ``t``."""
         dt = t - self.t
         g, b = self.g, self.b
-        for kappa, (exps, gams) in self.book.bank.decay.items():
-            decay = np.array([math.exp(x) for x in (-kappa * dt).tolist()])
-            for i in exps:
-                g[i] *= decay
+        for kappa, exps, gams in self.decays:
+            decay = np.fromiter(map(math.exp, (-kappa * dt).tolist()), float, dt.size)
+            if exps:
+                g[exps] *= decay
             for i in gams:
                 b[i] = (b[i] + g[i] * dt) * decay
                 g[i] *= decay
         self.t = t
 
     def units(self, bound: bool) -> np.ndarray:
-        """``KernelSums.units`` of every column."""
+        """``KernelSums.units`` of every column; ``g`` itself when they
+        equal it, as ``_book_rates`` only reads them."""
+        bank = self.book.bank
+        if not (bank.gammas or bank.scans):
+            return self.g
         u = self.g.copy()
-        for i, ke in self.book.bank.gammas:
+        for i, ke in bank.gammas:
             u[i] = self.b[i] + u[i] / ke if bound else self.b[i]
-        if self.book.bank.scans:
+        if bank.scans:
             for c, (i, t) in enumerate(zip(self.ids.tolist(), self.t.tolist())):
                 sums = self.sums[i]
                 sums.t = t
                 sums.scan(u[:, c], bound)
         return u
 
-    def kept_sums(self, cols: np.ndarray) -> np.ndarray:
-        """The kernel sums a record keeps of columns ``cols``
+    def kept_sums(self, fired) -> np.ndarray:
+        """A copy of the kernel sums a record keeps of the columns ``fired``
         (``_checkpoint_diagnostics``)."""
-        if not self.book.gamma_states:
-            return self.g[:, cols]
-        return np.concatenate((self.g[:, cols], self.b[np.ix_(self.book.gamma_states, cols)]))
+        g = self.g[:, fired]
+        if self.book.gamma_states:
+            return np.concatenate((g, self.b[self.book.gamma_states][:, fired]))
+        return g.copy() if fired is _EVERY else g
 
     def rates(self, bound: bool):
         """``_book_rates`` of every column."""
@@ -1168,15 +1211,18 @@ class _Lockstep:
         ], dtype=np.int64)
         return _distances(self.book, types, picks, rows[_CELL], rows[_OFFSET])
 
-    def fire(self, fired: np.ndarray, labels: np.ndarray, xs: np.ndarray) -> None:
-        """Feed the events of columns ``fired`` into the kernel sums, as
+    def fire(self, fired, labels: np.ndarray, xs: np.ndarray) -> None:
+        """Feed the events of the columns ``fired`` into the kernel sums, as
         ``KernelSums.fire``."""
-        lab = np.full(self.ids.size, 8)
-        lab[fired] = labels
+        lab = labels
+        if fired is not _EVERY:
+            lab = np.full(self.ids.size, 8)
+            lab[fired] = labels
         self.g += self.unit[lab].T
         if not any(self.slow):
             return
-        for c, r, label, x in zip(fired.tolist(), self.ids[fired].tolist(), labels.tolist(),
+        cols = np.arange(self.ids.size)[fired]
+        for c, r, label, x in zip(cols.tolist(), self.ids[cols].tolist(), labels.tolist(),
                                   xs.tolist()):
             for in_prof, stateful, hists in self.slow[label]:
                 w = 1.0 if in_prof is None else float(in_prof.value(x))
@@ -1205,6 +1251,15 @@ def simulate_books(
     per-candidate Python work the replicates share, so a single stream runs
     faster through ``simulate_book``.
 
+    A pass in which every live column fires, as nearly every pass of a book
+    whose majorant is its last realised rate does (``bound_is_value``),
+    indexes its columns by a slice (``_EVERY``), so the label draw, the tick
+    moves, the kernel update and the records read its arrays in place.  A
+    record may alias an array that nothing changes in place afterwards (the
+    replicate ids, the candidate times); it copies the kernel sums, which
+    change in place, and the mark columns of the candidate row, so that it
+    keeps neither the row nor the block alive.
+
     Set-up, the exponential inversion of each block and retiring finished
     replicates run once per level or per pass, and so does the after-run
     step both engines share (``_assemble_runs``), over the records of every
@@ -1215,11 +1270,11 @@ def simulate_books(
     scanned-kernel histories (``_Lockstep``).
 
     The state factors, ``SpreadLinearFactor`` or ``GatedConstantFactor``,
-    are evaluated through ``spreads`` on every column's spread in ticks,
-    and every exogenous density is an ``ExoConst``; any other factor or
-    density raises ``TypeError`` when the book compiles.  A
-    ``MajorantViolationError`` or ``NonCrossingError`` names the replicate
-    by its index in ``rngs``.
+    are read per spread in ticks from the book's table
+    (``_CompiledBook.state_factors``), and every exogenous density is an
+    ``ExoConst``; any other factor or density raises ``TypeError`` when the
+    book compiles.  A ``MajorantViolationError`` or ``NonCrossingError``
+    names the replicate by its index in ``rngs``.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
@@ -1235,32 +1290,36 @@ def simulate_books(
 
     act, pas, _terms, mu = run.rates(False)
     run.total = _rate_total(act, pas)
-    # event records, one list per field with one array per pass: replicate,
-    # then the fields of ``_assemble_runs``; the first pass holds the
-    # initial state of every replicate
+    # event records, one list per field with one array per pass: the
+    # replicate, then the fields of ``_assemble_runs``, the best ticks as
+    # one field of two rows; the first pass holds the initial state of
+    # every replicate
     nan = np.full(n, math.nan)
     records: list = [[f] for f in (
-        run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, nan, run.ask.copy(),
-        run.bid.copy(), dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]), run.kept_sums(run.ids))]
+        run.ids, np.zeros(n), np.zeros(n, dtype=np.int64), nan, nan, nan, run.ticks.copy(),
+        dx * (mu[0] - mu[1]), dx * (mu[2] - mu[3]), run.kept_sums(_EVERY))]
 
     passes = 0
     while run.ids.size:
-        if run.accepted.max() >= MAX_EVENTS:
+        # a column accepts at most one event a pass
+        if passes >= MAX_EVENTS and run.accepted.max() >= MAX_EVENTS:
             raise RuntimeError("event budget exceeded; check kernel stability")
         # the last realised rates were taken at this time and book state
         majorant = run.total if book.bound_is_value else _rate_total(*run.rates(True)[:2])
-        if passes % BLOCK_ROWS == 0:
+        k = passes % BLOCK_ROWS
+        if k == 0:
             run.block = _draw_block([run.rngs[i] for i in run.ids.tolist()])
             run.col = np.arange(run.ids.size)
-        row = run.block[passes % BLOCK_ROWS][:, run.col]
+        # until a column retires, the pass reads its row of the block in place
+        row = run.block[k] if run.col.size == run.block.shape[2] else run.block[k][:, run.col]
         passes += 1
         stop = majorant <= 0.0
         t_next = run.t + row[_WAIT] / np.where(stop, 1.0, majorant)
         done = stop | (t_next > horizon)
         if done.any():
             # every earlier pass drew a candidate inside the horizon
-            run.retire(done, passes - 1)
-            t_next, majorant, row = t_next[~done], majorant[~done], row[:, ~done]
+            keep = run.retire(done, passes - 1)
+            t_next, majorant, row = t_next[keep], majorant[keep], row[:, keep]
             if not run.ids.size:
                 break
         run.advance(t_next)
@@ -1273,40 +1332,46 @@ def simulate_books(
                 f"replicate {run.ids[c]}: book rate {float(total[c])} exceeded majorant "
                 f"{float(majorant[c])} at t={float(t_next[c])}"
             )
-        fired = np.flatnonzero(~(row[_THIN] * majorant > total))
-        if not fired.size:
-            continue
+        fired = ~(row[_THIN] * majorant > total)
+        if fired.all():
+            fired, marks = _EVERY, row[_CELL:].copy()
+        else:
+            fired = np.flatnonzero(fired)
+            if not fired.size:
+                continue
+            marks = row[_CELL:, fired]
 
-        u = row[_LABEL, fired] * total[fired]
-        stack = np.empty((8, run.ids.size))
-        for k, rate in enumerate(act + pas):
-            stack[k] = rate
-        hit = u <= np.cumsum(stack[:, fired], axis=0)
+        # the running sums of the eight rates, added left to right
+        cum = np.empty((8, run.ids.size))
+        cum[0] = act[0]
+        for j, rate in enumerate(act[1:] + pas, 1):
+            np.add(cum[j - 1], rate, out=cum[j])
+        hit = row[_LABEL, fired] * total[fired] <= cum[:, fired]
         labels = np.where(hit.any(axis=0), hit.argmax(axis=0), 7)
-        xs = row[_CELL, fired]
         q = np.flatnonzero(book.marked[labels])
         if q.size:
-            xs[q] = run.distances(fired[q], labels[q] - 4, terms, row[:, fired[q]])
+            cols = np.arange(run.ids.size)[fired][q]
+            marks[0, q] = run.distances(cols, labels[q] - 4, terms, row[:, cols])
 
-        moves = _LABEL_MOVES[labels]
-        ask, bid = run.ask[fired] + moves[:, 0], run.bid[fired] + moves[:, 1]
-        if np.any(ask < bid):
-            q = int(np.argmax(ask < bid))
-            c = fired[q]
+        ticks = run.ticks[:, fired] + _LABEL_MOVES[:, labels]
+        crossed = ticks[0] < ticks[1]
+        if crossed.any():
+            q = int(np.argmax(crossed))
+            c = np.arange(run.ids.size)[fired][q]
             try:  # the same move of the replicate's ticks raises the crossing error
-                _moved(int(run.ask[c]), int(run.bid[c]), ACTIVE_TYPES[labels[q]])
+                _moved(*run.ticks[:, c].tolist(), ACTIVE_TYPES[labels[q]])
             except NonCrossingError as exc:
                 raise NonCrossingError(f"replicate {run.ids[c]}: {exc}") from None
-        run.ask[fired], run.bid[fired] = ask, bid
-        run.fire(fired, labels, xs)
+        run.ticks[:, fired] = ticks
+        run.fire(fired, labels, marks[0])
         run.accepted[fired] += 1
         if labels.min() < 4:
-            run.factors = book.state_factors(run.ask - run.bid)
+            run.factors = book.state_factors(run.ticks[0] - run.ticks[1])
         act, pas, _terms, mu = run.rates(False)
         run.total = _rate_total(act, pas)
         for rec, f in zip(records, (
-                run.ids[fired], t_next[fired], labels, xs, row[_OFFSET, fired], row[_SIZE, fired],
-                ask, bid, dx * (mu[0][fired] - mu[1][fired]), dx * (mu[2][fired] - mu[3][fired]),
+                run.ids[fired], t_next[fired], labels, *marks, ticks,
+                dx * (mu[0][fired] - mu[1][fired]), dx * (mu[2][fired] - mu[3][fired]),
                 run.kept_sums(fired))):
             rec.append(f)
 
@@ -1317,10 +1382,14 @@ def simulate_books(
     # state; a field's records go as soon as it is assembled
     ids = np.concatenate(records[0])
     order = np.argsort(ids, kind="stable")
-    fields = []
-    for rec in records[1:]:
-        fields.append(np.concatenate(rec, axis=-1)[..., order])
+
+    def assembled(rec: list) -> np.ndarray:
+        field = np.concatenate(rec, axis=-1)[..., order]
         rec.clear()
+        return field
+
+    fields = list(map(assembled, records[1:]))
+    fields[5:6] = fields[5]  # the ask and bid rows
     return _assemble_runs(book, horizon, n_checkpoints, np.bincount(ids, minlength=n), fields,
                           run.sums, candidates)
 
@@ -1403,7 +1472,7 @@ def replay_book(params: MicroParams, events: EventStream,
     for t in [*snapshot_times, math.inf]:
         n = int(np.searchsorted(events.times, t, side="right"))
         state = BookState(state.grid, int(asks[n]), int(bids[n]), *_fold_ledgers(
-            params, ledgers, np.zeros(n, dtype=np.int64), events.labels[:n], events.xs[:n],
+            params, ledgers, 1, np.zeros(n, dtype=np.int64), events.labels[:n], events.xs[:n],
             events.zs[:n], asks[1:n + 1], bids[1:n + 1]))
         if t < math.inf:
             snapshot(t, state)

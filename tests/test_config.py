@@ -244,6 +244,11 @@ def test_experiment_block_validation():
     with pytest.raises(ConfigError) as exc:
         parse_config(yaml.safe_dump(doc))
     assert any("levels" in p for p, _ in exc.value.errors)
+    for levels in ([2, 1, 0], [0, 0, 1]):
+        doc["experiment"] = {"levels": levels, "replicates": 400}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(yaml.safe_dump(doc))
+        assert ("experiment.levels", "levels must be strictly increasing") in exc.value.errors
 
 
 @pytest.mark.parametrize("model", ["micro", "limit", "converge"])

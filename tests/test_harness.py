@@ -360,6 +360,11 @@ class TestConvergenceHarness:
             ExperimentPlan(levels=(0, 1, 2), replicates=50)
         with pytest.raises(ValueError, match="levels"):
             ExperimentPlan(levels=(0, 1), replicates=200)
+        # a level at or below the one before it reads the monotonicity test
+        # in another direction, or twice at one level
+        for levels in ((2, 1, 0), (0, 0, 1), (0, 2, 1, 3)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ExperimentPlan(levels=levels, replicates=100)
         # one limit path gives NaN standard errors, which pass every comparison
         for limit_paths in (1, 99):
             with pytest.raises(ValueError, match="limit paths"):

@@ -316,6 +316,31 @@ def test_event_stream_invariants():
                     np.full(1, np.nan), 2.0, ("e",))
 
 
+def test_event_stream_spans_check_each_span_as_a_stream():
+    # three spans of one set of columns, with a record between them that
+    # belongs to none, as in a set of micro runs: times fall across spans
+    times = np.array([0.0, 0.5, 1.5, 0.0, 0.2, 0.0, 0.0, 1.0, 2.0])
+    starts, ends = [1, 4, 6], [3, 5, 9]
+    labels = np.arange(times.size)
+    spans = EventStream.spans(times, labels, -times, 2 * times, starts, ends, 2.0, ("e",))
+    for stream, lo, hi in zip(spans, starts, ends):
+        ref = EventStream(times[lo:hi], labels[lo:hi], -times[lo:hi], 2 * times[lo:hi], 2.0, ("e",))
+        assert vars(stream).keys() == vars(ref).keys()
+        for name, a in vars(ref).items():
+            b = getattr(stream, name)
+            assert b == a if name in ("horizon", "label_names") else (
+                a.dtype == b.dtype and a.tobytes() == b.tobytes()), name
+    assert EventStream.spans(times, labels, times, times, [], [], 2.0) == []
+    # a time equal to the one before it in its span, one past the horizon
+    # and one before 0
+    for at, value, match in ((7, 0.0, "strictly increasing"), (8, 2.5, "horizon"),
+                             (6, -0.1, "horizon")):
+        bad = times.copy()
+        bad[at] = value
+        with pytest.raises(ValueError, match=match):
+            EventStream.spans(bad, labels, times, times, starts, ends, 2.0)
+
+
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
 def test_horizon_must_be_positive_and_finite(horizon):
     # a NaN horizon never ends a run

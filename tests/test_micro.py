@@ -374,8 +374,9 @@ class TestSimulateBook:
         assert np.all(run.final_state.bid_vol.values >= 0)
 
     def test_factors_evaluated_after_active_events_only(self, monkeypatch):
-        # factors are evaluated only at spreads the run visits, at most once
-        # per spread and distinct factor, and never in a passive event
+        # factors are evaluated into the book's table of spreads, which
+        # covers every spread the run visits, at most once per spread and
+        # distinct factor, and never in a passive event
         calls, fired = [], []
         for cls in (SpreadLinearFactor, GatedConstantFactor):
             def counted(self, ticks, delta_x, spreads=cls.spreads):
@@ -402,8 +403,9 @@ class TestSimulateBook:
             assert all(n == 0 for label, n in fired if label >= 4)
             visited = set((run.ask_ticks - run.bid_ticks).tolist())
             assert len(visited) > 2
-            assert {s for _t, _f, s in calls} == visited
-            assert len(set(calls)) == len(calls) == 2 * len(visited)  # two distinct factors
+            tabulated = {s for _t, _f, s in calls}
+            assert tabulated >= visited
+            assert len(set(calls)) == len(calls) == 2 * len(tabulated)  # two distinct factors
 
     def test_active_scalar_slots_nearly_merge(self, family):
         # dx^2 mu for the market and spread slots of a side agree up to the
@@ -1034,6 +1036,24 @@ class TestLockstep:
             for run, ref in zip(runs, refs):
                 assert_runs_identical(run, ref)
 
+    @pytest.mark.parametrize("batch", [3, 17])
+    def test_shapes_run_passes_of_both_kinds(self, batch, monkeypatch):
+        # a pass in which every live column fires indexes them by a slice,
+        # any other by an index array; the shapes above run both kinds, and
+        # the thinned shape both kinds at once
+        kinds, fire = {}, micro._Lockstep.fire
+
+        def recorded(self, fired, labels, xs):
+            kinds[shape].add(fired is micro._EVERY)
+            fire(self, fired, labels, xs)
+
+        monkeypatch.setattr(micro._Lockstep, "fire", recorded)
+        for shape, make in _lockstep_shapes().items():
+            kinds[shape] = set()
+            micro.simulate_books(make(), 0.3, [stream_rng(60, r, "micro") for r in range(batch)])
+        assert kinds["thinned"] == {True, False}
+        assert kinds["exponential"] == {True}
+
     def test_blocks_drawn_after_columns_retire(self):
         # replicates finish before, at and after pass BLOCK_ROWS, so the
         # second block is drawn for fewer columns than the first, and
@@ -1392,7 +1412,7 @@ class TestLedgerFold:
         runs = np.repeat([0, 1], [len(r) for r in records])
         labels, xs, zs = (np.array(col) for col in zip(*records[0], *records[1]))
         n = labels.size
-        got = micro._fold_ledgers(params, [state0.ask_vol, state0.bid_vol] * 2, runs, labels, xs,
+        got = micro._fold_ledgers(params, [state0.ask_vol, state0.bid_vol], 2, runs, labels, xs,
                                   zs, np.full(n, ask), np.full(n, bid))
         for r, recs in enumerate(records):
             for k, side in enumerate(("ask_vol", "bid_vol")):
