@@ -448,8 +448,8 @@ def martingale_residual(
     integrand = np.zeros((t.size, R))
     coords = (run.p_a, run.p_b, va, vb)
     for s_idx, side in enumerate(("a", "b")):
-        rho = np.stack([p.rho[side](run.p_a[m], run.p_b[m]) for m in range(t.size)])
-        rate_slope = np.stack([p.rate_slope[side](run.p_a[m], run.p_b[m]) for m in range(t.size)])
+        rho = p.rho[side](run.p_a, run.p_b)
+        rate_slope = p.rate_slope[side](run.p_a, run.p_b)
         mu = run.mu[:, s_idx, :]
         beta = run.beta[:, s_idx, :]
         drift = rho * beta + rate_slope * mu

@@ -55,7 +55,7 @@ VOLUME_BLOCK_BYTES = 256 * 197 * 8
 
 
 # ---------------------------------------------------------------------------
-# rate and exogenous families (vectorized over paths)
+# factor families: f(p_a, p_b), elementwise over any price arrays
 # ---------------------------------------------------------------------------
 
 
@@ -81,28 +81,12 @@ class PriceSquareRate:
     """scale * p_side^2, used by the one-sided reference models."""
 
     def __init__(self, scale: float = 1.0, side: str = "a"):
+        if side not in SIDES:
+            raise ValueError(f"side must be 'a' or 'b', got {side!r}")
         self.scale = float(scale)
         self.side = side
 
     def __call__(self, p_a, p_b):
-        p = np.asarray(p_a if self.side == "a" else p_b, dtype=float)
-        return self.scale * p * p
-
-
-class ConstantExo:
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, t, p_a, p_b):
-        return np.full_like(np.asarray(p_a, dtype=float), self.value)
-
-
-class PriceSquareExo:
-    def __init__(self, scale: float = 1.0, side: str = "a"):
-        self.scale = float(scale)
-        self.side = side
-
-    def __call__(self, t, p_a, p_b):
         p = np.asarray(p_a if self.side == "a" else p_b, dtype=float)
         return self.scale * p * p
 
@@ -119,15 +103,19 @@ class LimitParams:
     Kernel dictionaries are keyed like the microscopic ones but with active
     sources and targets collapsed to sides; the active kernels are the
     summed market-plus-spread totals, the drift kernels the rescaled
-    market-minus-spread differences.
+    market-minus-spread differences.  Every rate and exogenous factor is a
+    callable ``f(p_a, p_b)``, elementwise over price arrays of any shape
+    (``ConstantRate``, ``SpreadPlusRate``, ``PriceSquareRate``): the
+    stepper calls it on one step's paths, the Volterra reference and
+    ``harness.martingale_residual`` on a whole state path.
     """
 
     grid: SpatialGrid
-    rho: dict  # side -> rate factor
-    rate_slope: dict  # side -> rescaled factor difference
-    base_rate: dict  # side -> exogenous active density
-    base_drift: dict  # side -> exogenous drift density
-    base_passive: dict  # passive type -> (factor fn, spatial profile)
+    rho: dict  # side -> rate factor f(p_a, p_b)
+    rate_slope: dict  # side -> rescaled factor difference f(p_a, p_b)
+    base_rate: dict  # side -> exogenous active density f(p_a, p_b)
+    base_drift: dict  # side -> exogenous drift density f(p_a, p_b)
+    base_passive: dict  # passive type -> (factor f(p_a, p_b), spatial profile)
     place_gain: dict  # side -> mean relative placement gain
     cancel_gain: dict  # side -> mean relative cancellation gain (<= 0)
     act_from_act: dict = dc_field(default_factory=dict)  # (side, side) -> time
@@ -453,8 +441,8 @@ class LimitEngine:
 
         pa, pb = self.P_a[0], self.P_b[0]
         for s_idx, side in enumerate(SIDES):
-            self.mu[0, s_idx] = self.p.base_rate[side](0.0, pa, pb)
-            self.beta_arr[0, s_idx] = self.p.base_drift[side](0.0, pa, pb)
+            self.mu[0, s_idx] = self.p.base_rate[side](pa, pb)
+            self.beta_arr[0, s_idx] = self.p.base_drift[side](pa, pb)
         self._settle(0, np.zeros((len(self.entries), R)))
 
     def _build_gather_windows(self) -> None:
@@ -503,8 +491,8 @@ class LimitEngine:
 
     # -- assembly helpers ---------------------------------------------------
 
-    def _hat_factors(self, t: float, pa: np.ndarray, pb: np.ndarray) -> dict:
-        return {pt: self.p.base_passive[pt][0](t, pa, pb) for pt in PASSIVE_TYPES}
+    def _hat_factors(self, pa: np.ndarray, pb: np.ndarray) -> dict:
+        return {pt: self.p.base_passive[pt][0](pa, pb) for pt in PASSIVE_TYPES}
 
     def _ell_from(self, conv: np.ndarray, hat_fac: dict) -> np.ndarray:
         """In-product series values from convolution values, (n_ip, R)."""
@@ -538,7 +526,7 @@ class LimitEngine:
         self._rho = np.stack([self.p.rho[s](pa, pb) for s in SIDES])
         # convolution values and hat factors of the current step, read by the
         # volume update and the checkpoints of that step only
-        self._conv, self._hat_fac = conv, self._hat_factors(self.t[m], pa, pb)
+        self._conv, self._hat_fac = conv, self._hat_factors(pa, pb)
         # the current source rows, folded into the convolutions by the next step
         self._q = self._rho * self.mu[m]
         self._ell = self._ell_from(conv, self._hat_fac)
@@ -555,7 +543,6 @@ class LimitEngine:
         m = self.m
         if m >= self.n_steps:
             raise RuntimeError("the run is already complete")
-        t_new = self.t[m + 1]
         dt = self.dt
         pa_prev, pb_prev = self.P_a[m], self.P_b[m]
 
@@ -565,8 +552,8 @@ class LimitEngine:
         for k, e in enumerate(self.entries):
             hist[k] = self._convs[k].fold_and_value(self._src_now(e, q_now, ell_now))
 
-        hat_fac = self._hat_factors(t_new, pa_prev, pb_prev)
-        base_rate = np.stack([self.p.base_rate[s](t_new, pa_prev, pb_prev) for s in SIDES])
+        hat_fac = self._hat_factors(pa_prev, pb_prev)
+        base_rate = np.stack([self.p.base_rate[s](pa_prev, pb_prev) for s in SIDES])
         rho_prev = self._rho
         conv = np.empty_like(hist)
         for _ in range(3):
@@ -578,7 +565,7 @@ class LimitEngine:
                     mu_now[s_idx] = mu_now[s_idx] + conv[k]
             q_now = rho_prev * mu_now
             ell_now = self._ell_from(conv, hat_fac)
-        beta_now = np.stack([self.p.base_drift[s](t_new, pa_prev, pb_prev) for s in SIDES])
+        beta_now = np.stack([self.p.base_drift[s](pa_prev, pb_prev) for s in SIDES])
         for s_idx, side in enumerate(SIDES):
             for k in self._beta_entries[side]:
                 beta_now[s_idx] = beta_now[s_idx] + conv[k]
@@ -850,25 +837,19 @@ def solve_paths(
 
 
 def volterra_system(params: LimitParams):
-    """The (layout, operator, exogenous builder) of the generic grid solver.
+    """The (layout, operator, exogenous field) of the generic grid solver.
 
     Used to re-solve the intensity equations from a realized state path and
-    compare against the stepper's stored intensities.
+    compare against the stepper's stored intensities.  The operator and the
+    field take the factors of ``params`` as they are, so a solve calls each
+    distinct factor once, on the price arrays of the whole path.
     """
     lay = limit_layout(params.grid)
-
-    def rate_adapter(side):
-        fn = params.rho[side]
-        return lambda S: float(fn(np.asarray([S[0]]), np.asarray([S[1]]))[0])
-
-    # one adapter per side, shared by its entries, so the operator evaluates
-    # each side's rate once per state
-    rates = {s: rate_adapter(s) for s in SIDES}
     entries = []
     for (tgt, src), prof in params.act_from_act.items():
         entries.append(
             scalar_to_scalar(lay.scalar_index(f"mu_{tgt}"), lay.scalar_index(f"mu_{src}"),
-                             prof, rate=rates[src])
+                             prof, rate=params.rho[src])
         )
     for (tgt, src_pt), (inp, prof) in params.act_from_pas.items():
         entries.append(
@@ -877,26 +858,17 @@ def volterra_system(params: LimitParams):
     for (tgt_pt, src), (outp, prof) in params.pas_from_act.items():
         entries.append(
             scalar_to_grid(lay.grid_index(tgt_pt), lay.scalar_index(f"mu_{src}"),
-                           prof, outp, rate=rates[src])
+                           prof, outp, rate=params.rho[src])
         )
     for (tgt_pt, src_pt), (outp, inp, prof) in params.pas_from_pas.items():
         entries.append(
             grid_to_grid(lay.grid_index(tgt_pt), lay.grid_index(src_pt), prof, outp, inp)
         )
     op = BlockKernelOp(lay, entries)
-
-    def exo_scalar(side):
-        fn = params.base_rate[side]
-        return lambda t, S: float(fn(t, np.asarray([S[0]]), np.asarray([S[1]]))[0])
-
-    def exo_grid(pt):
-        fn = params.base_passive[pt][0]
-        return lambda t, S: float(fn(t, np.asarray([S[0]]), np.asarray([S[1]]))[0])
-
     exo = ExogenousField(
         lay,
-        [exo_scalar(s) for s in SIDES],
-        [[(exo_grid(pt), params.base_passive[pt][1])] for pt in PASSIVE_TYPES],
+        [params.base_rate[s] for s in SIDES],
+        [[params.base_passive[pt]] for pt in PASSIVE_TYPES],
     )
     return lay, op, exo
 
@@ -945,14 +917,13 @@ def check_uniqueness_condition(
         raise ValueError("eps must be positive")
     if probe_spreads is None:
         probe_spreads = eps * np.geomspace(1e-6, 1.0, 64, endpoint=False)
-    failures = []
-    for s in probe_spreads:
-        pa = np.asarray([mid + 0.5 * s])
-        pb = np.asarray([mid - 0.5 * s])
-        for side in SIDES:
-            rho = float(params.rho[side](pa, pb)[0])
-            rate_slope = float(params.rate_slope[side](pa, pb)[0])
-            if not (0.0 < rho <= rate_slope * s * (1.0 + 1e-12)):
-                failures.append({"spread": float(s), "side": side,
-                                 "rho": rho, "rate_slope": rate_slope})
-    return UniquenessReport(not failures, probe_spreads.size * 2, failures)
+    s = np.asarray(probe_spreads, dtype=float)
+    pa, pb = mid + 0.5 * s, mid - 0.5 * s
+    factors = {side: (params.rho[side](pa, pb), params.rate_slope[side](pa, pb))
+               for side in SIDES}
+    ok = {side: (0.0 < rho) & (rho <= rate_slope * s * (1.0 + 1e-12))
+          for side, (rho, rate_slope) in factors.items()}
+    failures = [{"spread": float(s[i]), "side": side, "rho": float(factors[side][0][i]),
+                 "rate_slope": float(factors[side][1][i])}
+                for i in range(s.size) for side in SIDES if not ok[side][i]]
+    return UniquenessReport(not failures, s.size * 2, failures)

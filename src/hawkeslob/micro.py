@@ -1654,12 +1654,12 @@ class ScalingFamily:
             grid=grid,
             rho={s: self.rates[s].limit_rate() for s in "ab"},
             rate_slope={s: self.rates[s].limit_slope() for s in "ab"},
-            base_rate={s: limit_mod.ConstantExo(self.base_active[s]) for s in "ab"},
+            base_rate={s: limit_mod.ConstantRate(self.base_active[s]) for s in "ab"},
             base_drift={
-                s: limit_mod.ConstantExo(self.base_drift.get(s, 0.0)) for s in "ab"
+                s: limit_mod.ConstantRate(self.base_drift.get(s, 0.0)) for s in "ab"
             },
             base_passive={
-                pt: (limit_mod.ConstantExo(fac), prof)
+                pt: (limit_mod.ConstantRate(fac), prof)
                 for pt, (fac, prof) in self.base_passive.items()
             },
             place_gain={s: self.sizes[f"{s}_lo"].place_gain for s in "ab"},

@@ -153,13 +153,6 @@ class IntensityField:
         self.scalars = data[: layout.n_scalar]
         self.grids = data[layout.n_scalar :].reshape(layout.n_grid, layout.n_x)
 
-    @classmethod
-    def zeros(cls, layout: FieldLayout) -> "IntensityField":
-        return cls(layout, np.zeros(layout.size))
-
-    def norm(self, p: int = 1, q: int = 1) -> float:
-        return float(_norms(self.layout, self.data, p, q))
-
 
 def _views(layout: FieldLayout, rows: np.ndarray) -> list[IntensityField]:
     return [IntensityField(layout, row) for row in rows]
@@ -174,10 +167,10 @@ def _views(layout: FieldLayout, rows: np.ndarray) -> list[IntensityField]:
 class OpEntry:
     """One kernel block: source slot -> target slot with a lag profile.
 
-    ``rate`` multiplies scalar sources by a state-dependent factor evaluated
-    at the source time; grid sources are contracted against ``in_profile``
-    by the grid quadrature; grid targets spread the result along
-    ``out_profile``.
+    ``rate`` multiplies scalar sources by a state-dependent factor
+    ``rate(p_a, p_b)``, elementwise in the prices and evaluated at the
+    source time; grid sources are contracted against ``in_profile`` by the
+    grid quadrature; grid targets spread the result along ``out_profile``.
     """
 
     target_kind: str  # "scalar" | "grid"
@@ -254,15 +247,16 @@ class BlockKernelOp:
             rows[key] = rows.get(key, 0.0) + amp
         return max(rows.values(), default=0.0)
 
-    def rates(self, states: Sequence) -> np.ndarray:
-        """(entries, states): each entry's rate factor at each state, 1 without
-        one.  Each distinct rate callable is evaluated once per state."""
-        out = np.ones((len(self.entries), len(states)))
+    def rates(self, p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
+        """(entries, states): each entry's rate factor at each state of the
+        price arrays, 1 without one.  Each distinct rate callable is called
+        once, on the whole arrays."""
+        out = np.ones((len(self.entries), len(p_a)))
         done: dict = {}
         for k, e in enumerate(self.entries):
             if e.rate is not None:
                 if id(e.rate) not in done:
-                    done[id(e.rate)] = [e.rate(s) for s in states]
+                    done[id(e.rate)] = e.rate(p_a, p_b)
                 out[k] = done[id(e.rate)]
         return out
 
@@ -278,9 +272,12 @@ class BlockKernelOp:
 class ExogenousField:
     """The driving field: scalar terms plus profile-shaped grid terms.
 
-    ``scalar_fns[i](t, S)`` gives the value of scalar slot i and
-    ``grid_terms[g]`` is a list of ``(factor_fn, profile)`` pairs whose sum
-    ``factor(t, S) * profile(x)`` fills grid slot g.
+    Every factor is called once per solve as ``f(p_a, p_b)`` on the price
+    arrays of the states it is read at, and is elementwise in them; it may
+    return a float, which then holds at every state.  ``scalar_fns[i]``
+    gives the value of scalar slot i, and ``grid_terms[g]`` is a list of
+    ``(factor_fn, profile)`` pairs whose sum ``factor(p_a, p_b) *
+    profile(x)`` fills grid slot g.
     """
 
     def __init__(self, layout: FieldLayout, scalar_fns, grid_terms):
@@ -297,21 +294,24 @@ class ExogenousField:
     @classmethod
     def constant(cls, layout: FieldLayout, scalars, grid_profiles=()) -> "ExogenousField":
         scalar_fns = [
-            (lambda v: (lambda t, S: v))(float(v)) for v in scalars
+            (lambda v: (lambda p_a, p_b: v))(float(v)) for v in scalars
         ]
         terms = [
-            [((lambda t, S: 1.0), prof)] if prof is not None else []
+            [((lambda p_a, p_b: 1.0), prof)] if prof is not None else []
             for prof in (grid_profiles or [None] * layout.n_grid)
         ]
         return cls(layout, scalar_fns, terms)
 
-    def field(self, t: float, state) -> IntensityField:
-        out = IntensityField.zeros(self.layout)
+    def rows(self, p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
+        """(states, layout.size): the driving slice at each state of the
+        price arrays, each grid slot's terms added in order."""
+        out = np.zeros((len(p_a), self.layout.size))
         for i, fn in enumerate(self.scalar_fns):
-            out.scalars[i] = fn(t, state)
+            out[:, i] = fn(p_a, p_b)
         for g, terms in enumerate(self._grid_terms):
+            cols = self.layout.slot("grid", g)
             for factor_fn, vals in terms:
-                out.grids[g] += float(factor_fn(t, state)) * vals
+                out[:, cols] += np.multiply.outer(factor_fn(p_a, p_b), vals)
         return out
 
 
@@ -322,6 +322,30 @@ def _uniform_grid(t_grid) -> tuple[np.ndarray, float]:
     if t_grid.size > 1 and not np.allclose(np.diff(t_grid), dt):
         raise ValueError("need a uniform time grid")
     return t_grid, dt
+
+
+def _driving(op: BlockKernelOp, exo: ExogenousField, state_path, m_steps: int, exo_at: str):
+    """The rate factors of ``op`` at every node, the driving rows, and the
+    node whose state each node's driving row and implicit diagonal read.
+
+    ``state_path`` holds one ``(p_a, p_b)`` pair per node.  Without one
+    (``None``) the prices are NaN, so a factor that reads them shows as a
+    NaN rate or driving value, which raises ``ValueError``.
+    """
+    if exo_at not in ("node", "prev"):
+        raise ValueError("exo_at must be 'node' or 'prev'")
+    if state_path is None:
+        p_a = p_b = np.full(m_steps, np.nan)
+    elif len(state_path) != m_steps:
+        raise ValueError(f"the state path has {len(state_path)} states, "
+                         f"the time grid {m_steps} nodes")
+    else:
+        p_a, p_b = np.asarray(state_path, dtype=float).reshape(m_steps, 2).T
+    at = np.arange(m_steps) if exo_at == "node" else np.maximum(np.arange(m_steps) - 1, 0)
+    rates, rows = op.rates(p_a, p_b), exo.rows(p_a[at], p_b[at])
+    if state_path is None and (np.isnan(rates).any() or np.isnan(rows).any()):
+        raise ValueError("a rate or exogenous factor reads the prices, but no state path was given")
+    return rates, rows, at
 
 
 def _trapezoid_conv(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -375,17 +399,17 @@ def solve_forward(
     field; it is resolved by a short fixed-point loop whose contraction
     factor is of order ``dt * c0``, so two or three sweeps reach round-off.
 
-    ``exo_at`` selects the state fed to the driving term and the diagonal
-    rate factor: ``"node"`` uses the state at the same grid time, ``"prev"``
-    the state one step earlier (the convention of the limit stepper, whose
-    prices for the current step are not yet known when intensities advance).
+    ``state_path`` holds one ``(p_a, p_b)`` pair per node of ``t_grid``
+    (another length raises ``ValueError``), or is ``None`` when no factor
+    reads the prices.  ``exo_at`` selects the state fed to the driving term
+    and the diagonal rate factor: ``"node"`` uses the state at the same grid
+    time, ``"prev"`` the state one step earlier (the convention of the limit
+    stepper, whose prices for the current step are not yet known when
+    intensities advance).
     """
-    if exo_at not in ("node", "prev"):
-        raise ValueError("exo_at must be 'node' or 'prev'")
     t_grid, dt = _uniform_grid(t_grid)
     m_steps = t_grid.size
-    states = [None] * m_steps if state_path is None else state_path
-    rates = op.rates(states)
+    rates, exo_rows, at = _driving(op, exo, state_path, m_steps, exo_at)
     H = op.lag_table(m_steps, dt)
     half_diag = 0.5 * dt * H[:, 0]
     w = np.ones(m_steps)
@@ -395,19 +419,18 @@ def solve_forward(
     # history sources always take the state realized at their own node;
     # only the driving term and the implicit diagonal follow exo_at
     src = np.zeros((len(op.entries), m_steps))
-    exo_sup = 0.0
+    # the clamp warning's scale: the largest driving-row norm up to each node
+    exo_sup = np.maximum.accumulate(_norms(op.layout, exo_rows))
     clamp_count = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(m_steps):
-            idx_exo = m if exo_at == "node" else max(m - 1, 0)
-            rhs = exo.field(t_grid[m], states[idx_exo]).data
-            exo_sup = max(exo_sup, float(_norms(op.layout, rhs)))
+            rhs = exo_rows[m]
 
             if m > 0:
                 hist = dt * ((H[:, m:0:-1] * src[:, :m]) @ w[:m])
                 rhs = rhs + hist @ op.Out
                 # fixed point for the implicit dt/2 diagonal term
-                diag = half_diag * rates[:, idx_exo]
+                diag = half_diag * rates[:, at[m]]
                 cur = rhs
                 for _ in range(FP_MAX_ITER):
                     nxt = rhs + (diag * (op.In @ cur)) @ op.Out
@@ -428,7 +451,7 @@ def solve_forward(
             if np.any(neg):
                 worst = float(-rhs[neg].min())
                 clamp_count += int(neg.sum())
-                if worst > CLAMP_TOL_FACTOR * max(exo_sup, 1.0):
+                if worst > CLAMP_TOL_FACTOR * max(exo_sup[m], 1.0):
                     log.warning("clamped negative value %.3e at step %d", worst, m)
                 rhs[neg] = 0.0
 
@@ -489,18 +512,15 @@ def neumann_resolvent(
     depth: int,
     exo_at: str = "node",
 ) -> NeumannResult:
-    """Compute the first ``depth`` Picard terms applied to the driving field."""
+    """Compute the first ``depth`` Picard terms applied to the driving field.
+
+    ``state_path`` and ``exo_at`` are read as by ``solve_forward``.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     t_grid, dt = _uniform_grid(t_grid)
     m_steps = t_grid.size
-    states = [None] * m_steps if state_path is None else state_path
-
-    base = np.stack([
-        exo.field(t_grid[m], states[m if exo_at == "node" else max(m - 1, 0)]).data
-        for m in range(m_steps)
-    ])
-    rates = op.rates(states)
+    rates, base, _at = _driving(op, exo, state_path, m_steps, exo_at)
     H = op.lag_table(m_steps, dt)
 
     terms = np.empty((depth, m_steps, op.layout.size))

@@ -20,7 +20,13 @@ family, so they cover the lockstep engine's table scans.  The
 ``tracked.*`` lines digest ``p_a``, ``mu`` and the tracked volume
 functionals ``v_f`` and ``eta_f`` of a small limit solve
 with a tracked test function, the solve of acceptance criterion 12 at
-``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps.  Two trees that print
+``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps.  The ``reference.*``
+lines cover the Volterra reference and the checks that read the limit's
+rate factors: the ``intensity_consistency`` residual of the experiment's
+limit solve; the ``solve_forward`` rows at both ``exo_at`` values and the
+Neumann terms, re-solved on that solve's first path with a price-dependent
+exogenous slot; the martingale means and standard errors of the tracked
+solve; and the failures of ``check_uniqueness_condition``.  Two trees that print
 the same lines ran the same experiment bit for bit; a change that only
 reorders the sums of an inner product moves the ``tracked.*`` functional
 lines or the ``report`` line, whose volume-functional errors read the
@@ -39,6 +45,7 @@ pytest from collecting it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -191,7 +198,8 @@ def lockstep_digests(seed: int) -> list[tuple[str, str]]:
     return [(f"books.table.L2.{field}", h) for field, h in _run_digests(runs).items()]
 
 
-def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
+def digests(plan, family, seed: int, limit_params):
+    """The experiment's digest lines, and its limit solve."""
     from hawkeslob import harness
 
     lockstep, run_hashes = harness.simulate_books, []
@@ -228,22 +236,62 @@ def digests(plan, family, seed: int, limit_params) -> list[tuple[str, str]]:
     for name, a in limit_arrays.items():
         a = np.ascontiguousarray(a)
         out.append((f"limit.{name}", sha(str(a.dtype).encode() + a.tobytes())))
-    return out
+    return out, limit_run
 
 
-def tracked_digests(seed: int) -> list[tuple[str, str]]:
-    """Digests of a limit solve that tracks ``g1``: criterion 12's solve at
-    ``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps of 1e-3."""
+def tracked_run(seed: int):
+    """Criterion 12's limit solve, tracking ``g1``, at ``TRACKED_PATHS``
+    paths and ``TRACKED_STEPS`` steps of 1e-3."""
     from hawkeslob import limit
 
     family, g1 = _test_family(), _test_fns()[0]
     lp = family.limit_params(n_x=113)
     init = limit.make_initial_state(lp, family.ask_price0, family.bid_price0, family.ask_volume0,
                                     family.bid_volume0, n_paths=TRACKED_PATHS)
-    run = limit.solve_paths(lp, init, TRACKED_STEPS * 1e-3, 1e-3, seed=seed, track=[g1])
+    return limit.solve_paths(lp, init, TRACKED_STEPS * 1e-3, 1e-3, seed=seed, track=[g1])
+
+
+def tracked_digests(run) -> list[tuple[str, str]]:
+    """Digests of the ``tracked_run`` solve."""
     arrays = {"p_a": run.p_a, "mu": run.mu, "v_f.g1": run.v_f["g1"], "eta_f.g1": run.eta_f["g1"]}
     return [(f"tracked.{name}", hashlib.sha256(_array_bytes(a)).hexdigest())
             for name, a in arrays.items()]
+
+
+def reference_digests(limit_run, tracked) -> list[tuple[str, str]]:
+    """The ``reference.*`` lines.  The price-dependent factor ``0.5 p_a^2``
+    takes its ask price as the second-to-last argument, so it runs in either
+    factor signature, with or without a leading time."""
+    from hawkeslob import harness, limit, volterra
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    lp = limit_run.params
+    square = lambda *a: 0.5 * np.asarray(a[-2], dtype=float) ** 2
+    priced = dataclasses.replace(
+        lp, base_rate={"a": square, "b": lp.base_rate["b"]},
+        base_passive={pt: (square, prof) for pt, (_f, prof) in lp.base_passive.items()})
+    _lay, op, exo = limit.volterra_system(priced)
+    states = list(zip(limit_run.p_a[:, 0], limit_run.p_b[:, 0]))
+    out = [("reference.consistency", repr(limit.intensity_consistency(limit_run, 0)))]
+    for exo_at in ("prev", "node"):
+        sol = volterra.solve_forward(op, exo, states, limit_run.t, exo_at=exo_at)
+        out.append((f"reference.forward.{exo_at}", sha(_array_bytes(sol.values))))
+    terms = volterra.neumann_resolvent(op, exo, states, limit_run.t, 3, exo_at="prev").term_values
+    out.append(("reference.neumann", sha(_array_bytes(terms))))
+    checkpoints = [0.5 * TRACKED_STEPS * 1e-3, TRACKED_STEPS * 1e-3]
+    for spec in (harness.squared_ask_price(), harness.ask_price_times_volume(_test_fns()[0])):
+        rep = harness.martingale_residual(tracked, spec, checkpoints)
+        out.append((f"reference.martingale.{spec.name}", repr((rep.means, rep.ses))))
+    spread = dataclasses.replace(lp, rho={s: limit.SpreadPlusRate(0.8) for s in "ab"},
+                                 rate_slope={s: limit.ConstantRate(1.0) for s in "ab"})
+    for name, params, kwargs in (
+            ("family", lp, {}),
+            ("spread", spread, {"probe_spreads": np.linspace(-0.5, 2.0, 26), "mid": 0.3})):
+        rep = limit.check_uniqueness_condition(params, 0.05, **kwargs)
+        out.append((f"reference.uniqueness.{name}", sha(repr(rep.failures).encode())))
+    return out
 
 
 def main(argv=None) -> int:
@@ -252,7 +300,9 @@ def main(argv=None) -> int:
     ap.add_argument("--plan", choices=("bench", "criterion10"), required=True)
     args = ap.parse_args(argv)
     plan, family, limit_params = _bench_plan() if args.plan == "bench" else _criterion10_plan()
-    for name, digest in (digests(plan, family, args.seed, limit_params) + tracked_digests(args.seed)
+    lines, limit_run = digests(plan, family, args.seed, limit_params)
+    tracked = tracked_run(args.seed)
+    for name, digest in (lines + tracked_digests(tracked) + reference_digests(limit_run, tracked)
                          + book_digests(args.seed) + lockstep_digests(args.seed)):
         print(f"{name} {digest}")
     return 0

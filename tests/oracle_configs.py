@@ -14,7 +14,7 @@ from hawkeslob.families import ExponentialProfile, GaussianProfile, ZeroSpatialP
 from hawkeslob.volterra import SpatialGrid
 
 
-def _zero_exo(t, pa, pb):
+def _zero_exo(pa, pb):
     return np.zeros_like(np.asarray(pa, dtype=float))
 
 
@@ -30,8 +30,8 @@ def one_sided_mu_config(sigma2: float = 1.0, kappa: float = 1.0, p0: float = 1.0
         grid=grid,
         rho={"a": L.PriceSquareRate(0.5, "a"), "b": L.ConstantRate(0.0)},
         rate_slope={"a": L.ConstantRate(0.0), "b": L.ConstantRate(0.0)},
-        base_rate={"a": L.ConstantExo(sigma2), "b": L.ConstantExo(0.0)},
-        base_drift={"a": L.ConstantExo(0.0), "b": L.ConstantExo(0.0)},
+        base_rate={"a": L.ConstantRate(sigma2), "b": L.ConstantRate(0.0)},
+        base_drift={"a": L.ConstantRate(0.0), "b": L.ConstantRate(0.0)},
         base_passive={pt: (_zero_exo, zprof) for pt in L.PASSIVE_TYPES},
         place_gain={"a": 0.0, "b": 0.0},
         cancel_gain={"a": 0.0, "b": 0.0},
@@ -65,11 +65,11 @@ def one_sided_book_config(c: float = 0.4, kappa: float = 1.0, p0: float = 1.0,
         grid=grid,
         rho={"a": L.ConstantRate(0.5), "b": L.ConstantRate(0.0)},
         rate_slope={"a": L.ConstantRate(0.0), "b": L.ConstantRate(0.0)},
-        base_rate={"a": L.PriceSquareExo(1.0, "a"), "b": L.ConstantExo(0.0)},
-        base_drift={"a": L.ConstantExo(0.0), "b": L.ConstantExo(0.0)},
+        base_rate={"a": L.PriceSquareRate(1.0, "a"), "b": L.ConstantRate(0.0)},
+        base_drift={"a": L.ConstantRate(0.0), "b": L.ConstantRate(0.0)},
         base_passive={
-            "a_lo": (L.PriceSquareExo(1.0, "a"), g_center),
-            "a_cx": (L.PriceSquareExo(1.0, "a"), g_center),
+            "a_lo": (L.PriceSquareRate(1.0, "a"), g_center),
+            "a_cx": (L.PriceSquareRate(1.0, "a"), g_center),
             "b_lo": (_zero_exo, zprof),
             "b_cx": (_zero_exo, zprof),
         },
@@ -101,8 +101,8 @@ def canonical_spread_config(mu0: float = 0.3, n_x: int = 31):
         grid=grid,
         rho={s: L.SpreadPlusRate(1.0) for s in "ab"},
         rate_slope={s: L.ConstantRate(1.0) for s in "ab"},
-        base_rate={s: L.ConstantExo(mu0) for s in "ab"},
-        base_drift={s: L.ConstantExo(0.0) for s in "ab"},
+        base_rate={s: L.ConstantRate(mu0) for s in "ab"},
+        base_drift={s: L.ConstantRate(0.0) for s in "ab"},
         base_passive={pt: (_zero_exo, zprof) for pt in L.PASSIVE_TYPES},
         place_gain={"a": 0.0, "b": 0.0},
         cancel_gain={"a": 0.0, "b": 0.0},

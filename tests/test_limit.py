@@ -18,7 +18,7 @@ from hawkeslob.families import (
     ZeroSpatialProfile,
 )
 from hawkeslob.oracles import closed_form_book, closed_form_mu_exponential
-from hawkeslob.volterra import SpatialGrid
+from hawkeslob.volterra import SpatialGrid, solve_forward
 
 from conftest import make_family
 from oracle_configs import (
@@ -28,7 +28,7 @@ from oracle_configs import (
 )
 
 
-def _zero_exo(t, pa, pb):
+def _zero_exo(pa, pb):
     return np.zeros_like(np.asarray(pa, dtype=float))
 
 
@@ -37,15 +37,15 @@ def frozen_prices_params(n_x=21, lam_factor=0.0, place=0.0, cancel=0.0):
     grid = SpatialGrid(2.0, n_x)
     prof = UniformProfile(1.0) if lam_factor else ZeroSpatialProfile()
 
-    def fac(t, pa, pb):
+    def fac(pa, pb):
         return np.full_like(np.asarray(pa, dtype=float), lam_factor)
 
     return L.LimitParams(
         grid=grid,
         rho={s: L.ConstantRate(0.0) for s in "ab"},
         rate_slope={s: L.ConstantRate(0.0) for s in "ab"},
-        base_rate={s: L.ConstantExo(0.0) for s in "ab"},
-        base_drift={s: L.ConstantExo(0.0) for s in "ab"},
+        base_rate={s: L.ConstantRate(0.0) for s in "ab"},
+        base_drift={s: L.ConstantRate(0.0) for s in "ab"},
         base_passive={pt: (fac, prof) for pt in L.PASSIVE_TYPES},
         place_gain={"a": place, "b": place},
         cancel_gain={"a": cancel, "b": cancel},
@@ -59,8 +59,8 @@ class TestDriftDiffusion:
             grid=grid,
             rho={"a": rho_a, "b": L.ConstantRate(0.0)},
             rate_slope={"a": varrho_a, "b": L.ConstantRate(0.0)},
-            base_rate={"a": L.ConstantExo(mu_a), "b": L.ConstantExo(0.0)},
-            base_drift={"a": L.ConstantExo(beta_a), "b": L.ConstantExo(0.0)},
+            base_rate={"a": L.ConstantRate(mu_a), "b": L.ConstantRate(0.0)},
+            base_drift={"a": L.ConstantRate(beta_a), "b": L.ConstantRate(0.0)},
             base_passive={pt: (_zero_exo, ZeroSpatialProfile()) for pt in L.PASSIVE_TYPES},
             place_gain={"a": 0.0, "b": 0.0},
             cancel_gain={"a": 0.0, "b": 0.0},
@@ -244,8 +244,8 @@ def test_drift_intensity_recursion_analytic():
         grid=grid,
         rho={"a": L.ConstantRate(1.0), "b": L.ConstantRate(0.0)},
         rate_slope={"a": L.ConstantRate(0.5), "b": L.ConstantRate(0.0)},
-        base_rate={"a": L.ConstantExo(mu0), "b": L.ConstantExo(0.0)},
-        base_drift={"a": L.ConstantExo(base), "b": L.ConstantExo(0.0)},
+        base_rate={"a": L.ConstantRate(mu0), "b": L.ConstantRate(0.0)},
+        base_drift={"a": L.ConstantRate(base), "b": L.ConstantRate(0.0)},
         base_passive={pt: (_zero_exo, ZeroSpatialProfile()) for pt in L.PASSIVE_TYPES},
         place_gain={"a": 0.0, "b": 0.0},
         cancel_gain={"a": 0.0, "b": 0.0},
@@ -281,7 +281,7 @@ def test_all_kernel_blocks_consistent_with_reference_solver(generic):
     gauss = GaussianProfile(0.6)
     uni = UniformProfile(0.3)
 
-    def fac(t, pa, pb):
+    def fac(pa, pb):
         return np.full_like(np.asarray(pa, dtype=float), 0.4)
 
     time = _subclassed if generic else (lambda prof: prof)
@@ -289,8 +289,8 @@ def test_all_kernel_blocks_consistent_with_reference_solver(generic):
         grid=grid,
         rho={s: L.SpreadPlusRate(0.5) for s in "ab"},
         rate_slope={s: L.ConstantRate(0.5) for s in "ab"},
-        base_rate={s: L.ConstantExo(0.3) for s in "ab"},
-        base_drift={s: L.ConstantExo(0.0) for s in "ab"},
+        base_rate={s: L.ConstantRate(0.3) for s in "ab"},
+        base_drift={s: L.ConstantRate(0.0) for s in "ab"},
         base_passive={pt: (fac, GaussianProfile(1.0)) for pt in L.PASSIVE_TYPES},
         place_gain={"a": 1.0, "b": 1.0},
         cancel_gain={"a": -0.5, "b": -0.5},
@@ -366,7 +366,7 @@ def _pas_from_act_inputs(paths=slice(None)):
     grid = SpatialGrid(2.0, 41)
     gauss, uni = GaussianProfile(0.6), UniformProfile(0.3)
 
-    def fac(t, pa, pb):
+    def fac(pa, pb):
         return 0.3 + 0.1 * np.abs(np.asarray(pa, dtype=float))
 
     base = {"a_lo": (fac, GaussianProfile(1.0)), "a_cx": (fac, GaussianProfile(0.5)),
@@ -375,8 +375,8 @@ def _pas_from_act_inputs(paths=slice(None)):
         grid=grid,
         rho={s: L.SpreadPlusRate(0.5) for s in "ab"},
         rate_slope={s: L.ConstantRate(0.5) for s in "ab"},
-        base_rate={s: L.ConstantExo(0.3) for s in "ab"},
-        base_drift={s: L.ConstantExo(0.0) for s in "ab"},
+        base_rate={s: L.ConstantRate(0.3) for s in "ab"},
+        base_drift={s: L.ConstantRate(0.0) for s in "ab"},
         base_passive=base,
         place_gain={"a": 1.0, "b": 1.0},
         cancel_gain={"a": -0.5, "b": -0.5},
@@ -692,27 +692,56 @@ def test_non_finite_volume_fails_loudly(family, side):
 
 
 def test_volterra_system_evaluates_each_side_rate_once_per_state(family):
-    # four active entries read two sources: the operator calls each side's
-    # rate factor once per state, not once per entry
+    # four active entries read two sources: a solve calls each side's rate
+    # factor, and each exogenous factor, once on the whole path's prices
     lp = family.limit_params(n_x=21)
-    calls = {"a": 0, "b": 0}
+    calls = []
 
-    def counted(side, fn):
-        def rate(pa, pb):
-            calls[side] += 1
+    def counted(name, fn):
+        def factor(pa, pb):
+            calls.append((name, np.shape(pa)))
             return fn(pa, pb)
-        return rate
+        return factor
 
-    lp = dataclasses.replace(lp, rho={s: counted(s, f) for s, f in lp.rho.items()})
-    _lay, op, _exo = L.volterra_system(lp)
+    lp = dataclasses.replace(
+        lp, rho={s: counted(f"rho_{s}", f) for s, f in lp.rho.items()},
+        base_rate={s: counted(f"base_{s}", f) for s, f in lp.base_rate.items()},
+        base_passive={pt: (counted(pt, f), prof) for pt, (f, prof) in lp.base_passive.items()},
+    )
+    _lay, op, exo = L.volterra_system(lp)
     states = [(0.3, 0.1), (0.5, -0.2), (0.2, 0.1)]
-    rates = op.rates(states)
-    assert calls == {"a": len(states), "b": len(states)}
+    solve_forward(op, exo, states, np.linspace(0.0, 0.02, len(states)), exo_at="prev")
+    names = [f"rho_{s}" for s in "ab"] + [f"base_{s}" for s in "ab"] + list(L.PASSIVE_TYPES)
+    assert sorted(calls) == sorted((name, (len(states),)) for name in names)
     sources = [e.rate for e in op.entries if e.rate is not None]
     assert len(sources) == 4 and len(set(map(id, sources))) == 2
+    rates = op.rates(*np.array(states).T)
     for k, e in enumerate(op.entries):
         if e.rate is not None:
-            assert rates[k].tolist() == [e.rate(st) for st in states]
+            assert rates[k].tolist() == [e.rate(np.array([pa]), np.array([pb]))[0]
+                                         for pa, pb in states]
+
+
+@pytest.mark.parametrize("factor", [L.ConstantRate(0.7), L.SpreadPlusRate(1.3),
+                                    L.PriceSquareRate(0.5, "a"), L.PriceSquareRate(2.0, "b")],
+                         ids=["constant", "spread_plus", "square_a", "square_b"])
+def test_factors_are_elementwise(factor):
+    # the premise of one factor call on a whole (M+1, R) path: the same
+    # bytes as one call per step and one call per element
+    rng = np.random.default_rng(28)
+    pa, pb = rng.normal(0.2, 1.0, (2, 9, 6))
+    whole = factor(pa, pb)
+    rows = np.stack([factor(pa[m], pb[m]) for m in range(9)])
+    elems = np.array([[factor(np.array([a]), np.array([b]))[0] for a, b in zip(ra, rb)]
+                      for ra, rb in zip(pa, pb)])
+    assert whole.shape == pa.shape
+    assert whole.tobytes() == rows.tobytes() == elems.tobytes()
+
+
+def test_price_square_rate_rejects_an_unknown_side():
+    # any side but "a" read the bid price
+    with pytest.raises(ValueError, match="side"):
+        L.PriceSquareRate(1.0, "c")
 
 
 def test_noise_coarsening_preserves_variance():

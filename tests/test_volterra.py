@@ -14,9 +14,9 @@ from hawkeslob.volterra import (
     BlockKernelOp,
     ExogenousField,
     FieldLayout,
-    IntensityField,
     NumericalFailureError,
     SpatialGrid,
+    _norms,
     _trapezoid_conv,
     grid_to_grid,
     grid_to_scalar,
@@ -90,16 +90,12 @@ def test_linearity():
     exo1 = ExogenousField.constant(lay, [1.0], [GaussianProfile(0.5)])
     exo2 = ExogenousField.constant(lay, [0.3], [UniformProfile(0.2)])
 
-    def exo_sum_field(tt, S):
-        f = exo1.field(tt, S)
-        g = exo2.field(tt, S)
-        f.scalars += g.scalars
-        f.grids += g.grids
-        return f
-
     class _Sum:
         layout = lay
-        field = staticmethod(exo_sum_field)
+
+        @staticmethod
+        def rows(p_a, p_b):
+            return exo1.rows(p_a, p_b) + exo2.rows(p_a, p_b)
 
     s1 = solve_forward(op, exo1, None, t)
     s2 = solve_forward(op, exo2, None, t)
@@ -125,7 +121,7 @@ def test_nonnegativity_and_gronwall_bound():
     assert all(np.all(f.scalars >= 0) and np.all(f.grids >= 0) for f in sol.fields)
     # discrete mirror of the a-priori bound sup ||D|| <= (1 + c T) e^{c T} sup ||Dhat||
     c0 = op.max_row_mass()
-    exo_sup = max(exo.field(tt, None).norm(1, 1) for tt in t)
+    exo_sup = _norms(lay, exo.rows(np.zeros(t.size), np.zeros(t.size)), 1, 1).max()
     bound = (1 + c0 * T) * math.exp(c0 * T) * exo_sup
     assert sol.norms(1, 1).max() <= bound
 
@@ -233,9 +229,42 @@ def test_trapezoid_conv_matches_the_weighted_sum():
 def test_field_norms():
     grid = SpatialGrid(1.0, 3)  # weights [0.5, 1, 0.5]
     lay = FieldLayout(("m",), ("g",), grid)
-    f = IntensityField.zeros(lay)
-    f.scalars[0] = 2.0
-    f.grids[0] = np.array([1.0, 1.0, 1.0])
-    assert f.norm(1, 1) == pytest.approx(2.0 + 2.0)
-    assert f.norm(2, 2) == pytest.approx(math.sqrt(4.0 + 2.0))
+    data = np.array([2.0, 1.0, 1.0, 1.0])  # the scalar slot, then the grid slot
+    assert _norms(lay, data, 1, 1) == pytest.approx(2.0 + 2.0)
+    assert _norms(lay, data, 2, 2) == pytest.approx(math.sqrt(4.0 + 2.0))
+
+
+def _price_square(p_a, p_b):
+    return np.asarray(p_a, dtype=float) ** 2
+
+
+def _priced_system():
+    """A scalar field whose kernel rate and driving term read the ask price."""
+    op = BlockKernelOp(SCALAR, [scalar_to_scalar(0, 0, ExponentialProfile(0.5, 1.0),
+                                                 rate=_price_square)])
+    return op, ExogenousField(SCALAR, [_price_square], [])
+
+
+def _solve(solver, op, exo, states, t):
+    if solver == "forward":
+        return solve_forward(op, exo, states, t, exo_at="prev")
+    return neumann_resolvent(op, exo, states, t, depth=2, exo_at="prev")
+
+
+@pytest.mark.parametrize("solver", ["forward", "neumann"])
+@pytest.mark.parametrize("n_states", [5, 15])
+def test_state_path_must_match_the_time_grid(solver, n_states):
+    # a path of any other length than the grid's is rejected before the
+    # solve, neither cut short nor read past its end
+    op, exo = _priced_system()
+    states = [(1.0 + 0.1 * m, 0.0) for m in range(n_states)]
+    with pytest.raises(ValueError, match=f"{n_states} states.*11 nodes"):
+        _solve(solver, op, exo, states, np.linspace(0, 1, 11))
+
+
+@pytest.mark.parametrize("solver", ["forward", "neumann"])
+def test_price_factors_need_a_state_path(solver):
+    op, exo = _priced_system()
+    with pytest.raises(ValueError, match="no state path"):
+        _solve(solver, op, exo, None, np.linspace(0, 1, 11))
 
