@@ -73,8 +73,10 @@ def _cmd_simulate_micro(cfg: RunConfig, out: Path, seed: int, level: int,
     manifest.register("micro", 1)
 
     run.events.to_csv(out / "events.csv")
-    run.price_path_csv(out / "prices.csv")
-    n_side = int(round(params.half_width / params.delta_x))
+    dx = params.delta_x
+    _float_csv(out / "prices.csv", ["t", "p_a", "p_b"],
+               zip(run.event_times, run.ask_ticks * dx, run.bid_ticks * dx))
+    n_side = int(round(params.half_width / dx))
     sample_times = [float(t) for t in cfg.data.get("output", {}).get("profile_times", [])]
     rows = []
 

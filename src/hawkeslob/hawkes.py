@@ -71,10 +71,12 @@ class MarkSpace:
             object.__setattr__(self, "weights", tuple(1.0 for _ in self.labels))
         if len(self.weights) != len(self.labels):
             raise ValueError("one base-measure weight per label")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("base-measure weights must be positive")
-        if self.spatial_half_width is not None and self.spatial_half_width <= 0:
-            raise ValueError("spatial half-width must be positive")
+        # a NaN or infinite weight never lets thinning accept or end
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ValueError("base-measure weights must be positive and finite")
+        hw = self.spatial_half_width
+        if hw is not None and not (math.isfinite(hw) and hw > 0):
+            raise ValueError("spatial half-width must be positive and finite")
 
     @property
     def n_labels(self) -> int:
@@ -95,48 +97,30 @@ class MarkSpace:
 
 
 class Exogenous:
-    """Exogenous intensity density mu(t, u) with a declared uniform sup."""
+    """Constant exogenous intensity density: one rate for every label, or one
+    rate per label, with its sup."""
 
-    def __init__(self, fn: Callable, sup: float):
-        if sup < 0:
-            raise ValueError("declared sup must be >= 0")
-        self.fn = fn
-        self.sup = float(sup)
+    def __init__(self, rate):
+        rates = np.asarray(rate, dtype=float)
+        if rates.ndim > 1 or not np.all(np.isfinite(rates)) or np.any(rates < 0):
+            raise ValueError(f"exogenous rates must be finite and >= 0, got {rate!r}")
+        #: the number of per-label rates, or None when one rate serves every label
+        self.n_labels = rates.size if rates.ndim else None
+        self.rates = rates.reshape(-1).tolist()
+        self.sup = float(rates.max(initial=0.0))
 
-    def __call__(self, t: float, label: int, x: Optional[float]) -> float:
-        return self.fn(t, label, x)
+    def rate(self, label: int) -> float:
+        return self.rates[0 if self.n_labels is None else label]
 
     @classmethod
     def constant(cls, rate) -> "Exogenous":
         """Constant rate, either a scalar or one value per label."""
-        if np.isscalar(rate):
-            r = float(rate)
-            return cls(lambda t, i, x: r, r)
-        rates = np.asarray(rate, dtype=float)
-        return cls(lambda t, i, x: float(rates[i]), float(rates.max(initial=0.0)))
+        return cls(rate)
 
 
-class HawkesKernel:
-    """Excitation kernel phi(dt, u, v) of a past event at mark v on mark u."""
-
-    def eval_events(self, dts: np.ndarray, v_labels: np.ndarray, v_xs, u) -> np.ndarray:
-        """Vectorized over past events for a fixed target mark u."""
-        raise NotImplementedError
-
-    def envelope(self, dt):
-        """Non-increasing pointwise majorant over all mark pairs."""
-        raise NotImplementedError
-
-    def spatial_mass_bound(self, space: MarkSpace) -> float:
-        """Bound on sup_v int_U phi(t, u, v) m(du), uniform in the lag."""
-        raise NotImplementedError
-
-    def truncation_lag(self, eps: float) -> float:
-        raise NotImplementedError
-
-
-class MatrixKernel(HawkesKernel):
-    """Per-label-pair time profiles: phi(dt, u, v) = profiles[u][v](dt)."""
+class MatrixKernel:
+    """Excitation kernel of per-label-pair time profiles: a past event of
+    label v adds ``profiles[u][v](dt)`` to the intensity of label u."""
 
     def __init__(self, profiles: Sequence[Sequence[Optional[TimeProfile]]]):
         zero = ZeroProfile()
@@ -152,12 +136,13 @@ class MatrixKernel(HawkesKernel):
         self.row_shared = [row[0] if all(p is row[0] for p in row) else None
                            for row in self.profiles]
 
-    def eval_events(self, dts, v_labels, v_xs, u):
-        shared = self.row_shared[u[0]]
+    def eval_events(self, dts: np.ndarray, v_labels: np.ndarray, label: int) -> np.ndarray:
+        """Values at lags ``dts`` of past events of labels ``v_labels`` on ``label``."""
+        shared = self.row_shared[label]
         if shared is not None:
             # profiles act element by element: one call gives the per-label fill
             return shared.value(dts)
-        row = self.profiles[u[0]]
+        row = self.profiles[label]
         out = np.zeros_like(dts)
         for j in range(self.d):
             sel = v_labels == j
@@ -166,13 +151,15 @@ class MatrixKernel(HawkesKernel):
         return out
 
     def envelope(self, dt):
+        """Non-increasing pointwise majorant over all label pairs."""
         dt = np.asarray(dt, dtype=float)
         env = np.zeros_like(dt)
         for p in self.distinct:
             env = np.maximum(env, p.envelope(dt))
         return env
 
-    def spatial_mass_bound(self, space):
+    def spatial_mass_bound(self, space: MarkSpace) -> float:
+        """Bound on sup_v int_U phi(t, u, v) m(du), uniform in the lag."""
         best = 0.0
         for j in range(self.d):
             col = sum(
@@ -193,15 +180,23 @@ class HawkesSpec:
     """A Hawkes random measure: mark space, exogenous density and kernel.
 
     ``c0`` is the declared constant bounding the exogenous mass plus the
-    kernel spatial mass, checked at construction.
+    kernel spatial mass, checked at construction, as are the sizes of the
+    per-label rates and of the kernel against the label count.
     """
 
     mark_space: MarkSpace
     exogenous: Exogenous
-    kernel: HawkesKernel
+    kernel: MatrixKernel
     c0: Optional[float] = None
 
     def __post_init__(self):
+        n = self.mark_space.n_labels
+        if self.exogenous.n_labels not in (None, n):
+            raise ValueError(f"{self.exogenous.n_labels} exogenous rates for n_labels = {n}")
+        if self.kernel.d != n:
+            raise ValueError(f"a {self.kernel.d} x {self.kernel.d} kernel for n_labels = {n}")
+        if self.c0 is not None and not math.isfinite(self.c0):
+            raise ValueError(f"declared intensity bound must be finite, got {self.c0}")
         exo_mass = self.exogenous.sup * self.mark_space.total_mass()
         kern_mass = self.kernel.spatial_mass_bound(self.mark_space)
         implied = exo_mass + kern_mass
@@ -299,27 +294,21 @@ class EventStream:
 # ---------------------------------------------------------------------------
 
 
-def _norm_mark(spec: HawkesSpec, u):
-    if isinstance(u, tuple):
-        label, x = u
-    else:
-        label, x = u, None
-    if isinstance(label, str):
-        label = spec.mark_space.label_index(label)
-    if spec.mark_space.spatial and x is None:
-        raise ValueError("this mark space carries a distance coordinate")
-    return (int(label), x)
-
-
 def intensity_at(spec: HawkesSpec, history: EventStream, t: float, u) -> float:
-    """Conditional intensity at time t and mark u given the strict past."""
+    """Conditional intensity at time t and mark u given the strict past.
+
+    ``u`` is a label (index or name), or a ``(label, x)`` pair; a spatial
+    mark space needs the pair, though no density here reads ``x``.
+    """
+    label, x = u if isinstance(u, tuple) else (u, None)
     if history.times.size and history.times[-1] >= t:
         raise ValueError("history must contain only events strictly before t")
-    u = _norm_mark(spec, u)
-    lam = spec.exogenous(t, u[0], u[1])
+    if spec.mark_space.spatial and x is None:
+        raise ValueError("this mark space carries a distance coordinate")
+    label = spec.mark_space.label_index(label) if isinstance(label, str) else int(label)
+    lam = spec.exogenous.rate(label)
     if history.times.size:
-        dts = t - history.times
-        lam += float(np.sum(spec.kernel.eval_events(dts, history.labels, history.xs, u)))
+        lam += float(np.sum(spec.kernel.eval_events(t - history.times, history.labels, label)))
     return lam
 
 
@@ -367,6 +356,7 @@ def simulate_thinning(
     label_cdf = (np.cumsum(weights) / weights.sum()).tolist()
     base_mass = space.total_mass()
     exo_sup = spec.exogenous.sup
+    exo = [spec.exogenous.rate(i) for i in range(space.n_labels)]
     half_width = space.spatial_half_width
 
     hist = EventHistory(float, np.int64, float)  # times, labels, distances
@@ -403,13 +393,12 @@ def simulate_thinning(
         if half_width is not None:
             x = float(rng.uniform(-half_width, half_width))
         z = rng.random() * majorant
-        lam = spec.exogenous(t, label, x)
+        lam = exo[label]
         if sums is not None:
             u = sums.units(False)
             lam += sum(amp * u[i] for i, amp in rows[label])
         elif start < n:
-            lam += float(np.sum(kernel.eval_events(
-                t - times[start:n], labels[start:n], xs[start:n], (label, x))))
+            lam += float(np.sum(kernel.eval_events(t - times[start:n], labels[start:n], label)))
         if lam > majorant * (1.0 + 1e-9):
             raise MajorantViolationError(
                 f"intensity {lam} exceeded majorant {majorant} at t={t}; "
@@ -502,8 +491,6 @@ def make_multivariate(d: int, mu, phi) -> HawkesSpec:
     if d < 1:
         raise ValueError("need at least one component")
     mu_arr = np.broadcast_to(np.asarray(mu, dtype=float), (d,)).copy()
-    if np.any(mu_arr < 0):
-        raise ValueError("exogenous rates must be >= 0")
     phi = list(phi)
     if len(phi) != d or any(len(row) != d for row in phi):
         raise ValueError(f"kernel matrix must be {d} x {d}")

@@ -34,11 +34,11 @@ from .rng import as_rng, stream_rng
 from .volterra import (
     BlockKernelOp,
     ExogenousField,
+    FieldLayout,
     NumericalFailureError,
     SpatialGrid,
     grid_to_grid,
     grid_to_scalar,
-    limit_layout,
     scalar_to_grid,
     scalar_to_scalar,
 )
@@ -844,7 +844,7 @@ def volterra_system(params: LimitParams):
     field take the factors of ``params`` as they are, so a solve calls each
     distinct factor once, on the price arrays of the whole path.
     """
-    lay = limit_layout(params.grid)
+    lay = FieldLayout(("mu_a", "mu_b"), PASSIVE_TYPES, params.grid)
     entries = []
     for (tgt, src), prof in params.act_from_act.items():
         entries.append(

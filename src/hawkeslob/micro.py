@@ -550,18 +550,6 @@ class MicroRun:
     candidates: int
     accepted: int
 
-    def price_path_csv(self, path) -> None:
-        import csv
-
-        delta_x = self.final_state.grid.delta_x
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "p_a", "p_b"])
-            for t, a, b in zip(self.event_times, self.ask_ticks, self.bid_ticks):
-                writer.writerow([
-                    repr(float(t)), repr(float(a * delta_x)), repr(float(b * delta_x)),
-                ])
-
 
 # ---------------------------------------------------------------------------
 # the compiled engine

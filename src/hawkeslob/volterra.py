@@ -123,11 +123,6 @@ class FieldLayout:
         return self.grid_names.index(name)
 
 
-#: layout of the limiting field: two active slots and four passive slots
-def limit_layout(grid: SpatialGrid) -> FieldLayout:
-    return FieldLayout(("mu_a", "mu_b"), ("a_lo", "a_cx", "b_lo", "b_cx"), grid)
-
-
 def _norms(layout: FieldLayout, rows: np.ndarray, p: int = 1, q: int = 1) -> np.ndarray:
     """l^p norm over the slots of flat slices: |scalar|, and L^q of each grid."""
     rows = np.abs(rows)
@@ -137,25 +132,6 @@ def _norms(layout: FieldLayout, rows: np.ndarray, p: int = 1, q: int = 1) -> np.
         lq = (grids ** q) @ layout.grid.quad_weights
         total = total + np.sum(lq ** (p / q), axis=-1)
     return total ** (1.0 / p)
-
-
-class IntensityField:
-    """One time slice of the intensity field, viewing a flat vector.
-
-    ``data`` holds the scalar slots, then each grid slot's nodes;
-    ``scalars`` and ``grids`` (n_grid, n_x) are views into it, so writing
-    through them writes the vector.
-    """
-
-    def __init__(self, layout: FieldLayout, data: np.ndarray):
-        self.layout = layout
-        self.data = data
-        self.scalars = data[: layout.n_scalar]
-        self.grids = data[layout.n_scalar :].reshape(layout.n_grid, layout.n_x)
-
-
-def _views(layout: FieldLayout, rows: np.ndarray) -> list[IntensityField]:
-    return [IntensityField(layout, row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +347,6 @@ class VolterraSolution:
     values: np.ndarray  # (steps, layout.size)
     clamp_count: int
 
-    @property
-    def fields(self) -> list[IntensityField]:
-        return _views(self.layout, self.values)
-
     def scalars(self) -> np.ndarray:
         return self.values[:, : self.layout.n_scalar]
 
@@ -470,10 +442,11 @@ def solve_forward(
 class NeumannResult:
     """Picard terms of the series resolvent, realized by their action.
 
-    ``terms[n]`` is the path of the n-th iterated-kernel integral applied to
-    the driving field; the depth-d solution is the driving path plus the
-    first d terms.  The dense operator table would cost O(steps^2 x field^2)
-    memory, so the resolvent is kept in this applied form.
+    ``term_values[n]`` is the path of the n-th iterated-kernel integral
+    applied to the driving field ``base_values``; the depth-d solution is
+    the driving path plus the first d terms.  The dense operator table
+    would cost O(steps^2 x field^2) memory, so the resolvent is kept in
+    this applied form.
     """
 
     t: np.ndarray
@@ -483,25 +456,18 @@ class NeumannResult:
     term_norms: np.ndarray
     converged: bool
 
-    @property
-    def base(self) -> list[IntensityField]:
-        return _views(self.layout, self.base_values)
-
-    @property
-    def terms(self) -> list[list[IntensityField]]:
-        return [_views(self.layout, term) for term in self.term_values]
-
     def ratios(self) -> np.ndarray:
         tn = self.term_norms
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(tn[:-1] > 0, tn[1:] / tn[:-1], 0.0)
 
-    def solution(self, depth: Optional[int] = None) -> list[IntensityField]:
+    def solution(self, depth: Optional[int] = None) -> np.ndarray:
+        """The driving path plus the first ``depth`` terms, (steps, layout.size)."""
         depth = len(self.term_values) if depth is None else depth
         out = self.base_values.copy()
         for term in self.term_values[:depth]:
             out += term
-        return _views(self.layout, out)
+        return out
 
 
 def neumann_resolvent(

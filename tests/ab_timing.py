@@ -34,7 +34,16 @@ Layers:
 - ``book.table``: six ``simulate_book`` runs of the ``empirical-kernels``
   table family at level 3, horizon 0.05, the workload's micro calls;
 - ``solve_paths``: the ``limit-ensemble`` workload's solve (2000 paths), which
-  runs no micro code, as a control.
+  runs no micro code, as a control;
+- ``thinning.table``, ``thinning.exp``: the ``empirical-kernels`` workload's
+  ``simulate_thinning`` calls, on its table and exponential specs at horizon
+  60;
+- ``reference``: the ``empirical-kernels`` workload's Volterra reference,
+  one ``intensity_consistency`` and one depth-3 ``neumann_resolvent`` on
+  its 100-path limit solve, which is made once, untimed.
+
+The inputs of the last two are those of ``workloads.empirical_setup``,
+built in a temporary directory.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -201,6 +211,44 @@ def _solve_paths(tree: Tree):
     return (lambda: None), call, digest
 
 
+def _empirical(tree: Tree):
+    """The ``empirical-kernels`` workload's inputs at full size."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return tree.workloads.empirical_setup(SEED, Path(tmp),
+                                              tree.workloads.EMPIRICAL["full"])
+
+
+def _thinning(kind: str):
+    def make(tree: Tree):
+        inp = _empirical(tree)
+
+        def call():
+            return tree.hawkes.simulate_thinning(inp.thinning[kind], inp.thinning_horizon, SEED)
+
+        return (lambda: None), call, lambda s: _digest([s.times, s.labels, s.xs])
+    return make
+
+
+def _reference(tree: Tree):
+    inp = _empirical(tree)
+    run = tree.limit.solve_paths(inp.limit_params, inp.init, inp.limit_horizon, inp.limit_dt,
+                                 seed=SEED)
+    _lay, op, exo = inp.system
+    states = list(zip(run.p_a[:, 0], run.p_b[:, 0]))
+
+    def call():
+        residual = tree.limit.intensity_consistency(run, 0)
+        res = tree.volterra.neumann_resolvent(op, exo, states, run.t, inp.neumann_depth,
+                                              exo_at="prev")
+        return residual, res
+
+    def digest(out):
+        residual, res = out
+        return _digest([np.array([residual]), res.term_values])
+
+    return (lambda: None), call, digest
+
+
 LAYERS = {
     "books.L0": _books(0, 100, 0.05, SEED),
     "books.L1": _books(1, 100, 0.05, SEED),
@@ -209,6 +257,9 @@ LAYERS = {
     "converge": _converge,
     "book.table": _book_table,
     "solve_paths": _solve_paths,
+    "thinning.table": _thinning("table"),
+    "thinning.exp": _thinning("exp"),
+    "reference": _reference,
 }
 
 
@@ -258,13 +309,13 @@ def main(argv=None) -> int:
     trees = [Tree("base", args.base.resolve() / "src"), Tree("head", ROOT / "src")]
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; {args.rounds} rounds, process time")
-    print(f"{'layer':<12} {'calls':>5} {'base_ms':>9} {'head_ms':>9} {'ratio':>7} {'won':>6} "
+    print(f"{'layer':<14} {'calls':>5} {'base_ms':>9} {'head_ms':>9} {'ratio':>7} {'won':>6} "
           f"{'base_iqr':>8}  outputs")
     for name in args.layers:
         res = time_layer(trees, LAYERS[name], args.rounds)
         base, head = res["base"], res["head"]
         q1, med, q3 = np.percentile(base, [25, 50, 75])
-        print(f"{name:<12} {res['calls']:>5} {1e3 * med:9.2f} {1e3 * np.median(head):9.2f} "
+        print(f"{name:<14} {res['calls']:>5} {1e3 * med:9.2f} {1e3 * np.median(head):9.2f} "
               f"{np.median(head / base):7.3f} {int(np.sum(head < base)):>3}/{args.rounds:<2} "
               f"{(q3 - q1) / med:8.1%}  {'equal' if res['equal'] else 'DIFFER'}", flush=True)
     return 0

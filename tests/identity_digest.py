@@ -26,7 +26,14 @@ rate factors: the ``intensity_consistency`` residual of the experiment's
 limit solve; the ``solve_forward`` rows at both ``exo_at`` values and the
 Neumann terms, re-solved on that solve's first path with a price-dependent
 exogenous slot; the martingale means and standard errors of the tracked
-solve; and the failures of ``check_uniqueness_condition``.  Two trees that print
+solve; and the failures of ``check_uniqueness_condition``.  The
+``thinning.*`` lines digest the event times, labels and distances of
+``simulate_thinning`` on ``THINNING_SEEDS`` at horizon
+``THINNING_HORIZON``: on the bench's table and exponential
+``thinning_spec``, and on a spatial spec of two labels with per-label
+exogenous rates and a mixed kernel matrix (``_spatial_thinning_spec``),
+whose table entry makes it scan the history label by label; these lines
+do not depend on ``--seed``.  Two trees that print
 the same lines ran the same experiment bit for bit; a change that only
 reorders the sums of an inner product moves the ``tracked.*`` functional
 lines or the ``report`` line, whose volume-functional errors read the
@@ -65,6 +72,9 @@ LOCKSTEP_STREAMS = 8
 #: paths and steps of the tracked limit solve, at dt 1e-3
 TRACKED_PATHS = 200
 TRACKED_STEPS = 100
+#: seeds and horizon of the ``thinning.*`` digests
+THINNING_SEEDS = (1, 2, 3)
+THINNING_HORIZON = 30.0
 
 
 def _workloads():
@@ -294,6 +304,38 @@ def reference_digests(limit_run, tracked) -> list[tuple[str, str]]:
     return out
 
 
+def _spatial_thinning_spec(workloads):
+    from hawkeslob import hawkes
+    from hawkeslob.families import ExponentialProfile
+
+    space = hawkes.MarkSpace(labels=("a", "b"), weights=(1.0, 0.5), spatial_half_width=0.8)
+    kernel = hawkes.MatrixKernel([
+        [ExponentialProfile(0.3, 1.0), None],
+        [workloads.table_profile(0.1, 1.0), ExponentialProfile(0.2, 2.0)],
+    ])
+    return hawkes.HawkesSpec(space, hawkes.Exogenous.constant([0.4, 1.2]), kernel)
+
+
+def thinning_digests() -> list[tuple[str, str]]:
+    """The ``thinning.*`` lines, one per spec, each over its seeds in order."""
+    from hawkeslob.families import ExponentialProfile
+    from hawkeslob.hawkes import simulate_thinning
+
+    workloads = _workloads()
+    specs = {"table": workloads.thinning_spec(workloads.table_profile(0.15, 1.0)),
+             "exp": workloads.thinning_spec(ExponentialProfile(0.15, 1.0)),
+             "spatial": _spatial_thinning_spec(workloads)}
+    out = []
+    for name, spec in specs.items():
+        h = hashlib.sha256()
+        for seed in THINNING_SEEDS:
+            stream = simulate_thinning(spec, THINNING_HORIZON, seed)
+            for a in (stream.times, stream.labels, stream.xs):
+                h.update(_array_bytes(a))
+        out.append((f"thinning.{name}", h.hexdigest()))
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, required=True)
@@ -303,7 +345,8 @@ def main(argv=None) -> int:
     lines, limit_run = digests(plan, family, args.seed, limit_params)
     tracked = tracked_run(args.seed)
     for name, digest in (lines + tracked_digests(tracked) + reference_digests(limit_run, tracked)
-                         + book_digests(args.seed) + lockstep_digests(args.seed)):
+                         + book_digests(args.seed) + lockstep_digests(args.seed)
+                         + thinning_digests()):
         print(f"{name} {digest}")
     return 0
 

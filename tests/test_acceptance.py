@@ -125,7 +125,7 @@ def test_criterion_03_scalar_volterra_solver():
     rel = float(np.max(np.abs(vals - np.exp(t)) / np.exp(t)))
     assert rel <= 1e-4
     res = neumann_resolvent(op, exo, None, t, depth=20)
-    series = np.array([f.scalars[0] for f in res.solution()])
+    series = res.solution()[:, 0]
     gap = float(np.max(np.abs(series - vals)))
     assert gap <= 1e-6
     _report(3, f"rel err vs e^t {rel:.2e} <= 1e-4; Neumann depth 20 gap {gap:.2e} <= 1e-6")

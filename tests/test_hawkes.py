@@ -196,7 +196,7 @@ class TestKernelDeduplication:
                 sel = labels == j
                 if p is not None and np.any(sel):
                     ref[sel] = p.value(dts[sel])
-            assert np.array_equal(kern.eval_events(dts, labels, None, (u, None)), ref)
+            assert np.array_equal(kern.eval_events(dts, labels, u), ref)
 
         for eps in (1e-12, 1e-3):
             lag = max(p.envelope_inverse(eps) if p is not None else 0.0
@@ -339,6 +339,45 @@ def test_event_stream_spans_check_each_span_as_a_stream():
         bad[at] = value
         with pytest.raises(ValueError, match=match):
             EventStream.spans(bad, labels, times, times, starts, ends, 2.0)
+
+
+@pytest.mark.parametrize("build, match", [
+    # rates that are not finite never let thinning end; a negative one was
+    # silently thinned away
+    pytest.param(lambda: Exogenous.constant(math.nan), "^exogenous rates", id="nan-rate"),
+    pytest.param(lambda: Exogenous.constant(math.inf), "^exogenous rates", id="inf-rate"),
+    pytest.param(lambda: Exogenous.constant([-1.0, 2.0]), "^exogenous rates", id="negative-rate"),
+    pytest.param(lambda: make_multivariate(2, [math.nan, 1.0], [[None, None], [None, None]]),
+                 "^exogenous rates", id="nan-multivariate-rate"),
+    # mis-sized rates or kernels failed partway through a run, or set c0
+    # from a label that does not exist
+    pytest.param(lambda: HawkesSpec(MarkSpace(labels=("a", "b", "c")),
+                                    Exogenous.constant([1.0, 2.0]), MatrixKernel([[None] * 3] * 3)),
+                 "^2 exogenous rates for n_labels = 3$", id="2-rates-3-labels"),
+    pytest.param(lambda: HawkesSpec(MarkSpace(labels=("e",)), Exogenous.constant([1.0, 5.0]),
+                                    MatrixKernel([[None]])),
+                 "^2 exogenous rates for n_labels = 1$", id="2-rates-1-label"),
+    pytest.param(lambda: HawkesSpec(MarkSpace(labels=("a", "b")), Exogenous.constant(1.0),
+                                    MatrixKernel([[ExponentialProfile(0.5, 1.0)]])),
+                 "^a 1 x 1 kernel for n_labels = 2$", id="1x1-kernel-2-labels"),
+    # a NaN or infinite weight never lets thinning end; a NaN half-width
+    # surfaced as numpy's OverflowError; a NaN c0 set a NaN truncation level
+    pytest.param(lambda: MarkSpace(labels=("e",), weights=(math.nan,)),
+                 "^base-measure weights", id="nan-weight"),
+    pytest.param(lambda: MarkSpace(labels=("a", "b"), weights=(1.0, math.inf)),
+                 "^base-measure weights", id="inf-weight"),
+    pytest.param(lambda: MarkSpace(labels=("e",), spatial_half_width=math.nan),
+                 "^spatial half-width", id="nan-half-width"),
+    pytest.param(lambda: MarkSpace(labels=("e",), spatial_half_width=math.inf),
+                 "^spatial half-width", id="inf-half-width"),
+    pytest.param(lambda: HawkesSpec(MarkSpace(labels=("e",)), Exogenous.constant(1.0),
+                                    MatrixKernel([[None]]), c0=math.nan),
+                 "^declared intensity bound must be finite", id="nan-c0"),
+])
+def test_invalid_spec_fails_at_construction(build, match):
+    # asserted when the spec is built: simulating some of these never ends
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])

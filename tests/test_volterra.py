@@ -118,7 +118,7 @@ def test_nonnegativity_and_gronwall_bound():
     t = np.linspace(0, T, 401)
     sol = solve_forward(op, exo, None, t)
     assert sol.clamp_count == 0
-    assert all(np.all(f.scalars >= 0) and np.all(f.grids >= 0) for f in sol.fields)
+    assert np.all(sol.scalars() >= 0) and np.all(sol.grids() >= 0)
     # discrete mirror of the a-priori bound sup ||D|| <= (1 + c T) e^{c T} sup ||Dhat||
     c0 = op.max_row_mass()
     exo_sup = _norms(lay, exo.rows(np.zeros(t.size), np.zeros(t.size)), 1, 1).max()
@@ -142,8 +142,7 @@ class TestNeumann:
         t = np.linspace(0, 1, 51)
         res = neumann_resolvent(op, exo, None, t, depth=3)
         assert res.term_norms.max() == 0.0
-        sol = res.solution()
-        assert np.allclose([f.scalars[0] for f in sol], 2.0)
+        assert np.allclose(res.solution()[:, 0], 2.0)
 
     def test_depth_one_is_first_picard_term(self):
         # constant kernel, unit forcing: first term is exactly c * t
@@ -151,8 +150,7 @@ class TestNeumann:
         exo = ExogenousField.constant(SCALAR, [1.0])
         t = np.linspace(0, 1, 201)
         res = neumann_resolvent(op, exo, None, t, depth=1)
-        term = np.array([f.scalars[0] for f in res.terms[0]])
-        assert np.allclose(term, 0.7 * t, atol=1e-12)
+        assert np.allclose(res.term_values[0, :, 0], 0.7 * t, atol=1e-12)
 
     def test_depth_20_matches_time_stepping(self):
         op = scalar_op(1.0)
@@ -160,7 +158,7 @@ class TestNeumann:
         t = np.linspace(0, 1, 1001)
         stepped = solve_forward(op, exo, None, t).scalars()[:, 0]
         res = neumann_resolvent(op, exo, None, t, depth=20)
-        series = np.array([f.scalars[0] for f in res.solution()])
+        series = res.solution()[:, 0]
         assert np.max(np.abs(series - stepped)) <= 1e-6
         assert res.converged
         # geometric decay of the term norms beyond c0 * T
