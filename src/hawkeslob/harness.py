@@ -243,10 +243,12 @@ def run_convergence(
     sequence is nonincreasing across levels up to the standard-error slack.
     Every level runs replicate r on the micro stream r of ``seed``: the
     streams are derived once, and each level starts them from their initial
-    states.  The limit is solved without tracked functionals: the volume
-    errors read its terminal volumes (``LimitRun.v_inner``), so the returned
-    run's ``v_f`` and ``eta_f`` are empty.  The experiment runs in one
-    process; ``n_workers`` accepts only 1.
+    states.  The limit is solved without tracked functionals and on the ask
+    volume side only: the volume errors read its terminal ask volumes
+    (``LimitRun.v_inner(f, "a")``), so the returned run's ``v_f`` and
+    ``eta_f`` are empty, its ``v_b`` is ``None`` and ``v_inner(f, "b")``
+    raises ``ValueError``.  The experiment runs in one process;
+    ``n_workers`` accepts only 1.
     """
     t_start = time.perf_counter()
     if n_workers != 1:
@@ -257,7 +259,8 @@ def run_convergence(
         lp, family.ask_price0, family.bid_price0,
         family.ask_volume0, family.bid_volume0, n_paths=plan.limit_paths,
     )
-    limit_run = limit_mod.solve_paths(lp, init, plan.horizon, plan.limit_dt, seed=seed)
+    limit_run = limit_mod.solve_paths(lp, init, plan.horizon, plan.limit_dt, seed=seed,
+                                      volume_sides=("a",))
     manifest.register("limit", 1)
 
     lim_pa = limit_run.p_a[-1]

@@ -67,6 +67,9 @@ class MarkSpace:
     def __post_init__(self):
         if not self.labels:
             raise ValueError("mark space needs at least one label")
+        # label_index finds only the first of equal names
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"mark-space labels must be distinct, got {self.labels}")
         if not self.weights:
             object.__setattr__(self, "weights", tuple(1.0 for _ in self.labels))
         if len(self.weights) != len(self.labels):
@@ -306,6 +309,10 @@ def intensity_at(spec: HawkesSpec, history: EventStream, t: float, u) -> float:
     if spec.mark_space.spatial and x is None:
         raise ValueError("this mark space carries a distance coordinate")
     label = spec.mark_space.label_index(label) if isinstance(label, str) else int(label)
+    n = spec.mark_space.n_labels
+    if not 0 <= label < n:
+        # a negative index would read another label's rate and kernel row
+        raise ValueError(f"label index {label} is not in [0, {n})")
     lam = spec.exogenous.rate(label)
     if history.times.size:
         lam += float(np.sum(spec.kernel.eval_events(t - history.times, history.labels, label)))

@@ -168,8 +168,8 @@ class LimitRun:
     mu: np.ndarray  # (M+1, 2, R)
     beta: np.ndarray  # (M+1, 2, R)
     v_x: np.ndarray
-    v_a: np.ndarray  # terminal (R, volume nodes)
-    v_b: np.ndarray
+    v_a: Optional[np.ndarray]  # terminal (R, volume nodes); None when not solved
+    v_b: Optional[np.ndarray]
     params: LimitParams
     seed: Optional[int]
     clamp_count: int
@@ -186,10 +186,25 @@ class LimitRun:
         return float(self.t[1] - self.t[0]) if self.t.size > 1 else 0.0
 
     def v_inner(self, fn: Callable, side: str = "a") -> np.ndarray:
-        """Terminal volume inner products <V_I(T), f> per path."""
-        w = _trapz_weights(self.v_x)
+        """Terminal volume inner products <V_I(T), f> per path; a side the
+        solve left out raises ``ValueError``."""
+        if side not in SIDES:
+            raise ValueError(f"side must be 'a' or 'b', got {side!r}")
         vals = self.v_a if side == "a" else self.v_b
+        if vals is None:
+            raise ValueError(f"the {side!r} volumes were not solved; pass volume_sides "
+                             f"including {side!r} to solve_paths")
+        w = _trapz_weights(self.v_x)
         return vals @ (np.asarray(fn(self.v_x)) * w)
+
+
+def _volume_sides(sides: Sequence[str]) -> tuple:
+    """``sides`` checked as a non-empty subset of ``SIDES``, in ``SIDES`` order."""
+    sides = tuple(sides)
+    if not sides or len(set(sides)) != len(sides) or not set(sides) <= set(SIDES):
+        raise ValueError(f"volume_sides must be a non-empty subset of {SIDES} "
+                         f"without repeats, got {sides!r}")
+    return tuple(s for s in SIDES if s in sides)
 
 
 def _trapz_weights(x: np.ndarray) -> np.ndarray:
@@ -303,7 +318,9 @@ class LimitEngine:
     of nodes the intensities reach; ``V_b`` is stored mirrored (its row
     ``j`` is node ``n_cols - 1 - j``), so both sides read the same profile
     windows with the same band formula.  ``finish`` returns ``(R, volume
-    nodes)`` views.
+    nodes)`` views.  Nothing reads a volume, so a side left out of
+    ``volume_sides`` is neither copied nor advanced, and its ``V`` is
+    ``None``.
     """
 
     def __init__(
@@ -314,8 +331,13 @@ class LimitEngine:
         dt: float,
         track: Sequence[SpatialTestFn] = (),
         lam_checkpoint_times: Sequence[float] = (),
+        volume_sides: Sequence[str] = SIDES,
     ):
         self.p = params
+        self.volume_sides = _volume_sides(volume_sides)
+        if track and self.volume_sides != SIDES:
+            raise ValueError("tracked functionals hold both sides; track needs "
+                             f"volume_sides={SIDES}, got {self.volume_sides}")
         for name, value in (("horizon", horizon), ("dt", dt)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -420,8 +442,9 @@ class LimitEngine:
         self.P_b[0] = init.p_b
         # node-major, the bid side mirrored; make_initial_state builds its
         # volumes as transposes, so these are plain row copies
-        self.V_a = np.array(init.v_a.T, dtype=float, order="C")
-        self.V_b = np.array(init.v_b.T[::-1], dtype=float, order="C")
+        solved = self.volume_sides
+        self.V_a = np.array(init.v_a.T, dtype=float, order="C") if "a" in solved else None
+        self.V_b = np.array(init.v_b.T[::-1], dtype=float, order="C") if "b" in solved else None
 
         self.v_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
         self.eta_f = {f.name: np.zeros((M + 1, 2, R)) for f in self.track}
@@ -429,7 +452,8 @@ class LimitEngine:
         # matrix per side, in that side's node order
         fw = np.array([np.asarray(f.fn(self.x_v), dtype=float) * self._wv
                        for f in self.track]).reshape(len(self.track), self.x_v.size)
-        self._fw = {"a": fw, "b": np.ascontiguousarray(fw[:, ::-1])}
+        self._fw = {side: fw if side == "a" else np.ascontiguousarray(fw[:, ::-1])
+                    for side in solved}
         self.lam_checkpoint_times = sorted(lam_checkpoint_times)
         self.lam_checkpoints: list = []
 
@@ -479,7 +503,7 @@ class LimitEngine:
             return index[key]
 
         self._side_terms: dict = {}
-        for side in SIDES:
+        for side in self.volume_sides:
             groups: dict = {}
             for i, kind in enumerate(("lo", "cx")):
                 pt = f"{side}_{kind}"
@@ -641,7 +665,7 @@ class LimitEngine:
         return idx0, frac, j0, j1, self._pad + lo + j0, int(idx0.max()) + 1
 
     def _advance_volumes(self, m: int) -> None:
-        """Explicit Euler step of both volume densities, in place.
+        """Explicit Euler step of the solved sides' volume densities, in place.
 
         The increment is ``dt * (place_gain * lam_lo + cancel_gain * lam_cx
         * V)``.  Both intensities are sums of fixed profile vectors with
@@ -661,6 +685,8 @@ class LimitEngine:
         """
         coefs = np.concatenate([self._conv, [self._hat_fac[pt] for pt in PASSIVE_TYPES]])
         for s_idx, side in enumerate(SIDES):
+            if side not in self.volume_sides:
+                continue
             V = self.V_a if side == "a" else self.V_b
             fw = self._fw[side]
             k, frac, j0, j1, row0, K = self._volume_band(m, side)
@@ -721,8 +747,8 @@ class LimitEngine:
             mu=self.mu,
             beta=self.beta_arr,
             v_x=self.x_v,
-            v_a=self.V_a.T,
-            v_b=self.V_b[::-1].T,
+            v_a=None if self.V_a is None else self.V_a.T,
+            v_b=None if self.V_b is None else self.V_b[::-1].T,
             params=self.p,
             seed=seed,
             clamp_count=self.clamp_count,
@@ -798,16 +824,21 @@ def solve_paths(
     noise: Optional[np.ndarray] = None,
     track: Sequence[SpatialTestFn] = (),
     lam_checkpoint_times: Sequence[float] = (),
+    volume_sides: Sequence[str] = SIDES,
 ) -> LimitRun:
     """Solve an ensemble, deterministic given the seed (or explicit noise).
 
     Explicit ``noise`` holds the standard normal increments, shaped
-    ``(n_steps, 2, n_paths)``.  Raises ``NumericalFailureError`` on
-    non-finite intensities or prices at any step, on non-finite terminal
-    volumes, and when the diffusion radicand was clamped on more than
-    ``CLAMP_BUDGET`` of the path-steps.
+    ``(n_steps, 2, n_paths)``.  ``volume_sides``, a non-empty subset of
+    ``SIDES``, names the volume sides to solve, without changing a bit of
+    the rest; a side left out reads ``None`` as ``v_a``/``v_b``, and
+    ``track``, which holds both sides, needs both.  Raises
+    ``NumericalFailureError`` on non-finite intensities or prices at any
+    step, on non-finite terminal volumes of a solved side, and when the
+    diffusion radicand was clamped on more than ``CLAMP_BUDGET`` of the
+    path-steps.
     """
-    eng = LimitEngine(params, init, horizon, dt, track, lam_checkpoint_times)
+    eng = LimitEngine(params, init, horizon, dt, track, lam_checkpoint_times, volume_sides)
     if noise is not None and np.shape(noise) != (eng.n_steps, 2, eng.R):
         raise ValueError(
             f"noise must be shaped (n_steps, 2, n_paths) = {(eng.n_steps, 2, eng.R)}, "
@@ -826,7 +857,7 @@ def solve_paths(
         )
     # one reduction per side: a NaN or infinity anywhere makes the sum non-finite
     for side, V in (("ask", eng.V_a), ("bid", eng.V_b)):
-        if not math.isfinite(V.sum()):
+        if V is not None and not math.isfinite(V.sum()):
             raise NumericalFailureError(f"non-finite {side} volumes at the end of the run")
     return eng.finish(seed)
 

@@ -23,6 +23,7 @@ collecting it.
 
     PYTHONPATH=src python tests/ab_timing.py --base ../parent
     PYTHONPATH=src python tests/ab_timing.py --base ../parent --rounds 5 --layers books.L2 converge
+    PYTHONPATH=src python tests/ab_timing.py --base ../parent --layers converge.criterion10
 
 Layers:
 
@@ -31,6 +32,11 @@ Layers:
   ``converge`` workload;
 - ``books.L3``: the same at level 3 on 400 streams, horizon 1, seed 9137;
 - ``converge``: ``run_convergence`` on the ``converge`` workload's plan;
+- ``converge.criterion10``: ``run_convergence`` on acceptance criterion
+  10's plan (4 levels of 400 replicates, 2000 limit paths, dt 1e-3, seed
+  101) and family (``tests/conftest.py``'s ``make_family``), the
+  experiment at acceptance size; one call takes seconds, so it runs only
+  when ``--layers`` names it;
 - ``book.table``: six ``simulate_book`` runs of the ``empirical-kernels``
   table family at level 3, horizon 0.05, the workload's micro calls;
 - ``solve_paths``: the ``limit-ensemble`` workload's solve (2000 paths), which
@@ -158,6 +164,18 @@ def _books(level: int, streams: int, horizon: float, seed: int):
     return make
 
 
+def _convergence_digest(out) -> str:
+    """Digest of a ``run_convergence`` result: the report, every
+    ``LevelStats`` array and the limit's ``p_a`` and ``mu``."""
+    report, levels, limit_run = out
+    arrays = [np.frombuffer(json.dumps(report.to_dict(), sort_keys=True).encode(), np.uint8)]
+    for lv in levels:
+        arrays += [lv.p_a_terminal, lv.load_terminal, lv.sup_d11,
+                   np.array([lv.n_events_mean])]
+        arrays += [v for _name, v in sorted(lv.v_inner.items())]
+    return _digest(arrays + [limit_run.p_a, limit_run.mu])
+
+
 def _converge(tree: Tree):
     wl = tree.workloads
     family = wl.make_family()
@@ -168,16 +186,26 @@ def _converge(tree: Tree):
     def call():
         return tree.harness.run_convergence(plan, family, SEED, limit_params=lp)
 
-    def digest(out):
-        report, levels, limit_run = out
-        arrays = [np.frombuffer(json.dumps(report.to_dict(), sort_keys=True).encode(), np.uint8)]
-        for lv in levels:
-            arrays += [lv.p_a_terminal, lv.load_terminal, lv.sup_d11,
-                       np.array([lv.n_events_mean])]
-            arrays += [v for _name, v in sorted(lv.v_inner.items())]
-        return _digest(arrays + [limit_run.p_a, limit_run.mu])
+    return (lambda: None), call, _convergence_digest
 
-    return (lambda: None), call, digest
+
+def _converge_criterion10(tree: Tree):
+    # loaded per tree while its modules are active, so the family is built
+    # from that tree's classes
+    spec = importlib.util.spec_from_file_location(f"ab_conftest_{tree.label}",
+                                                  ROOT / "tests" / "conftest.py")
+    conftest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(conftest)
+    fns = [tree.limit.SpatialTestFn("g1", lambda x: np.exp(-((np.asarray(x) - 0.5) ** 2))),
+           tree.limit.SpatialTestFn("g2", lambda x: np.exp(-((np.asarray(x) + 0.3) ** 2) / 0.98))]
+    plan = tree.harness.ExperimentPlan(levels=(0, 1, 2, 3), replicates=400, horizon=1.0,
+                                       limit_paths=2000, limit_dt=1e-3, test_fns=fns, n_boot=200)
+    family = conftest.make_family()
+
+    def call():
+        return tree.harness.run_convergence(plan, family, SEED)
+
+    return (lambda: None), call, _convergence_digest
 
 
 def _book_table(tree: Tree):
@@ -255,12 +283,15 @@ LAYERS = {
     "books.L2": _books(2, 100, 0.05, SEED),
     "books.L3": _books(3, 400, 1.0, L3_SEED),
     "converge": _converge,
+    "converge.criterion10": _converge_criterion10,
     "book.table": _book_table,
     "solve_paths": _solve_paths,
     "thinning.table": _thinning("table"),
     "thinning.exp": _thinning("exp"),
     "reference": _reference,
 }
+#: layers left out of the default list: each call takes seconds
+LONG_LAYERS = ("converge.criterion10",)
 
 
 def _timed(tree: Tree, layer) -> tuple[float, str]:
@@ -302,20 +333,21 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path, required=True,
                     help="the base tree: a directory holding src/hawkeslob")
     ap.add_argument("--rounds", type=int, default=11)
-    ap.add_argument("--layers", nargs="+", choices=list(LAYERS), default=list(LAYERS))
+    ap.add_argument("--layers", nargs="+", choices=list(LAYERS),
+                    default=[name for name in LAYERS if name not in LONG_LAYERS])
     args = ap.parse_args(argv)
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
     trees = [Tree("base", args.base.resolve() / "src"), Tree("head", ROOT / "src")]
     print(f"# python {platform.python_version()}, numpy {np.__version__}, "
           f"{os.cpu_count()} CPUs; {args.rounds} rounds, process time")
-    print(f"{'layer':<14} {'calls':>5} {'base_ms':>9} {'head_ms':>9} {'ratio':>7} {'won':>6} "
+    print(f"{'layer':<20} {'calls':>5} {'base_ms':>9} {'head_ms':>9} {'ratio':>7} {'won':>6} "
           f"{'base_iqr':>8}  outputs")
     for name in args.layers:
         res = time_layer(trees, LAYERS[name], args.rounds)
         base, head = res["base"], res["head"]
         q1, med, q3 = np.percentile(base, [25, 50, 75])
-        print(f"{name:<14} {res['calls']:>5} {1e3 * med:9.2f} {1e3 * np.median(head):9.2f} "
+        print(f"{name:<20} {res['calls']:>5} {1e3 * med:9.2f} {1e3 * np.median(head):9.2f} "
               f"{np.median(head / base):7.3f} {int(np.sum(head < base)):>3}/{args.rounds:<2} "
               f"{(q3 - q1) / med:8.1%}  {'equal' if res['equal'] else 'DIFFER'}", flush=True)
     return 0

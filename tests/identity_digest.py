@@ -2,8 +2,9 @@
 
 Prints the sha256 of the convergence report (without ``runtime_s``), of the
 seed manifest, of every ``LevelStats`` array, of each level's
-``simulate_books`` runs and of the limit ``p_a``, ``p_b``, ``mu``, ``beta``,
-terminal ``v_a`` and ``v_b``, one per line.  The runs of a level give four
+``simulate_books`` runs and of the limit ``p_a``, ``p_b``, ``mu``, ``beta``
+and terminal ``v_a``, one per line; the experiment solves the ask volume
+side only.  The runs of a level give four
 digests, each over its runs in order:
 the event times, labels, distances and sizes (``events``); the best ticks,
 load and beta (``paths``); d11, d22 and the active scalars
@@ -17,10 +18,12 @@ recursive bound pass.
 The ``books.table.*`` lines give the four digests of one
 ``simulate_books`` call on ``LOCKSTEP_STREAMS`` streams of the table
 family, so they cover the lockstep engine's table scans.  The
-``tracked.*`` lines digest ``p_a``, ``mu`` and the tracked volume
-functionals ``v_f`` and ``eta_f`` of a small limit solve
+``tracked.*`` lines digest ``p_a``, ``mu``, the tracked volume
+functionals ``v_f`` and ``eta_f`` and the terminal ``v_a`` and ``v_b`` of
+a small limit solve of both volume sides
 with a tracked test function, the solve of acceptance criterion 12 at
-``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps.  The ``reference.*``
+``TRACKED_PATHS`` paths and ``TRACKED_STEPS`` steps, so they cover the
+bid side's volume step.  The ``reference.*``
 lines cover the Volterra reference and the checks that read the limit's
 rate factors: the ``intensity_consistency`` residual of the experiment's
 limit solve; the ``solve_forward`` rows at both ``exo_at`` values and the
@@ -241,8 +244,7 @@ def digests(plan, family, seed: int, limit_params):
         out.append((f"L{lv.level}.scalars",
                     sha(repr((lv.delta_x, lv.delta_v, lv.n_events_mean)).encode())))
         out.extend((f"L{lv.level}.runs.{name}", h) for name, h in run_hashes.pop(0).items())
-    limit_arrays = {name: getattr(limit_run, name) for name in ("p_a", "p_b", "mu", "beta")}
-    limit_arrays.update({"v_a": limit_run.v_a, "v_b": limit_run.v_b})
+    limit_arrays = {name: getattr(limit_run, name) for name in ("p_a", "p_b", "mu", "beta", "v_a")}
     for name, a in limit_arrays.items():
         a = np.ascontiguousarray(a)
         out.append((f"limit.{name}", sha(str(a.dtype).encode() + a.tobytes())))
@@ -263,7 +265,8 @@ def tracked_run(seed: int):
 
 def tracked_digests(run) -> list[tuple[str, str]]:
     """Digests of the ``tracked_run`` solve."""
-    arrays = {"p_a": run.p_a, "mu": run.mu, "v_f.g1": run.v_f["g1"], "eta_f.g1": run.eta_f["g1"]}
+    arrays = {"p_a": run.p_a, "mu": run.mu, "v_f.g1": run.v_f["g1"], "eta_f.g1": run.eta_f["g1"],
+              "v_a": run.v_a, "v_b": run.v_b}
     return [(f"tracked.{name}", hashlib.sha256(_array_bytes(a)).hexdigest())
             for name, a in arrays.items()]
 

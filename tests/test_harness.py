@@ -275,8 +275,12 @@ class TestConvergenceHarness:
             assert err < 3 * se
         names = {s.name for s in report.statistics}
         assert "volume_g_error" in names
-        # the volume errors read the terminal volumes: the limit runs untracked
+        # the volume errors read the terminal ask volumes: the limit runs
+        # untracked and solves the ask side only
         assert limit_run.v_f == {} and limit_run.eta_f == {}
+        assert limit_run.v_b is None
+        with pytest.raises(ValueError, match="'b' volumes were not solved"):
+            limit_run.v_inner(f.fn, "b")
 
     def test_report_deterministic_given_seed(self):
         fam = make_family(act_from_act={})

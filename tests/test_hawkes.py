@@ -65,6 +65,14 @@ class TestIntensityAt:
         with pytest.raises(ValueError, match="strictly before"):
             intensity_at(spec, hist, 2.0, "e")
 
+    @pytest.mark.parametrize("label", [-1, 2, (-1, None), (2, None)])
+    def test_label_index_out_of_range_rejected(self, label):
+        # label -1 read label 1's intensity; 2 raised IndexError
+        spec = make_multivariate(2, [1.0, 3.0], [[None, None], [None, None]])
+        empty = EventStream.empty(5.0, ("0", "1"))
+        with pytest.raises(ValueError, match=r"^label index -?\d is not in \[0, 2\)$"):
+            intensity_at(spec, empty, 1.0, label)
+
 
 class TestThinning:
     def test_poisson_reduction_mean(self):
@@ -366,6 +374,9 @@ def test_event_stream_spans_check_each_span_as_a_stream():
                  "^base-measure weights", id="nan-weight"),
     pytest.param(lambda: MarkSpace(labels=("a", "b"), weights=(1.0, math.inf)),
                  "^base-measure weights", id="inf-weight"),
+    # label_index finds only the first of equal names
+    pytest.param(lambda: MarkSpace(labels=("a", "a")), "^mark-space labels must be distinct",
+                 id="duplicate-labels"),
     pytest.param(lambda: MarkSpace(labels=("e",), spatial_half_width=math.nan),
                  "^spatial half-width", id="nan-half-width"),
     pytest.param(lambda: MarkSpace(labels=("e",), spatial_half_width=math.inf),

@@ -681,14 +681,54 @@ def test_solve_paths_deterministic_given_seed(family):
 @pytest.mark.parametrize("side", ["a", "b"])
 def test_non_finite_volume_fails_loudly(family, side):
     # a NaN at the first volume node, outside the band the intensities
-    # reach, fails the solve at the end rather than being returned
+    # reach, fails the solve at the end rather than being returned, also
+    # when only the NaN side is solved
     lp = family.limit_params(n_x=61)
     init = L.make_initial_state(lp, family.ask_price0, family.bid_price0,
                                 family.ask_volume0, family.bid_volume0, n_paths=3)
     getattr(init, f"v_{side}")[1, 0] = np.nan
     name = "ask" if side == "a" else "bid"
-    with pytest.raises(L.NumericalFailureError, match=f"non-finite {name} volumes"):
-        L.solve_paths(lp, init, 0.02, 2e-3, seed=3)
+    for sides in (L.SIDES, (side,)):
+        with pytest.raises(L.NumericalFailureError, match=f"non-finite {name} volumes"):
+            L.solve_paths(lp, init, 0.02, 2e-3, seed=3, volume_sides=sides)
+
+
+@pytest.mark.parametrize("case", ["family", "pas_from_act"])
+@pytest.mark.parametrize("seed", [5, 23])
+def test_one_sided_solve_matches_both_sides(case, seed):
+    # nothing reads a volume, so a solve of one volume side gives the same
+    # bits for the prices, the intensities and that side's volumes; the
+    # side left out is not handed back
+    params, init = _family_inputs("family") if case == "family" else _pas_from_act_inputs()
+    both = L.solve_paths(params, init, 0.2, 2e-3, seed=seed)
+    f = _G1.fn
+    for side in L.SIDES:
+        one = L.solve_paths(params, init, 0.2, 2e-3, seed=seed, volume_sides=(side,))
+        for name in ("p_a", "p_b", "mu", "beta", f"v_{side}"):
+            assert getattr(one, name).tobytes() == getattr(both, name).tobytes(), (side, name)
+        assert one.v_inner(f, side).tobytes() == both.v_inner(f, side).tobytes()
+        other = "b" if side == "a" else "a"
+        assert getattr(one, f"v_{other}") is None
+        with pytest.raises(ValueError, match=f"'{other}' volumes were not solved"):
+            one.v_inner(f, other)
+    # an unknown side read the bid volumes
+    with pytest.raises(ValueError, match="^side must be 'a' or 'b', got 'ask'"):
+        both.v_inner(f, "ask")
+
+
+@pytest.mark.parametrize("sides", [(), ("a", "a"), ("c",), ("a", "b", "a"), ("a", "ask")])
+def test_volume_sides_must_be_a_subset_of_the_sides(sides):
+    params, init = _family_inputs("one_path")
+    with pytest.raises(ValueError, match="^volume_sides must be a non-empty subset"):
+        L.solve_paths(params, init, 0.02, 2e-3, seed=3, volume_sides=sides)
+
+
+@pytest.mark.parametrize("sides", [("a",), ("b",)])
+def test_tracking_needs_both_volume_sides(sides):
+    # v_f and eta_f hold both sides
+    params, init = _family_inputs("one_path")
+    with pytest.raises(ValueError, match="^tracked functionals hold both sides"):
+        L.solve_paths(params, init, 0.02, 2e-3, seed=3, track=[_G1], volume_sides=sides)
 
 
 def test_volterra_system_evaluates_each_side_rate_once_per_state(family):
